@@ -85,12 +85,6 @@ class AcousticConfig:
     yin_threshold: float = 0.15
     n_fft: int | None = None  # None: next power of two >= frame length
     n_mels: int = 26
-    n_mfcc: int = 13
-    rolloff_fraction: float = 0.85
-    contrast_bands: int = 4
-    contrast_fmin_hz: float = 200.0
-    contrast_quantile: float = 0.02
-    tempo_window: int = 384
 
 
 def _next_pow2(n: int) -> int:
@@ -237,21 +231,15 @@ def _refine_peak(x: np.ndarray, i: int) -> tuple[float, float]:
     return i + delta, float(b - 0.25 * (a - c) * delta)
 
 
-def pick_cycle_peaks(
+def _cycle_peaks_by_region(
     x: np.ndarray, sample_rate_hz: int, f0: FrameSeries
-) -> tuple[np.ndarray, np.ndarray]:
-    """Locate one positive peak per glottal cycle inside voiced regions.
-
-    The F0 track bounds the search: from each accepted peak the next is the
-    maximum within [0.8, 1.25] local periods ahead. Returns sub-sample peak
-    times (in samples) and interpolated amplitudes.
-    """
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Peak times and amplitudes of each voiced region that holds a peak."""
     hop = int(round(f0.hop_seconds * sample_rate_hz))
     voiced = np.flatnonzero(~np.isnan(f0.values))
     if voiced.size == 0:
-        return np.empty(0), np.empty(0)
-    times: list[float] = []
-    amps: list[float] = []
+        return []
+    out = []
     regions = np.split(voiced, np.flatnonzero(np.diff(voiced) > 1) + 1)
     for region in regions:
         i0, i1 = int(region[0]), int(region[-1])
@@ -264,8 +252,8 @@ def pick_cycle_peaks(
             continue
         p = start + int(np.argmax(x[start:seed_end]))
         t, a = _refine_peak(x, p)
-        times.append(t)
-        amps.append(a)
+        times = [t]
+        amps = [a]
         while True:
             fi = min(max(int(round(p / hop)), i0), i1)
             f_here = f0.values[fi]
@@ -281,7 +269,48 @@ def pick_cycle_peaks(
             times.append(t)
             amps.append(a)
             p = q
-    return np.asarray(times), np.asarray(amps)
+        out.append((np.asarray(times), np.asarray(amps)))
+    return out
+
+
+def pick_cycle_peaks(
+    x: np.ndarray, sample_rate_hz: int, f0: FrameSeries
+) -> tuple[np.ndarray, np.ndarray]:
+    """Locate one positive peak per glottal cycle inside voiced regions.
+
+    The F0 track bounds the search: from each accepted peak the next is the
+    maximum within [0.8, 1.25] local periods ahead. Returns sub-sample peak
+    times (in samples) and interpolated amplitudes, all regions in order.
+    """
+    regions = _cycle_peaks_by_region(x, sample_rate_hz, f0)
+    if not regions:
+        return np.empty(0), np.empty(0)
+    return (np.concatenate([t for t, _ in regions]),
+            np.concatenate([a for _, a in regions]))
+
+
+def cycle_perturbation(
+    x: np.ndarray, sample_rate_hz: int, f0: FrameSeries
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-cycle jitter and shimmer terms; no pair spans an unvoiced gap.
+
+    Periods T are peak-to-peak times and A peak amplitudes, paired only
+    within one voiced region. Jitter terms are |T[i+1] - T[i]| / mean(T),
+    shimmer terms |A[i+1] - A[i]| / |mean(A)| (NaN when mean(A) is 0), the
+    means taken over every region. Both are empty when the regions hold
+    fewer than 2 periods in all.
+    """
+    regions = _cycle_peaks_by_region(x, sample_rate_hz, f0)
+    periods = [np.diff(t) for t, _ in regions]
+    if sum(p.size for p in periods) < 2:
+        return np.empty(0), np.empty(0)
+    jitter = np.concatenate([np.abs(np.diff(p)) for p in periods])
+    jitter /= float(np.mean(np.concatenate(periods)))
+    shimmer = np.concatenate([np.abs(np.diff(a)) for _, a in regions])
+    mean_amp = float(np.mean(np.concatenate([a for _, a in regions])))
+    if mean_amp == 0:
+        return jitter, np.full(shimmer.size, np.nan)
+    return jitter, shimmer / abs(mean_amp)
 
 
 def _hnr_at_frame(x: np.ndarray, start: int, sample_rate_hz: int, f0_hz: float) -> float:
@@ -324,30 +353,20 @@ def hnr_series(buf: AudioBuffer, f0: FrameSeries) -> FrameSeries:
 def jitter_shimmer_hnr(buf: AudioBuffer, f0: FrameSeries) -> JitterShimmerReport:
     """Local jitter and shimmer over picked cycles, plus mean HNR.
 
-    jitter_local = mean |T_i - T_{i-1}| / mean T; shimmer_local is the same
-    ratio over cycle peak amplitudes. Fewer than 2 cycles yields NaN for
-    both; degenerate inputs never raise.
+    jitter_local and shimmer_local are the means of the cycle_perturbation
+    terms, so no cycle pair spans an unvoiced gap. Fewer than 2 periods
+    yields NaN for both; degenerate inputs never raise.
     """
-    times, amps = pick_cycle_peaks(buf.samples, buf.sample_rate_hz, f0)
-    n_cycles = max(0, times.size - 1)
-    jitter = shimmer = np.nan
-    if n_cycles >= 2:
-        periods = np.diff(times)
-        mean_period = float(np.mean(periods))
-        if mean_period > 0:
-            jitter = float(np.mean(np.abs(np.diff(periods)))) / mean_period
-        mean_amp = float(np.mean(amps))
-        if mean_amp != 0:
-            shimmer = float(np.mean(np.abs(np.diff(amps)))) / abs(mean_amp)
+    jitter, shimmer = cycle_perturbation(buf.samples, buf.sample_rate_hz, f0)
     hnr = hnr_series(buf, f0).values
     hnr_db = float(np.nanmean(hnr)) if np.any(~np.isnan(hnr)) else np.nan
     voiced = f0.values[~np.isnan(f0.values)]
     f0_mean = float(voiced.mean()) if voiced.size else np.nan
     return JitterShimmerReport(
-        jitter_local=jitter,
-        shimmer_local=shimmer,
+        jitter_local=float(jitter.mean()) if jitter.size else np.nan,
+        shimmer_local=float(shimmer.mean()) if shimmer.size else np.nan,
         hnr_db=hnr_db,
-        n_cycles=int(n_cycles),
+        n_cycles=shimmer.size,  # one shimmer term per within-region period
         f0_mean_hz=f0_mean,
     )
 

@@ -15,19 +15,12 @@ import numpy as np
 
 from .acoustic import FrameSeries
 from .errors import DimensionMismatch, EmptyFile
-from .functionals import FeatureVector, FunctionalBank, apply_bank
+from .functionals import Family, FeatureVector, FunctionalBank, apply_bank, stat_text
 from .textfeat import Token, Transcript
 
 ORDERS = (0, 1, 2, 3)
 _STATS = ("mean", "stddev", "min", "max", "p10")
 _BANK = FunctionalBank(_STATS)
-
-COHERENCE_FEATURE_NAMES = tuple(
-    f"coherence_q{q}_{prefix}{stat}"
-    for q in ORDERS
-    for prefix in ("", "n_")
-    for stat in _STATS
-) + ("max_phrase_length", "determiner_rate")
 
 
 @dataclass(frozen=True)
@@ -172,14 +165,28 @@ def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
 
 
 def coherence_feature_vector(cf: CoherenceFeatures, source_id: str = "") -> FeatureVector:
-    values = []
-    for q in ORDERS:
-        for prefix in ("", "n_"):
-            for stat in _STATS:
-                values.append(cf.per_order[q][f"{prefix}{stat}"])
-    values.append(float(cf.max_phrase_length))
-    values.append(cf.determiner_rate)
-    return FeatureVector(COHERENCE_FEATURE_NAMES, np.asarray(values), source_id)
+    values = {f"coherence_q{q}_{key}": value
+              for q in ORDERS for key, value in cf.per_order[q].items()}
+    values["max_phrase_length"] = float(cf.max_phrase_length)
+    values["determiner_rate"] = cf.determiner_rate
+    return COHERENCE.vector(values, source_id)
+
+
+def _cosine_text(q: int) -> str:
+    return f"cosine(phrase_i, phrase_i+{q + 1}) over sentence mean-vectors"
+
+
+COHERENCE = Family("text.coherence", (
+    *((f"coherence_q{q}_{prefix}{stat}", f"{text}; {stat_text(stat, over='')}")
+      for q in ORDERS
+      for prefix, text in (
+          ("", _cosine_text(q)),
+          ("n_", _cosine_text(q) + ", minus the all-pairs cosine baseline"))
+      for stat in _STATS),
+    ("max_phrase_length", "token count of the longest sentence"),
+    ("determiner_rate", "determiner-tagged tokens / N"),
+), lambda t, res: coherence_feature_vector(coherence_features(t, res.embeddings)))
+COHERENCE_FEATURE_NAMES = COHERENCE.names
 
 
 def bundled_embeddings_path() -> Path:

@@ -14,22 +14,17 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .coherence import COHERENCE_FEATURE_NAMES
+from .audio_io import WINDOW_KINDS
+from .coherence import COHERENCE
 from .errors import ConfigError
-from .functionals import (
-    FunctionalBank,
-    GEMAPS_FEATURE_NAMES,
-    LLD_SERIES_NAMES,
-    SPECTRAL_FEATURE_NAMES,
-)
-from .textfeat import COMPLEXITY_FEATURE_NAMES, SYNTAX_FEATURE_NAMES
+from .functionals import GEMAPS, SPECTRAL, Family, FunctionalBank, lld_family
+from .textfeat import COMPLEXITY, SENTIMENT, SYNTAX
 
-_WINDOWS = ("hann", "hamming", "rectangular", "gaussian")
 _SELECTORS = ("anova_f", "rfe", "mrmr", "importance")
 _ESTIMATORS = ("auto", "logistic", "ols")
 _TRANSFORMS = (None, "pca", "ica")
 
-SENTIMENT_FEATURE_NAMES = ("sentiment_valence",)
+SENTIMENT_FEATURE_NAMES = SENTIMENT.names
 
 
 @dataclass(frozen=True)
@@ -74,8 +69,8 @@ def validate_config(cfg: PipelineConfig) -> None:
         raise ConfigError(f"frame_seconds must be > 0, got {cfg.frame_seconds!r}")
     if not (isinstance(cfg.hop_seconds, (int, float)) and cfg.hop_seconds > 0):
         raise ConfigError(f"hop_seconds must be > 0, got {cfg.hop_seconds!r}")
-    if cfg.window not in _WINDOWS:
-        raise ConfigError(f"window must be one of {_WINDOWS}, got {cfg.window!r}")
+    if cfg.window not in WINDOW_KINDS:
+        raise ConfigError(f"window must be one of {WINDOW_KINDS}, got {cfg.window!r}")
     for toggle in ("gemaps_core", "spectral", "complexity", "syntax",
                    "sentiment", "coherence"):
         if not isinstance(getattr(cfg, toggle), bool):
@@ -182,25 +177,17 @@ def config_hash(cfg: PipelineConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+def feature_families(cfg: PipelineConfig) -> list[tuple[bool, Family]]:
+    """Every feature family in column order, each with whether cfg turns it
+    on. The LLD family is listed only when lld_functionals names its stats."""
+    families = [(cfg.gemaps_core, GEMAPS), (cfg.spectral, SPECTRAL)]
+    if cfg.lld_functionals:
+        families.append((True, lld_family(cfg.lld_functionals)))
+    families += [(cfg.complexity, COMPLEXITY), (cfg.syntax, SYNTAX),
+                 (cfg.sentiment, SENTIMENT), (cfg.coherence, COHERENCE)]
+    return families
+
+
 def feature_names_for(cfg: PipelineConfig) -> tuple[str, ...]:
     """The exact CSV column order this config emits."""
-    names: list[str] = []
-    if cfg.gemaps_core:
-        names.extend(GEMAPS_FEATURE_NAMES)
-    if cfg.spectral:
-        names.extend(SPECTRAL_FEATURE_NAMES)
-    if cfg.lld_functionals:
-        names.extend(
-            f"lld_{series}_{stat}"
-            for series in LLD_SERIES_NAMES
-            for stat in cfg.lld_functionals
-        )
-    if cfg.complexity:
-        names.extend(COMPLEXITY_FEATURE_NAMES)
-    if cfg.syntax:
-        names.extend(SYNTAX_FEATURE_NAMES)
-    if cfg.sentiment:
-        names.extend(SENTIMENT_FEATURE_NAMES)
-    if cfg.coherence:
-        names.extend(COHERENCE_FEATURE_NAMES)
-    return tuple(names)
+    return tuple(name for on, family in feature_families(cfg) if on for name in family.names)

@@ -1,5 +1,6 @@
 """The feature dictionary: every emittable feature with its defining formula
-and category, flagged active or inactive under a given config.
+and category, flagged active or inactive under a given config. Names and
+formulas are read from the family declarations (config.feature_families).
 
 Regenerating the dictionary from the same config yields identical bytes.
 """
@@ -9,11 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .coherence import ORDERS
-from .config import PipelineConfig, feature_names_for
+from .config import PipelineConfig, feature_families, feature_names_for
 from .errors import UnwritableOutput
-from .functionals import GEMAPS_SERIES, LLD_SERIES_NAMES
-from .textfeat import DEPRELS, UNTAGGED, UPOS_TAGS
 
 
 @dataclass(frozen=True)
@@ -24,209 +22,12 @@ class FeatureEntry:
     active: bool
 
 
-_STAT_TEXT = {
-    "mean": "mean over frames",
-    "stddev": "population stddev over frames",
-    "min": "minimum over frames",
-    "max": "maximum over frames",
-    "median": "median over frames",
-    "range": "max minus min over frames",
-    "slope": "least-squares slope against frame index",
-    "delta_mean_abs": "mean |difference| of adjacent frames",
-}
-
-
-def _stat_text(stat: str) -> str:
-    if stat in _STAT_TEXT:
-        return _STAT_TEXT[stat]
-    return f"{stat[1:]}th percentile over frames"
-
-
-_GEMAPS_SERIES_TEXT = {
-    "f0_semitone": "12*log2(f0_hz / 27.5) on voiced frames",
-    "loudness": "frame RMS amplitude",
-    "jitter": "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair",
-    "shimmer": "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair",
-    "hnr": "10*log10(r / (1 - r)), r = periodic autocorrelation share",
-    "slope_0_500": "log-power spectrum slope fitted over 0-500 Hz",
-    "slope_500_1500": "log-power spectrum slope fitted over 500-1500 Hz",
-    "alpha_ratio": "10*log10(power 50-1000 Hz / power 1000-5000 Hz)",
-    "hammarberg": "20*log10(peak magnitude 0-2 kHz / peak magnitude 2-5 kHz)",
-    "mfcc1": "mel cepstrum coefficient 1 (26 HTK mel bands, DCT-II ortho)",
-    "mfcc2": "mel cepstrum coefficient 2 (26 HTK mel bands, DCT-II ortho)",
-    "mfcc3": "mel cepstrum coefficient 3 (26 HTK mel bands, DCT-II ortho)",
-    "mfcc4": "mel cepstrum coefficient 4 (26 HTK mel bands, DCT-II ortho)",
-}
-
-_GEMAPS_SCALAR_TEXT = {
-    "voiced_fraction": "voiced frames / total frames",
-    "jitter_local": "mean |T[i+1] - T[i]| / mean(T) over all glottal cycles",
-    "shimmer_local": "mean |A[i+1] - A[i]| / mean(A) over all cycle peaks",
-    "hnr_db": "10*log10(r / (1 - r)) averaged over voiced frames",
-}
-
-_SPECTRAL_TEXT = {
-    "centroid": "magnitude-weighted mean frequency",
-    "bandwidth": "magnitude-weighted stddev around the centroid",
-    "flatness": "geometric mean / arithmetic mean of the power spectrum",
-    "rolloff": "lowest frequency holding 85% of cumulative power",
-    "contrast_b0": "log peak-to-valley power contrast, octave band 200-400 Hz",
-    "contrast_b1": "log peak-to-valley power contrast, octave band 400-800 Hz",
-    "contrast_b2": "log peak-to-valley power contrast, octave band 800-1600 Hz",
-    "contrast_b3": "log peak-to-valley power contrast, octave band 1600-3200 Hz",
-    "flux": "sum of positive log-magnitude rises since the previous frame",
-    "rms": "root mean square of the windowed frame",
-    "zcr": "sign-change fraction of the raw frame",
-    "poly_slope": "slope of an order-1 fit to the magnitude spectrum",
-    "poly_intercept": "intercept of an order-1 fit to the magnitude spectrum",
-}
-
-_LLD_TEXT = {
-    "f0": "fundamental frequency (Hz), difference-function pitch tracker",
-    "hnr": "harmonics-to-noise ratio (dB) per voiced frame",
-    "rms": "root mean square of the windowed frame",
-    "zcr": "sign-change fraction of the raw frame",
-    "centroid": "magnitude-weighted mean frequency",
-    "bandwidth": "magnitude-weighted stddev around the centroid",
-    "flatness": "geometric mean / arithmetic mean of the power spectrum",
-    "rolloff": "lowest frequency holding 85% of cumulative power",
-    "flux": "sum of positive log-magnitude rises since the previous frame",
-}
-
-_COMPLEXITY_TEXT = {
-    "type_token_ratio": "V / N (distinct lower-cased forms over tokens)",
-    "standardized_word_entropy": "Shannon entropy of token frequencies / log2(V)",
-    "brunet_index": "N^(V^-0.165)",
-    "honore_statistic": "100 * ln(N) / (1 - V1/V), V1 = once-only forms",
-    "suffix_ratio": "derivational-suffix-bearing words / N",
-    "number_ratio": "numeral tokens (digits or number words) / N",
-    "unintelligible_word_ratio": "flagged-or-out-of-lexicon words / N",
-}
-
-_COHERENCE_STAT_TEXT = {
-    "mean": "mean",
-    "stddev": "population stddev",
-    "min": "minimum",
-    "max": "maximum",
-    "p10": "10th percentile",
-}
-
-
-def _gemaps_entries(active: bool) -> list[FeatureEntry]:
-    out = []
-    for series in GEMAPS_SERIES:
-        base = _GEMAPS_SERIES_TEXT[series]
-        for stat in ("mean", "stddev"):
-            out.append(FeatureEntry(f"{series}_{stat}", "acoustic.gemaps",
-                                    f"{base}; {_stat_text(stat)}", active))
-    for name, text in _GEMAPS_SCALAR_TEXT.items():
-        out.append(FeatureEntry(name, "acoustic.gemaps", text, active))
-    return out
-
-
-def _spectral_entries(active: bool) -> list[FeatureEntry]:
-    out = []
-    spec = [
-        ("centroid", ("mean", "stddev")),
-        ("bandwidth", ("mean", "stddev")),
-        ("flatness", ("mean", "stddev")),
-        ("rolloff", ("mean", "stddev")),
-        ("contrast_b0", ("mean", "stddev")),
-        ("contrast_b1", ("mean", "stddev")),
-        ("contrast_b2", ("mean", "stddev")),
-        ("contrast_b3", ("mean", "stddev")),
-        ("flux", ("mean", "stddev")),
-        ("rms", ("mean", "stddev", "min", "max", "median")),
-        ("zcr", ("mean", "stddev")),
-        ("poly_slope", ("mean", "stddev")),
-        ("poly_intercept", ("mean", "stddev")),
-    ]
-    for series, stats in spec:
-        for stat in stats:
-            out.append(FeatureEntry(f"{series}_{stat}", "acoustic.spectral",
-                                    f"{_SPECTRAL_TEXT[series]}; {_stat_text(stat)}",
-                                    active))
-    out.append(FeatureEntry(
-        "tempo_bpm", "acoustic.spectral",
-        "BPM at the max of the windowed onset-strength autocorrelation", active))
-    return out
-
-
-def _lld_entries(bank: tuple[str, ...]) -> list[FeatureEntry]:
-    out = []
-    for series in LLD_SERIES_NAMES:
-        text = _LLD_TEXT.get(series)
-        if text is None:
-            k = series.removeprefix("mfcc")
-            text = f"mel cepstrum coefficient {k} (26 HTK mel bands, DCT-II ortho)"
-        for stat in bank:
-            out.append(FeatureEntry(f"lld_{series}_{stat}", "acoustic.lld",
-                                    f"{text}; {_stat_text(stat)}", bool(bank)))
-    return out
-
-
-def _complexity_entries(active: bool) -> list[FeatureEntry]:
-    # emission order matches the feature vector, not the prose order
-    order = ("unintelligible_word_ratio", "standardized_word_entropy",
-             "suffix_ratio", "number_ratio", "brunet_index",
-             "honore_statistic", "type_token_ratio")
-    return [FeatureEntry(name, "text.complexity", _COMPLEXITY_TEXT[name], active)
-            for name in order]
-
-
-def _syntax_entries(active: bool) -> list[FeatureEntry]:
-    out = []
-    pos_all = UPOS_TAGS + (UNTAGGED,)
-    dep_all = DEPRELS + (UNTAGGED,)
-    for tag in pos_all:
-        out.append(FeatureEntry(f"pos_count_{tag}", "text.syntax",
-                                f"occurrences of part-of-speech {tag}", active))
-    for tag in pos_all:
-        out.append(FeatureEntry(f"pos_rate_{tag}", "text.syntax",
-                                f"occurrences of part-of-speech {tag} / N", active))
-    for rel in dep_all:
-        out.append(FeatureEntry(f"dep_count_{rel}", "text.syntax",
-                                f"occurrences of dependency relation {rel}", active))
-    for rel in dep_all:
-        out.append(FeatureEntry(f"dep_rate_{rel}", "text.syntax",
-                                f"occurrences of dependency relation {rel} / N", active))
-    return out
-
-
-def _coherence_entries(active: bool) -> list[FeatureEntry]:
-    out = []
-    for q in ORDERS:
-        for prefix in ("", "n_"):
-            for stat in ("mean", "stddev", "min", "max", "p10"):
-                base = (f"cosine(phrase_i, phrase_i+{q + 1}) over sentence "
-                        f"mean-vectors")
-                if prefix:
-                    base += ", divided by the all-pairs cosine baseline"
-                out.append(FeatureEntry(
-                    f"coherence_q{q}_{prefix}{stat}", "text.coherence",
-                    f"{base}; {_COHERENCE_STAT_TEXT[stat]}", active))
-    out.append(FeatureEntry("max_phrase_length", "text.coherence",
-                            "token count of the longest sentence", active))
-    out.append(FeatureEntry("determiner_rate", "text.coherence",
-                            "determiner-tagged tokens / N", active))
-    return out
-
-
 def feature_dictionary(cfg: PipelineConfig) -> tuple[FeatureEntry, ...]:
     """Every feature the toolkit can emit, in emission order, with the
     config's toggles reflected in the active flags."""
-    entries: list[FeatureEntry] = []
-    entries.extend(_gemaps_entries(cfg.gemaps_core))
-    entries.extend(_spectral_entries(cfg.spectral))
-    if cfg.lld_functionals:
-        entries.extend(_lld_entries(cfg.lld_functionals))
-    entries.extend(_complexity_entries(cfg.complexity))
-    entries.extend(_syntax_entries(cfg.syntax))
-    entries.append(FeatureEntry(
-        "sentiment_valence", "text.sentiment",
-        "mean lexicon valence over matched token occurrences", cfg.sentiment))
-    entries.extend(_coherence_entries(cfg.coherence))
-    return tuple(entries)
+    return tuple(FeatureEntry(name, family.category, formula, on)
+                 for on, family in feature_families(cfg)
+                 for name, formula in family.features)
 
 
 def featdict_text(cfg: PipelineConfig) -> str:

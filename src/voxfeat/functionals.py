@@ -1,28 +1,33 @@
 """Collapse frame series into utterance-level features via a statistics bank,
-and assemble the two named acoustic feature sets.
+declare feature families, and compute the three acoustic families.
 
-Feature counts and orders of gemaps_core (30) and spectral_set (30) are
-frozen; tests pin the exact name lists. Their name sets are disjoint.
+Each family is declared once, beside the code that computes it: the CSV
+header, the feature dictionary and the computed row all read that
+declaration. Feature counts and orders of gemaps_core (30) and spectral_set
+(30) are frozen; tests pin the exact name lists. Their name sets are
+disjoint.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .acoustic import (
     AcousticConfig,
     FrameSeries,
+    SPECTRAL_FLOOR,
     Spectrum,
     analysis_frames,
+    cycle_perturbation,
     f0_track,
     frame_scalars,
     hnr_series,
     jitter_shimmer_hnr,
     mfcc,
-    pick_cycle_peaks,
     poly_features,
     spectra,
     spectral_contrast,
@@ -126,6 +131,28 @@ def _stat(values: np.ndarray, indices: np.ndarray, stat: str) -> float:
     return float(np.percentile(values, pct))
 
 
+_STAT_TEXT = {
+    "mean": "mean",
+    "stddev": "population stddev",
+    "min": "minimum",
+    "max": "maximum",
+    "median": "median",
+    "range": "max minus min",
+}
+# defined on frame order, so their text names frames whatever the series is
+_FRAME_ORDER_TEXT = {
+    "slope": "least-squares slope against frame index",
+    "delta_mean_abs": "mean |difference| of adjacent frames",
+}
+
+
+def stat_text(stat: str, over: str = " over frames") -> str:
+    """Formula text of one statistic of _stat; `over` names what it runs over."""
+    if stat in _FRAME_ORDER_TEXT:
+        return _FRAME_ORDER_TEXT[stat]
+    return _STAT_TEXT.get(stat, f"{stat[1:]}th percentile") + over
+
+
 def apply_bank(series: FrameSeries, bank: FunctionalBank = DEFAULT_BANK) -> FeatureVector:
     """One feature per (series, stat) pair, named "<series>_<stat>".
 
@@ -142,47 +169,89 @@ def apply_bank(series: FrameSeries, bank: FunctionalBank = DEFAULT_BANK) -> Feat
 
 
 # ---------------------------------------------------------------------------
-# named feature sets
+# feature families
 # ---------------------------------------------------------------------------
 
-_MEAN_STD = FunctionalBank(("mean", "stddev"))
+@dataclass(frozen=True)
+class Family:
+    """One feature family, declared once.
 
-GEMAPS_SERIES = (
-    "f0_semitone", "loudness", "jitter", "shimmer", "hnr",
-    "slope_0_500", "slope_500_1500", "alpha_ratio", "hammarberg",
-    "mfcc1", "mfcc2", "mfcc3", "mfcc4",
-)
-GEMAPS_SCALARS = ("voiced_fraction", "jitter_local", "shimmer_local", "hnr_db")
-GEMAPS_FEATURE_NAMES = tuple(
-    f"{series}_{stat}" for series in GEMAPS_SERIES for stat in ("mean", "stddev")
-) + GEMAPS_SCALARS  # 13*2 + 4 = 30
+    Each entry is (name, formula), or (series, formula, stats), which stands
+    for one feature "<series>_<stat>" per statistic, its formula followed by
+    the statistic's text. `compute` returns the family's FeatureVector from
+    (AudioBuffer, AcousticConfig) for an "acoustic.*" category, or from
+    (Transcript, TextResources) for a "text.*" one.
+    """
 
-SPECTRAL_FEATURE_NAMES = (
-    "centroid_mean", "centroid_stddev",
-    "bandwidth_mean", "bandwidth_stddev",
-    "flatness_mean", "flatness_stddev",
-    "rolloff_mean", "rolloff_stddev",
-    "contrast_b0_mean", "contrast_b0_stddev",
-    "contrast_b1_mean", "contrast_b1_stddev",
-    "contrast_b2_mean", "contrast_b2_stddev",
-    "contrast_b3_mean", "contrast_b3_stddev",
-    "flux_mean", "flux_stddev",
-    "rms_mean", "rms_stddev", "rms_min", "rms_max", "rms_median",
-    "zcr_mean", "zcr_stddev",
-    "poly_slope_mean", "poly_slope_stddev",
-    "poly_intercept_mean", "poly_intercept_stddev",
-    "tempo_bpm",
-)  # 30
+    category: str
+    entries: tuple[tuple, ...]
+    compute: Callable[..., FeatureVector]
+    features: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        features: list[tuple[str, str]] = []
+        for entry in self.entries:
+            if len(entry) == 2:
+                features.append(entry)
+            else:
+                series, formula, stats = entry
+                features.extend((f"{series}_{s}", f"{formula}; {stat_text(s)}") for s in stats)
+        object.__setattr__(self, "features", tuple(features))
+        object.__setattr__(self, "names", tuple(name for name, _ in features))
+
+    @property
+    def is_text(self) -> bool:
+        return self.category.startswith("text.")
+
+    def vector(self, values: dict, source_id: str = "") -> FeatureVector:
+        """The family's row from computed values keyed by entry: a per-frame
+        array for each series entry, summarized by its statistics, and a
+        number for each (name, formula) entry."""
+        out: list[float] = []
+        for entry in self.entries:
+            value = values[entry[0]]
+            if len(entry) == 2:
+                out.append(value)
+            else:
+                bank = FunctionalBank(entry[2])
+                out.extend(apply_bank(FrameSeries(entry[0], value, 0.0), bank).values)
+        return FeatureVector(self.names, np.asarray(out, dtype=np.float64), source_id)
+
+
+_MEAN_STD = ("mean", "stddev")
+
+# descriptors that both the spectral set and the LLD family summarize
+_DESCRIPTOR_TEXT = {
+    "rms": "root mean square of the windowed frame",
+    "zcr": "sign-change fraction of the raw frame",
+    "centroid": "magnitude-weighted mean frequency",
+    "bandwidth": "magnitude-weighted stddev around the centroid",
+    "flatness": "geometric mean / arithmetic mean of the power spectrum",
+    "rolloff": "lowest frequency holding 85% of cumulative power",
+    "flux": "mean over bins of the positive log-magnitude rise since the previous frame",
+}
+
+
+def _mfcc_text(k: int) -> str:
+    return f"mel cepstrum coefficient {k} (26 HTK mel bands, DCT-II ortho)"
+
+
+def _shape_series(specs: list[Spectrum]) -> dict[str, np.ndarray]:
+    shapes = [spectral_shape(s) for s in specs]
+    keys = {"centroid": "centroid_hz", "bandwidth": "bandwidth_hz",
+            "flatness": "flatness", "rolloff": "rolloff_hz"}
+    return {name: np.array([sh[key] for sh in shapes]) for name, key in keys.items()}
 
 
 def _band_slope(spec: Spectrum, lo: float, hi: float) -> float:
+    """Least-squares slope (dB/Hz) of the floored log-power spectrum over [lo, hi]."""
     freqs = spec.frequencies
     sel = (freqs >= lo) & (freqs <= hi)
     if sel.sum() < 2:
         return np.nan
-    sub = Spectrum(spec.magnitudes[sel], spec.bin_hz)
-    # shift of the frequency origin changes only the intercept, not the slope
-    return float(np.polyfit(freqs[sel], spec.magnitudes[sel], 1)[0])
+    power_db = 10.0 * np.log10(np.maximum(spec.magnitudes[sel] ** 2, SPECTRAL_FLOOR))
+    return float(np.polyfit(freqs[sel], power_db, 1)[0])
 
 
 def _alpha_ratio(spec: Spectrum) -> float:
@@ -216,51 +285,57 @@ def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> Featu
     config = config or AcousticConfig()
     f0 = f0_track(buf, config.f_min_hz, config.f_max_hz, config.hop_seconds,
                   config.yin_threshold)
-    hop_s = config.hop_seconds
-
     voiced_mask = ~np.isnan(f0.values)
-    semitones = np.where(voiced_mask, 12.0 * np.log2(np.where(voiced_mask, f0.values, 1.0) / 27.5),
-                         np.nan)
-    series = [FrameSeries("f0_semitone", semitones, hop_s)]
-
     frames = analysis_frames(buf, config)
-    scalars = frame_scalars(frames)
-    series.append(FrameSeries("loudness", scalars["rms"].values, hop_s))
-
-    times, amps = pick_cycle_peaks(buf.samples, buf.sample_rate_hz, f0)
-    if times.size >= 3:
-        periods = np.diff(times)
-        jit = np.abs(np.diff(periods)) / np.mean(periods)
-        shim = np.abs(np.diff(amps)) / abs(np.mean(amps)) if np.mean(amps) != 0 else \
-            np.full(amps.size - 1, np.nan)
-    else:
-        jit = np.empty(0)
-        shim = np.empty(0)
-    series.append(FrameSeries("jitter", jit, hop_s))
-    series.append(FrameSeries("shimmer", shim, hop_s))
-    series.append(hnr_series(buf, f0))
-
     specs = spectra(frames, config.n_fft)
-    series.append(FrameSeries("slope_0_500", [_band_slope(s, 0.0, 500.0) for s in specs], hop_s))
-    series.append(FrameSeries("slope_500_1500",
-                              [_band_slope(s, 500.0, 1500.0) for s in specs], hop_s))
-    series.append(FrameSeries("alpha_ratio", [_alpha_ratio(s) for s in specs], hop_s))
-    series.append(FrameSeries("hammarberg", [_hammarberg(s) for s in specs], hop_s))
+    jitter, shimmer = cycle_perturbation(buf.samples, buf.sample_rate_hz, f0)
     coeffs = np.stack([mfcc(s, config.n_mels, 5) for s in specs])
-    for k in range(1, 5):
-        series.append(FrameSeries(f"mfcc{k}", coeffs[:, k], hop_s))
-
-    parts = [apply_bank(s, _MEAN_STD) for s in series]
-
     report = jitter_shimmer_hnr(buf, f0)
-    voiced_fraction = float(voiced_mask.mean()) if f0.values.size else np.nan
-    parts.append(FeatureVector(
-        GEMAPS_SCALARS,
-        np.array([voiced_fraction, report.jitter_local, report.shimmer_local, report.hnr_db]),
-    ))
-    out = concat_vectors(parts, buf.source_id)
-    assert out.names == GEMAPS_FEATURE_NAMES
-    return out
+    values = {
+        "f0_semitone": np.where(
+            voiced_mask, 12.0 * np.log2(np.where(voiced_mask, f0.values, 1.0) / 27.5), np.nan),
+        "loudness": frame_scalars(frames)["rms"].values,
+        "jitter": jitter,
+        "shimmer": shimmer,
+        "hnr": hnr_series(buf, f0).values,
+        "slope_0_500": [_band_slope(s, 0.0, 500.0) for s in specs],
+        "slope_500_1500": [_band_slope(s, 500.0, 1500.0) for s in specs],
+        "alpha_ratio": [_alpha_ratio(s) for s in specs],
+        "hammarberg": [_hammarberg(s) for s in specs],
+        **{f"mfcc{k}": coeffs[:, k] for k in range(1, 5)},
+        "voiced_fraction": float(voiced_mask.mean()) if f0.values.size else np.nan,
+        "jitter_local": report.jitter_local,
+        "shimmer_local": report.shimmer_local,
+        "hnr_db": report.hnr_db,
+    }
+    return GEMAPS.vector(values, buf.source_id)
+
+
+def _slope_text(lo: int, hi: int) -> str:
+    return (f"least-squares slope (dB/Hz) of the log-power spectrum "
+            f"10*log10(max(|X|^2, {SPECTRAL_FLOOR:g})) over {lo}-{hi} Hz")
+
+
+GEMAPS = Family("acoustic.gemaps", (
+    ("f0_semitone", "12*log2(f0_hz / 27.5) on voiced frames", _MEAN_STD),
+    ("loudness", "frame RMS amplitude", _MEAN_STD),
+    ("jitter", "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair", _MEAN_STD),
+    ("shimmer", "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair", _MEAN_STD),
+    ("hnr", "10*log10(r / (1 - r)), r = periodic autocorrelation share", _MEAN_STD),
+    ("slope_0_500", _slope_text(0, 500), _MEAN_STD),
+    ("slope_500_1500", _slope_text(500, 1500), _MEAN_STD),
+    ("alpha_ratio", "10*log10(power 50-1000 Hz / power 1000-5000 Hz)", _MEAN_STD),
+    ("hammarberg", "20*log10(peak magnitude 0-2 kHz / peak magnitude 2-5 kHz)", _MEAN_STD),
+    *((f"mfcc{k}", _mfcc_text(k), _MEAN_STD) for k in range(1, 5)),
+    ("voiced_fraction", "voiced frames / total frames"),
+    ("jitter_local", "mean |T[i+1] - T[i]| / mean(T) over all glottal cycles"),
+    ("shimmer_local", "mean |A[i+1] - A[i]| / mean(A) over all cycle peaks"),
+    ("hnr_db", "10*log10(r / (1 - r)) averaged over voiced frames"),
+), gemaps_core)
+GEMAPS_FEATURE_NAMES = GEMAPS.names  # 13*2 + 4 = 30
+
+_CONTRAST_BANDS = 4
+_CONTRAST_FMIN_HZ = 200.0
 
 
 def spectral_set(buf: AudioBuffer, config: AcousticConfig | None = None) -> FeatureVector:
@@ -270,72 +345,80 @@ def spectral_set(buf: AudioBuffer, config: AcousticConfig | None = None) -> Feat
     frames = analysis_frames(buf, config)
     specs = spectra(frames, config.n_fft)
     hop_s = config.hop_seconds
-
-    shapes = [spectral_shape(s) for s in specs]
-    contrasts = np.stack([
-        spectral_contrast(s, config.contrast_bands, config.contrast_fmin_hz,
-                          config.contrast_quantile)
-        for s in specs
-    ])
+    contrasts = np.stack([spectral_contrast(s, _CONTRAST_BANDS, _CONTRAST_FMIN_HZ)
+                          for s in specs])
     scalars = frame_scalars(frames)
     flux = spectral_flux_onset(specs, hop_s) if len(specs) >= 2 else \
         FrameSeries("flux", np.zeros(len(specs)), hop_s)
     polys = np.stack([poly_features(s, 1) for s in specs])
-    tempo, _ = tempogram_tempo(flux, config.tempo_window)
-
-    parts = [
-        apply_bank(FrameSeries("centroid", [sh["centroid_hz"] for sh in shapes], hop_s), _MEAN_STD),
-        apply_bank(FrameSeries("bandwidth", [sh["bandwidth_hz"] for sh in shapes], hop_s),
-                   _MEAN_STD),
-        apply_bank(FrameSeries("flatness", [sh["flatness"] for sh in shapes], hop_s), _MEAN_STD),
-        apply_bank(FrameSeries("rolloff", [sh["rolloff_hz"] for sh in shapes], hop_s), _MEAN_STD),
-    ]
-    for b in range(config.contrast_bands):
-        parts.append(apply_bank(FrameSeries(f"contrast_b{b}", contrasts[:, b], hop_s), _MEAN_STD))
-    parts.append(apply_bank(flux, _MEAN_STD))
-    parts.append(apply_bank(scalars["rms"],
-                            FunctionalBank(("mean", "stddev", "min", "max", "median"))))
-    parts.append(apply_bank(scalars["zcr"], _MEAN_STD))
-    parts.append(apply_bank(FrameSeries("poly_slope", polys[:, 0], hop_s), _MEAN_STD))
-    parts.append(apply_bank(FrameSeries("poly_intercept", polys[:, 1], hop_s), _MEAN_STD))
-    parts.append(FeatureVector(("tempo_bpm",), np.array([tempo])))
-
-    out = concat_vectors(parts, buf.source_id)
-    if config.contrast_bands == 4:
-        assert out.names == SPECTRAL_FEATURE_NAMES
-    return out
+    values = {
+        **_shape_series(specs),
+        **{f"contrast_b{b}": contrasts[:, b] for b in range(_CONTRAST_BANDS)},
+        "flux": flux.values,
+        "rms": scalars["rms"].values,
+        "zcr": scalars["zcr"].values,
+        "poly_slope": polys[:, 0],
+        "poly_intercept": polys[:, 1],
+        "tempo_bpm": tempogram_tempo(flux)[0],
+    }
+    return SPECTRAL.vector(values, buf.source_id)
 
 
-# static mirror of the series lld_series() produces at default settings; a
-# single-frame signal has no flux series, so consumers NaN-fill that slot
-LLD_SERIES_NAMES = (
-    "f0", "hnr", "rms", "zcr", "centroid", "bandwidth", "flatness", "rolloff",
-    "flux",
-) + tuple(f"mfcc{k}" for k in range(13))
+SPECTRAL = Family("acoustic.spectral", (
+    *((name, _DESCRIPTOR_TEXT[name], _MEAN_STD)
+      for name in ("centroid", "bandwidth", "flatness", "rolloff")),
+    *((f"contrast_b{b}",
+       "ln(mean of the top 2% / mean of the bottom 2% of band magnitudes), octave band "
+       f"{_CONTRAST_FMIN_HZ * 2 ** b:g}-{_CONTRAST_FMIN_HZ * 2 ** (b + 1):g} Hz", _MEAN_STD)
+      for b in range(_CONTRAST_BANDS)),
+    ("flux", _DESCRIPTOR_TEXT["flux"], _MEAN_STD),
+    ("rms", _DESCRIPTOR_TEXT["rms"], ("mean", "stddev", "min", "max", "median")),
+    ("zcr", _DESCRIPTOR_TEXT["zcr"], _MEAN_STD),
+    ("poly_slope", "slope of an order-1 fit to the magnitude spectrum", _MEAN_STD),
+    ("poly_intercept", "intercept of an order-1 fit to the magnitude spectrum", _MEAN_STD),
+    ("tempo_bpm", "BPM at the max of the windowed onset-strength autocorrelation"),
+), spectral_set)
+SPECTRAL_FEATURE_NAMES = SPECTRAL.names  # 30
+
+_LLD_MFCC = 13
+
+LLD_SERIES = (
+    ("f0", "fundamental frequency (Hz), difference-function pitch tracker"),
+    ("hnr", "harmonics-to-noise ratio (dB) per voiced frame"),
+    *_DESCRIPTOR_TEXT.items(),
+    *((f"mfcc{k}", _mfcc_text(k)) for k in range(_LLD_MFCC)),
+)
+LLD_SERIES_NAMES = tuple(name for name, _ in LLD_SERIES)
 
 
 def lld_series(buf: AudioBuffer, config: AcousticConfig | None = None) -> list[FrameSeries]:
-    """Every frame-level descriptor, for user-enlarged functional banks."""
+    """Every LLD_SERIES descriptor per frame, in declaration order. Flux is
+    all-NaN when there are fewer than two frames."""
     config = config or AcousticConfig()
     frames = analysis_frames(buf, config)
     specs = spectra(frames, config.n_fft)
     hop_s = config.hop_seconds
     f0 = f0_track(buf, config.f_min_hz, config.f_max_hz, hop_s, config.yin_threshold)
     scalars = frame_scalars(frames)
-    shapes = [spectral_shape(s) for s in specs]
-    out = [
-        f0,
-        hnr_series(buf, f0),
-        scalars["rms"],
-        scalars["zcr"],
-        FrameSeries("centroid", [sh["centroid_hz"] for sh in shapes], hop_s),
-        FrameSeries("bandwidth", [sh["bandwidth_hz"] for sh in shapes], hop_s),
-        FrameSeries("flatness", [sh["flatness"] for sh in shapes], hop_s),
-        FrameSeries("rolloff", [sh["rolloff_hz"] for sh in shapes], hop_s),
-    ]
-    if len(specs) >= 2:
-        out.append(spectral_flux_onset(specs, hop_s))
-    coeffs = np.stack([mfcc(s, config.n_mels, config.n_mfcc) for s in specs])
-    for k in range(config.n_mfcc):
-        out.append(FrameSeries(f"mfcc{k}", coeffs[:, k], hop_s))
-    return out
+    coeffs = np.stack([mfcc(s, config.n_mels, _LLD_MFCC) for s in specs])
+    values = {
+        "f0": f0.values,
+        "hnr": hnr_series(buf, f0).values,
+        "rms": scalars["rms"].values,
+        "zcr": scalars["zcr"].values,
+        **_shape_series(specs),
+        "flux": (spectral_flux_onset(specs, hop_s).values if len(specs) >= 2
+                 else np.full(len(specs), np.nan)),
+        **{f"mfcc{k}": coeffs[:, k] for k in range(_LLD_MFCC)},
+    }
+    return [FrameSeries(name, values[name], hop_s) for name in LLD_SERIES_NAMES]
+
+
+def lld_family(stats: tuple[str, ...]) -> Family:
+    """The LLD family: every LLD series summarized by the user's statistics."""
+    def compute(buf: AudioBuffer, config: AcousticConfig) -> FeatureVector:
+        return family.vector({f"lld_{s.name}": s.values for s in lld_series(buf, config)})
+
+    family = Family("acoustic.lld",
+                    tuple((f"lld_{name}", text, stats) for name, text in LLD_SERIES), compute)
+    return family

@@ -16,32 +16,17 @@ import numpy as np
 
 from .acoustic import AcousticConfig
 from .audio_io import load_wav
-from .coherence import (
-    COHERENCE_FEATURE_NAMES,
-    EmbeddingTable,
-    coherence_feature_vector,
-    coherence_features,
-    load_embeddings,
-)
+from .coherence import EmbeddingTable, load_embeddings
 from .config import (
-    SENTIMENT_FEATURE_NAMES,
     AnalyzeSpec,
     PipelineConfig,
     config_hash,
+    feature_families,
     feature_names_for,
     validate_config,
 )
 from .errors import NoInputs, SchemaError, UnwritableOutput, VoxfeatError
-from .functionals import (
-    FeatureVector,
-    FunctionalBank,
-    LLD_SERIES_NAMES,
-    apply_bank,
-    concat_vectors,
-    gemaps_core,
-    lld_series,
-    spectral_set,
-)
+from .functionals import FeatureVector, concat_vectors
 from .mlpipe import (
     FeatureTable,
     SelectionResult,
@@ -62,20 +47,13 @@ from .mlpipe import (
 )
 from .svgplot import curve_svg, heatmap_svg, scatter_svg
 from .textfeat import (
-    COMPLEXITY_FEATURE_NAMES,
-    SYNTAX_FEATURE_NAMES,
+    DEFAULT_SUFFIXES,
     Transcript,
-    complexity,
-    complexity_feature_vector,
     load_conllu,
     load_suffix_list,
     load_valence_csv,
     load_word_list,
-    sentiment,
-    syntax_counts,
-    syntax_feature_vector,
     tokenize,
-    DEFAULT_SUFFIXES,
 )
 
 log = logging.getLogger("voxfeat")
@@ -161,27 +139,6 @@ def discover_inputs(audio_dir: str | Path,
     return out
 
 
-def _nan_vector(names: tuple[str, ...]) -> FeatureVector:
-    return FeatureVector(names, np.full(len(names), np.nan))
-
-
-def _prefixed(vec: FeatureVector, prefix: str) -> FeatureVector:
-    return FeatureVector(tuple(prefix + n for n in vec.names), vec.values)
-
-
-def _lld_vector(buf, acfg: AcousticConfig, bank_stats: tuple[str, ...]) -> FeatureVector:
-    bank = FunctionalBank(bank_stats)
-    have = {s.name: s for s in lld_series(buf, acfg)}
-    parts = []
-    for name in LLD_SERIES_NAMES:
-        if name in have:
-            parts.append(_prefixed(apply_bank(have[name], bank), "lld_"))
-        else:
-            # a signal shorter than two frames produces no flux series
-            parts.append(_nan_vector(tuple(f"lld_{name}_{s}" for s in bank_stats)))
-    return concat_vectors(parts)
-
-
 def _load_transcript(path: Path) -> Transcript:
     if path.suffix == ".conllu":
         return load_conllu(path)
@@ -193,15 +150,7 @@ def extract_features(item: RecordingInput, cfg: PipelineConfig,
     """One feature row; text features are NaN when the transcript is absent."""
     acfg = AcousticConfig(frame_seconds=cfg.frame_seconds,
                           hop_seconds=cfg.hop_seconds, window=cfg.window)
-    parts: list[FeatureVector] = []
     buf = load_wav(item.wav_path)
-    if cfg.gemaps_core:
-        parts.append(gemaps_core(buf, acfg))
-    if cfg.spectral:
-        parts.append(spectral_set(buf, acfg))
-    if cfg.lld_functionals:
-        parts.append(_lld_vector(buf, acfg, cfg.lld_functionals))
-
     transcript: Transcript | None = None
     if item.transcript_path is not None:
         transcript = _load_transcript(item.transcript_path)
@@ -209,34 +158,17 @@ def extract_features(item: RecordingInput, cfg: PipelineConfig,
         log.warning("%s: no transcript found, text features set to NaN",
                     item.source_id)
 
-    if cfg.complexity:
-        if transcript is None:
-            parts.append(_nan_vector(COMPLEXITY_FEATURE_NAMES))
+    parts: list[FeatureVector] = []
+    for on, family in feature_families(cfg):
+        if not on:
+            continue
+        if not family.is_text:
+            parts.append(family.compute(buf, acfg))
+        elif transcript is None:
+            parts.append(FeatureVector(family.names, np.full(len(family.names), np.nan)))
         else:
-            parts.append(complexity_feature_vector(
-                complexity(transcript, res.lexicon, res.suffixes)))
-    if cfg.syntax:
-        if transcript is None:
-            parts.append(_nan_vector(SYNTAX_FEATURE_NAMES))
-        else:
-            parts.append(syntax_feature_vector(syntax_counts(transcript)))
-    if cfg.sentiment:
-        if transcript is None:
-            parts.append(_nan_vector(SENTIMENT_FEATURE_NAMES))
-        else:
-            parts.append(FeatureVector(
-                SENTIMENT_FEATURE_NAMES,
-                np.array([sentiment(transcript, res.valence)])))
-    if cfg.coherence:
-        if transcript is None:
-            parts.append(_nan_vector(COHERENCE_FEATURE_NAMES))
-        else:
-            parts.append(coherence_feature_vector(
-                coherence_features(transcript, res.embeddings)))
-
-    row = concat_vectors(parts, item.source_id)
-    assert row.names == feature_names_for(cfg)
-    return row
+            parts.append(family.compute(transcript, res))
+    return concat_vectors(parts, item.source_id)
 
 
 def _atomic_write(path: Path, text: str) -> None:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyLexicon, MalformedConllu
-from .functionals import FeatureVector
+from .functionals import Family, FeatureVector
 
 DEFAULT_MARKERS = frozenset({"xxx", "[unintelligible]", "[inaudible]"})
 
@@ -43,6 +43,8 @@ DEPRELS = (
     "punct", "reparandum", "root", "vocative", "xcomp",
 )
 UNTAGGED = "UNTAGGED"
+_POS = UPOS_TAGS + (UNTAGGED,)
+_DEP = DEPRELS + (UNTAGGED,)
 
 _NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
 
@@ -85,12 +87,6 @@ class ComplexityFeatures:
     brunet_index: float
     honore_statistic: float
     type_token_ratio: float
-
-
-COMPLEXITY_FEATURE_NAMES = (
-    "unintelligible_word_ratio", "standardized_word_entropy", "suffix_ratio",
-    "number_ratio", "brunet_index", "honore_statistic", "type_token_ratio",
-)
 
 
 @dataclass(frozen=True)
@@ -224,8 +220,8 @@ def syntax_counts(t: Transcript) -> SyntaxCounts:
     Unknown or missing tags land in UNTAGGED so the output width never
     varies. Relation subtypes fold into their base (nsubj:pass -> nsubj).
     """
-    pos_counts = {tag: 0 for tag in UPOS_TAGS + (UNTAGGED,)}
-    dep_counts = {rel: 0 for rel in DEPRELS + (UNTAGGED,)}
+    pos_counts = {tag: 0 for tag in _POS}
+    dep_counts = {rel: 0 for rel in _DEP}
     tokens = t.tokens()
     for tok in tokens:
         pos = tok.pos if tok.pos in pos_counts else UNTAGGED
@@ -236,27 +232,39 @@ def syntax_counts(t: Transcript) -> SyntaxCounts:
     return SyntaxCounts(pos_counts, dep_counts, len(tokens))
 
 
-SYNTAX_FEATURE_NAMES = (
-    tuple(f"pos_count_{tag}" for tag in UPOS_TAGS + (UNTAGGED,))
-    + tuple(f"pos_rate_{tag}" for tag in UPOS_TAGS + (UNTAGGED,))
-    + tuple(f"dep_count_{rel}" for rel in DEPRELS + (UNTAGGED,))
-    + tuple(f"dep_rate_{rel}" for rel in DEPRELS + (UNTAGGED,))
-)
-
-
 def syntax_feature_vector(sc: SyntaxCounts, source_id: str = "") -> FeatureVector:
     values = (
-        [float(sc.pos_counts[tag]) for tag in UPOS_TAGS + (UNTAGGED,)]
-        + [sc.rate(sc.pos_counts[tag]) for tag in UPOS_TAGS + (UNTAGGED,)]
-        + [float(sc.dep_counts[rel]) for rel in DEPRELS + (UNTAGGED,)]
-        + [sc.rate(sc.dep_counts[rel]) for rel in DEPRELS + (UNTAGGED,)]
+        [float(sc.pos_counts[tag]) for tag in _POS]
+        + [sc.rate(sc.pos_counts[tag]) for tag in _POS]
+        + [float(sc.dep_counts[rel]) for rel in _DEP]
+        + [sc.rate(sc.dep_counts[rel]) for rel in _DEP]
     )
     return FeatureVector(SYNTAX_FEATURE_NAMES, np.asarray(values), source_id)
 
 
+SYNTAX = Family("text.syntax", (
+    *((f"pos_count_{tag}", f"occurrences of part-of-speech {tag}") for tag in _POS),
+    *((f"pos_rate_{tag}", f"occurrences of part-of-speech {tag} / N") for tag in _POS),
+    *((f"dep_count_{rel}", f"occurrences of dependency relation {rel}") for rel in _DEP),
+    *((f"dep_rate_{rel}", f"occurrences of dependency relation {rel} / N") for rel in _DEP),
+), lambda t, res: syntax_feature_vector(syntax_counts(t)))
+SYNTAX_FEATURE_NAMES = SYNTAX.names
+
+
 def complexity_feature_vector(cf: ComplexityFeatures, source_id: str = "") -> FeatureVector:
-    values = np.array([getattr(cf, name) for name in COMPLEXITY_FEATURE_NAMES])
-    return FeatureVector(COMPLEXITY_FEATURE_NAMES, values, source_id)
+    return COMPLEXITY.vector(vars(cf), source_id)
+
+
+COMPLEXITY = Family("text.complexity", (
+    ("unintelligible_word_ratio", "flagged-or-out-of-lexicon words / N"),
+    ("standardized_word_entropy", "Shannon entropy of token frequencies / log2(V)"),
+    ("suffix_ratio", "derivational-suffix-bearing words / N"),
+    ("number_ratio", "numeral tokens (digits or number words) / N"),
+    ("brunet_index", "N^(V^-0.165)"),
+    ("honore_statistic", "100 * ln(N) / (1 - V1/V), V1 = once-only forms"),
+    ("type_token_ratio", "V / N (distinct lower-cased forms over tokens)"),
+), lambda t, res: complexity_feature_vector(complexity(t, res.lexicon, res.suffixes)))
+COMPLEXITY_FEATURE_NAMES = COMPLEXITY.names
 
 
 def sentiment(t: Transcript, lexicon: dict[str, float]) -> float:
@@ -265,6 +273,11 @@ def sentiment(t: Transcript, lexicon: dict[str, float]) -> float:
         raise EmptyLexicon("sentiment lexicon is empty")
     hits = [lexicon[tok.lower] for tok in t.tokens() if tok.lower in lexicon]
     return float(np.mean(hits)) if hits else float("nan")
+
+
+SENTIMENT = Family("text.sentiment", (
+    ("sentiment_valence", "mean lexicon valence over matched token occurrences"),
+), lambda t, res: SENTIMENT.vector({"sentiment_valence": sentiment(t, res.valence)}))
 
 
 # ---------------------------------------------------------------------------

@@ -151,12 +151,16 @@ class TestF0Track:
 
 class TestJitterShimmer:
     def test_perfect_sine_integer_period(self):
-        buf = sine(200)  # period exactly 80 samples
-        rep = jitter_shimmer_hnr(buf, f0_track(buf))
-        assert rep.n_cycles > 100
-        assert rep.jitter_local < 0.001
-        assert rep.shimmer_local < 0.01
-        assert abs(rep.f0_mean_hz - 200) < 2
+        # period exactly 80 samples; the gated copy (three 0.5 s bursts, 0.3 s
+        # silences) must not pair cycles across its silences
+        burst, gap = sine(200, seconds=0.5).samples, np.zeros(int(0.3 * SR))
+        gated = AudioBuffer(np.concatenate([burst, gap, burst, gap, burst]), SR)
+        for buf in (sine(200), gated):
+            rep = jitter_shimmer_hnr(buf, f0_track(buf))
+            assert rep.n_cycles > 100
+            assert rep.jitter_local < 0.001
+            assert rep.shimmer_local < 0.01
+            assert abs(rep.f0_mean_hz - 200) < 2
 
     def test_perfect_sine_fractional_period(self):
         # 440 Hz at 16 kHz: period 36.36 samples, needs sub-sample peaks

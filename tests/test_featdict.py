@@ -2,9 +2,20 @@
 
 from __future__ import annotations
 
+import re
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
 import pytest
 
-from voxfeat.coherence import bundled_embeddings_path
+from voxfeat.acoustic import Spectrum, spectral_contrast, spectral_flux_onset
+from voxfeat.coherence import (
+    EmbeddingTable,
+    bundled_embeddings_path,
+    coherence_feature_vector,
+    coherence_features,
+)
 from voxfeat.config import PipelineConfig, feature_names_for
 from voxfeat.errors import UnwritableOutput
 from voxfeat.featdict import (
@@ -13,6 +24,8 @@ from voxfeat.featdict import (
     feature_dictionary,
     write_featdict,
 )
+from voxfeat.functionals import _band_slope
+from voxfeat.textfeat import Token, Transcript
 
 ALL_ON = PipelineConfig(
     sentiment=False,
@@ -64,6 +77,12 @@ class TestDictionary:
         assert "sentiment_valence" in entries
         assert entries["sentiment_valence"].active is False
 
+    def test_readme_family_table_matches_declarations(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = re.findall(r"^\| `([a-z.]+)` \| (\d+) \|", readme, re.MULTILINE)
+        counts = Counter(e.category for e in feature_dictionary(PipelineConfig()))
+        assert {category: int(n) for category, n in table} == dict(counts)
+
     def test_categories_are_stable(self):
         cats = {e.category for e in feature_dictionary(ALL_ON)}
         assert cats == {
@@ -102,3 +121,59 @@ class TestText:
     def test_unwritable_path(self, tmp_path):
         with pytest.raises(UnwritableOutput):
             write_featdict(PipelineConfig(), tmp_path / "missing_dir" / "x.tsv")
+
+
+def formula(name: str) -> str:
+    return {e.name: e.formula for e in feature_dictionary(ALL_ON)}[name]
+
+
+class TestFormulaOracles:
+    """Each feature on a hand-made input equals its formula as the
+    dictionary states it."""
+
+    def test_band_slope_fits_db_power(self):
+        assert formula("slope_0_500_mean").startswith(
+            "least-squares slope (dB/Hz) of the log-power spectrum 10*log10(max(|X|^2, 1e-10))")
+        bin_hz = 16000 / 512
+        freqs = np.arange(257) * bin_hz
+        # dB power: a line of -0.01 dB/Hz up to 500 Hz, then -0.03 dB/Hz
+        power_db = np.where(freqs <= 500, -20 - 0.01 * freqs, -25 - 0.03 * (freqs - 500))
+        spec = Spectrum(np.sqrt(10 ** (power_db / 10)), bin_hz)
+        assert _band_slope(spec, 0.0, 500.0) == pytest.approx(-0.01, rel=1e-9)
+        assert _band_slope(spec, 500.0, 1500.0) == pytest.approx(-0.03, rel=1e-9)
+
+    def test_flux_is_mean_of_rises(self):
+        assert formula("flux_mean").startswith(
+            "mean over bins of the positive log-magnitude rise since the previous frame")
+        assert formula("lld_flux_mean") == formula("flux_mean")
+        specs = [Spectrum(np.ones(4), 100.0),
+                 Spectrum(np.array([np.e, 1.0, 1 / np.e, np.e ** 2]), 100.0)]
+        # rises 1, 0, 0, 2 over 4 bins: the mean is 0.75, a sum would be 3
+        assert spectral_flux_onset(specs, 0.01).values[1] == pytest.approx(0.75, rel=1e-12)
+
+    def test_contrast_is_log_ratio_of_magnitudes(self):
+        assert formula("contrast_b3_mean").startswith(
+            "ln(mean of the top 2% / mean of the bottom 2% of band magnitudes), "
+            "octave band 1600-3200 Hz")
+        bin_hz = 16000 / 2048
+        freqs = np.arange(1025) * bin_hz
+        mags = np.ones(1025)
+        band = np.flatnonzero((freqs >= 1600) & (freqs < 3200))
+        assert int(0.02 * band.size) == 4
+        mags[band[:4]] = [0.1, 0.2, 0.3, 0.4]
+        mags[band[-4:]] = [5.0, 6.0, 7.0, 8.0]
+        expected = np.log(6.5 / 0.25)  # mean of the top 4 / mean of the bottom 4
+        assert spectral_contrast(Spectrum(mags, bin_hz))[3] == pytest.approx(expected, rel=1e-12)
+
+    def test_normalized_coherence_subtracts_baseline(self):
+        assert formula("coherence_q0_n_mean").endswith(
+            ", minus the all-pairs cosine baseline; mean")
+        emb = EmbeddingTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
+                                 "c": np.array([1.0, 1.0])})
+        t = Transcript(tuple((Token(w, w),) for w in "abc"))
+        fv = coherence_feature_vector(coherence_features(t, emb))
+        # adjacent cosines 0 and 1/sqrt(2); all pairs add cos(a, c) = 1/sqrt(2)
+        raw_mean, baseline = np.sqrt(0.5) / 2, np.sqrt(2) / 3
+        assert fv["coherence_q0_mean"] == pytest.approx(raw_mean, rel=1e-12)
+        assert fv["coherence_q0_n_mean"] == pytest.approx(raw_mean - baseline, rel=1e-12)
+        assert fv["coherence_q0_n_min"] == pytest.approx(-baseline, rel=1e-12)

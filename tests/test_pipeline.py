@@ -114,7 +114,7 @@ class TestExtractFeatures:
         assert d["dep_count_nsubj"] == 2.0
 
     def test_short_signal_nan_fills_flux_slots(self, tmp_path):
-        # one analysis frame produces every series except flux
+        # one analysis frame has no flux: lld_series gives an all-NaN flux series
         make_wav(tmp_path / "tiny.wav", seconds=0.025)
         cfg = PipelineConfig(lld_functionals=("mean",))
         item = discover_inputs(tmp_path)[0]
