@@ -1,15 +1,16 @@
-"""Frame-level acoustic descriptors.
+"""Frame-level acoustic descriptors and the per-recording analysis they share.
 
 Pitch (difference-function method), jitter/shimmer/HNR from picked glottal
 cycles, MFCC, spectral shape/contrast/flux, energy scalars, tempo, and
-polynomial spectrum fits. Everything here is pure and deterministic: the
-same AudioBuffer always yields bit-identical outputs.
+polynomial spectrum fits. Spectral descriptors are array expressions over
+the last axis, so one frame and a whole spectrogram run the same code.
+Everything here is pure and deterministic: the same AudioBuffer always
+yields bit-identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from scipy.fft import dct
@@ -44,7 +45,9 @@ class FrameSeries:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Single-frame magnitude spectrum over n_fft/2+1 bins."""
+    """Magnitude spectra over n_fft/2+1 bins: one frame (bins,) or a
+    spectrogram (frames, bins). Iterating a spectrogram yields one-frame
+    Spectrums."""
 
     magnitudes: np.ndarray
     bin_hz: float
@@ -52,16 +55,21 @@ class Spectrum:
     def __post_init__(self) -> None:
         mags = np.asarray(self.magnitudes, dtype=np.float64)
         object.__setattr__(self, "magnitudes", mags)
-        if mags.ndim != 1 or not np.all(np.isfinite(mags)) or np.any(mags < 0):
-            raise ValueError("magnitudes must be a finite non-negative vector")
+        if mags.ndim not in (1, 2) or not np.all(np.isfinite(mags)) or np.any(mags < 0):
+            raise ValueError("magnitudes must be a finite non-negative vector or matrix")
+
+    def __iter__(self):
+        if self.magnitudes.ndim != 2:
+            raise TypeError("only a (frames, bins) Spectrum iterates over frames")
+        return (Spectrum(row, self.bin_hz) for row in self.magnitudes)
 
     @property
     def frequencies(self) -> np.ndarray:
-        return np.arange(self.magnitudes.size) * self.bin_hz
+        return np.arange(self.magnitudes.shape[-1]) * self.bin_hz
 
     @property
     def nyquist_hz(self) -> float:
-        return (self.magnitudes.size - 1) * self.bin_hz
+        return (self.magnitudes.shape[-1] - 1) * self.bin_hz
 
 
 @dataclass(frozen=True)
@@ -105,34 +113,34 @@ def analysis_frames(buf: AudioBuffer, config: AcousticConfig) -> FrameMatrix:
 # ---------------------------------------------------------------------------
 
 def power_spectrum(frame: np.ndarray, n_fft: int, sample_rate_hz: int) -> Spectrum:
-    """Magnitude spectrum of one windowed frame, zero-padded to n_fft.
+    """Magnitude spectrum of a windowed frame (or of each row of a frame
+    matrix), zero-padded to n_fft.
 
     n_fft must be a power of two not smaller than the frame. Parseval's
     identity holds over the full transform: sum |X[k]|^2 = n_fft * sum x[n]^2.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    if n_fft < frame.size or n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
+    frame_len = frame.shape[-1]
+    if n_fft < frame_len or n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
         raise InvalidFftSize(
-            f"n_fft must be a power of two >= frame length {frame.size}, got {n_fft}"
+            f"n_fft must be a power of two >= frame length {frame_len}, got {n_fft}"
         )
-    mags = np.abs(np.fft.rfft(frame, n_fft))
-    return Spectrum(mags, sample_rate_hz / n_fft)
+    return Spectrum(np.abs(np.fft.rfft(frame, n_fft, axis=-1)), sample_rate_hz / n_fft)
 
 
-def spectra(frames: FrameMatrix, n_fft: int | None = None) -> list[Spectrum]:
-    """Per-frame spectra; batched transform, same math as power_spectrum."""
+def spectra(frames: FrameMatrix, n_fft: int | None = None) -> Spectrum:
+    """The (frames, bins) spectrogram of every frame."""
     if n_fft is None:
         n_fft = _next_pow2(frames.frame_len)
-    if n_fft < frames.frame_len or (n_fft & (n_fft - 1)) != 0:
-        raise InvalidFftSize(f"n_fft {n_fft} invalid for frame length {frames.frame_len}")
-    mags = np.abs(np.fft.rfft(frames.frames, n_fft, axis=1))
-    bin_hz = frames.sample_rate_hz / n_fft
-    return [Spectrum(row, bin_hz) for row in mags]
+    return power_spectrum(frames.frames, n_fft, frames.sample_rate_hz)
 
 
 # ---------------------------------------------------------------------------
 # pitch
 # ---------------------------------------------------------------------------
+
+F0_BLOCK_FRAMES = 512  # frames per F0 batch: peak memory follows this, not the recording
+
 
 def f0_track(
     buf: AudioBuffer,
@@ -147,7 +155,8 @@ def f0_track(
     A frame is unvoiced (NaN) when no normalized-difference dip falls below
     the voicing threshold, or when the interpolated frequency leaves
     [f_min, f_max]. The integration window is one maximum period, so each
-    frame consumes 2*ceil(sr/f_min) samples.
+    frame consumes 2*ceil(sr/f_min) samples. Frames are processed in
+    batches of F0_BLOCK_FRAMES; each frame is independent of the others.
     """
     if not 0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
@@ -158,28 +167,35 @@ def f0_track(
     x = buf.samples
     tau_min = max(2, int(sr / f_max))
     tau_max = int(np.ceil(sr / f_min))
-    w = tau_max
-    chunk = w + tau_max
+    chunk = 2 * tau_max  # integration window w = tau_max, plus the largest lag
     hop = int(round(hop_seconds * sr))
-    n = x.size
-    if n < chunk:
+    if x.size < chunk:
         return FrameSeries("f0", np.empty(0), hop_seconds)
-    n_frames = 1 + (n - chunk) // hop
+    starts = hop * np.arange(1 + (x.size - chunk) // hop)
+    periods = np.concatenate([
+        _yin_periods(x[block[:, None] + np.arange(chunk)], tau_min, tau_max, threshold)
+        for block in np.split(starts, np.arange(F0_BLOCK_FRAMES, starts.size, F0_BLOCK_FRAMES))
+    ])
+    f0 = sr / periods
+    return FrameSeries("f0", np.where((f0 >= f_min) & (f0 <= f_max), f0, np.nan), hop_seconds)
 
-    idx = np.arange(chunk)[None, :] + hop * np.arange(n_frames)[:, None]
-    segs = x[idx]
-    n_fft = _next_pow2(2 * chunk)
-    # windowed cross term C(tau) = sum_{n<w} x[n] x[n+tau] via one batched fft
+
+def _yin_periods(segs: np.ndarray, tau_min: int, tau_max: int, threshold: float) -> np.ndarray:
+    """Interpolated period in samples of each (frame, 2*tau_max) segment,
+    NaN where no lag dips below the threshold."""
+    n = segs.shape[0]
+    w = tau_max
+    # windowed cross term C(tau) = sum_{n<w} x[n] x[n+tau] via one batched fft;
+    # any n_fft >= 2*tau_max keeps wrapped (negative) lags out of 0..tau_max
+    n_fft = _next_pow2(segs.shape[1])
     spec_full = np.fft.rfft(segs, n_fft, axis=1)
     spec_head = np.fft.rfft(segs[:, :w], n_fft, axis=1)
     cross = np.fft.irfft(np.conj(spec_head) * spec_full, n_fft, axis=1)[:, : tau_max + 1]
 
-    sq = segs * segs
-    csum = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(sq, axis=1)], axis=1)
+    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(segs * segs, axis=1)], axis=1)
     taus = np.arange(tau_max + 1)
-    energy_0 = csum[:, w][:, None]
     energy_tau = csum[:, taus + w] - csum[:, taus]
-    diff = np.maximum(energy_0 + energy_tau - 2.0 * cross, 0.0)
+    diff = np.maximum(csum[:, w][:, None] + energy_tau - 2.0 * cross, 0.0)
 
     # cumulative mean normalization; digital silence keeps dp at 1 (unvoiced)
     run = np.cumsum(diff[:, 1:], axis=1)
@@ -187,32 +203,25 @@ def f0_track(
     positive = run > 0
     dp[:, 1:] = np.where(positive, diff[:, 1:] * taus[1:] / np.where(positive, run, 1.0), 1.0)
 
-    f0 = np.full(n_frames, np.nan)
-    for i in range(n_frames):
-        row = dp[i]
-        tau = -1
-        below = np.flatnonzero(row[tau_min:tau_max] < threshold)
-        if below.size:
-            t = tau_min + int(below[0])
-            while t + 1 <= tau_max - 1 and row[t + 1] < row[t]:
-                t += 1
-            tau = t
-        else:
-            t = tau_min + int(np.argmin(row[tau_min: tau_max + 1]))
-            if row[t] < threshold:
-                tau = t
-        if tau < 0:
-            continue
-        if 1 <= tau < tau_max:
-            a, b, c = row[tau - 1], row[tau], row[tau + 1]
-            denom = a - 2 * b + c
-            delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5)) if denom != 0 else 0.0
-        else:
-            delta = 0.0
-        freq = sr / (tau + delta)
-        if f_min <= freq <= f_max:
-            f0[i] = freq
-    return FrameSeries("f0", f0, hop_seconds)
+    # the first lag below the threshold, walked downhill to its local minimum
+    # (the first lag before tau_max whose successor does not descend); with
+    # no dip, the global minimum, which must itself be below the threshold
+    below = dp[:, tau_min:tau_max] < threshold
+    first = tau_min + np.argmax(below, axis=1)
+    settled = np.ones((n, tau_max), dtype=bool)
+    settled[:, :-1] = ~(dp[:, 1:tau_max] < dp[:, : tau_max - 1])
+    walked = np.argmax(settled & (taus[:tau_max] >= first[:, None]), axis=1)
+    tau = np.where(below.any(axis=1), walked,
+                   tau_min + np.argmin(dp[:, tau_min:], axis=1))
+
+    rows = np.arange(n)
+    a = dp[rows, tau - 1]
+    b = dp[rows, tau]
+    c = dp[rows, np.minimum(tau + 1, tau_max)]
+    denom = a - 2 * b + c
+    bend = (tau < tau_max) & (denom != 0)
+    delta = np.where(bend, np.clip(0.5 * (a - c) / np.where(bend, denom, 1.0), -0.5, 0.5), 0.0)
+    return np.where(b < threshold, tau + delta, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -358,17 +367,19 @@ def jitter_shimmer_hnr(buf: AudioBuffer, f0: FrameSeries) -> JitterShimmerReport
     yields NaN for both; degenerate inputs never raise.
     """
     jitter, shimmer = cycle_perturbation(buf.samples, buf.sample_rate_hz, f0)
-    hnr = hnr_series(buf, f0).values
-    hnr_db = float(np.nanmean(hnr)) if np.any(~np.isnan(hnr)) else np.nan
     voiced = f0.values[~np.isnan(f0.values)]
-    f0_mean = float(voiced.mean()) if voiced.size else np.nan
     return JitterShimmerReport(
-        jitter_local=float(jitter.mean()) if jitter.size else np.nan,
-        shimmer_local=float(shimmer.mean()) if shimmer.size else np.nan,
-        hnr_db=hnr_db,
+        jitter_local=nan_mean(jitter),
+        shimmer_local=nan_mean(shimmer),
+        hnr_db=nan_mean(hnr_series(buf, f0).values),
         n_cycles=shimmer.size,  # one shimmer term per within-region period
-        f0_mean_hz=f0_mean,
+        f0_mean_hz=float(voiced.mean()) if voiced.size else np.nan,
     )
+
+
+def nan_mean(values: np.ndarray) -> float:
+    """Mean of the non-NaN values; NaN when there are none."""
+    return float(np.nanmean(values)) if np.any(~np.isnan(values)) else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +415,10 @@ def mfcc(
     fmin: float = 0.0,
     fmax: float | None = None,
 ) -> np.ndarray:
-    """Mel-frequency cepstral coefficients of one spectrum.
+    """Mel-frequency cepstral coefficients of each spectrum frame.
 
     Power spectrum -> triangular mel filterbank -> floored natural log ->
-    orthonormal type-II DCT, first n_coeffs kept.
+    orthonormal type-II DCT, first n_coeffs kept on the last axis.
     """
     nyquist = spec.nyquist_hz
     if fmax is None:
@@ -416,46 +427,37 @@ def mfcc(
         raise InvalidBandConfig(f"need 1 <= n_coeffs <= n_mels, got {n_coeffs} > {n_mels}")
     if not 0 <= fmin < fmax or fmax > nyquist + 1e-9:
         raise InvalidBandConfig(f"need 0 <= fmin < fmax <= {nyquist}, got [{fmin}, {fmax}]")
-    bank = mel_filterbank(n_mels, spec.magnitudes.size, spec.bin_hz, fmin, fmax)
-    energies = bank @ (spec.magnitudes ** 2)
+    bank = mel_filterbank(n_mels, spec.magnitudes.shape[-1], spec.bin_hz, fmin, fmax)
+    energies = (spec.magnitudes ** 2) @ bank.T
     logs = np.log(np.maximum(energies, SPECTRAL_FLOOR))
-    return dct(logs, type=2, norm="ortho")[:n_coeffs]
+    return dct(logs, type=2, norm="ortho", axis=-1)[..., :n_coeffs]
 
 
 # ---------------------------------------------------------------------------
 # spectral descriptors
 # ---------------------------------------------------------------------------
 
-def spectral_shape(spec: Spectrum) -> dict[str, float]:
-    """Centroid, bandwidth, rolloff, flatness; all NaN for a silent frame."""
+def spectral_shape(spec: Spectrum) -> dict[str, np.ndarray]:
+    """Centroid, bandwidth, rolloff, flatness of each frame; all NaN for a
+    silent frame. Scalars for a one-frame spectrum."""
     mags = spec.magnitudes
-    total = float(mags.sum())
-    if total <= 0:
-        return {
-            "centroid_hz": np.nan,
-            "bandwidth_hz": np.nan,
-            "rolloff_hz": np.nan,
-            "flatness": np.nan,
-        }
     freqs = spec.frequencies
-    centroid = float((freqs * mags).sum()) / total
-    bandwidth = float(np.sqrt((mags * (freqs - centroid) ** 2).sum() / total))
+    total = mags.sum(axis=-1)
+    silent = total <= 0
+    total = np.where(silent, 1.0, total)
+    centroid = (freqs * mags).sum(axis=-1) / total
+    bandwidth = np.sqrt((mags * (freqs - centroid[..., None]) ** 2).sum(axis=-1) / total)
     power = mags ** 2
-    cumulative = np.cumsum(power)
-    rolloff_idx = int(np.searchsorted(cumulative, 0.85 * cumulative[-1]))
-    rolloff = float(freqs[min(rolloff_idx, freqs.size - 1)])
-    if power.max() == power.min():
-        flatness = 1.0  # uniform limit, kept exact instead of exp(log()) round-trip
-    else:
-        floored = np.maximum(power, SPECTRAL_FLOOR)
-        flatness = float(np.exp(np.mean(np.log(floored))) / np.mean(floored))
-        flatness = float(np.clip(flatness, 0.0, 1.0))
-    return {
-        "centroid_hz": centroid,
-        "bandwidth_hz": bandwidth,
-        "rolloff_hz": rolloff,
-        "flatness": flatness,
-    }
+    cumulative = np.cumsum(power, axis=-1)
+    rolloff = freqs[np.argmax(cumulative >= 0.85 * cumulative[..., -1:], axis=-1)]
+    floored = np.maximum(power, SPECTRAL_FLOOR)
+    flatness = np.clip(np.exp(np.mean(np.log(floored), axis=-1)) / np.mean(floored, axis=-1),
+                       0.0, 1.0)
+    # uniform limit, kept exact instead of the exp(log()) round-trip
+    flatness = np.where(power.max(axis=-1) == power.min(axis=-1), 1.0, flatness)
+    shape = {"centroid_hz": centroid, "bandwidth_hz": bandwidth,
+             "rolloff_hz": rolloff, "flatness": flatness}
+    return {key: np.where(silent, np.nan, value)[()] for key, value in shape.items()}
 
 
 def spectral_contrast(
@@ -464,7 +466,7 @@ def spectral_contrast(
     fmin: float = 200.0,
     quantile: float = 0.02,
 ) -> np.ndarray:
-    """Octave-band peak-to-valley contrast in nats.
+    """Octave-band peak-to-valley contrast in nats, bands on the last axis.
 
     Band i spans [fmin*2^i, fmin*2^(i+1)) clipped to Nyquist; contrast is
     log(mean of the top-quantile magnitudes) - log(mean of the bottom
@@ -473,19 +475,19 @@ def spectral_contrast(
     if n_bands < 1:
         raise InvalidBandConfig(f"n_bands must be >= 1, got {n_bands}")
     freqs = spec.frequencies
-    out = np.full(n_bands, np.nan)
+    out = np.full(spec.magnitudes.shape[:-1] + (n_bands,), np.nan)
     for i in range(n_bands):
         lo = fmin * 2.0 ** i
         hi = min(fmin * 2.0 ** (i + 1), spec.nyquist_hz)
         sel = (freqs >= lo) & (freqs < hi) if hi < spec.nyquist_hz else (freqs >= lo) & (freqs <= hi)
-        band = spec.magnitudes[sel]
-        if band.size == 0:
+        n_sel = int(sel.sum())
+        if n_sel == 0:
             continue
-        count = max(1, int(quantile * band.size))
-        ordered = np.sort(band)
-        valley = max(float(ordered[:count].mean()), SPECTRAL_FLOOR)
-        peak = max(float(ordered[-count:].mean()), SPECTRAL_FLOOR)
-        out[i] = np.log(peak) - np.log(valley)
+        count = max(1, int(quantile * n_sel))
+        ordered = np.sort(spec.magnitudes[..., sel], axis=-1)
+        valley = np.maximum(ordered[..., :count].mean(axis=-1), SPECTRAL_FLOOR)
+        peak = np.maximum(ordered[..., -count:].mean(axis=-1), SPECTRAL_FLOOR)
+        out[..., i] = np.log(peak) - np.log(valley)
     return out
 
 
@@ -501,11 +503,12 @@ def frame_scalars(frames: FrameMatrix) -> dict[str, FrameSeries]:
     }
 
 
-def spectral_flux_onset(spectrogram: Sequence[Spectrum], hop_seconds: float) -> FrameSeries:
-    """Onset strength: mean positive log-magnitude increase per frame."""
-    if len(spectrogram) < 2:
-        raise TooFewFrames(f"flux needs >= 2 frames, got {len(spectrogram)}")
-    mags = np.stack([s.magnitudes for s in spectrogram])
+def spectral_flux_onset(spectrogram: Spectrum, hop_seconds: float) -> FrameSeries:
+    """Onset strength of a (frames, bins) spectrogram: mean positive
+    log-magnitude increase per frame, 0 for the first."""
+    mags = np.atleast_2d(spectrogram.magnitudes)
+    if mags.shape[0] < 2:
+        raise TooFewFrames(f"flux needs >= 2 frames, got {mags.shape[0]}")
     logs = np.log(np.maximum(mags, SPECTRAL_FLOOR))
     rises = np.maximum(0.0, logs[1:] - logs[:-1]).mean(axis=1)
     return FrameSeries("flux", np.concatenate([[0.0], rises]), hop_seconds)
@@ -542,13 +545,92 @@ def tempogram_tempo(onset: FrameSeries, window: int = 384) -> tuple[float, np.nd
 
 
 def poly_features(spec: Spectrum, order: int) -> np.ndarray:
-    """Least-squares polynomial fit of magnitude vs frequency.
+    """Least-squares polynomial fit of magnitude vs frequency per frame.
 
-    Coefficients are returned highest degree first (order 1 -> [slope,
-    intercept]).
+    Coefficients are on the last axis, highest degree first (order 1 ->
+    [slope, intercept]).
     """
     if order not in (0, 1, 2):
         raise InvalidOrder(f"order must be 0, 1, or 2, got {order}")
-    if spec.magnitudes.size < order + 1:
+    if spec.magnitudes.shape[-1] < order + 1:
         raise InvalidOrder(f"need >= {order + 1} bins for order {order}")
-    return np.polyfit(spec.frequencies, spec.magnitudes, order)
+    return np.polyfit(spec.frequencies, spec.magnitudes.T, order).T
+
+
+# ---------------------------------------------------------------------------
+# per-recording analysis
+# ---------------------------------------------------------------------------
+
+class _once:
+    """functools.cached_property without its lock: before Python 3.12 that
+    lock is shared by every instance, so threads analyzing different
+    recordings would wait on each other."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
+        return value
+
+
+class Analysis:
+    """One recording's intermediates, each computed once, on first use.
+
+    Every acoustic family reads the same Analysis, so frames, spectra, F0,
+    HNR and glottal cycles are computed once per recording, and a family
+    that needs no F0 never runs the tracker. One thread uses one Analysis.
+    """
+
+    def __init__(self, buf: AudioBuffer, config: AcousticConfig) -> None:
+        self.buf = buf
+        self.config = config
+
+    @_once
+    def frames(self) -> FrameMatrix:
+        return analysis_frames(self.buf, self.config)
+
+    @_once
+    def spectrogram(self) -> Spectrum:
+        """The (frames, bins) magnitude spectrogram."""
+        return spectra(self.frames, self.config.n_fft)
+
+    @_once
+    def scalars(self) -> dict[str, FrameSeries]:
+        """The rms and zcr series."""
+        return frame_scalars(self.frames)
+
+    @_once
+    def shape(self) -> dict[str, np.ndarray]:
+        return spectral_shape(self.spectrogram)
+
+    @_once
+    def mfccs(self) -> np.ndarray:
+        """Every cepstral coefficient (n_mels of them) per frame."""
+        return mfcc(self.spectrogram, self.config.n_mels, self.config.n_mels)
+
+    @_once
+    def flux(self) -> FrameSeries:
+        """Onset strength per frame; all NaN below two frames, where no
+        frame has a predecessor."""
+        n_frames = self.frames.n_frames
+        if n_frames < 2:
+            return FrameSeries("flux", np.full(n_frames, np.nan), self.config.hop_seconds)
+        return spectral_flux_onset(self.spectrogram, self.config.hop_seconds)
+
+    @_once
+    def f0(self) -> FrameSeries:
+        c = self.config
+        return f0_track(self.buf, c.f_min_hz, c.f_max_hz, c.hop_seconds, c.yin_threshold)
+
+    @_once
+    def hnr(self) -> FrameSeries:
+        return hnr_series(self.buf, self.f0)
+
+    @_once
+    def cycle_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cycle jitter and shimmer terms (see cycle_perturbation)."""
+        return cycle_perturbation(self.buf.samples, self.buf.sample_rate_hz, self.f0)

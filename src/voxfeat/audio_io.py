@@ -8,7 +8,7 @@ exactly representable. Stereo is averaged to mono.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +60,10 @@ class AudioBuffer:
 class FrameMatrix:
     """Windowed analysis frames cut from one buffer.
 
-    frames holds the windowed samples, raw the pre-window samples; both are
-    (n_frames, frame_len). Trailing samples that do not fill a frame are
-    discarded, so n_frames == 1 + (n_samples - frame_len) // hop.
+    frames holds the windowed samples, raw the pre-window samples (a
+    read-only view into the buffer); both are (n_frames, frame_len).
+    Trailing samples that do not fill a frame are discarded, so
+    n_frames == 1 + (n_samples - frame_len) // hop.
     """
 
     frames: np.ndarray
@@ -70,8 +71,6 @@ class FrameMatrix:
     frame_len: int
     hop: int
     sample_rate_hz: int
-    window_kind: str = "hann"
-    window: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_frames(self) -> int:
@@ -197,16 +196,12 @@ def frame_signal(
     if n < frame_len:
         raise SignalTooShort(f"signal has {n} samples, frame needs {frame_len}")
 
-    n_frames = frame_count(n, frame_len, hop)
-    window = window_coefficients(window_kind, frame_len)
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n_frames)[:, None]
-    raw = buf.samples[idx]
+    # a strided view of the samples: frame i starts at i*hop, nothing is copied
+    raw = np.lib.stride_tricks.sliding_window_view(buf.samples, frame_len)[::hop]
     return FrameMatrix(
-        frames=raw * window,
+        frames=raw * window_coefficients(window_kind, frame_len),
         raw=raw,
         frame_len=frame_len,
         hop=hop,
         sample_rate_hz=buf.sample_rate_hz,
-        window_kind=window_kind,
-        window=window,
     )

@@ -3,9 +3,10 @@ declare feature families, and compute the three acoustic families.
 
 Each family is declared once, beside the code that computes it: the CSV
 header, the feature dictionary and the computed row all read that
-declaration. Feature counts and orders of gemaps_core (30) and spectral_set
-(30) are frozen; tests pin the exact name lists. Their name sets are
-disjoint.
+declaration. The acoustic families read one shared acoustic.Analysis per
+recording, so each intermediate is computed once. Feature counts and orders
+of gemaps_core (30) and spectral_set (30) are frozen; tests pin the exact
+name lists. Their name sets are disjoint.
 """
 
 from __future__ import annotations
@@ -18,21 +19,13 @@ import numpy as np
 
 from .acoustic import (
     AcousticConfig,
+    Analysis,
     FrameSeries,
     SPECTRAL_FLOOR,
     Spectrum,
-    analysis_frames,
-    cycle_perturbation,
-    f0_track,
-    frame_scalars,
-    hnr_series,
-    jitter_shimmer_hnr,
-    mfcc,
+    nan_mean,
     poly_features,
-    spectra,
     spectral_contrast,
-    spectral_flux_onset,
-    spectral_shape,
     tempogram_tempo,
 )
 from .audio_io import AudioBuffer
@@ -179,8 +172,8 @@ class Family:
     Each entry is (name, formula), or (series, formula, stats), which stands
     for one feature "<series>_<stat>" per statistic, its formula followed by
     the statistic's text. `compute` returns the family's FeatureVector from
-    (AudioBuffer, AcousticConfig) for an "acoustic.*" category, or from
-    (Transcript, TextResources) for a "text.*" one.
+    the recording's shared acoustic.Analysis for an "acoustic.*" category, or
+    from (Transcript, TextResources) for a "text.*" one.
     """
 
     category: str
@@ -237,40 +230,80 @@ def _mfcc_text(k: int) -> str:
     return f"mel cepstrum coefficient {k} (26 HTK mel bands, DCT-II ortho)"
 
 
-def _shape_series(specs: list[Spectrum]) -> dict[str, np.ndarray]:
-    shapes = [spectral_shape(s) for s in specs]
-    keys = {"centroid": "centroid_hz", "bandwidth": "bandwidth_hz",
-            "flatness": "flatness", "rolloff": "rolloff_hz"}
-    return {name: np.array([sh[key] for sh in shapes]) for name, key in keys.items()}
+def _descriptor_series(a: Analysis) -> dict[str, np.ndarray]:
+    """Every _DESCRIPTOR_TEXT series, per frame."""
+    shape = a.shape
+    return {
+        "rms": a.scalars["rms"].values,
+        "zcr": a.scalars["zcr"].values,
+        "centroid": shape["centroid_hz"],
+        "bandwidth": shape["bandwidth_hz"],
+        "flatness": shape["flatness"],
+        "rolloff": shape["rolloff_hz"],
+        "flux": a.flux.values,
+    }
 
 
-def _band_slope(spec: Spectrum, lo: float, hi: float) -> float:
+def _band_slope(spec: Spectrum, lo: float, hi: float) -> np.ndarray:
     """Least-squares slope (dB/Hz) of the floored log-power spectrum over [lo, hi]."""
     freqs = spec.frequencies
     sel = (freqs >= lo) & (freqs <= hi)
     if sel.sum() < 2:
-        return np.nan
-    power_db = 10.0 * np.log10(np.maximum(spec.magnitudes[sel] ** 2, SPECTRAL_FLOOR))
-    return float(np.polyfit(freqs[sel], power_db, 1)[0])
+        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
+    power_db = 10.0 * np.log10(np.maximum(spec.magnitudes[..., sel] ** 2, SPECTRAL_FLOOR))
+    # closed form on centred frequencies: exactly 0 for a flat (or silent) band
+    centred = freqs[sel] - freqs[sel].mean()
+    return ((power_db - power_db.mean(axis=-1, keepdims=True)) @ centred
+            / (centred @ centred))[()]
 
 
-def _alpha_ratio(spec: Spectrum) -> float:
+def _db_ratio(num: np.ndarray, den: np.ndarray, scale: float) -> np.ndarray:
+    """scale*log10(num/den) where both are positive, NaN elsewhere."""
+    ok = (num > 0) & (den > 0)
+    return np.where(ok, scale * np.log10(np.where(ok, num, 1.0) / np.where(ok, den, 1.0)),
+                    np.nan)[()]
+
+
+def _alpha_ratio(spec: Spectrum) -> np.ndarray:
     freqs = spec.frequencies
     power = spec.magnitudes ** 2
-    low = float(power[(freqs >= 50.0) & (freqs <= 1000.0)].sum())
-    high = float(power[(freqs > 1000.0) & (freqs <= 5000.0)].sum())
-    if low <= 0 or high <= 0:
-        return np.nan
-    return 10.0 * np.log10(low / high)
+    low = power[..., (freqs >= 50.0) & (freqs <= 1000.0)].sum(axis=-1)
+    high = power[..., (freqs > 1000.0) & (freqs <= 5000.0)].sum(axis=-1)
+    return _db_ratio(low, high, 10.0)
 
 
-def _hammarberg(spec: Spectrum) -> float:
+def _hammarberg(spec: Spectrum) -> np.ndarray:
     freqs = spec.frequencies
-    low = spec.magnitudes[(freqs >= 0.0) & (freqs <= 2000.0)]
-    high = spec.magnitudes[(freqs > 2000.0) & (freqs <= 5000.0)]
-    if low.size == 0 or high.size == 0 or low.max() <= 0 or high.max() <= 0:
-        return np.nan
-    return 20.0 * np.log10(float(low.max()) / float(high.max()))
+    low = (freqs >= 0.0) & (freqs <= 2000.0)
+    high = (freqs > 2000.0) & (freqs <= 5000.0)
+    if not low.any() or not high.any():
+        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
+    return _db_ratio(spec.magnitudes[..., low].max(axis=-1),
+                     spec.magnitudes[..., high].max(axis=-1), 20.0)
+
+
+def _gemaps(a: Analysis) -> FeatureVector:
+    f0 = a.f0.values
+    voiced = ~np.isnan(f0)
+    jitter, shimmer = a.cycle_terms
+    spec = a.spectrogram
+    values = {
+        "f0_semitone": np.where(voiced, 12.0 * np.log2(np.where(voiced, f0, 1.0) / 27.5), np.nan),
+        "loudness": a.scalars["rms"].values,
+        "jitter": jitter,
+        "shimmer": shimmer,
+        "hnr": a.hnr.values,
+        "slope_0_500": _band_slope(spec, 0.0, 500.0),
+        "slope_500_1500": _band_slope(spec, 500.0, 1500.0),
+        "alpha_ratio": _alpha_ratio(spec),
+        "hammarberg": _hammarberg(spec),
+        **{f"mfcc{k}": a.mfccs[:, k] for k in range(1, 5)},
+        "voiced_fraction": float(voiced.mean()) if f0.size else np.nan,
+        "jitter_local": nan_mean(jitter),
+        "shimmer_local": nan_mean(shimmer),
+        "hnr_db": nan_mean(a.hnr.values),
+    }
+    return GEMAPS.vector(values, a.buf.source_id)
 
 
 def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> FeatureVector:
@@ -282,33 +315,7 @@ def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> Featu
     Hammarberg index, MFCC 1-4; plus scalars voiced_fraction, jitter_local,
     shimmer_local, hnr_db.
     """
-    config = config or AcousticConfig()
-    f0 = f0_track(buf, config.f_min_hz, config.f_max_hz, config.hop_seconds,
-                  config.yin_threshold)
-    voiced_mask = ~np.isnan(f0.values)
-    frames = analysis_frames(buf, config)
-    specs = spectra(frames, config.n_fft)
-    jitter, shimmer = cycle_perturbation(buf.samples, buf.sample_rate_hz, f0)
-    coeffs = np.stack([mfcc(s, config.n_mels, 5) for s in specs])
-    report = jitter_shimmer_hnr(buf, f0)
-    values = {
-        "f0_semitone": np.where(
-            voiced_mask, 12.0 * np.log2(np.where(voiced_mask, f0.values, 1.0) / 27.5), np.nan),
-        "loudness": frame_scalars(frames)["rms"].values,
-        "jitter": jitter,
-        "shimmer": shimmer,
-        "hnr": hnr_series(buf, f0).values,
-        "slope_0_500": [_band_slope(s, 0.0, 500.0) for s in specs],
-        "slope_500_1500": [_band_slope(s, 500.0, 1500.0) for s in specs],
-        "alpha_ratio": [_alpha_ratio(s) for s in specs],
-        "hammarberg": [_hammarberg(s) for s in specs],
-        **{f"mfcc{k}": coeffs[:, k] for k in range(1, 5)},
-        "voiced_fraction": float(voiced_mask.mean()) if f0.values.size else np.nan,
-        "jitter_local": report.jitter_local,
-        "shimmer_local": report.shimmer_local,
-        "hnr_db": report.hnr_db,
-    }
-    return GEMAPS.vector(values, buf.source_id)
+    return _gemaps(Analysis(buf, config or AcousticConfig()))
 
 
 def _slope_text(lo: int, hi: int) -> str:
@@ -331,37 +338,31 @@ GEMAPS = Family("acoustic.gemaps", (
     ("jitter_local", "mean |T[i+1] - T[i]| / mean(T) over all glottal cycles"),
     ("shimmer_local", "mean |A[i+1] - A[i]| / mean(A) over all cycle peaks"),
     ("hnr_db", "10*log10(r / (1 - r)) averaged over voiced frames"),
-), gemaps_core)
+), _gemaps)
 GEMAPS_FEATURE_NAMES = GEMAPS.names  # 13*2 + 4 = 30
 
 _CONTRAST_BANDS = 4
 _CONTRAST_FMIN_HZ = 200.0
 
 
+def _spectral(a: Analysis) -> FeatureVector:
+    spec = a.spectrogram
+    contrasts = spectral_contrast(spec, _CONTRAST_BANDS, _CONTRAST_FMIN_HZ)
+    polys = poly_features(spec, 1)
+    values = {
+        **_descriptor_series(a),
+        **{f"contrast_b{b}": contrasts[:, b] for b in range(_CONTRAST_BANDS)},
+        "poly_slope": polys[:, 0],
+        "poly_intercept": polys[:, 1],
+        "tempo_bpm": tempogram_tempo(a.flux)[0],
+    }
+    return SPECTRAL.vector(values, a.buf.source_id)
+
+
 def spectral_set(buf: AudioBuffer, config: AcousticConfig | None = None) -> FeatureVector:
     """The 30-feature spectrogram set: shape, contrast, flux, energy,
     polynomial fit, and tempo."""
-    config = config or AcousticConfig()
-    frames = analysis_frames(buf, config)
-    specs = spectra(frames, config.n_fft)
-    hop_s = config.hop_seconds
-    contrasts = np.stack([spectral_contrast(s, _CONTRAST_BANDS, _CONTRAST_FMIN_HZ)
-                          for s in specs])
-    scalars = frame_scalars(frames)
-    flux = spectral_flux_onset(specs, hop_s) if len(specs) >= 2 else \
-        FrameSeries("flux", np.zeros(len(specs)), hop_s)
-    polys = np.stack([poly_features(s, 1) for s in specs])
-    values = {
-        **_shape_series(specs),
-        **{f"contrast_b{b}": contrasts[:, b] for b in range(_CONTRAST_BANDS)},
-        "flux": flux.values,
-        "rms": scalars["rms"].values,
-        "zcr": scalars["zcr"].values,
-        "poly_slope": polys[:, 0],
-        "poly_intercept": polys[:, 1],
-        "tempo_bpm": tempogram_tempo(flux)[0],
-    }
-    return SPECTRAL.vector(values, buf.source_id)
+    return _spectral(Analysis(buf, config or AcousticConfig()))
 
 
 SPECTRAL = Family("acoustic.spectral", (
@@ -377,7 +378,7 @@ SPECTRAL = Family("acoustic.spectral", (
     ("poly_slope", "slope of an order-1 fit to the magnitude spectrum", _MEAN_STD),
     ("poly_intercept", "intercept of an order-1 fit to the magnitude spectrum", _MEAN_STD),
     ("tempo_bpm", "BPM at the max of the windowed onset-strength autocorrelation"),
-), spectral_set)
+), _spectral)
 SPECTRAL_FEATURE_NAMES = SPECTRAL.names  # 30
 
 _LLD_MFCC = 13
@@ -391,33 +392,29 @@ LLD_SERIES = (
 LLD_SERIES_NAMES = tuple(name for name, _ in LLD_SERIES)
 
 
+def _lld_values(a: Analysis) -> dict[str, np.ndarray]:
+    return {
+        "f0": a.f0.values,
+        "hnr": a.hnr.values,
+        **_descriptor_series(a),
+        **{f"mfcc{k}": a.mfccs[:, k] for k in range(_LLD_MFCC)},
+    }
+
+
 def lld_series(buf: AudioBuffer, config: AcousticConfig | None = None) -> list[FrameSeries]:
     """Every LLD_SERIES descriptor per frame, in declaration order. Flux is
     all-NaN when there are fewer than two frames."""
     config = config or AcousticConfig()
-    frames = analysis_frames(buf, config)
-    specs = spectra(frames, config.n_fft)
-    hop_s = config.hop_seconds
-    f0 = f0_track(buf, config.f_min_hz, config.f_max_hz, hop_s, config.yin_threshold)
-    scalars = frame_scalars(frames)
-    coeffs = np.stack([mfcc(s, config.n_mels, _LLD_MFCC) for s in specs])
-    values = {
-        "f0": f0.values,
-        "hnr": hnr_series(buf, f0).values,
-        "rms": scalars["rms"].values,
-        "zcr": scalars["zcr"].values,
-        **_shape_series(specs),
-        "flux": (spectral_flux_onset(specs, hop_s).values if len(specs) >= 2
-                 else np.full(len(specs), np.nan)),
-        **{f"mfcc{k}": coeffs[:, k] for k in range(_LLD_MFCC)},
-    }
-    return [FrameSeries(name, values[name], hop_s) for name in LLD_SERIES_NAMES]
+    values = _lld_values(Analysis(buf, config))
+    return [FrameSeries(name, values[name], config.hop_seconds) for name in LLD_SERIES_NAMES]
 
 
 def lld_family(stats: tuple[str, ...]) -> Family:
     """The LLD family: every LLD series summarized by the user's statistics."""
-    def compute(buf: AudioBuffer, config: AcousticConfig) -> FeatureVector:
-        return family.vector({f"lld_{s.name}": s.values for s in lld_series(buf, config)})
+    def compute(a: Analysis) -> FeatureVector:
+        values = _lld_values(a)
+        return family.vector({f"lld_{name}": values[name] for name in LLD_SERIES_NAMES},
+                             a.buf.source_id)
 
     family = Family("acoustic.lld",
                     tuple((f"lld_{name}", text, stats) for name, text in LLD_SERIES), compute)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustic import AcousticConfig
+from .acoustic import AcousticConfig, Analysis
 from .audio_io import load_wav
 from .coherence import EmbeddingTable, load_embeddings
 from .config import (
@@ -158,12 +158,13 @@ def extract_features(item: RecordingInput, cfg: PipelineConfig,
         log.warning("%s: no transcript found, text features set to NaN",
                     item.source_id)
 
+    analysis = Analysis(buf, acfg)  # shared by every acoustic family
     parts: list[FeatureVector] = []
     for on, family in feature_families(cfg):
         if not on:
             continue
         if not family.is_text:
-            parts.append(family.compute(buf, acfg))
+            parts.append(family.compute(analysis))
         elif transcript is None:
             parts.append(FeatureVector(family.names, np.full(len(family.names), np.nan)))
         else:

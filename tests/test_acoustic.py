@@ -324,29 +324,28 @@ class TestFrameScalars:
 
 class TestFluxOnset:
     def test_constant_spectrogram(self):
-        specs = [Spectrum(np.ones(33), 100.0)] * 5
-        flux = spectral_flux_onset(specs, 0.01)
+        flux = spectral_flux_onset(Spectrum(np.ones((5, 33)), 100.0), 0.01)
         np.testing.assert_array_equal(flux.values, np.zeros(5))
 
     def test_silence_then_tone_spike(self):
-        quiet = Spectrum(np.zeros(33), 100.0)
-        loud_mags = np.zeros(33)
-        loud_mags[5] = 1.0
-        loud = Spectrum(loud_mags, 100.0)
-        flux = spectral_flux_onset([quiet, quiet, loud, loud], 0.01)
+        mags = np.zeros((4, 33))
+        mags[2:, 5] = 1.0  # two silent frames, then two frames of one tone bin
+        flux = spectral_flux_onset(Spectrum(mags, 100.0), 0.01)
         assert flux.values[0] == 0.0
         assert flux.values[1] == 0.0
         assert flux.values[2] > 0.0
         assert flux.values[3] == 0.0
 
     def test_decreasing_energy(self):
-        specs = [Spectrum(np.full(33, v), 100.0) for v in (1.0, 0.5, 0.25)]
-        flux = spectral_flux_onset(specs, 0.01)
+        mags = np.array([1.0, 0.5, 0.25])[:, None] * np.ones(33)
+        flux = spectral_flux_onset(Spectrum(mags, 100.0), 0.01)
         np.testing.assert_array_equal(flux.values, np.zeros(3))
 
     def test_too_few_frames(self):
         with pytest.raises(TooFewFrames):
-            spectral_flux_onset([Spectrum(np.ones(33), 100.0)], 0.01)
+            spectral_flux_onset(Spectrum(np.ones((1, 33)), 100.0), 0.01)
+        with pytest.raises(TooFewFrames):
+            spectral_flux_onset(Spectrum(np.ones(33), 100.0), 0.01)
 
 
 class TestTempo:
@@ -406,7 +405,196 @@ class TestDeterminismAndFraming:
         rng = np.random.default_rng(21)
         buf = AudioBuffer(rng.standard_normal(8000), SR)
         fm = analysis_frames(buf, AcousticConfig())
-        for spec, frame in zip(spectra(fm, 512)[:10], fm.frames[:10]):
-            m = spec.magnitudes
+        for m, frame in zip(spectra(fm, 512).magnitudes[:10], fm.frames[:10]):
             full = m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2)
             assert abs(full - 512 * np.sum(frame ** 2)) / max(full, 1e-30) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# one code path for one frame and for a whole spectrogram
+# ---------------------------------------------------------------------------
+
+def assert_rel(actual, expected, rtol=1e-12):
+    """Equal to rtol relative to the largest magnitude of the expected values;
+    NaN only where expected is NaN."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(np.isnan(actual), np.isnan(expected))
+    finite = ~np.isnan(expected)
+    scale = max(np.max(np.abs(expected[finite]), initial=0.0), 1e-300)
+    assert np.all(np.abs(actual[finite] - expected[finite]) <= rtol * scale)
+
+
+def mixed_spectrogram(n_bins=257, seed=31):
+    """Random rows, silent rows and flat rows, as (frames, bins) at 16 kHz."""
+    rng = np.random.default_rng(seed)
+    rows = [np.abs(rng.standard_normal(n_bins)) * rng.uniform(0.01, 3.0) for _ in range(12)]
+    rows += [np.zeros(n_bins), np.full(n_bins, 0.4), np.zeros(n_bins), np.full(n_bins, 2.0)]
+    rows += [np.exp(rng.normal(-3, 2, n_bins)) for _ in range(4)]  # wide dynamic range
+    order = rng.permutation(len(rows))
+    return Spectrum(np.array(rows)[order], SR / (2 * (n_bins - 1)))
+
+
+def by_rows(fn, spec):
+    return [fn(row) for row in spec]
+
+
+class TestVectorizedDescriptors:
+    """Each descriptor on a (frames, bins) spectrum equals its one-frame
+    result row by row."""
+
+    spec = mixed_spectrogram()
+
+    def test_iterating_yields_one_frame_spectra(self):
+        rows = list(self.spec)
+        assert len(rows) == self.spec.magnitudes.shape[0]
+        assert all(r.magnitudes.ndim == 1 and r.bin_hz == self.spec.bin_hz for r in rows)
+        with pytest.raises(TypeError):
+            iter(rows[0])
+
+    def test_mfcc(self):
+        for n_coeffs in (5, 13, 26):
+            assert_rel(mfcc(self.spec, 26, n_coeffs),
+                       by_rows(lambda s: mfcc(s, 26, n_coeffs), self.spec))
+
+    def test_spectral_shape(self):
+        whole = spectral_shape(self.spec)
+        rows = by_rows(spectral_shape, self.spec)
+        for key, values in whole.items():
+            assert_rel(values, [r[key] for r in rows])
+        flat = np.flatnonzero((np.ptp(self.spec.magnitudes, axis=1) == 0)
+                              & (self.spec.magnitudes[:, 0] > 0))
+        assert flat.size == 2 and np.all(whole["flatness"][flat] == 1.0)
+        silent = self.spec.magnitudes.sum(axis=1) == 0
+        assert all(np.all(np.isnan(v[silent])) for v in whole.values())
+
+    def test_spectral_contrast_with_empty_band(self):
+        # 7 octave bands from 200 Hz: band 6 starts at 12.8 kHz, above 8 kHz
+        whole = spectral_contrast(self.spec, n_bands=7)
+        assert_rel(whole, by_rows(lambda s: spectral_contrast(s, n_bands=7), self.spec))
+        assert np.all(np.isnan(whole[:, 6])) and not np.any(np.isnan(whole[:, :6]))
+
+    def test_poly_features(self):
+        for order in (0, 1, 2):
+            whole = poly_features(self.spec, order)
+            rows = np.array(by_rows(lambda s: poly_features(s, order), self.spec))
+            for k in range(order + 1):
+                assert_rel(whole[:, k], rows[:, k])
+
+    def test_band_slope_alpha_hammarberg(self):
+        from voxfeat.functionals import _alpha_ratio, _band_slope, _hammarberg
+        for fn in (lambda s: _band_slope(s, 0.0, 500.0),
+                   lambda s: _band_slope(s, 500.0, 1500.0),
+                   _alpha_ratio, _hammarberg):
+            assert_rel(fn(self.spec), by_rows(fn, self.spec))
+
+    def test_flux(self):
+        flux = spectral_flux_onset(self.spec, 0.01).values
+        mags = self.spec.magnitudes
+        pairs = [spectral_flux_onset(Spectrum(mags[i - 1: i + 1], self.spec.bin_hz), 0.01)
+                 .values[1] for i in range(1, mags.shape[0])]
+        assert flux[0] == 0.0
+        assert_rel(flux[1:], pairs)
+
+
+def reference_f0(buf, f_min=60.0, f_max=500.0, hop_seconds=0.010, threshold=0.15):
+    """The per-frame lag picker f0_track replaced, unchanged: a Python loop
+    over frames on an FFT of next_pow2(2 * chunk) points."""
+    sr = buf.sample_rate_hz
+    x = buf.samples
+    tau_min = max(2, int(sr / f_max))
+    tau_max = int(np.ceil(sr / f_min))
+    w = tau_max
+    chunk = w + tau_max
+    hop = int(round(hop_seconds * sr))
+    n = x.size
+    if n < chunk:
+        return np.empty(0)
+    n_frames = 1 + (n - chunk) // hop
+    idx = np.arange(chunk)[None, :] + hop * np.arange(n_frames)[:, None]
+    segs = x[idx]
+    n_fft = 1 << (2 * chunk - 1).bit_length()
+    spec_full = np.fft.rfft(segs, n_fft, axis=1)
+    spec_head = np.fft.rfft(segs[:, :w], n_fft, axis=1)
+    cross = np.fft.irfft(np.conj(spec_head) * spec_full, n_fft, axis=1)[:, : tau_max + 1]
+    sq = segs * segs
+    csum = np.concatenate([np.zeros((n_frames, 1)), np.cumsum(sq, axis=1)], axis=1)
+    taus = np.arange(tau_max + 1)
+    energy_0 = csum[:, w][:, None]
+    energy_tau = csum[:, taus + w] - csum[:, taus]
+    diff = np.maximum(energy_0 + energy_tau - 2.0 * cross, 0.0)
+    run = np.cumsum(diff[:, 1:], axis=1)
+    dp = np.ones_like(diff)
+    positive = run > 0
+    dp[:, 1:] = np.where(positive, diff[:, 1:] * taus[1:] / np.where(positive, run, 1.0), 1.0)
+
+    f0 = np.full(n_frames, np.nan)
+    for i in range(n_frames):
+        row = dp[i]
+        tau = -1
+        below = np.flatnonzero(row[tau_min:tau_max] < threshold)
+        if below.size:
+            t = tau_min + int(below[0])
+            while t + 1 <= tau_max - 1 and row[t + 1] < row[t]:
+                t += 1
+            tau = t
+        else:
+            t = tau_min + int(np.argmin(row[tau_min: tau_max + 1]))
+            if row[t] < threshold:
+                tau = t
+        if tau < 0:
+            continue
+        if 1 <= tau < tau_max:
+            a, b, c = row[tau - 1], row[tau], row[tau + 1]
+            denom = a - 2 * b + c
+            delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5)) if denom != 0 else 0.0
+        else:
+            delta = 0.0
+        freq = sr / (tau + delta)
+        if f_min <= freq <= f_max:
+            f0[i] = freq
+    return f0
+
+
+class TestF0MatchesReferencePicker:
+    """The batched, array-based lag pick equals the per-frame loop."""
+
+    def check(self, buf, **kwargs):
+        got = f0_track(buf, **kwargs).values
+        want = reference_f0(buf, **kwargs)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        voiced = ~np.isnan(want)
+        np.testing.assert_allclose(got[voiced], want[voiced], rtol=1e-12, atol=0)
+        return voiced
+
+    def test_noise(self):
+        rng = np.random.default_rng(17)
+        self.check(AudioBuffer(rng.normal(0, 0.3, SR), SR))
+        self.check(AudioBuffer(rng.normal(0, 0.3, SR), SR), threshold=0.4)
+
+    def test_sines(self):
+        for freq in (75.0, 123.4, 220.0, 440.0, 490.0):
+            assert self.check(sine(freq)).mean() > 0.9
+        self.check(sine(100.0), f_min=150.0, f_max=500.0)
+
+    def test_silence(self):
+        assert not self.check(AudioBuffer(np.zeros(SR), SR)).any()
+
+    def test_dip_only_at_the_longest_lag(self):
+        # a 320-sample pulse train dips at lag 320 = tau_max alone: the argmin
+        # fallback picks it, uninterpolated, as exactly f_min
+        x = np.zeros(SR)
+        x[::320] = 1.0
+        assert self.check(AudioBuffer(x, SR), f_min=50.0).all()
+        assert np.all(f0_track(AudioBuffer(x, SR), f_min=50.0).values == 50.0)
+
+    def test_gated_tone_over_two_blocks(self):
+        from voxfeat.acoustic import F0_BLOCK_FRAMES
+        rng = np.random.default_rng(23)
+        seconds = 2.5 * F0_BLOCK_FRAMES * 0.010
+        t = np.arange(int(seconds * SR)) / SR
+        gate = (np.sin(2 * np.pi * 0.7 * t) > -0.2).astype(float)
+        tone = np.sin(2 * np.pi * (140 + 30 * np.sin(2 * np.pi * 0.3 * t)) * t)
+        buf = AudioBuffer(0.5 * gate * tone + rng.normal(0, 0.01, t.size), SR)
+        voiced = self.check(buf)
+        assert voiced.size > 2 * F0_BLOCK_FRAMES and 0.3 < voiced.mean() < 0.9

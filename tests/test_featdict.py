@@ -146,10 +146,9 @@ class TestFormulaOracles:
         assert formula("flux_mean").startswith(
             "mean over bins of the positive log-magnitude rise since the previous frame")
         assert formula("lld_flux_mean") == formula("flux_mean")
-        specs = [Spectrum(np.ones(4), 100.0),
-                 Spectrum(np.array([np.e, 1.0, 1 / np.e, np.e ** 2]), 100.0)]
+        spec = Spectrum(np.array([np.ones(4), [np.e, 1.0, 1 / np.e, np.e ** 2]]), 100.0)
         # rises 1, 0, 0, 2 over 4 bins: the mean is 0.75, a sum would be 3
-        assert spectral_flux_onset(specs, 0.01).values[1] == pytest.approx(0.75, rel=1e-12)
+        assert spectral_flux_onset(spec, 0.01).values[1] == pytest.approx(0.75, rel=1e-12)
 
     def test_contrast_is_log_ratio_of_magnitudes(self):
         assert formula("contrast_b3_mean").startswith(

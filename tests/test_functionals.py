@@ -176,6 +176,12 @@ class TestSpectralSet:
         assert fv["rms_max"] == 0.0
         assert np.isnan(fv["tempo_bpm"])
 
+    def test_one_frame_flux_is_nan(self):
+        # 0.025 s holds one analysis frame, which has no predecessor to rise from
+        fv = spectral_set(sine(1000, seconds=0.025))
+        assert np.isnan(fv["flux_mean"]) and np.isnan(fv["flux_stddev"])
+        assert np.isfinite(fv["centroid_mean"])
+
     def test_determinism_bit_identical(self):
         rng = np.random.default_rng(14)
         buf = AudioBuffer(rng.normal(0, 0.2, SR), SR)

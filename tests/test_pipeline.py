@@ -114,15 +114,55 @@ class TestExtractFeatures:
         assert d["dep_count_nsubj"] == 2.0
 
     def test_short_signal_nan_fills_flux_slots(self, tmp_path):
-        # one analysis frame has no flux: lld_series gives an all-NaN flux series
+        # one analysis frame has no flux: both families see an all-NaN series
         make_wav(tmp_path / "tiny.wav", seconds=0.025)
         cfg = PipelineConfig(lld_functionals=("mean",))
         item = discover_inputs(tmp_path)[0]
         row = extract_features(item, cfg, load_resources(cfg))
         d = row.as_dict()
         assert np.isnan(d["lld_flux_mean"])
+        assert np.isnan(d["flux_mean"]) and np.isnan(d["flux_stddev"])
         assert np.isfinite(d["lld_rms_mean"])
         assert row.names == feature_names_for(cfg)
+
+
+class TestSharedAnalysis:
+    """extract_features computes each acoustic intermediate once per
+    recording and every acoustic family reads it."""
+
+    CFG = PipelineConfig(complexity=False, syntax=False,
+                         lld_functionals=("mean", "stddev", "min", "max", "median"))
+
+    def test_each_intermediate_runs_once(self, corpus, monkeypatch):
+        import voxfeat.acoustic as acoustic
+
+        names = ("f0_track", "hnr_series", "_cycle_peaks_by_region",
+                 "frame_signal", "mel_filterbank")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _fn=getattr(acoustic, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(acoustic, name, counted)
+        item = discover_inputs(corpus)[0]
+        extract_features(item, self.CFG, load_resources(self.CFG))
+        assert calls == dict.fromkeys(names, 1)
+
+    def test_row_equals_standalone_families(self, corpus):
+        from voxfeat.acoustic import AcousticConfig
+        from voxfeat.audio_io import load_wav
+        from voxfeat.functionals import (
+            FunctionalBank, apply_bank, gemaps_core, lld_series, spectral_set)
+
+        item = discover_inputs(corpus)[2]
+        row = extract_features(item, self.CFG, load_resources(self.CFG))
+        buf = load_wav(item.wav_path)
+        acfg = AcousticConfig()
+        bank = FunctionalBank(self.CFG.lld_functionals)
+        standalone = np.concatenate(
+            [gemaps_core(buf, acfg).values, spectral_set(buf, acfg).values]
+            + [apply_bank(s, bank).values for s in lld_series(buf, acfg)])
+        np.testing.assert_array_equal(row.values, standalone)
 
 
 class TestRunExtract:
