@@ -1,4 +1,4 @@
-"""Baseline estimators: OLS, ridge, lasso (coordinate descent), and
+"""Baseline estimators: OLS, lasso (coordinate descent), and
 multinomial logistic regression by gradient descent.
 
 All fitters expect preprocessed (imputed, standardized) design matrices;
@@ -45,15 +45,6 @@ class LogisticModel:
 def fit_ols(x: np.ndarray, y: np.ndarray) -> LinearModel:
     design = np.column_stack([x, np.ones(x.shape[0])])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    return LinearModel(beta[:-1], float(beta[-1]))
-
-
-def fit_ridge(x: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> LinearModel:
-    n, p = x.shape
-    design = np.column_stack([x, np.ones(n)])
-    penalty = alpha * np.eye(p + 1)
-    penalty[-1, -1] = 0.0  # free intercept
-    beta = np.linalg.solve(design.T @ design + penalty, design.T @ y)
     return LinearModel(beta[:-1], float(beta[-1]))
 
 

@@ -26,9 +26,10 @@ from .table import (
     apply_standardize,
     fit_standardize,
     impute_and_standardize,
+    impute_only,
     is_classification,
 )
-from .transform import SelectionResult
+from .transform import SelectionResult, pearson, unit_columns
 
 Selector = Callable[[FeatureTable, int], SelectionResult]
 
@@ -195,25 +196,15 @@ def importance_select(
 # MRMR
 # ---------------------------------------------------------------------------
 
-def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
-    sa = a.std()
-    sb = b.std()
-    if sa == 0 or sb == 0:
-        return 0.0
-    r = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
-    return float(np.clip(r, -1.0, 1.0))
-
-
-def _relevance(x: np.ndarray, tbl: FeatureTable) -> np.ndarray:
+def _relevance(u: np.ndarray, tbl: FeatureTable) -> np.ndarray:
     """|pearson| against the target; >2 classes use one-vs-rest max."""
     y = tbl.target
-    if is_classification(tbl) and np.unique(y).size > 2:
-        rel = np.zeros(x.shape[1])
-        for cls in np.unique(y):
-            ind = (y == cls).astype(np.float64)
-            rel = np.maximum(rel, np.abs([_safe_corr(x[:, j], ind) for j in range(x.shape[1])]))
-        return rel
-    return np.abs([_safe_corr(x[:, j], y) for j in range(x.shape[1])])
+    classes = np.unique(y)
+    if is_classification(tbl) and classes.size > 2:
+        targets = [(y == cls).astype(np.float64) for cls in classes]
+    else:
+        targets = [y]
+    return np.max([np.abs(pearson(u, unit_columns(t))) for t in targets], axis=0)
 
 
 def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
@@ -226,9 +217,8 @@ def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
     _require_target(tbl, "mrmr_rank")
     if not 1 <= k <= tbl.n_cols:
         raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
-    z, _ = impute_and_standardize(tbl)
-    x = z.rows
-    rel = _relevance(x, tbl)
+    u = unit_columns(impute_only(tbl).rows)
+    rel = _relevance(u, tbl)
     n_cols = tbl.n_cols
     selected: list[int] = []
     scores: dict[str, float] = {}
@@ -244,8 +234,7 @@ def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
         selected.append(pick)
         available[pick] = False
         scores[tbl.column_names[pick]] = float(criterion[pick])
-        new_corrs = np.abs([_safe_corr(x[:, j], x[:, pick]) for j in range(n_cols)])
-        redundancy_sum += new_corrs
+        redundancy_sum += np.abs(pearson(u, u[:, pick]))
     kept = tuple(tbl.column_names[j] for j in selected)
     ranking = {name: i + 1 for i, name in enumerate(kept)}
     return SelectionResult(kept, ranking, scores)

@@ -145,10 +145,6 @@ def table_to_csv_text(tbl: FeatureTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_table_csv(tbl: FeatureTable, path: str | Path) -> None:
-    Path(path).write_text(table_to_csv_text(tbl), encoding="utf-8")
-
-
 def read_table_csv(path: str | Path) -> FeatureTable:
     path = Path(path)
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]

@@ -1,5 +1,5 @@
-"""Filters and linear transformations: variance/correlation filters, PCA,
-FastICA-style ICA, and iterated principal-axis factor analysis.
+"""Filters and linear transformations: the Pearson rule, variance and
+correlation filters, PCA and FastICA-style ICA.
 
 Every routine works on an imputed+standardized copy of the table (variance
 filtering uses raw variances, which standardizing would erase) and reports
@@ -59,16 +59,35 @@ def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionR
     return SelectionResult(tuple(kept), ranking, scores)
 
 
+def unit_columns(x: np.ndarray) -> np.ndarray:
+    """Columns of an imputed (NaN-free) array, centred and scaled to unit
+    population variance. A column with no spread becomes zeros, so it
+    correlates 0 with everything; this includes a constant column whose
+    rounded mean differs from its value."""
+    n = max(x.shape[0], 1)
+    centred = x - x.sum(axis=0) / n
+    scale = np.sqrt((centred * centred).sum(axis=0) / n)
+    live = (scale > 0) & np.any(x != x[:1], axis=0)
+    return np.divide(centred, scale, out=np.zeros_like(centred), where=live)
+
+
+def pearson(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pearson r of each column of u against the column v, both from
+    unit_columns, clipped to [-1, 1].
+
+    The products are summed in row order, so equal columns get equal r
+    wherever they sit; a BLAS product rounds by position and would break
+    exact ties.
+    """
+    return np.clip((u * v[:, None]).sum(axis=0) / max(v.size, 1), -1.0, 1.0)
+
+
 def correlation_matrix(tbl: FeatureTable) -> np.ndarray:
     """Pearson matrix with exact unit diagonal; constant columns correlate 0."""
-    z, params = impute_and_standardize(tbl)
-    n = max(tbl.n_rows, 1)
-    corr = (z.rows.T @ z.rows) / n
-    corr = np.clip(corr, -1.0, 1.0)
-    np.fill_diagonal(corr, 1.0)
-    constant = params.stds == 0
-    corr[constant, :] = 0.0
-    corr[:, constant] = 0.0
+    u = unit_columns(impute_only(tbl).rows)
+    corr = np.empty((tbl.n_cols, tbl.n_cols))
+    for j in range(tbl.n_cols):
+        corr[j:, j] = corr[j, j:] = pearson(u[:, j:], u[:, j])
     np.fill_diagonal(corr, 1.0)
     return corr
 
@@ -110,16 +129,6 @@ class PcaResult:
     component_variances: np.ndarray  # population variance of each score column
 
 
-def _orient_rows(components: np.ndarray) -> np.ndarray:
-    """Sign convention: the largest-magnitude loading of each row is positive."""
-    out = components.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
-    return out
-
-
 def pca(tbl: FeatureTable, k: int) -> PcaResult:
     """Top-k principal components of the standardized table."""
     if not 1 <= k <= min(tbl.n_rows, tbl.n_cols):
@@ -127,14 +136,9 @@ def pca(tbl: FeatureTable, k: int) -> PcaResult:
     z, _ = impute_and_standardize(tbl)
     u, s, vt = np.linalg.svd(z.rows, full_matrices=False)
     total = float((s ** 2).sum())
-    components = vt[:k]
-    # align score signs with the oriented components
-    signs = np.ones(k)
-    for i in range(k):
-        j = int(np.argmax(np.abs(components[i])))
-        if components[i, j] < 0:
-            signs[i] = -1.0
-    components = components * signs[:, None]
+    # sign convention: the largest-magnitude loading of each component is positive
+    lead = vt[np.arange(k), np.argmax(np.abs(vt[:k]), axis=1)]
+    components = vt[:k] * np.where(lead < 0, -1.0, 1.0)[:, None]
     scores = z.rows @ components.T
     ratio = (s[:k] ** 2) / total if total > 0 else np.zeros(k)
     variances = (s[:k] ** 2) / max(tbl.n_rows, 1)
@@ -206,54 +210,3 @@ def ica(
     names = tuple(f"ic{i + 1}" for i in range(k))
     transformed = FeatureTable(names, sources, tbl.row_ids, tbl.target)
     return IcaResult(transformed, w, converged, iterations)
-
-
-# ---------------------------------------------------------------------------
-# factor analysis
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FactorResult:
-    loadings: np.ndarray  # (n_cols, k)
-    uniquenesses: np.ndarray  # (n_cols,), clamped to [0.005, 1]
-    converged: bool
-    n_iter: int
-
-
-def factor_analysis(
-    tbl: FeatureTable,
-    k: int,
-    max_iter: int = 200,
-    tol: float = 1e-5,
-) -> FactorResult:
-    """Iterated principal-axis factoring of the correlation matrix.
-
-    Models corr ~ L L^T + diag(psi). Uniquenesses start from 1 minus the
-    largest absolute row correlation and are refined until the update falls
-    below tol. psi stays clamped inside [0.005, 1].
-    """
-    if not 1 <= k < tbl.n_cols:
-        raise InvalidK(f"k must be in [1, {tbl.n_cols - 1}], got {k}")
-    corr = correlation_matrix(tbl)
-    off = np.abs(corr - np.eye(tbl.n_cols))
-    psi = np.clip(1.0 - off.max(axis=1), 0.005, 1.0)
-    loadings = np.zeros((tbl.n_cols, k))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        reduced = corr.copy()
-        np.fill_diagonal(reduced, 1.0 - psi)
-        vals, vecs = np.linalg.eigh(reduced)
-        top_vals = np.maximum(vals[::-1][:k], 0.0)
-        top_vecs = vecs[:, ::-1][:, :k]
-        loadings = top_vecs * np.sqrt(top_vals)[None, :]
-        if not np.all(np.isfinite(loadings)):
-            raise ConvergenceFailure(f"factor analysis diverged at iteration {iterations}")
-        psi_new = np.clip(1.0 - (loadings ** 2).sum(axis=1), 0.005, 1.0)
-        change = float(np.max(np.abs(psi_new - psi)))
-        psi = psi_new
-        if change < tol:
-            converged = True
-            break
-    loadings = _orient_rows(loadings.T).T
-    return FactorResult(loadings, psi, converged, iterations)

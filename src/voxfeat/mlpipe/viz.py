@@ -1,6 +1,5 @@
-"""Plot-ready data exports: scatter with marginals, scatter matrix, swarm,
-and correlation heatmap. These are plain data structures; SVG rendering
-lives with the command-line layer."""
+"""Plot-ready data exports: scatter with marginals and correlation heatmap.
+These are plain data structures; SVG rendering lives in svgplot."""
 
 from __future__ import annotations
 
@@ -8,9 +7,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import NotClassification, TooFewColumns
+from ..errors import TooFewColumns
 from .model import fit_ols
-from .table import FeatureTable, impute_only, is_classification
+from .table import FeatureTable, impute_only
 from .transform import correlation_matrix
 
 
@@ -30,20 +29,6 @@ class ScatterExport:
     fit_intercept: float
     x_bins: HistogramBins
     y_bins: HistogramBins
-
-
-@dataclass(frozen=True)
-class ScatterMatrixExport:
-    names: tuple[str, ...]
-    columns: np.ndarray  # (n_rows, n_names), imputed
-
-
-@dataclass(frozen=True)
-class SwarmExport:
-    names: tuple[str, ...]
-    # per feature: (value, jittered offset, class label) per row
-    points: dict[str, np.ndarray]  # (n_rows, 3)
-    classes: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,44 +58,7 @@ def scatter_export(tbl: FeatureTable, x_name: str, y_name: str,
     )
 
 
-def scatter_matrix_export(tbl: FeatureTable, max_cols: int = 8) -> ScatterMatrixExport:
-    names = tbl.column_names[:max_cols]
-    filled = impute_only(tbl.select_columns(names))
-    return ScatterMatrixExport(names, filled.rows)
-
-
-def swarm_export(tbl: FeatureTable, seed: int = 0, max_cols: int = 8) -> SwarmExport:
-    if not is_classification(tbl):
-        raise NotClassification("swarm plot needs a class target")
-    rng = np.random.default_rng(seed)
-    labels = np.round(tbl.target).astype(np.int64)
-    names = tbl.column_names[:max_cols]
-    filled = impute_only(tbl.select_columns(names))
-    points: dict[str, np.ndarray] = {}
-    for name in names:
-        vals = filled.column(name)
-        jitter = rng.uniform(-0.3, 0.3, vals.size)
-        points[name] = np.column_stack([vals, jitter, labels.astype(np.float64)])
-    return SwarmExport(names, points, np.unique(labels))
-
-
 def corr_heatmap_export(tbl: FeatureTable) -> HeatmapExport:
     if tbl.n_cols < 2:
         raise TooFewColumns(f"heatmap needs >= 2 columns, got {tbl.n_cols}")
     return HeatmapExport(tbl.column_names, correlation_matrix(tbl))
-
-
-def viz_exports(tbl: FeatureTable, seed: int = 0) -> dict[str, object]:
-    """All four exports; entries whose preconditions fail are None."""
-    out: dict[str, object] = {
-        "scatter": None,
-        "scatter_matrix": scatter_matrix_export(tbl),
-        "swarm": None,
-        "corr_heatmap": None,
-    }
-    if tbl.n_cols >= 2:
-        out["scatter"] = scatter_export(tbl, tbl.column_names[0], tbl.column_names[1])
-        out["corr_heatmap"] = corr_heatmap_export(tbl)
-    if is_classification(tbl):
-        out["swarm"] = swarm_export(tbl, seed)
-    return out

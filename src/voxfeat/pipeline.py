@@ -281,7 +281,8 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     """filter -> transform -> select -> cross-validate, with artifacts.
 
     Writes report.json, kept_features.txt, ranking.csv, curve.csv and the
-    scatter/heatmap/curve SVG plots into out_dir and returns the report.
+    scatter/heatmap/curve SVG plots into out_dir, each atomically (temp file
+    + rename), and returns the report.
     """
     validate_config(cfg)
     spec: AnalyzeSpec = cfg.analyze
@@ -365,19 +366,20 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     lines = ["feature,rank,score"]
     lines += [f"{name},{final.ranking[name]},{final.scores.get(name, float('nan'))!r}"
               for name in ranked]
-    _write(out_dir / "ranking.csv", "\n".join(lines) + "\n")
-    _write(out_dir / "kept_features.txt", "\n".join(final.kept_columns) + "\n")
+    _atomic_write(out_dir / "ranking.csv", "\n".join(lines) + "\n")
+    _atomic_write(out_dir / "kept_features.txt", "\n".join(final.kept_columns) + "\n")
     curve_lines = ["k,mean_score,std_score"]
     curve_lines += [f"{p.k},{p.mean_score!r},{p.std_score!r}" for p in curve]
-    _write(out_dir / "curve.csv", "\n".join(curve_lines) + "\n")
+    _atomic_write(out_dir / "curve.csv", "\n".join(curve_lines) + "\n")
 
-    _write(out_dir / "curve.svg",
-           curve_svg(curve, "accuracy" if estimator == "logistic" else "R^2"))
+    _atomic_write(out_dir / "curve.svg",
+                  curve_svg(curve, "accuracy" if estimator == "logistic" else "R^2"))
     plots = ["curve.svg"]
     if len(final.kept_columns) >= 2:
         top_x, top_y = final.kept_columns[0], final.kept_columns[1]
-        _write(out_dir / "scatter.svg", scatter_svg(scatter_export(tbl, top_x, top_y)))
-        _write(out_dir / "heatmap.svg", heatmap_svg(
+        _atomic_write(out_dir / "scatter.svg",
+                      scatter_svg(scatter_export(tbl, top_x, top_y)))
+        _atomic_write(out_dir / "heatmap.svg", heatmap_svg(
             corr_heatmap_export(tbl.select_columns(final.kept_columns))))
         plots += ["scatter.svg", "heatmap.svg"]
     else:
@@ -388,13 +390,6 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     report["outputs"] = sorted(
         ["ranking.csv", "kept_features.txt", "curve.csv", "report.json"] + plots)
 
-    _write(out_dir / "report.json",
-           json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / "report.json",
+                  json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report
-
-
-def _write(path: Path, text: str) -> None:
-    try:
-        path.write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from None

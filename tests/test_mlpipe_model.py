@@ -1,4 +1,4 @@
-"""Baseline estimators: OLS, ridge, lasso, multinomial logistic, scoring."""
+"""Baseline estimators: OLS, lasso, multinomial logistic, scoring."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from voxfeat.mlpipe import (
     fit_lasso,
     fit_logistic,
     fit_ols,
-    fit_ridge,
     r2_score,
 )
 
@@ -27,30 +26,6 @@ class TestOls:
     def test_importance_is_abs_coef(self):
         model = fit_ols(np.array([[1.0], [2.0], [3.0]]), np.array([3.0, 1.0, -1.0]))
         assert np.allclose(model.importance(), np.abs(model.coef))
-
-
-class TestRidge:
-    def test_small_alpha_approaches_ols(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(50, 3))
-        y = x @ np.array([1.0, -2.0, 0.5]) + 0.3
-        ols = fit_ols(x, y)
-        ridge = fit_ridge(x, y, alpha=1e-10)
-        assert np.allclose(ridge.coef, ols.coef, atol=1e-6)
-
-    def test_exact_shrinkage_on_orthogonal_design(self):
-        # centered single column: w = x.y / (x.x + alpha)
-        x = np.array([[-1.0], [0.0], [1.0]])
-        y = np.array([-2.0, 0.0, 2.0])
-        model = fit_ridge(x, y, alpha=1.0)
-        assert model.coef[0] == pytest.approx(4.0 / 3.0, abs=1e-12)
-        assert model.intercept == pytest.approx(0.0, abs=1e-12)
-
-    def test_intercept_not_penalized(self):
-        x = np.array([[-1.0], [1.0]])
-        y = np.array([9.0, 11.0])
-        model = fit_ridge(x, y, alpha=100.0)
-        assert model.intercept == pytest.approx(10.0, abs=1e-9)
 
 
 class TestLasso:

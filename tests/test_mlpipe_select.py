@@ -10,7 +10,9 @@ from voxfeat.mlpipe import (
     anova_f_select,
     anova_f_values,
     cv_score_curve,
+    impute_and_standardize,
     importance_select,
+    is_classification,
     mrmr_rank,
     rfe_select,
 )
@@ -293,6 +295,110 @@ class TestMrmr:
         y = x @ rng.normal(size=5)
         res = mrmr_rank(make([f"f{i}" for i in range(5)], x, y), 3)
         assert [res.ranking[n] for n in res.kept_columns] == [1, 2, 3]
+
+
+def reference_mrmr(tbl, k):
+    """The per-pair mrmr_rank the shared Pearson kernel replaced: one Python
+    call per (column, column) correlation on the z-scored table."""
+
+    def safe_corr(a, b):
+        sa = a.std()
+        sb = b.std()
+        if sa == 0 or sb == 0:
+            return 0.0
+        r = float(((a - a.mean()) * (b - b.mean())).mean() / (sa * sb))
+        return float(np.clip(r, -1.0, 1.0))
+
+    z, _ = impute_and_standardize(tbl)
+    x = z.rows
+    y = tbl.target
+    if is_classification(tbl) and np.unique(y).size > 2:
+        rel = np.zeros(x.shape[1])
+        for cls in np.unique(y):
+            ind = (y == cls).astype(np.float64)
+            rel = np.maximum(rel, np.abs([safe_corr(x[:, j], ind) for j in range(x.shape[1])]))
+    else:
+        rel = np.abs([safe_corr(x[:, j], y) for j in range(x.shape[1])])
+    n_cols = tbl.n_cols
+    selected = []
+    scores = []
+    redundancy_sum = np.zeros(n_cols)
+    available = np.ones(n_cols, dtype=bool)
+    for _ in range(k):
+        if selected:
+            criterion = rel - redundancy_sum / len(selected)
+        else:
+            criterion = rel.copy()
+        criterion = np.where(available, criterion, -np.inf)
+        pick = int(np.argmax(criterion))
+        selected.append(pick)
+        available[pick] = False
+        scores.append(float(criterion[pick]))
+        redundancy_sum += np.abs([safe_corr(x[:, j], x[:, pick]) for j in range(n_cols)])
+    return [tbl.column_names[j] for j in selected], scores
+
+
+def messy_table(rng, target):
+    """Scaled normal columns with NaN cells, then exact, negated and doubled
+    copies (NaN cells included), constants (0.1 repeated often has a mean
+    that rounds away from 0.1; one constant has NaN cells) and an all-NaN
+    column, in shuffled order."""
+    n = int(rng.integers(12, 60))
+    base = rng.normal(size=(n, int(rng.integers(3, 12)))) * rng.uniform(0.5, 20.0)
+    base[rng.random(base.shape) < 0.05] = np.nan
+    copies = rng.integers(0, base.shape[1], 3)
+    const = np.full((n, 4), [0.1, 3.0, -7.25, np.nan])
+    const[rng.random(n) < 0.2, 2] = np.nan
+    x = np.column_stack([base, base[:, copies[0]], -base[:, copies[1]],
+                         2.0 * base[:, copies[2]], const])
+    x = x[:, rng.permutation(x.shape[1])]
+    filled = np.where(np.isnan(x), 0.0, x)
+    if target == "binary":
+        y = rng.permutation(np.arange(n) % 2).astype(np.float64)
+    elif target == "3-class":
+        y = rng.permutation(np.arange(n) % 3).astype(np.float64)
+    elif target == "float":
+        y = filled @ rng.normal(size=x.shape[1]) + rng.normal(size=n)
+    else:
+        y = np.full(n, 2.0)
+    return make([f"c{j}" for j in range(x.shape[1])], x, y)
+
+
+TARGETS = ("binary", "3-class", "float", "constant")
+
+
+class TestMrmrMatchesReference:
+    """The Pearson kernel picks what the per-pair loop picked, in order."""
+
+    def check(self, tbl, k):
+        got = mrmr_rank(tbl, k)
+        want_kept, want_scores = reference_mrmr(tbl, k)
+        assert list(got.kept_columns) == want_kept
+        got_scores = [got.scores[name] for name in got.kept_columns]
+        np.testing.assert_allclose(got_scores, want_scores, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed, target", enumerate(TARGETS))
+    def test_messy_tables(self, seed, target):
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            tbl = messy_table(rng, target)
+            self.check(tbl, int(rng.integers(1, tbl.n_cols + 1)))
+
+    @pytest.mark.parametrize("seed, target", enumerate(TARGETS, start=10))
+    def test_k_equals_column_count(self, seed, target):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            tbl = messy_table(rng, target)
+            self.check(tbl, tbl.n_cols)
+
+    def test_duplicate_ties_resolve_to_the_earliest_column(self):
+        # exact copies of c3, far apart and up to the last column
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=(40, 33))
+        x[:, [7, 30, 32]] = x[:, [3, 3, 3]]
+        tbl = make([f"c{j}" for j in range(33)], x, x[:, 3] + rng.normal(size=40))
+        self.check(tbl, 33)
+        assert mrmr_rank(tbl, 1).kept_columns == ("c3",)
 
 
 class TestCvCurve:

@@ -13,7 +13,6 @@ from voxfeat.mlpipe import (
     is_classification,
     read_table_csv,
     table_to_csv_text,
-    write_table_csv,
 )
 
 
@@ -148,7 +147,7 @@ class TestCsv:
         data[2, 1] = np.nan
         t = make(["u", "v", "w"], data, rng.normal(size=8))
         path = tmp_path / "t.csv"
-        write_table_csv(t, path)
+        path.write_text(table_to_csv_text(t), encoding="utf-8")
         back = read_table_csv(path)
         assert back.column_names == t.column_names
         assert back.row_ids == t.row_ids
@@ -158,7 +157,7 @@ class TestCsv:
     def test_round_trip_without_target(self, tmp_path):
         t = make(["a"], [[0.1], [1.0 / 3.0]])
         path = tmp_path / "t.csv"
-        write_table_csv(t, path)
+        path.write_text(table_to_csv_text(t), encoding="utf-8")
         back = read_table_csv(path)
         assert back.target is None
         assert np.array_equal(back.rows, t.rows)
@@ -202,3 +201,8 @@ class TestCsv:
         path.write_text("row_id,a\nr0,oops\n")
         with pytest.raises(SchemaError):
             read_table_csv(path)
+
+
+def test_every_exported_name_resolves():
+    import voxfeat.mlpipe as mlpipe
+    assert [name for name in mlpipe.__all__ if not hasattr(mlpipe, name)] == []

@@ -1,4 +1,4 @@
-"""Variance/correlation filters and the PCA / ICA / factor decompositions."""
+"""Variance/correlation filters, the correlation matrix, PCA and ICA."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from voxfeat.errors import InvalidK, TooFewColumns
 from voxfeat.mlpipe import (
     FeatureTable,
     correlation_matrix,
-    factor_analysis,
     high_correlation_filter,
     ica,
     low_variance_filter,
@@ -84,6 +83,10 @@ class TestCorrelationMatrix:
         corr = correlation_matrix(make(["c", "v"], data))
         assert corr[0, 1] == 0.0 and corr[1, 0] == 0.0
         assert corr[0, 0] == 1.0
+        # 30 copies of 0.1 (or of 0.3) have a mean that rounds away from the
+        # value, so z-scoring alone leaves each a column of +-1s
+        data = np.column_stack([np.full(30, 0.1), np.full(30, 0.3), np.arange(30.0)])
+        assert np.array_equal(correlation_matrix(make(["a", "b", "v"], data)), np.eye(3))
 
     def test_exact_anticorrelation(self):
         x = np.arange(8.0)
@@ -240,50 +243,3 @@ class TestIca:
         t = make(["a", "b"], np.zeros((5, 2)))
         with pytest.raises(InvalidK):
             ica(t, 3)
-
-
-class TestFactorAnalysis:
-    def build_one_factor(self, n=20000, seed=0):
-        rng = np.random.default_rng(seed)
-        load = np.array([0.9, 0.8, 0.7, 0.6])
-        f = rng.normal(size=n)
-        e = rng.normal(size=(n, 4)) * np.sqrt(1.0 - load ** 2)
-        return load, f[:, None] * load[None, :] + e
-
-    def test_recovers_single_factor_loadings(self):
-        load, data = self.build_one_factor()
-        res = factor_analysis(make(["a", "b", "c", "d"], data), 1)
-        assert res.converged
-        assert np.abs(res.loadings.ravel() - load).max() < 0.05
-
-    def test_model_reproduces_correlation(self):
-        _, data = self.build_one_factor(seed=1)
-        t = make(["a", "b", "c", "d"], data)
-        res = factor_analysis(t, 1)
-        corr = correlation_matrix(t)
-        model = res.loadings @ res.loadings.T + np.diag(res.uniquenesses)
-        assert np.linalg.norm(corr - model) < 0.1
-
-    def test_independent_data_has_high_uniqueness(self):
-        # the principal-axis iteration absorbs some sampling covariance, so
-        # noise data stays near full uniqueness without reaching it exactly
-        rng = np.random.default_rng(2)
-        t = make([f"f{i}" for i in range(5)], rng.normal(size=(5000, 5)))
-        res = factor_analysis(t, 1)
-        assert res.uniquenesses.min() > 0.8
-        assert res.uniquenesses.mean() > 0.9
-
-    def test_uniquenesses_stay_clamped(self):
-        rng = np.random.default_rng(3)
-        base = rng.normal(size=30)
-        data = np.column_stack([base, base + 1e-8 * rng.normal(size=30),
-                                rng.normal(size=30)])
-        res = factor_analysis(make(["a", "b", "c"], data), 1)
-        assert res.uniquenesses.min() >= 0.005
-        assert res.uniquenesses.max() <= 1.0
-
-    def test_k_must_be_below_column_count(self):
-        t = make(["a", "b"], np.zeros((6, 2)))
-        for bad in (0, 2, 3):
-            with pytest.raises(InvalidK):
-                factor_analysis(t, bad)

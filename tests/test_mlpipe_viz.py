@@ -1,16 +1,13 @@
-"""Plot-data exports: scatter, scatter matrix, swarm, correlation heatmap."""
+"""Plot-data exports: scatter with marginals and correlation heatmap."""
 
 import numpy as np
 import pytest
 
-from voxfeat.errors import NotClassification, TooFewColumns
+from voxfeat.errors import TooFewColumns
 from voxfeat.mlpipe import (
     FeatureTable,
     corr_heatmap_export,
     scatter_export,
-    scatter_matrix_export,
-    swarm_export,
-    viz_exports,
 )
 
 
@@ -48,41 +45,6 @@ class TestScatter:
         assert exp.fit_intercept == pytest.approx(4.0)
 
 
-class TestScatterMatrix:
-    def test_caps_column_count(self):
-        rng = np.random.default_rng(1)
-        t = make([f"f{i}" for i in range(12)], rng.normal(size=(10, 12)))
-        exp = scatter_matrix_export(t, max_cols=8)
-        assert exp.names == tuple(f"f{i}" for i in range(8))
-        assert exp.columns.shape == (10, 8)
-
-
-class TestSwarm:
-    def test_requires_class_target(self):
-        t = make(["a"], np.arange(4.0)[:, None], np.array([0.1, 0.2, 0.3, 0.4]))
-        with pytest.raises(NotClassification):
-            swarm_export(t)
-
-    def test_points_carry_value_jitter_class(self):
-        rng = np.random.default_rng(2)
-        y = np.array([0.0] * 10 + [1.0] * 10)
-        t = make(["a", "b"], rng.normal(size=(20, 2)), y)
-        exp = swarm_export(t, seed=3)
-        assert exp.classes.tolist() == [0, 1]
-        pts = exp.points["a"]
-        assert pts.shape == (20, 3)
-        assert np.abs(pts[:, 1]).max() <= 0.3
-        assert np.array_equal(pts[:, 2], y)
-
-    def test_deterministic_for_fixed_seed(self):
-        rng = np.random.default_rng(4)
-        y = np.array([0.0] * 5 + [1.0] * 5)
-        t = make(["a"], rng.normal(size=(10, 1)), y)
-        a = swarm_export(t, seed=9)
-        b = swarm_export(t, seed=9)
-        assert np.array_equal(a.points["a"], b.points["a"])
-
-
 class TestHeatmap:
     def test_diagonal_exactly_one(self):
         rng = np.random.default_rng(5)
@@ -94,21 +56,3 @@ class TestHeatmap:
     def test_needs_two_columns(self):
         with pytest.raises(TooFewColumns):
             corr_heatmap_export(make(["a"], np.zeros((4, 1))))
-
-
-class TestBundle:
-    def test_full_table_produces_everything(self):
-        rng = np.random.default_rng(6)
-        y = np.array([0.0] * 8 + [1.0] * 8)
-        t = make(["a", "b", "c"], rng.normal(size=(16, 3)), y)
-        out = viz_exports(t, seed=1)
-        assert all(out[k] is not None
-                   for k in ("scatter", "scatter_matrix", "swarm", "corr_heatmap"))
-
-    def test_unavailable_parts_are_none(self):
-        t = make(["a"], np.arange(6.0)[:, None], np.linspace(0.0, 1.0, 6))
-        out = viz_exports(t)
-        assert out["scatter"] is None
-        assert out["corr_heatmap"] is None
-        assert out["swarm"] is None
-        assert out["scatter_matrix"] is not None

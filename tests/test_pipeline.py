@@ -289,6 +289,19 @@ class TestRunAnalyze:
             assert (out / name).is_file()
         assert json.loads((out / "report.json").read_text()) == report
 
+    def test_no_temp_files_left_behind(self, toy, tmp_path, cfg):
+        out = tmp_path / "out"
+        report = run_analyze(toy, out, cfg)
+        assert {p.name for p in out.iterdir()} == set(report["outputs"])
+        # an artifact path held by a directory fails that write; the temp
+        # file beside it is removed
+        occupied = tmp_path / "occupied"
+        (occupied / "curve.csv").mkdir(parents=True)
+        with pytest.raises(UnwritableOutput):
+            run_analyze(toy, occupied, cfg)
+        assert {p.name for p in occupied.iterdir()} <= set(report["outputs"])
+        assert (occupied / "curve.csv").is_dir()
+
     def test_filter_stages_list_drops(self, toy, tmp_path, cfg):
         report = run_analyze(toy, tmp_path / "out", cfg)
         stages = {s["stage"]: s for s in report["stages"]}
