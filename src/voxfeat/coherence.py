@@ -4,6 +4,15 @@ Each sentence maps to the mean of its word embeddings; order-q coherence is
 the cosine between phrase vectors q+1 sentences apart (order 0 = adjacent).
 Normalized statistics subtract a document-internal baseline: the mean cosine
 over every defined phrase pair in the same transcript.
+
+A transcript's phrase vectors are computed once, as the rows of one
+(phrases, dim) array v; sentences with no in-vocabulary word have no row.
+The order-q series is the row-wise cosine of v[:-g] against v[g:] with
+g = q + 1, clipped to [-1, 1]; identical rows give exactly 1.0, and a row of
+zero norm gives NaN, which is dropped. The baseline groups identical unit
+rows (their pairs count 1.0 each) and dots each group with the sum of the
+groups before it, so it takes O(phrases x dim) memory, never a
+phrases x phrases matrix; it is NaN with fewer than two nonzero rows.
 """
 
 from __future__ import annotations
@@ -87,24 +96,48 @@ def phrase_vector(sentence: tuple[Token, ...], emb: EmbeddingTable) -> np.ndarra
     return np.mean(rows, axis=0)
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    # identical arrays short-circuit to 1.0 so repeated sentences are exact
-    if u.shape == v.shape and np.array_equal(u, v):
-        if np.any(u != 0):
-            return 1.0
-        return float("nan")
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
-        return float("nan")
-    # parallel-but-distinct vectors can round a few ulps past +-1
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+def _phrase_matrix(t: Transcript, emb: EmbeddingTable) -> tuple[np.ndarray, int]:
+    """Phrase vectors of the sentences that have one, as rows of a
+    (phrases, dim) array, and how many sentences had none."""
+    vectors = [v for v in (phrase_vector(s, emb) for s in t.sentences) if v is not None]
+    return (np.array(vectors, dtype=float).reshape(len(vectors), emb.dim),
+            len(t.sentences) - len(vectors))
 
 
-def _defined_vectors(t: Transcript, emb: EmbeddingTable) -> tuple[list[np.ndarray], int]:
-    vectors = [phrase_vector(s, emb) for s in t.sentences]
-    defined = [v for v in vectors if v is not None]
-    return defined, len(vectors) - len(defined)
+def _unit_rows(v: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit length; rows of zero or non-finite norm are NaN."""
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    ok = (norms > 0.0) & np.isfinite(norms)
+    unit = np.full_like(v, np.nan)
+    unit[ok] = v[ok] / norms[ok, None]
+    return unit
+
+
+def _series(v: np.ndarray, unit: np.ndarray, q: int) -> np.ndarray:
+    gap = q + 1
+    # parallel-but-distinct rows can round a few ulps past +-1
+    c = np.clip(np.einsum("ij,ij->i", unit[:-gap], unit[gap:]), -1.0, 1.0)
+    # identical rows are exactly 1.0 so repeated sentences are exact
+    c[np.all(v[:-gap] == v[gap:], axis=1) & ~np.isnan(unit[gap:, 0])] = 1.0
+    return c[~np.isnan(c)]
+
+
+def _baseline(unit: np.ndarray) -> float:
+    """Mean cosine over all pairs of defined rows, in O(rows x dim) memory.
+
+    Identical rows are grouped, so their pairs count exactly 1.0; each
+    group's cross pairs are its dot products with the sum of the groups
+    before it.
+    """
+    rows, counts = np.unique(unit[~np.isnan(unit[:, 0])], axis=0, return_counts=True)
+    m = int(counts.sum())
+    if m < 2:
+        return float("nan")
+    weighted = counts[:, None] * rows
+    before = np.cumsum(weighted, axis=0) - weighted
+    same = float(np.sum(counts * (counts - 1))) / 2.0
+    cross = float(np.einsum("ij,ij->", weighted, before))
+    return (same + cross) / (m * (m - 1) / 2.0)
 
 
 def coherence_series(t: Transcript, emb: EmbeddingTable, q: int) -> np.ndarray:
@@ -115,13 +148,8 @@ def coherence_series(t: Transcript, emb: EmbeddingTable, q: int) -> np.ndarray:
     """
     if q not in ORDERS:
         raise ValueError(f"order must be one of {ORDERS}, got {q}")
-    defined, _ = _defined_vectors(t, emb)
-    gap = q + 1
-    values = [
-        _cosine(defined[i], defined[i + gap]) for i in range(len(defined) - gap)
-    ]
-    out = np.array([v for v in values if not np.isnan(v)])
-    return out
+    v, _ = _phrase_matrix(t, emb)
+    return _series(v, _unit_rows(v), q)
 
 
 def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
@@ -132,19 +160,13 @@ def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
     longest sentence, the determiner rate (NaN without POS tags), and how
     many sentences had no in-vocabulary word.
     """
-    defined, skipped = _defined_vectors(t, emb)
-
-    pair_cosines = []
-    for i in range(len(defined)):
-        for j in range(i + 1, len(defined)):
-            c = _cosine(defined[i], defined[j])
-            if not np.isnan(c):
-                pair_cosines.append(c)
-    baseline = float(np.mean(pair_cosines)) if pair_cosines else float("nan")
+    v, skipped = _phrase_matrix(t, emb)
+    unit = _unit_rows(v)
+    baseline = _baseline(unit)
 
     per_order: dict[int, dict[str, float]] = {}
     for q in ORDERS:
-        series = coherence_series(t, emb, q)
+        series = _series(v, unit, q)
         raw = apply_bank(FrameSeries("c", series, 0.0), _BANK)
         norm = apply_bank(FrameSeries("c", series - baseline, 0.0), _BANK)
         stats = {s: raw[f"c_{s}"] for s in _STATS}

@@ -6,7 +6,6 @@ from __future__ import annotations
 import json
 import logging
 import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -173,8 +172,11 @@ def extract_features(item: RecordingInput, cfg: PipelineConfig,
 
 
 def _atomic_write(path: Path, text: str) -> None:
+    # created with 0o666 like open() does, so the umask sets the final mode
+    # (mkstemp's 0o600 would stick to the renamed file)
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     try:
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(text)

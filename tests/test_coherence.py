@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from voxfeat.acoustic import FrameSeries
 from voxfeat.coherence import (
     COHERENCE_FEATURE_NAMES,
+    ORDERS,
     EmbeddingTable,
     bundled_embeddings_path,
     coherence_feature_vector,
@@ -16,6 +20,7 @@ from voxfeat.coherence import (
     phrase_vector,
 )
 from voxfeat.errors import DimensionMismatch, EmptyFile
+from voxfeat.functionals import FunctionalBank, apply_bank
 from voxfeat.textfeat import Token, Transcript, tokenize
 
 
@@ -120,6 +125,17 @@ class TestCoherenceSeries:
                 assert np.all(series >= -1.0 - 1e-12)
                 assert np.all(series <= 1.0 + 1e-12)
 
+    def test_parallel_phrases_clipped_to_unit_interval(self):
+        # unit rows of v, 3.7v and -0.2v dot a few ulps past +-1 unclipped
+        rng = np.random.default_rng(34)
+        for _ in range(40):
+            v = rng.standard_normal(5)
+            emb = table(a=v, b=3.7 * v, c=-0.2 * v)
+            t = Transcript((sent("a"), sent("b"), sent("c"), sent("a")))
+            for q in (0, 1, 2):
+                series = coherence_series(t, emb, q)
+                assert np.all(np.abs(series) <= 1.0)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(32)
         words = [f"w{i}" for i in range(8)]
@@ -208,3 +224,149 @@ class TestCoherenceFeatures:
         series = coherence_series(t, emb, 1)
         assert series.size == 1
         assert series[0] == 1.0  # identical first and third sentence
+
+
+STATS = ("mean", "stddev", "min", "max", "p10")
+BANK = FunctionalBank(STATS)
+
+
+def reference_coherence(t, emb):
+    """The per-pair coherence_features the phrase matrix replaced: one Python
+    cosine call per phrase pair, phrase vectors rebuilt for every order.
+    Returns (per_order, series by order, skipped, max_phrase_length,
+    determiner_rate)."""
+
+    def cosine(u, v):
+        if u.shape == v.shape and np.array_equal(u, v):
+            if np.any(u != 0):
+                return 1.0
+            return float("nan")
+        nu = float(np.linalg.norm(u))
+        nv = float(np.linalg.norm(v))
+        if nu == 0.0 or nv == 0.0:
+            return float("nan")
+        return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+    def defined_vectors():
+        vectors = [phrase_vector(s, emb) for s in t.sentences]
+        defined = [v for v in vectors if v is not None]
+        return defined, len(vectors) - len(defined)
+
+    def series(q):
+        defined, _ = defined_vectors()
+        gap = q + 1
+        values = [cosine(defined[i], defined[i + gap]) for i in range(len(defined) - gap)]
+        return np.array([v for v in values if not np.isnan(v)])
+
+    defined, skipped = defined_vectors()
+    pair_cosines = []
+    for i in range(len(defined)):
+        for j in range(i + 1, len(defined)):
+            c = cosine(defined[i], defined[j])
+            if not np.isnan(c):
+                pair_cosines.append(c)
+    baseline = float(np.mean(pair_cosines)) if pair_cosines else float("nan")
+
+    per_order, by_order = {}, {}
+    for q in ORDERS:
+        by_order[q] = series(q)
+        raw = apply_bank(FrameSeries("c", by_order[q], 0.0), BANK)
+        norm = apply_bank(FrameSeries("c", by_order[q] - baseline, 0.0), BANK)
+        per_order[q] = {s: raw[f"c_{s}"] for s in STATS}
+        per_order[q].update({f"n_{s}": norm[f"c_{s}"] for s in STATS})
+
+    lengths = [len(s) for s in t.sentences]
+    max_phrase_length = max(lengths) if lengths else 0
+    tokens = t.tokens()
+    tagged = [tok for tok in tokens if tok.pos is not None]
+    if tagged and tokens:
+        dets = sum(1 for tok in tokens if tok.pos in ("DET", "DT"))
+        determiner_rate = dets / len(tokens)
+    else:
+        determiner_rate = float("nan")
+    return per_order, by_order, skipped, max_phrase_length, determiner_rate
+
+
+def random_table(rng):
+    """Random embeddings plus an all-zero one and scaled and negated copies
+    of one vector."""
+    dim = int(rng.integers(1, 7))
+    base = rng.standard_normal(dim)
+    vectors = {f"w{i}": rng.standard_normal(dim) for i in range(8)}
+    vectors.update(zero=np.zeros(dim), par=base, par3=3.7 * base, neg=-0.2 * base)
+    return EmbeddingTable(dim, vectors)
+
+
+def random_case(rng):
+    """A random table and transcript: OOV words, repeated sentences, POS
+    tags on some transcripts."""
+    emb = random_table(rng)
+    vocab = [*emb.vectors, "oov1", "oov2", "oov3"]
+    tagged = rng.random() < 0.5
+    sentences = []
+    for _ in range(int(rng.integers(0, 14))):
+        if sentences and rng.random() < 0.25:
+            sentences.append(sentences[int(rng.integers(0, len(sentences)))])
+            continue
+        words = [vocab[j] for j in rng.integers(0, len(vocab), rng.integers(1, 5))]
+        tags = [("DET", "NOUN", "VERB")[j] for j in rng.integers(0, 3, len(words))]
+        sentences.append(sent(*words, pos=tags if tagged else None))
+    return Transcript(tuple(sentences)), emb
+
+
+class TestMatchesReference:
+    """The phrase-matrix coherence equals the per-pair loop it replaced."""
+
+    def check(self, t, emb):
+        per_order, by_order, skipped, longest, rate = reference_coherence(t, emb)
+        cf = coherence_features(t, emb)
+        for q in ORDERS:
+            assert list(cf.per_order[q]) == list(per_order[q])
+            np.testing.assert_allclose(
+                list(cf.per_order[q].values()), list(per_order[q].values()),
+                rtol=0, atol=1e-12)
+            np.testing.assert_allclose(coherence_series(t, emb, q), by_order[q],
+                                       rtol=0, atol=1e-12)
+        assert cf.skipped_phrases == skipped
+        assert cf.max_phrase_length == longest
+        np.testing.assert_array_equal(cf.determiner_rate, rate)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_transcripts(self, seed):
+        rng = np.random.default_rng(40 + seed)
+        for _ in range(40):
+            self.check(*random_case(rng))
+
+    @pytest.mark.parametrize("n_defined", [0, 1, 2, 3, 4, 5])
+    def test_defined_phrase_counts(self, n_defined):
+        # 0, 1, 2 and q+1 defined phrases for every order, between OOV sentences
+        rng = np.random.default_rng(50 + n_defined)
+        for _ in range(10):
+            emb = random_table(rng)
+            defined = [sent(f"w{j}") for j in rng.integers(0, 8, n_defined)]
+            oov = [sent("oov1", "oov2")] * int(rng.integers(0, 3))
+            self.check(Transcript(tuple(oov + defined + oov)), emb)
+
+    def test_zero_and_parallel_vectors(self):
+        emb = random_table(np.random.default_rng(60))
+        words = ("zero", "par", "par3", "zero", "neg", "par", "zero", "par3", "w1")
+        self.check(Transcript(tuple(sent(w) for w in words)), emb)
+        # only zero vectors: every cosine is undefined
+        self.check(Transcript(tuple(sent("zero") for _ in range(6))), emb)
+
+
+def test_memory_stays_linear_in_phrases():
+    # an n x n float matrix over 2,000 phrases would take 32 MB by itself
+    rng = np.random.default_rng(70)
+    emb = EmbeddingTable(50, {f"w{i}": rng.standard_normal(50) for i in range(400)})
+    t = Transcript(tuple(
+        sent(*(f"w{j}" for j in rng.integers(0, 400, rng.integers(1, 9))))
+        for _ in range(2000)))
+    tracemalloc.start()
+    try:
+        cf = coherence_features(t, emb)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.isfinite(cf.per_order[3]["n_mean"])

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
 
 from voxfeat.audio_io import AudioBuffer, write_wav
+from voxfeat.coherence import bundled_embeddings_path
 from voxfeat.config import (
     AnalyzeSpec,
     PipelineConfig,
@@ -198,6 +201,20 @@ class TestRunExtract:
         run_extract(corpus, b, cfg, jobs=4)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_worker_count_does_not_change_text_output(self, corpus, tmp_path):
+        valence = tmp_path / "valence.csv"
+        valence.write_text("word,valence\nquick,0.6\nlazy,-0.4\ndog,0.2\n")
+        cfg = PipelineConfig(sentiment=True, coherence=True,
+                             valence_path=str(valence),
+                             embeddings_path=str(bundled_embeddings_path()))
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        run_extract(corpus, a, cfg, jobs=1)
+        run_extract(corpus, b, cfg, jobs=2)
+        assert a.read_bytes() == b.read_bytes()
+        rows = {ln.split(",")[0]: ln for ln in a.read_text().splitlines()[1:]}
+        col = feature_names_for(cfg).index("coherence_q0_mean") + 1
+        assert rows["rec_a"].split(",")[col] != "nan"
+
     def test_manifest_contents(self, corpus, tmp_path):
         cfg = PipelineConfig()
         out = tmp_path / "features.csv"
@@ -234,6 +251,20 @@ class TestRunExtract:
         run_extract(corpus, out, PipelineConfig())
         names = {p.name for p in tmp_path.iterdir()}
         assert names == {"features.csv", "features.manifest.json"}
+
+    def test_outputs_get_the_umask_mode(self, corpus, tmp_path):
+        old = os.umask(0o022)
+        try:
+            out = tmp_path / "features.csv"
+            run_extract(corpus, out, PipelineConfig())
+            toy = tmp_path / "toy.csv"
+            toy_csv(toy)
+            run_analyze(toy, tmp_path / "analysis",
+                        PipelineConfig(analyze=AnalyzeSpec(k_values=(1,), folds=3)))
+        finally:
+            os.umask(old)
+        for path in (out, manifest_path_for(out), tmp_path / "analysis" / "report.json"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644, path.name
 
     def test_no_inputs_raises(self, tmp_path):
         with pytest.raises(NoInputs):
