@@ -87,7 +87,7 @@ class DegenerateClasses(VoxfeatError):
 
 
 class ConvergenceFailure(VoxfeatError):
-    """Iterative fit produced non-finite values."""
+    """Iterative fit diverged or missed its tolerance within its iteration cap."""
 
 
 class SchemaError(VoxfeatError):

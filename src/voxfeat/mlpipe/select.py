@@ -13,8 +13,6 @@ import numpy as np
 
 from ..errors import DegenerateClasses, InvalidK, NotClassification
 from .model import (
-    LinearModel,
-    LogisticModel,
     accuracy_score,
     fit_lasso,
     fit_logistic,
@@ -184,12 +182,12 @@ def importance_select(
             raise ValueError(f"threshold must be >= 0, got {threshold}")
         keep_mask = imp >= cut
     names = tbl.column_names
-    kept = [n for j, n in enumerate(names) if keep_mask[j]]
-    dropped = [n for j, n in enumerate(names) if not keep_mask[j]]
-    order = sorted(names, key=lambda n: (-imp[names.index(n)], names.index(n)))
-    ranking = {n: i + 1 for i, n in enumerate(order)}
+    kept = tuple(n for j, n in enumerate(names) if keep_mask[j])
+    # stable sort keeps column order among exact ties
+    order = np.argsort(-imp, kind="stable")
+    ranking = {names[i]: r + 1 for r, i in enumerate(order)}
     scores = {n: float(imp[j]) for j, n in enumerate(names)}
-    return SelectionResult(tuple(kept), ranking, scores)
+    return SelectionResult(kept, ranking, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +264,19 @@ def _fold_indices(tbl: FeatureTable, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
+def _fold_score(train: FeatureTable, val: FeatureTable, y_train: np.ndarray,
+                y_val: np.ndarray, estimator: str) -> float:
+    """Standardize with the training rows' parameters, fit, score the
+    validation rows."""
+    params = fit_standardize(train)
+    train_z = apply_standardize(train, params).rows
+    val_z = apply_standardize(val, params).rows
+    if estimator == "logistic":
+        model = fit_logistic(train_z, y_train.astype(np.int64))
+        return accuracy_score(y_val.astype(np.int64), model.predict(val_z))
+    return r2_score(y_val, fit_ols(train_z, y_train).predict(val_z))
+
+
 def cv_score_curve(
     tbl: FeatureTable,
     selector: Selector,
@@ -273,44 +284,42 @@ def cv_score_curve(
     k_values: list[int],
     folds: int,
     seed: int = 0,
+    nested: bool = False,
 ) -> list[CurvePoint]:
     """Mean/std validation score per requested feature count.
 
     Inside each fold the preprocessing and the selector see only training
     rows; the validation rows are transformed with the training parameters.
     Scores are accuracy for "logistic" and R^2 for "ols".
+
+    nested declares that the selector's top-k columns are the first k of its
+    top-(k+1) for every k, as for a ranking. The selector then runs once per
+    fold at the largest k and each smaller k takes a prefix; the curve is the
+    same as with one run per (k, fold), which is what happens otherwise.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
+    if estimator not in ("logistic", "ols"):
+        raise ValueError(f"unknown estimator {estimator!r}")
     y_all = _require_target(tbl, "cv_score_curve")
     if estimator == "logistic":
         y_all = _class_labels(tbl, "cv_score_curve").astype(np.float64)
     fold_idx = _fold_indices(tbl, folds, seed)
     if any(idx.size == 0 for idx in fold_idx):
         raise ValueError(f"{folds} folds leave an empty fold for {tbl.n_rows} rows")
-    curve = []
-    for k in k_values:
-        fold_scores = []
-        for f, val_idx in enumerate(fold_idx):
-            train_idx = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
-            train = tbl.select_rows(train_idx)
-            val = tbl.select_rows(val_idx)
-            chosen = selector(train, min(k, train.n_cols)).kept_columns
-            params = fit_standardize(train.select_columns(chosen))
-            train_z = apply_standardize(train.select_columns(chosen), params)
-            val_z = apply_standardize(val.select_columns(chosen), params)
-            y_train, y_val = y_all[train_idx], y_all[val_idx]
-            if estimator == "logistic":
-                model: LogisticModel | LinearModel = fit_logistic(
-                    train_z.rows, y_train.astype(np.int64)
-                )
-                score = accuracy_score(y_val.astype(np.int64), model.predict(val_z.rows))
-            elif estimator == "ols":
-                model = fit_ols(train_z.rows, y_train)
-                score = r2_score(y_val, model.predict(val_z.rows))
-            else:
-                raise ValueError(f"unknown estimator {estimator!r}")
-            fold_scores.append(score)
-        arr = np.asarray(fold_scores)
-        curve.append(CurvePoint(int(k), float(arr.mean()), float(arr.std())))
-    return curve
+    if k_values and min(k_values) < 1:
+        raise InvalidK(f"k must be >= 1, got {min(k_values)}")
+    scores = np.empty((len(k_values), folds))
+    for f, val_idx in enumerate(fold_idx):
+        train_idx = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
+        train = tbl.select_rows(train_idx)
+        val = tbl.select_rows(val_idx)
+        ks = [min(k, train.n_cols) for k in k_values]
+        if nested and ks:
+            ranked = selector(train, max(ks)).kept_columns
+        for i, k in enumerate(ks):
+            chosen = ranked[:k] if nested else selector(train, k).kept_columns
+            scores[i, f] = _fold_score(train.select_columns(chosen), val.select_columns(chosen),
+                                       y_all[train_idx], y_all[val_idx], estimator)
+    return [CurvePoint(int(k), float(row.mean()), float(row.std()))
+            for k, row in zip(k_values, scores)]

@@ -88,16 +88,20 @@ class StandardizeParams:
 
 def fit_standardize(tbl: FeatureTable) -> StandardizeParams:
     # the scale is the population std of the column AFTER imputation, so a
-    # missing cell sits exactly at z = 0 and the filled column has unit spread
-    means = np.zeros(tbl.n_cols)
-    stds = np.zeros(tbl.n_cols)
-    for j in range(tbl.n_cols):
-        col = tbl.rows[:, j]
-        ok = col[~np.isnan(col)]
-        means[j] = float(ok.mean()) if ok.size else 0.0
-        filled = np.where(np.isnan(col), means[j], col)
-        stds[j] = float(filled.std()) if col.size else 0.0
-    return StandardizeParams(means, stds)
+    # missing cell sits exactly at z = 0 and the filled column has unit spread.
+    # In column-major order numpy sums each column on its own, as it sums a
+    # 1-D array, so equal columns get equal parameters wherever they sit (MRMR
+    # breaks exact ties by column order) and the rounding does not depend on
+    # how the caller's array is laid out.
+    rows = np.asfortranarray(tbl.rows)
+    missing = np.isnan(rows)
+    count = tbl.n_rows - missing.sum(axis=0)
+    total = np.where(missing, 0.0, rows).sum(axis=0)
+    means = np.divide(total, count, out=np.zeros(tbl.n_cols), where=count > 0)
+    if not tbl.n_rows:
+        return StandardizeParams(means, np.zeros(tbl.n_cols))
+    filled = np.where(missing, means[None, :], rows)
+    return StandardizeParams(means, filled.std(axis=0))
 
 
 def apply_standardize(tbl: FeatureTable, params: StandardizeParams) -> FeatureTable:

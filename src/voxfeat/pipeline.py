@@ -256,19 +256,23 @@ def _guard(fn, item):
 # analyze
 # ---------------------------------------------------------------------------
 
-_SELECTOR_FNS = {
-    "anova_f": anova_f_select,
-    "rfe": rfe_select,
-    "mrmr": mrmr_rank,
-}
-
-
 def _importance_topk(tbl: FeatureTable, k: int) -> SelectionResult:
     """Adapter: rank every column by model importance, keep the top k."""
     full = importance_select(tbl, threshold=0.0)
     order = sorted(full.ranking, key=full.ranking.get)
     kept = tuple(order[:k])
     return SelectionResult(kept, full.ranking, full.scores)
+
+
+# selector -> (function, nested): a nested selector's top k is the first k of
+# one ranking, so the score curve selects once per fold; RFE's top-k sets are
+# not nested
+_SELECTORS = {
+    "anova_f": (anova_f_select, True),
+    "rfe": (rfe_select, False),
+    "mrmr": (mrmr_rank, True),
+    "importance": (_importance_topk, True),
+}
 
 
 def _stage(name: str, fn, *args, **kwargs):
@@ -348,13 +352,13 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     estimator = spec.estimator
     if estimator == "auto":
         estimator = "logistic" if is_classification(tbl) else "ols"
-    selector = _SELECTOR_FNS.get(spec.selector, _importance_topk)
+    selector, nested = _SELECTORS[spec.selector]
 
     k_values = sorted({min(k, tbl.n_cols) for k in spec.k_values})
     final_k = max(k_values)
     final = _stage("selection", selector, tbl, final_k)
     curve = _stage("cv_curve", cv_score_curve, tbl, selector, estimator,
-                   k_values, spec.folds, cfg.seed)
+                   k_values, spec.folds, cfg.seed, nested)
     report["stages"].append({
         "stage": "selection",
         "selector": spec.selector,

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from voxfeat.errors import DegenerateClasses
+from voxfeat.errors import ConvergenceFailure, DegenerateClasses
 from voxfeat.mlpipe import (
+    LogisticModel,
     accuracy_score,
     fit_lasso,
     fit_logistic,
@@ -98,6 +99,126 @@ class TestLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateClasses):
             fit_logistic(np.zeros((5, 2)), np.zeros(5))
+
+
+def logistic_gradient(x, y, model, alpha):
+    """Gradient of mean softmax cross-entropy + alpha/2 ||coef||^2 with
+    respect to (coef, intercept), evaluated at the fitted model."""
+    onehot = (y[:, None] == model.classes[None, :]).astype(np.float64)
+    logits = model.decision(x)
+    prob = np.exp(logits - logits.max(axis=1, keepdims=True))
+    prob /= prob.sum(axis=1, keepdims=True)
+    err = prob - onehot
+    return np.concatenate([(err.T @ x / x.shape[0] + alpha * model.coef).ravel(),
+                           err.mean(axis=0)])
+
+
+def logistic_objective(x, y, model, alpha):
+    onehot = (y[:, None] == model.classes[None, :]).astype(np.float64)
+    logits = model.decision(x)
+    top = logits.max(axis=1, keepdims=True)
+    lse = top[:, 0] + np.log(np.exp(logits - top).sum(axis=1))
+    return float((lse - (logits * onehot).sum(axis=1)).mean()
+                 + 0.5 * alpha * (model.coef ** 2).sum())
+
+
+def reference_gd_logistic(x, y, alpha=1e-3, max_iter=20_000, lr=0.5):
+    """The former fit_logistic (full-batch gradient descent from zero), run
+    for many more steps than it used to take."""
+    classes = np.unique(y)
+    n, p = x.shape
+    onehot = (y[:, None] == classes[None, :]).astype(np.float64)
+    coef = np.zeros((classes.size, p))
+    intercept = np.zeros(classes.size)
+    for _ in range(max_iter):
+        logits = x @ coef.T + intercept[None, :]
+        logits -= logits.max(axis=1, keepdims=True)
+        expl = np.exp(logits)
+        prob = expl / expl.sum(axis=1, keepdims=True)
+        err = prob - onehot  # (n, c)
+        grad_w = err.T @ x / n + alpha * coef
+        grad_b = err.mean(axis=0)
+        coef -= lr * grad_w
+        intercept -= lr * grad_b
+    return coef, intercept
+
+
+def sweep_columns(rng, n_rows, n_cols, n_classes=2):
+    """Standardized columns shaped like analyze's sweep tables: a few planted
+    informative columns, blocks of 8 sharing a latent factor, and near-copies."""
+    y = rng.permutation(np.arange(n_rows) % n_classes)
+    x = rng.normal(size=(n_rows, n_cols))
+    n_planted = min(6, n_cols)
+    x[:, :n_planted] += 1.2 * (y[:, None] - (n_classes - 1) / 2)
+    for start in range(n_planted, n_cols, 8):
+        x[:, start:start + 8] = 0.75 * rng.normal(size=(n_rows, 1)) + 0.66 * x[:, start:start + 8]
+    for j in range(n_planted + 3, n_cols, 20):
+        x[:, j] = x[:, j - 1] + 0.03 * rng.normal(size=n_rows)
+    x = x[:, rng.permutation(n_cols)]
+    return (x - x.mean(axis=0)) / x.std(axis=0), y
+
+
+class TestLogisticSolver:
+    """Newton's method stops at a stated gradient tolerance."""
+
+    @pytest.mark.parametrize("n_classes", [2, 3, 4])
+    def test_gradient_below_tol_at_returned_point(self, n_classes):
+        rng = np.random.default_rng(30 + n_classes)
+        for n_cols in (1, 5, 40, 120):
+            x, y = sweep_columns(rng, 90, n_cols, n_classes)
+            for alpha, tol in ((1e-3, 1e-8), (0.01, 1e-8), (1e-3, 1e-11)):
+                model = fit_logistic(x, y, alpha=alpha, tol=tol)
+                assert np.max(np.abs(logistic_gradient(x, y, model, alpha))) < tol
+
+    def test_separable_weights_stay_finite(self):
+        # far apart classes: without the penalty the loss has no minimum
+        rng = np.random.default_rng(31)
+        x = np.vstack([rng.normal(size=(30, 3)) - 20.0, rng.normal(size=(30, 3)) + 20.0])
+        y = np.repeat([0, 1], 30)
+        for alpha in (1e-3, 1e-6):
+            model = fit_logistic(x, y, alpha=alpha)
+            assert np.all(np.isfinite(model.coef)) and np.all(np.isfinite(model.intercept))
+            assert accuracy_score(y, model.predict(x)) == 1.0
+            assert np.max(np.abs(logistic_gradient(x, y, model, alpha))) < 1e-8
+
+    @pytest.mark.parametrize("n_cols, n_classes", [(10, 2), (200, 2), (10, 3)])
+    def test_matches_long_gradient_descent(self, n_cols, n_classes):
+        # 20,000 gradient steps leave a gradient of 1e-9 to 1e-6 (the largest
+        # with 200 columns, several near-copies among them), which bounds how
+        # closely the two fits can agree
+        rng = np.random.default_rng(32 + n_cols)
+        x, y = sweep_columns(rng, 240, n_cols, n_classes)
+        model = fit_logistic(x, y)
+        coef, intercept = reference_gd_logistic(x, y)
+        np.testing.assert_allclose(model.coef, coef, rtol=0, atol=2e-3)
+        np.testing.assert_allclose(model.intercept, intercept, rtol=0, atol=2e-3)
+        ref = LogisticModel(coef, intercept, model.classes)
+        np.testing.assert_array_equal(model.predict(x), ref.predict(x))
+        assert logistic_objective(x, y, model, 1e-3) == pytest.approx(
+            logistic_objective(x, y, ref, 1e-3), rel=0, abs=1e-10)
+
+    def test_three_classes_intercepts_sum_to_zero(self):
+        rng = np.random.default_rng(33)
+        x, y = sweep_columns(rng, 120, 15, 3)
+        model = fit_logistic(x + 3.0, y)
+        assert abs(model.intercept.sum()) < 1e-12
+        # the penalty also centres the weights across classes
+        assert np.max(np.abs(model.coef.sum(axis=0))) < 1e-8
+
+    def test_two_classes_are_mirror_images(self):
+        rng = np.random.default_rng(34)
+        x, y = sweep_columns(rng, 80, 7)
+        model = fit_logistic(x, y)
+        assert np.array_equal(model.coef[0], -model.coef[1])
+        assert model.intercept[0] == -model.intercept[1]
+
+    def test_iteration_cap_raises(self):
+        rng = np.random.default_rng(35)
+        for n_classes in (2, 3):
+            x, y = sweep_columns(rng, 60, 8, n_classes)
+            with pytest.raises(ConvergenceFailure):
+                fit_logistic(x, y, max_iter=1)
+            fit_logistic(x, y, max_iter=30)
 
 
 class TestScores:

@@ -6,16 +6,25 @@ import scipy.stats
 
 from voxfeat.errors import DegenerateClasses, InvalidK, NotClassification
 from voxfeat.mlpipe import (
+    CurvePoint,
     FeatureTable,
+    accuracy_score,
     anova_f_select,
     anova_f_values,
+    apply_standardize,
     cv_score_curve,
+    fit_logistic,
+    fit_ols,
+    fit_standardize,
     impute_and_standardize,
     importance_select,
     is_classification,
     mrmr_rank,
+    r2_score,
     rfe_select,
 )
+from voxfeat.mlpipe.select import _fold_indices
+from voxfeat.pipeline import _SELECTORS
 
 
 def make(cols, data, target=None):
@@ -197,6 +206,17 @@ class TestImportanceSelect:
         x = rng.normal(size=(20, 3))
         t = make(["a", "b", "c"], x, np.full(20, 0.5))
         assert importance_select(t).kept_columns == ()
+
+    def test_exact_ties_rank_in_column_order(self):
+        # a strong lasso penalty zeroes all but two of 40 coefficients
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(60, 40))
+        t = make([f"f{i:02d}" for i in range(40)], x, 3.0 * x[:, 30] + 2.0 * x[:, 7])
+        res = importance_select(t, alpha=1.0)
+        order = sorted(res.ranking, key=res.ranking.get)
+        assert order[:2] == ["f30", "f07"]
+        assert order[2:] == [f"f{i:02d}" for i in range(40) if i not in (7, 30)]
+        assert all(res.scores[name] == 0.0 for name in order[2:])
 
     def test_classification_uses_logistic_weights(self):
         rng = np.random.default_rng(10)
@@ -481,3 +501,79 @@ class TestCvCurve:
         curve = cv_score_curve(self.separable_table(), anova_f_select,
                                "logistic", [10], 4)
         assert curve[0].mean_score == 1.0
+
+
+def reference_curve(tbl, selector, estimator, k_values, folds, seed=0):
+    """The former cv_score_curve: one selector run per (k, fold)."""
+    y_all = tbl.target
+    fold_idx = _fold_indices(tbl, folds, seed)
+    curve = []
+    for k in k_values:
+        fold_scores = []
+        for f, val_idx in enumerate(fold_idx):
+            train_idx = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
+            train = tbl.select_rows(train_idx)
+            val = tbl.select_rows(val_idx)
+            chosen = selector(train, min(k, train.n_cols)).kept_columns
+            params = fit_standardize(train.select_columns(chosen))
+            train_z = apply_standardize(train.select_columns(chosen), params)
+            val_z = apply_standardize(val.select_columns(chosen), params)
+            y_train, y_val = y_all[train_idx], y_all[val_idx]
+            if estimator == "logistic":
+                model = fit_logistic(train_z.rows, y_train.astype(np.int64))
+                score = accuracy_score(y_val.astype(np.int64), model.predict(val_z.rows))
+            else:
+                model = fit_ols(train_z.rows, y_train)
+                score = r2_score(y_val, model.predict(val_z.rows))
+            fold_scores.append(score)
+        arr = np.asarray(fold_scores)
+        curve.append(CurvePoint(int(k), float(arr.mean()), float(arr.std())))
+    return curve
+
+
+class TestCurveSelectsOncePerFold:
+    """A declared-nested selector runs once per fold; the curve is the one
+    the per-(k, fold) loop gives."""
+
+    @staticmethod
+    def counted(selector):
+        calls = []
+
+        def run(table, k):
+            calls.append(k)
+            return selector(table, k)
+        return run, calls
+
+    @pytest.mark.parametrize("seed, target", enumerate(("binary", "3-class", "float"), start=40))
+    def test_nested_selectors_match_reference(self, seed, target):
+        nested = {name: fn for name, (fn, is_nested) in _SELECTORS.items() if is_nested}
+        assert sorted(nested) == ["anova_f", "importance", "mrmr"]
+        estimator = "ols" if target == "float" else "logistic"
+        rng = np.random.default_rng(seed)
+        for _ in range(4):
+            tbl = messy_table(rng, target)
+            folds = int(rng.integers(2, 5))
+            k_values = [int(k) for k in rng.integers(1, tbl.n_cols + 3, rng.integers(1, 6))]
+            for name, fn in nested.items():
+                if name == "anova_f" and target == "float":
+                    continue
+                run, calls = self.counted(fn)
+                got = cv_score_curve(tbl, run, estimator, k_values, folds, seed=3, nested=True)
+                assert got == reference_curve(tbl, fn, estimator, k_values, folds, seed=3), name
+                assert len(calls) == folds
+                assert calls == [min(max(k_values), tbl.n_cols)] * folds
+
+    def test_undeclared_and_rfe_run_per_k_and_fold(self):
+        rng = np.random.default_rng(44)
+        tbl = messy_table(rng, "float")
+        k_values, folds = [1, 3, 2, 50], 3
+        for selector in (rfe_select, mrmr_rank):
+            run, calls = self.counted(selector)
+            got = cv_score_curve(tbl, run, "ols", k_values, folds, seed=1)
+            assert len(calls) == len(k_values) * folds
+            assert got == reference_curve(tbl, selector, "ols", k_values, folds, seed=1)
+
+    def test_k_below_one_rejected(self):
+        tbl = messy_table(np.random.default_rng(45), "binary")
+        with pytest.raises(InvalidK):
+            cv_score_curve(tbl, anova_f_select, "logistic", [0, 2], 3, nested=True)
