@@ -159,16 +159,28 @@ def sweep_columns(rng, n_rows, n_cols, n_classes=2):
 
 
 class TestLogisticSolver:
-    """Newton's method stops at a stated gradient tolerance."""
+    """The fit stops at a stated gradient tolerance."""
 
     @pytest.mark.parametrize("n_classes", [2, 3, 4])
     def test_gradient_below_tol_at_returned_point(self, n_classes):
         rng = np.random.default_rng(30 + n_classes)
+        settings = [(1e-3, 1e-8), (0.01, 1e-8)]
+        if n_classes == 2:
+            # Newton's method gets below the objective's rounding
+            settings.append((1e-3, 1e-11))
         for n_cols in (1, 5, 40, 120):
             x, y = sweep_columns(rng, 90, n_cols, n_classes)
-            for alpha, tol in ((1e-3, 1e-8), (0.01, 1e-8), (1e-3, 1e-11)):
+            for alpha, tol in settings:
                 model = fit_logistic(x, y, alpha=alpha, tol=tol)
                 assert np.max(np.abs(logistic_gradient(x, y, model, alpha))) < tol
+
+    def test_unreachable_tol_raises_for_more_classes(self):
+        # L-BFGS-B's line search compares objective values, whose rounding
+        # hides the decrease long before the gradient gets this small
+        rng = np.random.default_rng(36)
+        x, y = sweep_columns(rng, 90, 40, 3)
+        with pytest.raises(ConvergenceFailure):
+            fit_logistic(x, y, tol=1e-14)
 
     def test_separable_weights_stay_finite(self):
         # far apart classes: without the penalty the loss has no minimum
@@ -218,7 +230,7 @@ class TestLogisticSolver:
             x, y = sweep_columns(rng, 60, 8, n_classes)
             with pytest.raises(ConvergenceFailure):
                 fit_logistic(x, y, max_iter=1)
-            fit_logistic(x, y, max_iter=30)
+            fit_logistic(x, y)
 
 
 class TestScores:
