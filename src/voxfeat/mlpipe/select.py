@@ -30,6 +30,8 @@ from .table import (
 from .transform import SelectionResult, pearson, unit_columns
 
 Selector = Callable[[FeatureTable, int], SelectionResult]
+# one table and a list of ks -> each k's selection on that table
+SelectKs = Callable[[FeatureTable, list[int]], dict[int, SelectionResult]]
 
 
 def _require_target(tbl: FeatureTable, op: str) -> np.ndarray:
@@ -109,48 +111,81 @@ def _fit_importances(x: np.ndarray, y: np.ndarray, estimator: str) -> np.ndarray
     raise ValueError(f"unknown estimator {estimator!r}; use 'ols' or 'logistic'")
 
 
+def _without(cols: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Boolean mask of the positions in drop, and cols with them removed."""
+    mask = np.zeros(cols.size, dtype=bool)
+    mask[drop] = True
+    return mask, cols[~mask]
+
+
+def _rfe_result(names: tuple[str, ...], survivors: np.ndarray, imp: np.ndarray,
+                batches: list[tuple[np.ndarray, np.ndarray]]) -> SelectionResult:
+    """Survivors by final importance, then each dropped batch from the last
+    back to the first, strongest first within a group (ties in column order)."""
+    groups = [(survivors, imp)] + batches[::-1]
+    ranked = [(names[cols[i]], float(vals[i]))
+              for cols, vals in groups for i in np.argsort(-vals, kind="stable")]
+    return SelectionResult(
+        tuple(name for name, _ in ranked[:survivors.size]),
+        {name: r for r, (name, _) in enumerate(ranked, start=1)},
+        dict(ranked),
+    )
+
+
+def rfe_path(tbl: FeatureTable, k_values: list[int],
+             estimator: str = "ols") -> dict[int, SelectionResult]:
+    """rfe_select's result for each k in k_values, from one elimination path.
+
+    Every k takes the same steps of max(1, remaining // 10) weakest columns
+    until such a step would pass k; that step is clamped to land on k, and
+    the k survivors are refit. So one walk from all columns serves every k:
+    each k branches off at the first state whose full step would pass it,
+    reusing that state's fit, and costs one more fit unless it lies on the
+    path. Each k gets the same fits, hence the same result, as a walk for
+    that k alone.
+    """
+    ks = sorted(set(k_values))
+    for k in ks:
+        if not 1 <= k <= tbl.n_cols:
+            raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
+    y = _require_target(tbl, "rfe_select")
+    if estimator == "logistic":
+        y = _class_labels(tbl, "rfe_select").astype(np.float64)
+    rows = impute_and_standardize(tbl)[0].rows
+    names = tbl.column_names
+    remaining = np.arange(tbl.n_cols)
+    batches: list[tuple[np.ndarray, np.ndarray]] = []  # (columns, importances) per step
+    results: dict[int, SelectionResult] = {}
+    while ks:
+        imp = _fit_importances(rows[:, remaining], y, estimator)
+        order = np.argsort(imp, kind="stable")  # weakest first
+        n_left = remaining.size
+        step = max(1, n_left // 10)
+        while ks and ks[-1] > n_left - step:
+            k = ks.pop()
+            if k == n_left:
+                results[k] = _rfe_result(names, remaining, imp, batches)
+                continue
+            drop, kept = _without(remaining, order[:n_left - k])
+            results[k] = _rfe_result(
+                names, kept, _fit_importances(rows[:, kept], y, estimator),
+                batches + [(remaining[drop], imp[drop])])
+        if ks:
+            drop, kept = _without(remaining, order[:step])
+            batches.append((remaining[drop], imp[drop]))
+            remaining = kept
+    return results
+
+
 def rfe_select(tbl: FeatureTable, k: int, estimator: str = "ols") -> SelectionResult:
     """Recursive elimination: refit, drop the weakest-coefficient features,
     repeat until k remain. Step size adapts as max(1, remaining // 10).
 
     Ranking: survivors take ranks 1..k by final coefficient magnitude;
     eliminated features follow in reverse elimination order (last out ranks
-    best), weakest first within a batch.
+    best), strongest first within a batch.
     """
-    if not 1 <= k <= tbl.n_cols:
-        raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
-    y = _require_target(tbl, "rfe_select")
-    if estimator == "logistic":
-        y = _class_labels(tbl, "rfe_select").astype(np.float64)
-    z, _ = impute_and_standardize(tbl)
-    remaining = list(range(tbl.n_cols))
-    batches: list[list[tuple[int, float]]] = []  # (column index, |coef| when dropped)
-    while len(remaining) > k:
-        imp = _fit_importances(z.rows[:, remaining], y, estimator)
-        step = min(max(1, len(remaining) // 10), len(remaining) - k)
-        order = np.argsort(imp, kind="stable")[:step]  # weakest first
-        batch = [(remaining[i], float(imp[i])) for i in sorted(order, key=lambda i: imp[i])]
-        batches.append(batch)
-        drop = {remaining[i] for i in order}
-        remaining = [j for j in remaining if j not in drop]
-
-    final_imp = _fit_importances(z.rows[:, remaining], y, estimator)
-    scores: dict[str, float] = {}
-    survivor_order = np.argsort(-final_imp, kind="stable")
-    kept = tuple(tbl.column_names[remaining[i]] for i in survivor_order)
-    ranking: dict[str, int] = {}
-    for r, i in enumerate(survivor_order):
-        name = tbl.column_names[remaining[i]]
-        ranking[name] = r + 1
-        scores[name] = float(final_imp[i])
-    rank = k + 1
-    for batch in reversed(batches):
-        for col, imp_val in sorted(batch, key=lambda t: -t[1]):
-            name = tbl.column_names[col]
-            ranking[name] = rank
-            scores[name] = imp_val
-            rank += 1
-    return SelectionResult(kept, ranking, scores)
+    return rfe_path(tbl, [k], estimator)[k]
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +312,25 @@ def _fold_score(train: FeatureTable, val: FeatureTable, y_train: np.ndarray,
     return r2_score(y_val, fit_ols(train_z, y_train).predict(val_z))
 
 
+def ranked_prefixes(selector: Selector) -> SelectKs:
+    """SelectKs for a selector whose top k is the first k of one ranking
+    (anova_f, mrmr, importance): one run at the largest k, and each k keeps
+    a prefix of its columns with that run's ranking and scores."""
+    def select_ks(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResult]:
+        full = selector(tbl, max(k_values))
+        return {k: SelectionResult(full.kept_columns[:k], full.ranking, full.scores)
+                for k in k_values}
+    return select_ks
+
+
 def cv_score_curve(
     tbl: FeatureTable,
-    selector: Selector,
+    selector: Selector | None,
     estimator: str,
     k_values: list[int],
     folds: int,
     seed: int = 0,
-    nested: bool = False,
+    select_ks: SelectKs | None = None,
 ) -> list[CurvePoint]:
     """Mean/std validation score per requested feature count.
 
@@ -292,10 +338,10 @@ def cv_score_curve(
     rows; the validation rows are transformed with the training parameters.
     Scores are accuracy for "logistic" and R^2 for "ols".
 
-    nested declares that the selector's top-k columns are the first k of its
-    top-(k+1) for every k, as for a ranking. The selector then runs once per
-    fold at the largest k and each smaller k takes a prefix; the curve is the
-    same as with one run per (k, fold), which is what happens otherwise.
+    select_ks, when given, selects for all of a fold's ks in one call (see
+    ranked_prefixes and rfe_path) and selector is not used; otherwise
+    selector runs once per (k, fold). Either way each k scores the columns
+    that a selection at that k alone keeps.
     """
     if folds < 2:
         raise ValueError(f"folds must be >= 2, got {folds}")
@@ -309,16 +355,18 @@ def cv_score_curve(
         raise ValueError(f"{folds} folds leave an empty fold for {tbl.n_rows} rows")
     if k_values and min(k_values) < 1:
         raise InvalidK(f"k must be >= 1, got {min(k_values)}")
+    if select_ks is None:
+        def select_ks(train: FeatureTable, ks: list[int]) -> dict[int, SelectionResult]:
+            return {k: selector(train, k) for k in ks}
     scores = np.empty((len(k_values), folds))
     for f, val_idx in enumerate(fold_idx):
         train_idx = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
         train = tbl.select_rows(train_idx)
         val = tbl.select_rows(val_idx)
         ks = [min(k, train.n_cols) for k in k_values]
-        if nested and ks:
-            ranked = selector(train, max(ks)).kept_columns
+        selected = select_ks(train, ks) if ks else {}
         for i, k in enumerate(ks):
-            chosen = ranked[:k] if nested else selector(train, k).kept_columns
+            chosen = selected[k].kept_columns
             scores[i, f] = _fold_score(train.select_columns(chosen), val.select_columns(chosen),
                                        y_all[train_idx], y_all[val_idx], estimator)
     return [CurvePoint(int(k), float(row.mean()), float(row.std()))

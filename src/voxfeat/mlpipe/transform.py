@@ -75,9 +75,11 @@ def pearson(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pearson r of each column of u against the column v, both from
     unit_columns, clipped to [-1, 1].
 
-    The products are summed in row order, so equal columns get equal r
-    wherever they sit; a BLAS product rounds by position and would break
-    exact ties.
+    numpy sums the products of each column by one rule for the whole array
+    (down the rows for C order, pairwise per column for Fortran order), so
+    equal columns of one array get exactly equal r wherever they sit, under
+    either layout; a BLAS product rounds by position and would break exact
+    ties. The same data in the other layout may differ by ulps.
     """
     return np.clip((u * v[:, None]).sum(axis=0) / max(v.size, 1), -1.0, 1.0)
 

@@ -39,8 +39,9 @@ from .mlpipe import (
     low_variance_filter,
     mrmr_rank,
     pca,
+    ranked_prefixes,
     read_table_csv,
-    rfe_select,
+    rfe_path,
     scatter_export,
     table_to_csv_text,
 )
@@ -264,14 +265,14 @@ def _importance_topk(tbl: FeatureTable, k: int) -> SelectionResult:
     return SelectionResult(kept, full.ranking, full.scores)
 
 
-# selector -> (function, nested): a nested selector's top k is the first k of
-# one ranking, so the score curve selects once per fold; RFE's top-k sets are
-# not nested
+# selector -> its SelectKs: anova_f, mrmr and importance each rank once and
+# every k keeps a prefix of the ranking; rfe's top-k sets are not nested, so
+# it walks one elimination path and branches off to each k
 _SELECTORS = {
-    "anova_f": (anova_f_select, True),
-    "rfe": (rfe_select, False),
-    "mrmr": (mrmr_rank, True),
-    "importance": (_importance_topk, True),
+    "anova_f": ranked_prefixes(anova_f_select),
+    "rfe": rfe_path,
+    "mrmr": ranked_prefixes(mrmr_rank),
+    "importance": ranked_prefixes(_importance_topk),
 }
 
 
@@ -352,13 +353,13 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     estimator = spec.estimator
     if estimator == "auto":
         estimator = "logistic" if is_classification(tbl) else "ols"
-    selector, nested = _SELECTORS[spec.selector]
+    select_ks = _SELECTORS[spec.selector]
 
     k_values = sorted({min(k, tbl.n_cols) for k in spec.k_values})
     final_k = max(k_values)
-    final = _stage("selection", selector, tbl, final_k)
-    curve = _stage("cv_curve", cv_score_curve, tbl, selector, estimator,
-                   k_values, spec.folds, cfg.seed, nested)
+    final = _stage("selection", select_ks, tbl, [final_k])[final_k]
+    curve = _stage("cv_curve", cv_score_curve, tbl, None, estimator,
+                   k_values, spec.folds, cfg.seed, select_ks)
     report["stages"].append({
         "stage": "selection",
         "selector": spec.selector,

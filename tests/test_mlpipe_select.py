@@ -8,6 +8,7 @@ from voxfeat.errors import DegenerateClasses, InvalidK, NotClassification
 from voxfeat.mlpipe import (
     CurvePoint,
     FeatureTable,
+    SelectionResult,
     accuracy_score,
     anova_f_select,
     anova_f_values,
@@ -21,10 +22,13 @@ from voxfeat.mlpipe import (
     is_classification,
     mrmr_rank,
     r2_score,
+    ranked_prefixes,
+    rfe_path,
     rfe_select,
 )
-from voxfeat.mlpipe.select import _fold_indices
-from voxfeat.pipeline import _SELECTORS
+from voxfeat.mlpipe import select as select_module
+from voxfeat.mlpipe.select import _class_labels, _fit_importances, _fold_indices
+from voxfeat.pipeline import _SELECTORS, _importance_topk
 
 
 def make(cols, data, target=None):
@@ -546,22 +550,25 @@ class TestCurveSelectsOncePerFold:
 
     @pytest.mark.parametrize("seed, target", enumerate(("binary", "3-class", "float"), start=40))
     def test_nested_selectors_match_reference(self, seed, target):
-        nested = {name: fn for name, (fn, is_nested) in _SELECTORS.items() if is_nested}
-        assert sorted(nested) == ["anova_f", "importance", "mrmr"]
+        rankings = {"anova_f": anova_f_select, "mrmr": mrmr_rank, "importance": _importance_topk}
+        assert sorted(_SELECTORS) == sorted(rankings) + ["rfe"]
         estimator = "ols" if target == "float" else "logistic"
         rng = np.random.default_rng(seed)
         for _ in range(4):
             tbl = messy_table(rng, target)
             folds = int(rng.integers(2, 5))
             k_values = [int(k) for k in rng.integers(1, tbl.n_cols + 3, rng.integers(1, 6))]
-            for name, fn in nested.items():
+            for name, fn in rankings.items():
                 if name == "anova_f" and target == "float":
                     continue
                 run, calls = self.counted(fn)
-                got = cv_score_curve(tbl, run, estimator, k_values, folds, seed=3, nested=True)
+                got = cv_score_curve(tbl, None, estimator, k_values, folds, seed=3,
+                                     select_ks=ranked_prefixes(run))
                 assert got == reference_curve(tbl, fn, estimator, k_values, folds, seed=3), name
                 assert len(calls) == folds
                 assert calls == [min(max(k_values), tbl.n_cols)] * folds
+                assert cv_score_curve(tbl, None, estimator, k_values, folds, seed=3,
+                                      select_ks=_SELECTORS[name]) == got, name
 
     def test_undeclared_and_rfe_run_per_k_and_fold(self):
         rng = np.random.default_rng(44)
@@ -576,4 +583,154 @@ class TestCurveSelectsOncePerFold:
     def test_k_below_one_rejected(self):
         tbl = messy_table(np.random.default_rng(45), "binary")
         with pytest.raises(InvalidK):
-            cv_score_curve(tbl, anova_f_select, "logistic", [0, 2], 3, nested=True)
+            cv_score_curve(tbl, None, "logistic", [0, 2], 3, select_ks=_SELECTORS["anova_f"])
+
+
+def reference_rfe(tbl, k, estimator="ols"):
+    """The former rfe_select: one elimination walk per k."""
+    y = tbl.target
+    if estimator == "logistic":
+        y = _class_labels(tbl, "rfe_select").astype(np.float64)
+    z, _ = impute_and_standardize(tbl)
+    remaining = list(range(tbl.n_cols))
+    batches = []
+    while len(remaining) > k:
+        imp = _fit_importances(z.rows[:, remaining], y, estimator)
+        step = min(max(1, len(remaining) // 10), len(remaining) - k)
+        order = np.argsort(imp, kind="stable")[:step]
+        batches.append([(remaining[i], float(imp[i])) for i in sorted(order, key=lambda i: imp[i])])
+        drop = {remaining[i] for i in order}
+        remaining = [j for j in remaining if j not in drop]
+    final_imp = _fit_importances(z.rows[:, remaining], y, estimator)
+    survivor_order = np.argsort(-final_imp, kind="stable")
+    kept = tuple(tbl.column_names[remaining[i]] for i in survivor_order)
+    ranking, scores = {}, {}
+    for r, i in enumerate(survivor_order):
+        name = tbl.column_names[remaining[i]]
+        ranking[name] = r + 1
+        scores[name] = float(final_imp[i])
+    rank = k + 1
+    for batch in reversed(batches):
+        for col, imp_val in sorted(batch, key=lambda t: -t[1]):
+            ranking[tbl.column_names[col]] = rank
+            scores[tbl.column_names[col]] = imp_val
+            rank += 1
+    return SelectionResult(kept, ranking, scores)
+
+
+def path_states(n_cols, k_min):
+    """Column counts the unclamped elimination visits on its way to k_min."""
+    states = [n_cols]
+    while states[-1] - max(1, states[-1] // 10) >= k_min:
+        states.append(states[-1] - max(1, states[-1] // 10))
+    return states
+
+
+def rfe_table(rng, target):
+    """messy_table plus two near-copies (relative noise 1e-9) of its columns
+    and 15-40 normal columns with NaN cells, wide enough that the elimination
+    steps by more than one column at first."""
+    tbl = messy_table(rng, target)
+    src = rng.integers(0, tbl.n_cols, 2)
+    near = tbl.rows[:, src] * (1.0 + 1e-9 * rng.normal(size=(tbl.n_rows, 2)))
+    wide = rng.normal(size=(tbl.n_rows, int(rng.integers(15, 41))))
+    wide[rng.random(wide.shape) < 0.05] = np.nan
+    rows = np.column_stack([tbl.rows, near, wide])
+    names = tbl.column_names + ("near0", "near1") + tuple(f"w{j}" for j in range(wide.shape[1]))
+    return make(names, rows, tbl.target)
+
+
+def path_ks(rng, n_cols):
+    """Random ks, unsorted and with repeats, plus all columns and one k on
+    and one off the unclamped path."""
+    ks = [int(k) for k in rng.integers(1, n_cols + 1, 4)]
+    on = path_states(n_cols, 1)
+    off = sorted(set(range(1, n_cols + 1)) - set(on))
+    ks += [n_cols, int(rng.choice(on[1:])), int(rng.choice(off)), ks[0]]
+    return [ks[i] for i in rng.permutation(len(ks))]
+
+
+class TestRfePath:
+    """One elimination path per table gives every k what its own walk gives."""
+
+    @pytest.mark.parametrize("seed, target, estimator", [
+        (50, "float", "ols"), (51, "binary", "ols"),
+        (52, "binary", "logistic"), (53, "3-class", "logistic"),
+    ])
+    def test_matches_rfe_select_and_reference(self, seed, target, estimator):
+        rng = np.random.default_rng(seed)
+        for _ in range(3):
+            tbl = rfe_table(rng, target)
+            ks = path_ks(rng, tbl.n_cols)
+            got = rfe_path(tbl, ks, estimator)
+            assert sorted(got) == sorted(set(ks))
+            for k in ks:
+                want = reference_rfe(tbl, k, estimator)
+                assert got[k] == want, k
+                assert rfe_select(tbl, k, estimator) == want, k
+                assert sorted(want.ranking.values()) == list(range(1, tbl.n_cols + 1))
+
+    @pytest.fixture
+    def ols_fits(self, monkeypatch):
+        """Column count of every OLS fit the selection code makes."""
+        fits = []
+
+        def counting_ols(x, y):
+            fits.append(x.shape[1])
+            return fit_ols(x, y)
+
+        monkeypatch.setattr(select_module, "fit_ols", counting_ols)
+        return fits
+
+    def test_fits_path_once_plus_one_per_k_off_it(self, ols_fits):
+        fits = ols_fits
+        rng = np.random.default_rng(54)
+        for _ in range(5):
+            tbl = rfe_table(rng, "float")
+            ks = path_ks(rng, tbl.n_cols)
+            fits.clear()
+            rfe_path(tbl, ks)
+            on = path_states(tbl.n_cols, min(ks))
+            assert fits[:1] == [tbl.n_cols]
+            assert len(fits) == len(on) + len(set(ks) - set(on))
+
+    def test_score_curve_fits_one_path_per_fold(self, ols_fits):
+        fits = ols_fits
+        tbl = rfe_table(np.random.default_rng(55), "binary")
+        ks, folds = [1, 2, 5, 10], 4
+        cv_score_curve(tbl, None, "logistic", ks, folds, seed=2, select_ks=_SELECTORS["rfe"])
+        on = path_states(tbl.n_cols, 1)
+        assert len(fits) == folds * (len(on) + len(set(ks) - set(on)))
+
+    @pytest.mark.parametrize("seed, target", [(56, "binary"), (57, "float")])
+    def test_score_curve_matches_reference(self, seed, target):
+        rng = np.random.default_rng(seed)
+        estimator = "ols" if target == "float" else "logistic"
+        for _ in range(3):
+            tbl = rfe_table(rng, target)
+            folds = int(rng.integers(2, 5))
+            ks = [int(k) for k in rng.integers(1, tbl.n_cols + 3, rng.integers(1, 6))]
+            got = cv_score_curve(tbl, None, estimator, ks, folds, seed=4,
+                                 select_ks=_SELECTORS["rfe"])
+            assert got == reference_curve(tbl, reference_rfe, estimator, ks, folds, seed=4)
+
+    def test_fold_path_never_sees_validation_rows(self):
+        tbl = rfe_table(np.random.default_rng(58), "binary")
+        folds = 4
+        seen = []
+
+        def spy(train, ks):
+            seen.append(frozenset(train.row_ids))
+            return _SELECTORS["rfe"](train, ks)
+
+        cv_score_curve(tbl, None, "logistic", [1, 3, 8], folds, seed=6, select_ks=spy)
+        all_ids = frozenset(tbl.row_ids)
+        val_ids = [frozenset(tbl.row_ids[i] for i in idx)
+                   for idx in _fold_indices(tbl, folds, 6)]
+        assert seen == [all_ids - val for val in val_ids]
+
+    def test_k_bounds_checked_for_every_k(self):
+        tbl = rfe_table(np.random.default_rng(59), "float")
+        for bad in (0, tbl.n_cols + 1):
+            with pytest.raises(InvalidK):
+                rfe_path(tbl, [2, bad])
