@@ -1,11 +1,13 @@
 """Frame-level acoustic descriptors and the per-recording analysis they share.
 
 Pitch (difference-function method), jitter/shimmer/HNR from picked glottal
-cycles, MFCC, spectral shape/contrast/flux, energy scalars, tempo, and
-polynomial spectrum fits. Spectral descriptors are array expressions over
-the last axis, so one frame and a whole spectrogram run the same code.
-Everything here is pure and deterministic: the same AudioBuffer always
-yields bit-identical outputs.
+cycles, MFCC, spectral shape/contrast/flux/band slopes, energy scalars,
+tempo, and polynomial spectrum fits. Spectral descriptors are array
+expressions over the last axis, so one frame, a block of frames and a whole
+spectrogram run the same code. An Analysis computes them in one pass over
+blocks of BLOCK_FRAMES frames and keeps only the per-frame series, so its
+memory follows the block, not the recording. Everything here is pure and
+deterministic: the same AudioBuffer always yields bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct
 
-from .audio_io import AudioBuffer, FrameMatrix, frame_signal
+from .audio_io import AudioBuffer, FrameMatrix, frame_signal, raw_frames, window_coefficients
 from .errors import (
     InvalidBandConfig,
     InvalidFftSize,
@@ -25,6 +27,17 @@ from .errors import (
 )
 
 SPECTRAL_FLOOR = 1e-10  # applied before any log so silence stays finite
+
+# Frames per block of F0 and of the descriptor pass: peak memory follows
+# this, not the recording. The descriptor pass folds a short tail into the
+# block before it, because its BLAS-backed rows (the mel projection, the
+# band slopes, the polynomial fit) change in their last bits on blocks of
+# under about 70 frames; from 256 up they match the whole-recording batch
+# bit for bit (numpy 2.4.6 with OpenBLAS; tests pin it).
+BLOCK_FRAMES = 256
+CONTRAST_BANDS = 4
+CONTRAST_FMIN_HZ = 200.0
+SLOPE_BANDS_HZ = ((0, 500), (500, 1500))  # the band-slope series, slope_<lo>_<hi>
 
 
 @dataclass(frozen=True)
@@ -102,10 +115,14 @@ def _next_pow2(n: int) -> int:
     return p
 
 
+def _frame_geometry(buf: AudioBuffer, config: AcousticConfig) -> tuple[int, int]:
+    """Frame length and hop in samples."""
+    return (int(round(config.frame_seconds * buf.sample_rate_hz)),
+            int(round(config.hop_seconds * buf.sample_rate_hz)))
+
+
 def analysis_frames(buf: AudioBuffer, config: AcousticConfig) -> FrameMatrix:
-    frame_len = int(round(config.frame_seconds * buf.sample_rate_hz))
-    hop = int(round(config.hop_seconds * buf.sample_rate_hz))
-    return frame_signal(buf, frame_len, hop, config.window)
+    return frame_signal(buf, *_frame_geometry(buf, config), config.window)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +137,15 @@ def power_spectrum(frame: np.ndarray, n_fft: int, sample_rate_hz: int) -> Spectr
     identity holds over the full transform: sum |X[k]|^2 = n_fft * sum x[n]^2.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    frame_len = frame.shape[-1]
+    _check_fft_size(n_fft, frame.shape[-1])
+    return Spectrum(np.abs(np.fft.rfft(frame, n_fft, axis=-1)), sample_rate_hz / n_fft)
+
+
+def _check_fft_size(n_fft: int, frame_len: int) -> None:
     if n_fft < frame_len or n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
         raise InvalidFftSize(
             f"n_fft must be a power of two >= frame length {frame_len}, got {n_fft}"
         )
-    return Spectrum(np.abs(np.fft.rfft(frame, n_fft, axis=-1)), sample_rate_hz / n_fft)
 
 
 def spectra(frames: FrameMatrix, n_fft: int | None = None) -> Spectrum:
@@ -138,9 +158,6 @@ def spectra(frames: FrameMatrix, n_fft: int | None = None) -> Spectrum:
 # ---------------------------------------------------------------------------
 # pitch
 # ---------------------------------------------------------------------------
-
-F0_BLOCK_FRAMES = 512  # frames per F0 batch: peak memory follows this, not the recording
-
 
 def f0_track(
     buf: AudioBuffer,
@@ -156,7 +173,7 @@ def f0_track(
     the voicing threshold, or when the interpolated frequency leaves
     [f_min, f_max]. The integration window is one maximum period, so each
     frame consumes 2*ceil(sr/f_min) samples. Frames are processed in
-    batches of F0_BLOCK_FRAMES; each frame is independent of the others.
+    batches of BLOCK_FRAMES; each frame is independent of the others.
     """
     if not 0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
@@ -174,7 +191,7 @@ def f0_track(
     starts = hop * np.arange(1 + (x.size - chunk) // hop)
     periods = np.concatenate([
         _yin_periods(x[block[:, None] + np.arange(chunk)], tau_min, tau_max, threshold)
-        for block in np.split(starts, np.arange(F0_BLOCK_FRAMES, starts.size, F0_BLOCK_FRAMES))
+        for block in np.split(starts, np.arange(BLOCK_FRAMES, starts.size, BLOCK_FRAMES))
     ])
     f0 = sr / periods
     return FrameSeries("f0", np.where((f0 >= f_min) & (f0 <= f_max), f0, np.nan), hop_seconds)
@@ -420,17 +437,28 @@ def mfcc(
     Power spectrum -> triangular mel filterbank -> floored natural log ->
     orthonormal type-II DCT, first n_coeffs kept on the last axis.
     """
-    nyquist = spec.nyquist_hz
+    bank = _mfcc_bank(spec.magnitudes.shape[-1], spec.bin_hz, n_mels, n_coeffs, fmin, fmax)
+    return _cepstra(spec, bank)[..., :n_coeffs]
+
+
+def _mfcc_bank(n_bins: int, bin_hz: float, n_mels: int, n_coeffs: int,
+               fmin: float, fmax: float | None) -> np.ndarray:
+    """mfcc's filterbank, after checking its band configuration."""
+    nyquist = (n_bins - 1) * bin_hz
     if fmax is None:
         fmax = nyquist
     if n_coeffs > n_mels or n_mels < 1:
         raise InvalidBandConfig(f"need 1 <= n_coeffs <= n_mels, got {n_coeffs} > {n_mels}")
     if not 0 <= fmin < fmax or fmax > nyquist + 1e-9:
         raise InvalidBandConfig(f"need 0 <= fmin < fmax <= {nyquist}, got [{fmin}, {fmax}]")
-    bank = mel_filterbank(n_mels, spec.magnitudes.shape[-1], spec.bin_hz, fmin, fmax)
+    return mel_filterbank(n_mels, n_bins, bin_hz, fmin, fmax)
+
+
+def _cepstra(spec: Spectrum, bank: np.ndarray) -> np.ndarray:
+    """Every cepstral coefficient (one per mel band) of each spectrum frame."""
     energies = (spec.magnitudes ** 2) @ bank.T
     logs = np.log(np.maximum(energies, SPECTRAL_FLOOR))
-    return dct(logs, type=2, norm="ortho", axis=-1)[..., :n_coeffs]
+    return dct(logs, type=2, norm="ortho", axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +490,8 @@ def spectral_shape(spec: Spectrum) -> dict[str, np.ndarray]:
 
 def spectral_contrast(
     spec: Spectrum,
-    n_bands: int = 4,
-    fmin: float = 200.0,
+    n_bands: int = CONTRAST_BANDS,
+    fmin: float = CONTRAST_FMIN_HZ,
     quantile: float = 0.02,
 ) -> np.ndarray:
     """Octave-band peak-to-valley contrast in nats, bands on the last axis.
@@ -510,8 +538,13 @@ def spectral_flux_onset(spectrogram: Spectrum, hop_seconds: float) -> FrameSerie
     if mags.shape[0] < 2:
         raise TooFewFrames(f"flux needs >= 2 frames, got {mags.shape[0]}")
     logs = np.log(np.maximum(mags, SPECTRAL_FLOOR))
-    rises = np.maximum(0.0, logs[1:] - logs[:-1]).mean(axis=1)
-    return FrameSeries("flux", np.concatenate([[0.0], rises]), hop_seconds)
+    return FrameSeries("flux", _log_rises(logs, logs[:1]), hop_seconds)
+
+
+def _log_rises(logs: np.ndarray, before: np.ndarray) -> np.ndarray:
+    """Mean positive rise of each log-magnitude row over the row before it;
+    `before` is the (1, bins) row preceding logs[0]."""
+    return np.maximum(0.0, np.diff(logs, axis=0, prepend=before)).mean(axis=1)
 
 
 def tempogram_tempo(onset: FrameSeries, window: int = 384) -> tuple[float, np.ndarray]:
@@ -557,9 +590,104 @@ def poly_features(spec: Spectrum, order: int) -> np.ndarray:
     return np.polyfit(spec.frequencies, spec.magnitudes.T, order).T
 
 
+def band_slope(spec: Spectrum, lo: float, hi: float) -> np.ndarray:
+    """Least-squares slope (dB/Hz) of the floored log-power spectrum over [lo, hi]."""
+    freqs = spec.frequencies
+    sel = (freqs >= lo) & (freqs <= hi)
+    if sel.sum() < 2:
+        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
+    power_db = 10.0 * np.log10(np.maximum(spec.magnitudes[..., sel] ** 2, SPECTRAL_FLOOR))
+    # closed form on centred frequencies: exactly 0 for a flat (or silent) band
+    centred = freqs[sel] - freqs[sel].mean()
+    return ((power_db - power_db.mean(axis=-1, keepdims=True)) @ centred
+            / (centred @ centred))[()]
+
+
+def _db_ratio(num: np.ndarray, den: np.ndarray, scale: float) -> np.ndarray:
+    """scale*log10(num/den) where both are positive, NaN elsewhere."""
+    ok = (num > 0) & (den > 0)
+    return np.where(ok, scale * np.log10(np.where(ok, num, 1.0) / np.where(ok, den, 1.0)),
+                    np.nan)[()]
+
+
+def alpha_ratio(spec: Spectrum) -> np.ndarray:
+    """10*log10 of the power in 50-1000 Hz over the power in 1000-5000 Hz."""
+    freqs = spec.frequencies
+    power = spec.magnitudes ** 2
+    low = power[..., (freqs >= 50.0) & (freqs <= 1000.0)].sum(axis=-1)
+    high = power[..., (freqs > 1000.0) & (freqs <= 5000.0)].sum(axis=-1)
+    return _db_ratio(low, high, 10.0)
+
+
+def hammarberg(spec: Spectrum) -> np.ndarray:
+    """20*log10 of the peak magnitude in 0-2 kHz over the peak in 2-5 kHz."""
+    freqs = spec.frequencies
+    low = (freqs >= 0.0) & (freqs <= 2000.0)
+    high = (freqs > 2000.0) & (freqs <= 5000.0)
+    if not low.any() or not high.any():
+        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
+    return _db_ratio(spec.magnitudes[..., low].max(axis=-1),
+                     spec.magnitudes[..., high].max(axis=-1), 20.0)
+
+
 # ---------------------------------------------------------------------------
 # per-recording analysis
 # ---------------------------------------------------------------------------
+
+def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.ndarray]:
+    """Every per-frame energy and spectral descriptor of the recording.
+
+    One pass over blocks of BLOCK_FRAMES to 2*BLOCK_FRAMES-1 frames (the
+    last block takes the tail; a recording with fewer frames is one block):
+    each block is windowed, transformed and reduced to its rows, then
+    freed, so the windowed frames and the spectrogram never exist for the
+    whole recording. Returns (n_frames,) series rms, zcr, centroid, bandwidth,
+    rolloff, flatness, poly_slope, poly_intercept, slope_<lo>_<hi> for each
+    SLOPE_BANDS_HZ band, alpha_ratio, hammarberg and flux; and (n_frames, k)
+    series mfcc (every coefficient, k = n_mels) and contrast (k =
+    CONTRAST_BANDS). Flux carries the previous block's last log-magnitude
+    row across each boundary; it is all NaN below two frames, where no
+    frame has a predecessor.
+    """
+    frame_len, hop = _frame_geometry(buf, config)
+    raw = raw_frames(buf, frame_len, hop)
+    window = window_coefficients(config.window, frame_len)
+    n_fft = _next_pow2(frame_len) if config.n_fft is None else config.n_fft
+    _check_fft_size(n_fft, frame_len)
+    sr = buf.sample_rate_hz
+    bank = _mfcc_bank(n_fft // 2 + 1, sr / n_fft, config.n_mels, config.n_mels, 0.0, None)
+    n_frames = raw.shape[0]
+    edges = [i * BLOCK_FRAMES for i in range(max(1, n_frames // BLOCK_FRAMES))] + [n_frames]
+    out: dict[str, np.ndarray] = {}
+    before = None
+    for start, stop in zip(edges, edges[1:]):
+        block = FrameMatrix(raw[start:stop] * window, raw[start:stop], frame_len, hop, sr)
+        spec = spectra(block, n_fft)
+        logs = np.log(np.maximum(spec.magnitudes, SPECTRAL_FLOOR))
+        shape = spectral_shape(spec)
+        poly = poly_features(spec, 1)
+        rows = {
+            **{name: series.values for name, series in frame_scalars(block).items()},
+            **{name: shape[f"{name}_hz"] for name in ("centroid", "bandwidth", "rolloff")},
+            "flatness": shape["flatness"],
+            "mfcc": _cepstra(spec, bank),
+            "contrast": spectral_contrast(spec, CONTRAST_BANDS, CONTRAST_FMIN_HZ),
+            "poly_slope": poly[:, 0],
+            "poly_intercept": poly[:, 1],
+            **{f"slope_{lo}_{hi}": band_slope(spec, lo, hi) for lo, hi in SLOPE_BANDS_HZ},
+            "alpha_ratio": alpha_ratio(spec),
+            "hammarberg": hammarberg(spec),
+            "flux": _log_rises(logs, logs[:1] if before is None else before),
+        }
+        before = logs[-1:].copy()  # a copy, so the block's logs can be freed
+        for name, value in rows.items():
+            if name not in out:
+                out[name] = np.empty((n_frames,) + value.shape[1:])
+            out[name][start:stop] = value
+    if n_frames < 2:
+        out["flux"][:] = np.nan
+    return out
+
 
 class _once:
     """functools.cached_property without its lock: before Python 3.12 that
@@ -580,9 +708,10 @@ class _once:
 class Analysis:
     """One recording's intermediates, each computed once, on first use.
 
-    Every acoustic family reads the same Analysis, so frames, spectra, F0,
-    HNR and glottal cycles are computed once per recording, and a family
-    that needs no F0 never runs the tracker. One thread uses one Analysis.
+    Every acoustic family reads the same Analysis, so the descriptor pass,
+    F0, HNR and glottal cycles run once per recording, and a family that
+    needs no F0 never runs the tracker. Only per-frame (and per-cycle)
+    series are kept, never frames or spectra. One thread uses one Analysis.
     """
 
     def __init__(self, buf: AudioBuffer, config: AcousticConfig) -> None:
@@ -590,36 +719,9 @@ class Analysis:
         self.config = config
 
     @_once
-    def frames(self) -> FrameMatrix:
-        return analysis_frames(self.buf, self.config)
-
-    @_once
-    def spectrogram(self) -> Spectrum:
-        """The (frames, bins) magnitude spectrogram."""
-        return spectra(self.frames, self.config.n_fft)
-
-    @_once
-    def scalars(self) -> dict[str, FrameSeries]:
-        """The rms and zcr series."""
-        return frame_scalars(self.frames)
-
-    @_once
-    def shape(self) -> dict[str, np.ndarray]:
-        return spectral_shape(self.spectrogram)
-
-    @_once
-    def mfccs(self) -> np.ndarray:
-        """Every cepstral coefficient (n_mels of them) per frame."""
-        return mfcc(self.spectrogram, self.config.n_mels, self.config.n_mels)
-
-    @_once
-    def flux(self) -> FrameSeries:
-        """Onset strength per frame; all NaN below two frames, where no
-        frame has a predecessor."""
-        n_frames = self.frames.n_frames
-        if n_frames < 2:
-            return FrameSeries("flux", np.full(n_frames, np.nan), self.config.hop_seconds)
-        return spectral_flux_onset(self.spectrogram, self.config.hop_seconds)
+    def descriptors(self) -> dict[str, np.ndarray]:
+        """Every per-frame energy and spectral series (see frame_descriptors)."""
+        return frame_descriptors(self.buf, self.config)
 
     @_once
     def f0(self) -> FrameSeries:

@@ -124,13 +124,14 @@ def load_wav(path: str | Path) -> AudioBuffer:
     if len(data) < 12 or data[:4] != b"RIFF" or data[8:12] != b"WAVE":
         raise MalformedContainer(f"{path.name}: not a RIFF/WAVE file")
 
+    view = memoryview(data)  # chunk bodies are slices of it, not copies
     fmt = None
     pcm_bytes = None
     pos = 12
     while pos + 8 <= len(data):
         chunk_id = data[pos:pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8:pos + 8 + chunk_size]
+        body = view[pos + 8:pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise MalformedContainer(f"{path.name}: fmt chunk truncated")
@@ -159,7 +160,8 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise EmptyAudio(f"{path.name}: zero samples")
     if channels == 2:
         ints = ints.reshape(-1, 2).mean(axis=1)
-    return AudioBuffer(ints / _INT16_SCALE, int(sample_rate), source_id=path.stem)
+    ints /= _INT16_SCALE  # in place: the buffer is the only float copy
+    return AudioBuffer(ints, int(sample_rate), source_id=path.stem)
 
 
 def write_wav(buf: AudioBuffer, path: str | Path) -> None:
@@ -188,16 +190,7 @@ def frame_signal(
     frame is discarded. Raises SignalTooShort when the signal cannot fill
     one frame.
     """
-    if frame_len < 2:
-        raise ValueError(f"frame_len must be >= 2, got {frame_len}")
-    if not 1 <= hop <= frame_len:
-        raise ValueError(f"hop must be in [1, frame_len], got {hop}")
-    n = buf.n_samples
-    if n < frame_len:
-        raise SignalTooShort(f"signal has {n} samples, frame needs {frame_len}")
-
-    # a strided view of the samples: frame i starts at i*hop, nothing is copied
-    raw = np.lib.stride_tricks.sliding_window_view(buf.samples, frame_len)[::hop]
+    raw = raw_frames(buf, frame_len, hop)
     return FrameMatrix(
         frames=raw * window_coefficients(window_kind, frame_len),
         raw=raw,
@@ -205,3 +198,19 @@ def frame_signal(
         hop=hop,
         sample_rate_hz=buf.sample_rate_hz,
     )
+
+
+def raw_frames(buf: AudioBuffer, frame_len: int, hop: int) -> np.ndarray:
+    """The (n_frames, frame_len) pre-window frames of frame_signal, as a
+    read-only strided view of the samples: nothing is copied.
+
+    Raises SignalTooShort when the signal cannot fill one frame.
+    """
+    if frame_len < 2:
+        raise ValueError(f"frame_len must be >= 2, got {frame_len}")
+    if not 1 <= hop <= frame_len:
+        raise ValueError(f"hop must be in [1, frame_len], got {hop}")
+    n = buf.n_samples
+    if n < frame_len:
+        raise SignalTooShort(f"signal has {n} samples, frame needs {frame_len}")
+    return np.lib.stride_tricks.sliding_window_view(buf.samples, frame_len)[::hop]

@@ -4,7 +4,9 @@ declare feature families, and compute the three acoustic families.
 Each family is declared once, beside the code that computes it: the CSV
 header, the feature dictionary and the computed row all read that
 declaration. The acoustic families read one shared acoustic.Analysis per
-recording, so each intermediate is computed once. Feature counts and orders
+recording, so each intermediate is computed once, and they read only its
+per-frame and per-cycle series: no family sees a frame or a spectrum, so
+their memory follows the recording's frame count. Feature counts and orders
 of gemaps_core (30) and spectral_set (30) are frozen; tests pin the exact
 name lists. Their name sets are disjoint.
 """
@@ -18,14 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .acoustic import (
+    CONTRAST_BANDS,
+    CONTRAST_FMIN_HZ,
+    SLOPE_BANDS_HZ,
+    SPECTRAL_FLOOR,
     AcousticConfig,
     Analysis,
     FrameSeries,
-    SPECTRAL_FLOOR,
-    Spectrum,
     nan_mean,
-    poly_features,
-    spectral_contrast,
     tempogram_tempo,
 )
 from .audio_io import AudioBuffer
@@ -230,74 +232,19 @@ def _mfcc_text(k: int) -> str:
     return f"mel cepstrum coefficient {k} (26 HTK mel bands, DCT-II ortho)"
 
 
-def _descriptor_series(a: Analysis) -> dict[str, np.ndarray]:
-    """Every _DESCRIPTOR_TEXT series, per frame."""
-    shape = a.shape
-    return {
-        "rms": a.scalars["rms"].values,
-        "zcr": a.scalars["zcr"].values,
-        "centroid": shape["centroid_hz"],
-        "bandwidth": shape["bandwidth_hz"],
-        "flatness": shape["flatness"],
-        "rolloff": shape["rolloff_hz"],
-        "flux": a.flux.values,
-    }
-
-
-def _band_slope(spec: Spectrum, lo: float, hi: float) -> np.ndarray:
-    """Least-squares slope (dB/Hz) of the floored log-power spectrum over [lo, hi]."""
-    freqs = spec.frequencies
-    sel = (freqs >= lo) & (freqs <= hi)
-    if sel.sum() < 2:
-        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
-    power_db = 10.0 * np.log10(np.maximum(spec.magnitudes[..., sel] ** 2, SPECTRAL_FLOOR))
-    # closed form on centred frequencies: exactly 0 for a flat (or silent) band
-    centred = freqs[sel] - freqs[sel].mean()
-    return ((power_db - power_db.mean(axis=-1, keepdims=True)) @ centred
-            / (centred @ centred))[()]
-
-
-def _db_ratio(num: np.ndarray, den: np.ndarray, scale: float) -> np.ndarray:
-    """scale*log10(num/den) where both are positive, NaN elsewhere."""
-    ok = (num > 0) & (den > 0)
-    return np.where(ok, scale * np.log10(np.where(ok, num, 1.0) / np.where(ok, den, 1.0)),
-                    np.nan)[()]
-
-
-def _alpha_ratio(spec: Spectrum) -> np.ndarray:
-    freqs = spec.frequencies
-    power = spec.magnitudes ** 2
-    low = power[..., (freqs >= 50.0) & (freqs <= 1000.0)].sum(axis=-1)
-    high = power[..., (freqs > 1000.0) & (freqs <= 5000.0)].sum(axis=-1)
-    return _db_ratio(low, high, 10.0)
-
-
-def _hammarberg(spec: Spectrum) -> np.ndarray:
-    freqs = spec.frequencies
-    low = (freqs >= 0.0) & (freqs <= 2000.0)
-    high = (freqs > 2000.0) & (freqs <= 5000.0)
-    if not low.any() or not high.any():
-        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
-    return _db_ratio(spec.magnitudes[..., low].max(axis=-1),
-                     spec.magnitudes[..., high].max(axis=-1), 20.0)
-
-
 def _gemaps(a: Analysis) -> FeatureVector:
     f0 = a.f0.values
     voiced = ~np.isnan(f0)
     jitter, shimmer = a.cycle_terms
-    spec = a.spectrogram
+    d = a.descriptors
     values = {
         "f0_semitone": np.where(voiced, 12.0 * np.log2(np.where(voiced, f0, 1.0) / 27.5), np.nan),
-        "loudness": a.scalars["rms"].values,
+        "loudness": d["rms"],
         "jitter": jitter,
         "shimmer": shimmer,
         "hnr": a.hnr.values,
-        "slope_0_500": _band_slope(spec, 0.0, 500.0),
-        "slope_500_1500": _band_slope(spec, 500.0, 1500.0),
-        "alpha_ratio": _alpha_ratio(spec),
-        "hammarberg": _hammarberg(spec),
-        **{f"mfcc{k}": a.mfccs[:, k] for k in range(1, 5)},
+        **{name: d[name] for name in _SLOPE_NAMES + ("alpha_ratio", "hammarberg")},
+        **{f"mfcc{k}": d["mfcc"][:, k] for k in range(1, 5)},
         "voiced_fraction": float(voiced.mean()) if f0.size else np.nan,
         "jitter_local": nan_mean(jitter),
         "shimmer_local": nan_mean(shimmer),
@@ -318,6 +265,9 @@ def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> Featu
     return _gemaps(Analysis(buf, config or AcousticConfig()))
 
 
+_SLOPE_NAMES = tuple(f"slope_{lo}_{hi}" for lo, hi in SLOPE_BANDS_HZ)
+
+
 def _slope_text(lo: int, hi: int) -> str:
     return (f"least-squares slope (dB/Hz) of the log-power spectrum "
             f"10*log10(max(|X|^2, {SPECTRAL_FLOOR:g})) over {lo}-{hi} Hz")
@@ -329,32 +279,25 @@ GEMAPS = Family("acoustic.gemaps", (
     ("jitter", "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair", _MEAN_STD),
     ("shimmer", "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair", _MEAN_STD),
     ("hnr", "10*log10(r / (1 - r)), r = periodic autocorrelation share", _MEAN_STD),
-    ("slope_0_500", _slope_text(0, 500), _MEAN_STD),
-    ("slope_500_1500", _slope_text(500, 1500), _MEAN_STD),
+    *((name, _slope_text(lo, hi), _MEAN_STD)
+      for name, (lo, hi) in zip(_SLOPE_NAMES, SLOPE_BANDS_HZ)),
     ("alpha_ratio", "10*log10(power 50-1000 Hz / power 1000-5000 Hz)", _MEAN_STD),
     ("hammarberg", "20*log10(peak magnitude 0-2 kHz / peak magnitude 2-5 kHz)", _MEAN_STD),
     *((f"mfcc{k}", _mfcc_text(k), _MEAN_STD) for k in range(1, 5)),
     ("voiced_fraction", "voiced frames / total frames"),
     ("jitter_local", "mean |T[i+1] - T[i]| / mean(T) over all glottal cycles"),
-    ("shimmer_local", "mean |A[i+1] - A[i]| / mean(A) over all cycle peaks"),
+    ("shimmer_local", "mean |A[i+1] - A[i]| / |mean(A)| over all cycle peaks"),
     ("hnr_db", "10*log10(r / (1 - r)) averaged over voiced frames"),
 ), _gemaps)
 GEMAPS_FEATURE_NAMES = GEMAPS.names  # 13*2 + 4 = 30
 
-_CONTRAST_BANDS = 4
-_CONTRAST_FMIN_HZ = 200.0
-
 
 def _spectral(a: Analysis) -> FeatureVector:
-    spec = a.spectrogram
-    contrasts = spectral_contrast(spec, _CONTRAST_BANDS, _CONTRAST_FMIN_HZ)
-    polys = poly_features(spec, 1)
+    d = a.descriptors
     values = {
-        **_descriptor_series(a),
-        **{f"contrast_b{b}": contrasts[:, b] for b in range(_CONTRAST_BANDS)},
-        "poly_slope": polys[:, 0],
-        "poly_intercept": polys[:, 1],
-        "tempo_bpm": tempogram_tempo(a.flux)[0],
+        **{name: d[name] for name in (*_DESCRIPTOR_TEXT, "poly_slope", "poly_intercept")},
+        **{f"contrast_b{b}": d["contrast"][:, b] for b in range(CONTRAST_BANDS)},
+        "tempo_bpm": tempogram_tempo(FrameSeries("flux", d["flux"], a.config.hop_seconds))[0],
     }
     return SPECTRAL.vector(values, a.buf.source_id)
 
@@ -370,8 +313,8 @@ SPECTRAL = Family("acoustic.spectral", (
       for name in ("centroid", "bandwidth", "flatness", "rolloff")),
     *((f"contrast_b{b}",
        "ln(mean of the top 2% / mean of the bottom 2% of band magnitudes), octave band "
-       f"{_CONTRAST_FMIN_HZ * 2 ** b:g}-{_CONTRAST_FMIN_HZ * 2 ** (b + 1):g} Hz", _MEAN_STD)
-      for b in range(_CONTRAST_BANDS)),
+       f"{CONTRAST_FMIN_HZ * 2 ** b:g}-{CONTRAST_FMIN_HZ * 2 ** (b + 1):g} Hz", _MEAN_STD)
+      for b in range(CONTRAST_BANDS)),
     ("flux", _DESCRIPTOR_TEXT["flux"], _MEAN_STD),
     ("rms", _DESCRIPTOR_TEXT["rms"], ("mean", "stddev", "min", "max", "median")),
     ("zcr", _DESCRIPTOR_TEXT["zcr"], _MEAN_STD),
@@ -393,11 +336,12 @@ LLD_SERIES_NAMES = tuple(name for name, _ in LLD_SERIES)
 
 
 def _lld_values(a: Analysis) -> dict[str, np.ndarray]:
+    d = a.descriptors
     return {
         "f0": a.f0.values,
         "hnr": a.hnr.values,
-        **_descriptor_series(a),
-        **{f"mfcc{k}": a.mfccs[:, k] for k in range(_LLD_MFCC)},
+        **{name: d[name] for name in _DESCRIPTOR_TEXT},
+        **{f"mfcc{k}": d["mfcc"][:, k] for k in range(_LLD_MFCC)},
     }
 
 

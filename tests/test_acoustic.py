@@ -5,13 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import voxfeat.acoustic as acoustic
 from voxfeat.acoustic import (
+    BLOCK_FRAMES,
     AcousticConfig,
     FrameSeries,
     Spectrum,
+    alpha_ratio,
     analysis_frames,
+    band_slope,
     f0_track,
+    frame_descriptors,
     frame_scalars,
+    hammarberg,
     jitter_shimmer_hnr,
     mfcc,
     poly_features,
@@ -482,10 +488,9 @@ class TestVectorizedDescriptors:
                 assert_rel(whole[:, k], rows[:, k])
 
     def test_band_slope_alpha_hammarberg(self):
-        from voxfeat.functionals import _alpha_ratio, _band_slope, _hammarberg
-        for fn in (lambda s: _band_slope(s, 0.0, 500.0),
-                   lambda s: _band_slope(s, 500.0, 1500.0),
-                   _alpha_ratio, _hammarberg):
+        for fn in (lambda s: band_slope(s, 0.0, 500.0),
+                   lambda s: band_slope(s, 500.0, 1500.0),
+                   alpha_ratio, hammarberg):
             assert_rel(fn(self.spec), by_rows(fn, self.spec))
 
     def test_flux(self):
@@ -495,6 +500,88 @@ class TestVectorizedDescriptors:
                  .values[1] for i in range(1, mags.shape[0])]
         assert flux[0] == 0.0
         assert_rel(flux[1:], pairs)
+
+
+# ---------------------------------------------------------------------------
+# the descriptor pass over blocks of frames
+# ---------------------------------------------------------------------------
+
+BLOCK_SR = 8000  # 200-sample frames, 80-sample hop
+
+
+def block_signal(n_frames, seed=5):
+    """A gated gliding tone in noise with a digitally silent stretch (silent
+    frames give NaN shape rows), exactly n_frames frames long at BLOCK_SR."""
+    rng = np.random.default_rng(seed)
+    n = 200 + (n_frames - 1) * 80
+    t = np.arange(n) / BLOCK_SR
+    gate = np.sin(2 * np.pi * 0.9 * t) > -0.3
+    x = 0.5 * gate * np.sin(2 * np.pi * (150 + 40 * np.sin(2 * np.pi * 0.4 * t)) * t)
+    x += rng.normal(0, 0.01, n)
+    x[n // 3: n // 3 + 1200] = 0.0
+    return AudioBuffer(x, BLOCK_SR)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBlockPass:
+    """frame_descriptors reduces each block of frames to its rows; the block
+    size changes no bit of any series."""
+
+    config = AcousticConfig()
+
+    @pytest.mark.parametrize("n_frames", [
+        1, 2, 100, BLOCK_FRAMES - 1,
+        *(BLOCK_FRAMES * k + extra for k in (1, 2) for extra in (1, 17, 63)),
+    ])
+    def test_block_size_changes_no_series(self, n_frames, monkeypatch):
+        buf = block_signal(n_frames)
+        blocked = frame_descriptors(buf, self.config)
+        f0 = f0_track(buf).values
+        monkeypatch.setattr(acoustic, "BLOCK_FRAMES", n_frames + 1)
+        whole = frame_descriptors(buf, self.config)
+        assert blocked.keys() == whole.keys()
+        for name, values in whole.items():
+            assert values.shape[0] == n_frames
+            assert same_bytes(blocked[name], values), name
+        assert same_bytes(f0, f0_track(buf).values)
+
+    def test_equals_the_whole_spectrogram(self):
+        """Every series, flux across both block boundaries included, equals
+        its descriptor function on the whole recording's spectrogram."""
+        cfg = self.config
+        buf = block_signal(2 * BLOCK_FRAMES + 17)
+        frames = analysis_frames(buf, cfg)
+        spec = spectra(frames, cfg.n_fft)
+        shape = spectral_shape(spec)
+        poly = poly_features(spec, 1)
+        expected = {
+            **{name: series.values for name, series in frame_scalars(frames).items()},
+            **{name: shape[f"{name}_hz"] for name in ("centroid", "bandwidth", "rolloff")},
+            "flatness": shape["flatness"],
+            "mfcc": mfcc(spec, cfg.n_mels, cfg.n_mels),
+            "contrast": spectral_contrast(spec),
+            "poly_slope": poly[:, 0],
+            "poly_intercept": poly[:, 1],
+            "slope_0_500": band_slope(spec, 0.0, 500.0),
+            "slope_500_1500": band_slope(spec, 500.0, 1500.0),
+            "alpha_ratio": alpha_ratio(spec),
+            "hammarberg": hammarberg(spec),
+            "flux": spectral_flux_onset(spec, cfg.hop_seconds).values,
+        }
+        got = frame_descriptors(buf, cfg)
+        assert got.keys() == expected.keys()
+        for name, values in expected.items():
+            assert same_bytes(got[name], values), name
+        assert np.isnan(got["centroid"]).any()
+        assert np.all(got["flux"][[BLOCK_FRAMES, 2 * BLOCK_FRAMES]] > 0)
+
+    def test_flux_below_two_frames_is_nan(self):
+        assert np.all(np.isnan(frame_descriptors(block_signal(1), self.config)["flux"]))
+        two = frame_descriptors(block_signal(2), self.config)["flux"]
+        assert two[0] == 0.0 and np.isfinite(two[1])
 
 
 def reference_f0(buf, f_min=60.0, f_max=500.0, hop_seconds=0.010, threshold=0.15):
@@ -589,12 +676,11 @@ class TestF0MatchesReferencePicker:
         assert np.all(f0_track(AudioBuffer(x, SR), f_min=50.0).values == 50.0)
 
     def test_gated_tone_over_two_blocks(self):
-        from voxfeat.acoustic import F0_BLOCK_FRAMES
         rng = np.random.default_rng(23)
-        seconds = 2.5 * F0_BLOCK_FRAMES * 0.010
+        seconds = 2.5 * BLOCK_FRAMES * 0.010
         t = np.arange(int(seconds * SR)) / SR
         gate = (np.sin(2 * np.pi * 0.7 * t) > -0.2).astype(float)
         tone = np.sin(2 * np.pi * (140 + 30 * np.sin(2 * np.pi * 0.3 * t)) * t)
         buf = AudioBuffer(0.5 * gate * tone + rng.normal(0, 0.01, t.size), SR)
         voiced = self.check(buf)
-        assert voiced.size > 2 * F0_BLOCK_FRAMES and 0.3 < voiced.mean() < 0.9
+        assert voiced.size > 2 * BLOCK_FRAMES and 0.3 < voiced.mean() < 0.9

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,6 +54,26 @@ class TestLoadWav:
         buf = load_wav(p)
         assert buf.n_samples == 1
         assert buf.samples[0] == -1.52587890625e-05
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_decode_holds_one_float_copy(self, tmp_path, channels):
+        """Peak: the file's bytes, one float64 copy of its samples, the
+        stereo mix, and AudioBuffer's finiteness mask; no copy of the data
+        chunk, no second scaled array. The values are the plain formula's."""
+        ints = np.random.default_rng(3).integers(-32768, 32768, 200_000 * channels)
+        p = tmp_path / "big.wav"
+        p.write_bytes(make_wav_bytes(ints, channels=channels))
+        tracemalloc.start()
+        try:
+            buf = load_wav(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_out = ints.size // channels
+        mix = 8 * n_out if channels == 2 else 0
+        assert peak <= p.stat().st_size + 8 * ints.size + mix + n_out + 65536
+        expected = ints.astype(np.float64).reshape(-1, channels).mean(axis=1) / 32768.0
+        assert buf.samples.tobytes() == expected.tobytes()
 
     def test_unknown_chunks_skipped(self, tmp_path):
         # LIST chunk with odd size exercises the word-alignment padding

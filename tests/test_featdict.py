@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxfeat.acoustic import Spectrum, spectral_contrast, spectral_flux_onset
+from voxfeat.acoustic import Spectrum, band_slope, spectral_contrast, spectral_flux_onset
 from voxfeat.coherence import (
     EmbeddingTable,
     bundled_embeddings_path,
@@ -24,7 +24,6 @@ from voxfeat.featdict import (
     feature_dictionary,
     write_featdict,
 )
-from voxfeat.functionals import _band_slope
 from voxfeat.textfeat import Token, Transcript
 
 ALL_ON = PipelineConfig(
@@ -139,8 +138,8 @@ class TestFormulaOracles:
         # dB power: a line of -0.01 dB/Hz up to 500 Hz, then -0.03 dB/Hz
         power_db = np.where(freqs <= 500, -20 - 0.01 * freqs, -25 - 0.03 * (freqs - 500))
         spec = Spectrum(np.sqrt(10 ** (power_db / 10)), bin_hz)
-        assert _band_slope(spec, 0.0, 500.0) == pytest.approx(-0.01, rel=1e-9)
-        assert _band_slope(spec, 500.0, 1500.0) == pytest.approx(-0.03, rel=1e-9)
+        assert band_slope(spec, 0.0, 500.0) == pytest.approx(-0.01, rel=1e-9)
+        assert band_slope(spec, 500.0, 1500.0) == pytest.approx(-0.03, rel=1e-9)
 
     def test_flux_is_mean_of_rises(self):
         assert formula("flux_mean").startswith(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import stat
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,18 +137,21 @@ class TestSharedAnalysis:
     CFG = PipelineConfig(complexity=False, syntax=False,
                          lld_functionals=("mean", "stddev", "min", "max", "median"))
 
-    def test_each_intermediate_runs_once(self, corpus, monkeypatch):
+    def test_each_intermediate_runs_once(self, tmp_path, monkeypatch):
         import voxfeat.acoustic as acoustic
 
-        names = ("f0_track", "hnr_series", "_cycle_peaks_by_region",
-                 "frame_signal", "mel_filterbank")
+        # 6 s is 598 frames: two descriptor blocks, three F0 blocks, and still
+        # one descriptor pass and one filterbank
+        make_wav(tmp_path / "long.wav", seconds=6.0)
+        names = ("frame_descriptors", "mel_filterbank", "f0_track", "hnr_series",
+                 "_cycle_peaks_by_region")
         calls = dict.fromkeys(names, 0)
         for name in names:
             def counted(*args, _fn=getattr(acoustic, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(acoustic, name, counted)
-        item = discover_inputs(corpus)[0]
+        item = discover_inputs(tmp_path)[0]
         extract_features(item, self.CFG, load_resources(self.CFG))
         assert calls == dict.fromkeys(names, 1)
 
@@ -166,6 +170,38 @@ class TestSharedAnalysis:
             [gemaps_core(buf, acfg).values, spectral_set(buf, acfg).values]
             + [apply_bank(s, bank).values for s in lld_series(buf, acfg)])
         np.testing.assert_array_equal(row.values, standalone)
+
+
+class TestMemoryBound:
+    def test_peak_grows_with_samples_and_series_only(self, tmp_path):
+        """From 30 s to 120 s, extract_features's traced peak grows by at most
+        twice the samples' growth (the float64 buffer and its decode) plus
+        the per-frame series' growth: no frame or spectrum array follows the
+        recording's length."""
+        from voxfeat.acoustic import AcousticConfig, frame_descriptors
+
+        sr = 8000
+        cfg = TestSharedAnalysis.CFG
+        res = load_resources(cfg)
+        peaks, frames = {}, {}
+        for seconds in (30, 120):
+            t = np.arange(seconds * sr) / sr
+            # 1 kHz is above f_max: unvoiced, so the per-voiced-frame loops stay short
+            write_wav(AudioBuffer(0.4 * np.sin(2 * np.pi * 1000.0 * t), sr),
+                      tmp_path / f"tone{seconds}.wav")
+            item = [i for i in discover_inputs(tmp_path) if i.source_id == f"tone{seconds}"][0]
+            tracemalloc.start()
+            try:
+                extract_features(item, cfg, res)
+                peaks[seconds] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            frames[seconds] = 1 + (t.size - 200) // 80
+        short = frame_descriptors(AudioBuffer(np.ones(sr), sr), AcousticConfig())
+        series_per_frame = 2 + sum(int(np.prod(v.shape[1:])) for v in short.values())  # + f0, hnr
+        samples_growth = (120 - 30) * sr * 8
+        series_growth = (frames[120] - frames[30]) * series_per_frame * 8
+        assert peaks[120] - peaks[30] <= 2 * samples_growth + series_growth
 
 
 class TestRunExtract:
