@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
 
 from .audio_io import AudioBuffer, FrameMatrix, frame_signal, raw_frames, window_coefficients
 from .errors import (
@@ -30,10 +29,11 @@ SPECTRAL_FLOOR = 1e-10  # applied before any log so silence stays finite
 
 # Frames per block of F0 and of the descriptor pass: peak memory follows
 # this, not the recording. The descriptor pass folds a short tail into the
-# block before it, because its BLAS-backed rows (the mel projection, the
-# band slopes, the polynomial fit) change in their last bits on blocks of
-# under about 70 frames; from 256 up they match the whole-recording batch
-# bit for bit (numpy 2.4.6 with OpenBLAS; tests pin it).
+# block before it, because its BLAS-backed rows (the mel projection and
+# DCT, the band slopes, the polynomial fit) change in their last bits on
+# blocks of under about 70 frames; from 256 up they match the
+# whole-recording batch bit for bit (numpy 2.4.6 with OpenBLAS; tests pin
+# it).
 BLOCK_FRAMES = 256
 CONTRAST_BANDS = 4
 CONTRAST_FMIN_HZ = 200.0
@@ -438,7 +438,7 @@ def mfcc(
     orthonormal type-II DCT, first n_coeffs kept on the last axis.
     """
     bank = _mfcc_bank(spec.magnitudes.shape[-1], spec.bin_hz, n_mels, n_coeffs, fmin, fmax)
-    return _cepstra(spec, bank)[..., :n_coeffs]
+    return _cepstra(spec, bank, dct_basis(n_mels, n_coeffs))
 
 
 def _mfcc_bank(n_bins: int, bin_hz: float, n_mels: int, n_coeffs: int,
@@ -447,18 +447,35 @@ def _mfcc_bank(n_bins: int, bin_hz: float, n_mels: int, n_coeffs: int,
     nyquist = (n_bins - 1) * bin_hz
     if fmax is None:
         fmax = nyquist
-    if n_coeffs > n_mels or n_mels < 1:
-        raise InvalidBandConfig(f"need 1 <= n_coeffs <= n_mels, got {n_coeffs} > {n_mels}")
+    if n_mels < 1:
+        raise InvalidBandConfig(f"need n_mels >= 1, got {n_mels}")
+    if n_coeffs < 1:
+        raise InvalidBandConfig(f"need n_coeffs >= 1, got {n_coeffs}")
+    if n_coeffs > n_mels:
+        raise InvalidBandConfig(f"need n_coeffs <= n_mels, got {n_coeffs} > {n_mels}")
     if not 0 <= fmin < fmax or fmax > nyquist + 1e-9:
         raise InvalidBandConfig(f"need 0 <= fmin < fmax <= {nyquist}, got [{fmin}, {fmax}]")
     return mel_filterbank(n_mels, n_bins, bin_hz, fmin, fmax)
 
 
-def _cepstra(spec: Spectrum, bank: np.ndarray) -> np.ndarray:
-    """Every cepstral coefficient (one per mel band) of each spectrum frame."""
+def dct_basis(n: int, k: int) -> np.ndarray:
+    """The first k rows (k, n) of the orthonormal type-II DCT matrix:
+    row j is sqrt(2/n) * cos(pi * j * (2i + 1) / (2n)) over i, and row 0 is
+    scaled by 1/sqrt(2) to sqrt(1/n) (Ahmed, Natarajan & Rao, IEEE Trans.
+    Computers, 1974), so x @ dct_basis(n, n).T is scipy.fft.dct(x, type=2,
+    norm="ortho"). The angle's integer numerator is reduced mod 4n first,
+    so every cosine is taken within one period."""
+    numerator = np.arange(k)[:, None] * (2 * np.arange(n) + 1) % (4 * n)
+    basis = np.sqrt(2.0 / n) * np.cos(np.pi / (2 * n) * numerator)
+    basis[0] = np.sqrt(1.0 / n)
+    return basis
+
+
+def _cepstra(spec: Spectrum, bank: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """One cepstral coefficient per row of the DCT basis, of each spectrum frame."""
     energies = (spec.magnitudes ** 2) @ bank.T
     logs = np.log(np.maximum(energies, SPECTRAL_FLOOR))
-    return dct(logs, type=2, norm="ortho", axis=-1)
+    return logs @ basis.T
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +673,7 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     _check_fft_size(n_fft, frame_len)
     sr = buf.sample_rate_hz
     bank = _mfcc_bank(n_fft // 2 + 1, sr / n_fft, config.n_mels, config.n_mels, 0.0, None)
+    basis = dct_basis(config.n_mels, config.n_mels)
     n_frames = raw.shape[0]
     edges = [i * BLOCK_FRAMES for i in range(max(1, n_frames // BLOCK_FRAMES))] + [n_frames]
     out: dict[str, np.ndarray] = {}
@@ -670,7 +688,7 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
             **{name: series.values for name, series in frame_scalars(block).items()},
             **{name: shape[f"{name}_hz"] for name in ("centroid", "bandwidth", "rolloff")},
             "flatness": shape["flatness"],
-            "mfcc": _cepstra(spec, bank),
+            "mfcc": _cepstra(spec, bank, basis),
             "contrast": spectral_contrast(spec, CONTRAST_BANDS, CONTRAST_FMIN_HZ),
             "poly_slope": poly[:, 0],
             "poly_intercept": poly[:, 1],

@@ -5,9 +5,10 @@ The logistic objective is the mean softmax cross-entropy plus
 alpha/2 * ||W||^2, intercepts unpenalized. Two classes reduce to one
 binary system solved by Newton's method (IRLS; Hastie, Tibshirani &
 Friedman, Elements of Statistical Learning, 4.4.1) with step halving;
-more classes are solved by L-BFGS-B. Either runs until the largest
-gradient entry is below `tol`; a fit that does not get there within
-`max_iter` iterations raises ConvergenceFailure.
+more classes are solved by L-BFGS-B from scipy.optimize, voxfeat's only
+scipy import, made on first use so that start-up needs numpy alone. Either
+runs until the largest gradient entry is below `tol`; a fit that does not
+get there within `max_iter` iterations raises ConvergenceFailure.
 
 All fitters expect preprocessed (imputed, standardized) design matrices;
 they add their own intercept and never penalize it.
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from ..errors import ConvergenceFailure, DegenerateClasses
 
@@ -97,6 +97,13 @@ _ROUNDING = 1e-12
 _MAX_HALVINGS = 40
 
 
+def _sigmoid(m: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-m)) as exp(-log(1 + exp(-m))), through the logaddexp
+    the loss uses: no overflow for any margin, and no underflow to 0 where
+    the sigmoid is representable."""
+    return np.exp(-np.logaddexp(0.0, -m))
+
+
 def _fit_binary(xt: np.ndarray, y1: np.ndarray, alpha: float,
                 tol: float, max_iter: int) -> np.ndarray:
     """Class 1 against class 0 with coef[1] = -coef[0] = beta/2 and the
@@ -117,7 +124,7 @@ def _fit_binary(xt: np.ndarray, y1: np.ndarray, alpha: float,
     beta = np.zeros(q)
     f = value(beta)
     for steps in range(max_iter + 1):
-        prob = expit(xt @ beta)
+        prob = _sigmoid(xt @ beta)
         grad = xt.T @ (prob - y1) / n + ridge * beta
         if float(np.max(np.abs(grad))) < tol:
             return beta
@@ -150,7 +157,8 @@ def _fit_multinomial(xt: np.ndarray, onehot: np.ndarray, alpha: float,
     columns and 3 classes one solve costs more than the whole L-BFGS-B run.
     From zero the intercepts' gradient sums to 0, so they keep summing to 0
     up to rounding, which the final centring removes."""
-    # imported here: scipy.optimize adds about 0.2 s to every CLI start
+    # voxfeat's only scipy import, made here: loading scipy at start-up
+    # would add about 0.3 s and 27 MB to every CLI process
     from scipy.optimize import minimize
 
     n, q = xt.shape

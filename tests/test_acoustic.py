@@ -14,6 +14,7 @@ from voxfeat.acoustic import (
     alpha_ratio,
     analysis_frames,
     band_slope,
+    dct_basis,
     f0_track,
     frame_descriptors,
     frame_scalars,
@@ -234,9 +235,41 @@ class TestMfcc:
     def test_band_validation(self):
         spec = Spectrum(np.ones(257), SR / 512)
         with pytest.raises(InvalidBandConfig):
-            mfcc(spec, n_mels=10, n_coeffs=11)
-        with pytest.raises(InvalidBandConfig):
             mfcc(spec, fmax=SR)  # beyond Nyquist
+        with pytest.raises(InvalidBandConfig, match="n_mels >= 1"):
+            mfcc(spec, n_mels=0, n_coeffs=0)
+
+    @pytest.mark.parametrize("n_coeffs, bound", [
+        (0, "n_coeffs >= 1"), (-3, "n_coeffs >= 1"), (11, "n_coeffs <= n_mels")])
+    def test_coefficient_count_outside_one_to_n_mels(self, n_coeffs, bound):
+        spec = Spectrum(np.ones(257), SR / 512)
+        with pytest.raises(InvalidBandConfig, match=bound):
+            mfcc(spec, n_mels=10, n_coeffs=n_coeffs)
+
+    @pytest.mark.parametrize("rows", [1, 69, 600])
+    def test_basis_matches_scipy_dct(self, rows):
+        from scipy.fft import dct
+        rng = np.random.default_rng(rows)
+        for n in (20, 26):
+            logs = rng.normal(-8.0, 6.0, (rows, n))  # log-mel energies
+            expected = dct(logs, type=2, norm="ortho", axis=-1)
+            got = logs @ dct_basis(n, n).T
+            scale = np.abs(expected).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+
+    def test_basis_is_orthonormal(self):
+        for n in (1, 2, 13, 20, 26, 40):
+            basis = dct_basis(n, n)
+            np.testing.assert_allclose(basis @ basis.T, np.eye(n), rtol=0, atol=1e-14)
+            np.testing.assert_array_equal(dct_basis(n, n // 2 + 1), basis[:n // 2 + 1])
+
+    def test_leading_coefficients_equal_the_full_set(self):
+        spec = mixed_spectrogram()
+        full = mfcc(spec, 26, 26)
+        # a single coefficient takes BLAS's matrix-vector path, which sums
+        # in another order, so equality holds to rounding, not to the bit
+        for k in (1, 4, 13, 25):
+            assert_rel(mfcc(spec, 26, k), full[:, :k], rtol=8 * np.finfo(float).eps)
 
 
 class TestSpectralShape:

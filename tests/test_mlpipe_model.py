@@ -1,5 +1,7 @@
 """Baseline estimators: OLS, lasso, multinomial logistic, scoring."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from voxfeat.mlpipe import (
     fit_ols,
     r2_score,
 )
+from voxfeat.mlpipe.model import _sigmoid
 
 
 class TestOls:
@@ -231,6 +234,18 @@ class TestLogisticSolver:
             with pytest.raises(ConvergenceFailure):
                 fit_logistic(x, y, max_iter=1)
             fit_logistic(x, y)
+
+
+def test_sigmoid_matches_scipy_expit():
+    from scipy.special import expit
+    m = np.linspace(-800.0, 800.0, 1_600_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _sigmoid(m)
+    expected = expit(m)
+    positive = expected > 0
+    assert np.all(got[positive] > 0)
+    assert np.all(np.abs(got - expected)[positive] <= 1e-14 * expected[positive])
 
 
 class TestScores:
