@@ -86,15 +86,6 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class JitterShimmerReport:
-    jitter_local: float
-    shimmer_local: float
-    hnr_db: float
-    n_cycles: int
-    f0_mean_hz: float
-
-
-@dataclass(frozen=True)
 class AcousticConfig:
     """Analysis defaults: 25 ms frames, 10 ms hop, hann window."""
 
@@ -355,14 +346,9 @@ def _hnr_at_frame(x: np.ndarray, start: int, sample_rate_hz: int, f0_hz: float) 
         shifted = seg[ell: ell + w]
         denom = np.sqrt(norm0 * float(shifted @ shifted))
         rs.append(float(base @ shifted) / denom if denom > 0 else 0.0)
-    a, b, c = rs
-    denom = a - 2 * b + c
-    if denom != 0:
-        delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
-        r = b - 0.25 * (a - c) * delta
-    else:
-        r = b
-    r = float(np.clip(r, 1e-12, 1 - 1e-12))  # caps HNR at about +/-120 dB
+    # the parabola's vertex over the three lags, capped so HNR stays within
+    # about +/-120 dB
+    r = float(np.clip(_refine_peak(np.asarray(rs), 1)[1], 1e-12, 1 - 1e-12))
     return 10.0 * np.log10(r / (1.0 - r))
 
 
@@ -374,24 +360,6 @@ def hnr_series(buf: AudioBuffer, f0: FrameSeries) -> FrameSeries:
         if not np.isnan(f):
             vals[i] = _hnr_at_frame(buf.samples, i * hop, buf.sample_rate_hz, f)
     return FrameSeries("hnr", vals, f0.hop_seconds)
-
-
-def jitter_shimmer_hnr(buf: AudioBuffer, f0: FrameSeries) -> JitterShimmerReport:
-    """Local jitter and shimmer over picked cycles, plus mean HNR.
-
-    jitter_local and shimmer_local are the means of the cycle_perturbation
-    terms, so no cycle pair spans an unvoiced gap. Fewer than 2 periods
-    yields NaN for both; degenerate inputs never raise.
-    """
-    jitter, shimmer = cycle_perturbation(buf.samples, buf.sample_rate_hz, f0)
-    voiced = f0.values[~np.isnan(f0.values)]
-    return JitterShimmerReport(
-        jitter_local=nan_mean(jitter),
-        shimmer_local=nan_mean(shimmer),
-        hnr_db=nan_mean(hnr_series(buf, f0).values),
-        n_cycles=shimmer.size,  # one shimmer term per within-region period
-        f0_mean_hz=float(voiced.mean()) if voiced.size else np.nan,
-    )
 
 
 def nan_mean(values: np.ndarray) -> float:

@@ -81,13 +81,6 @@ class FrameMatrix:
         return self.hop / self.sample_rate_hz
 
 
-def frame_count(n_samples: int, frame_len: int, hop: int) -> int:
-    """Number of full frames for a signal of n_samples."""
-    if n_samples < frame_len:
-        return 0
-    return 1 + (n_samples - frame_len) // hop
-
-
 def window_coefficients(kind: str, length: int) -> np.ndarray:
     """Analysis window of the given kind (periodic forms for hann/hamming).
 

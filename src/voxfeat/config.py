@@ -92,13 +92,21 @@ def validate_config(cfg: PipelineConfig) -> None:
             raise ConfigError(f"{name} does not exist: {value}")
 
     spec = cfg.analyze
+    for toggle in ("low_variance", "high_correlation"):
+        if not isinstance(getattr(spec, toggle), bool):
+            raise ConfigError(f"{toggle} must be true or false")
+    for name in ("low_variance_threshold", "high_correlation_threshold"):
+        value = getattr(spec, name)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ConfigError(f"{name} must be a number, got {value!r}")
     if spec.low_variance_threshold < 0:
         raise ConfigError("low_variance_threshold must be >= 0")
     if not 0.0 < spec.high_correlation_threshold < 1.0:
         raise ConfigError("high_correlation_threshold must be in (0, 1)")
     if spec.transform not in _TRANSFORMS:
         raise ConfigError(f"transform must be one of {_TRANSFORMS}, got {spec.transform!r}")
-    if not isinstance(spec.transform_k, int) or spec.transform_k < 1:
+    if (not isinstance(spec.transform_k, int) or isinstance(spec.transform_k, bool)
+            or spec.transform_k < 1):
         raise ConfigError(f"transform_k must be a positive integer, got {spec.transform_k!r}")
     if spec.selector not in _SELECTORS:
         raise ConfigError(f"selector must be one of {_SELECTORS}, got {spec.selector!r}")

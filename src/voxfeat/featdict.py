@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .config import PipelineConfig, feature_families, feature_names_for
+from .config import PipelineConfig, feature_families
 from .errors import UnwritableOutput
 
 
@@ -43,10 +43,3 @@ def write_featdict(cfg: PipelineConfig, path: str | Path) -> None:
         Path(path).write_text(featdict_text(cfg), encoding="utf-8")
     except OSError as exc:
         raise UnwritableOutput(f"cannot write {path}: {exc}") from None
-
-
-def active_entry_names(cfg: PipelineConfig) -> tuple[str, ...]:
-    """Active dictionary names; equals the CSV header order by construction."""
-    names = tuple(e.name for e in feature_dictionary(cfg) if e.active)
-    assert names == feature_names_for(cfg)
-    return names

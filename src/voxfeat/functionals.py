@@ -7,7 +7,7 @@ declaration. The acoustic families read one shared acoustic.Analysis per
 recording, so each intermediate is computed once, and they read only its
 per-frame and per-cycle series: no family sees a frame or a spectrum, so
 their memory follows the recording's frame count. Feature counts and orders
-of gemaps_core (30) and spectral_set (30) are frozen; tests pin the exact
+of gemaps_core (27) and spectral_set (30) are frozen; tests pin the exact
 name lists. Their name sets are disjoint.
 """
 
@@ -215,6 +215,9 @@ class Family:
 
 
 _MEAN_STD = ("mean", "stddev")
+# for the jitter, shimmer and HNR series, whose means are the gemaps scalars
+# jitter_local, shimmer_local and hnr_db
+_STD = ("stddev",)
 
 # descriptors that both the spectral set and the LLD family summarize
 _DESCRIPTOR_TEXT = {
@@ -254,13 +257,14 @@ def _gemaps(a: Analysis) -> FeatureVector:
 
 
 def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> FeatureVector:
-    """The 30-feature voice-quality set (a core subset of the eGeMAPS idea).
+    """The 27-feature voice-quality set (a core subset of the eGeMAPS idea).
 
-    Thirteen series with {mean, stddev} each: F0 in semitones relative to
-    27.5 Hz (voiced frames), loudness (frame RMS), per-cycle jitter and
-    shimmer, HNR, two band-restricted spectral slopes, alpha ratio,
-    Hammarberg index, MFCC 1-4; plus scalars voiced_fraction, jitter_local,
-    shimmer_local, hnr_db.
+    Ten series with {mean, stddev} each: F0 in semitones relative to 27.5 Hz
+    (voiced frames), loudness (frame RMS), two band-restricted spectral
+    slopes, alpha ratio, Hammarberg index, MFCC 1-4. Per-cycle jitter and
+    shimmer and per-frame HNR give their stddev only, since their means are
+    the scalars jitter_local, shimmer_local and hnr_db; voiced_fraction is
+    the fourth scalar.
     """
     return _gemaps(Analysis(buf, config or AcousticConfig()))
 
@@ -276,9 +280,9 @@ def _slope_text(lo: int, hi: int) -> str:
 GEMAPS = Family("acoustic.gemaps", (
     ("f0_semitone", "12*log2(f0_hz / 27.5) on voiced frames", _MEAN_STD),
     ("loudness", "frame RMS amplitude", _MEAN_STD),
-    ("jitter", "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair", _MEAN_STD),
-    ("shimmer", "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair", _MEAN_STD),
-    ("hnr", "10*log10(r / (1 - r)), r = periodic autocorrelation share", _MEAN_STD),
+    ("jitter", "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair", _STD),
+    ("shimmer", "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair", _STD),
+    ("hnr", "10*log10(r / (1 - r)), r = periodic autocorrelation share", _STD),
     *((name, _slope_text(lo, hi), _MEAN_STD)
       for name, (lo, hi) in zip(_SLOPE_NAMES, SLOPE_BANDS_HZ)),
     ("alpha_ratio", "10*log10(power 50-1000 Hz / power 1000-5000 Hz)", _MEAN_STD),
@@ -289,7 +293,7 @@ GEMAPS = Family("acoustic.gemaps", (
     ("shimmer_local", "mean |A[i+1] - A[i]| / |mean(A)| over all cycle peaks"),
     ("hnr_db", "10*log10(r / (1 - r)) averaged over voiced frames"),
 ), _gemaps)
-GEMAPS_FEATURE_NAMES = GEMAPS.names  # 13*2 + 4 = 30
+GEMAPS_FEATURE_NAMES = GEMAPS.names  # 10*2 + 3 + 4 = 27
 
 
 def _spectral(a: Analysis) -> FeatureVector:

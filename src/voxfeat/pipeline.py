@@ -120,23 +120,28 @@ def load_resources(cfg: PipelineConfig) -> TextResources:
 
 def discover_inputs(audio_dir: str | Path,
                     transcript_dir: str | Path | None = None) -> list[RecordingInput]:
-    """WAV files sorted by stem; transcripts matched by shared basename,
-    .conllu preferred over .txt."""
+    """WAV files (suffix in any case) sorted by name; transcripts matched by
+    shared basename, .conllu preferred over .txt. Two files whose stems are
+    equal, such as a.wav and a.WAV, would share one row and raise
+    SchemaError."""
     audio_dir = Path(audio_dir)
     tdir = Path(transcript_dir) if transcript_dir is not None else audio_dir
-    wavs = sorted(p for p in audio_dir.glob("*.wav") if p.is_file())
+    wavs = sorted(p for p in audio_dir.glob("*.[wW][aA][vV]") if p.is_file())
     if not wavs:
         raise NoInputs(f"no .wav files in {audio_dir}")
-    out = []
+    out: dict[str, RecordingInput] = {}
     for wav in wavs:
+        if wav.stem in out:
+            raise SchemaError(f"{out[wav.stem].wav_path.name} and {wav.name} "
+                              f"share the source id {wav.stem!r}")
         transcript = None
         for ext in (".conllu", ".txt"):
             candidate = tdir / (wav.stem + ext)
             if candidate.is_file():
                 transcript = candidate
                 break
-        out.append(RecordingInput(wav.stem, wav, transcript))
-    return out
+        out[wav.stem] = RecordingInput(wav.stem, wav, transcript)
+    return list(out.values())
 
 
 def _load_transcript(path: Path) -> Transcript:

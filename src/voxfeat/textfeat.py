@@ -233,13 +233,12 @@ def syntax_counts(t: Transcript) -> SyntaxCounts:
 
 
 def syntax_feature_vector(sc: SyntaxCounts, source_id: str = "") -> FeatureVector:
-    values = (
-        [float(sc.pos_counts[tag]) for tag in _POS]
-        + [sc.rate(sc.pos_counts[tag]) for tag in _POS]
-        + [float(sc.dep_counts[rel]) for rel in _DEP]
-        + [sc.rate(sc.dep_counts[rel]) for rel in _DEP]
-    )
-    return FeatureVector(SYNTAX_FEATURE_NAMES, np.asarray(values), source_id)
+    values = {}
+    for kind, counts in (("pos", sc.pos_counts), ("dep", sc.dep_counts)):
+        for key, count in counts.items():
+            values[f"{kind}_count_{key}"] = count
+            values[f"{kind}_rate_{key}"] = sc.rate(count)
+    return SYNTAX.vector(values, source_id)
 
 
 SYNTAX = Family("text.syntax", (

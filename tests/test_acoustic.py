@@ -9,6 +9,7 @@ import voxfeat.acoustic as acoustic
 from voxfeat.acoustic import (
     BLOCK_FRAMES,
     AcousticConfig,
+    Analysis,
     FrameSeries,
     Spectrum,
     alpha_ratio,
@@ -19,7 +20,6 @@ from voxfeat.acoustic import (
     frame_descriptors,
     frame_scalars,
     hammarberg,
-    jitter_shimmer_hnr,
     mfcc,
     poly_features,
     power_spectrum,
@@ -37,6 +37,7 @@ from voxfeat.errors import (
     InvalidRange,
     TooFewFrames,
 )
+from voxfeat.functionals import gemaps_core
 
 SR = 16000
 
@@ -156,6 +157,11 @@ class TestF0Track:
             f0_track(sine(200), f_min=60, f_max=SR)
 
 
+def n_cycles(buf):
+    """Within-region periods of the cycles Analysis picks (one shimmer term each)."""
+    return Analysis(buf, AcousticConfig()).cycle_terms[1].size
+
+
 class TestJitterShimmer:
     def test_perfect_sine_integer_period(self):
         # period exactly 80 samples; the gated copy (three 0.5 s bursts, 0.3 s
@@ -163,41 +169,38 @@ class TestJitterShimmer:
         burst, gap = sine(200, seconds=0.5).samples, np.zeros(int(0.3 * SR))
         gated = AudioBuffer(np.concatenate([burst, gap, burst, gap, burst]), SR)
         for buf in (sine(200), gated):
-            rep = jitter_shimmer_hnr(buf, f0_track(buf))
-            assert rep.n_cycles > 100
-            assert rep.jitter_local < 0.001
-            assert rep.shimmer_local < 0.01
-            assert abs(rep.f0_mean_hz - 200) < 2
+            g = gemaps_core(buf)
+            f0 = f0_track(buf).values
+            assert n_cycles(buf) > 100
+            assert g["jitter_local"] < 0.001
+            assert g["shimmer_local"] < 0.01
+            assert abs(f0[~np.isnan(f0)].mean() - 200) < 2
 
     def test_perfect_sine_fractional_period(self):
         # 440 Hz at 16 kHz: period 36.36 samples, needs sub-sample peaks
-        buf = sine(440)
-        rep = jitter_shimmer_hnr(buf, f0_track(buf))
-        assert rep.jitter_local < 0.001
-        assert rep.shimmer_local < 0.01
+        g = gemaps_core(sine(440))
+        assert g["jitter_local"] < 0.001
+        assert g["shimmer_local"] < 0.01
 
     def test_alternating_periods_oracle(self):
         # oracle: |80-84| alternating -> mean |dT| = 4, mean T = 82
         buf = alternating_period_signal()
-        rep = jitter_shimmer_hnr(buf, f0_track(buf))
-        assert rep.n_cycles > 50
-        assert abs(rep.jitter_local - 4.0 / 82.0) <= 0.01
+        assert n_cycles(buf) > 50
+        assert abs(gemaps_core(buf)["jitter_local"] - 4.0 / 82.0) <= 0.01
 
     def test_noise_degenerates_to_nan(self):
         rng = np.random.default_rng(3)
         buf = AudioBuffer(rng.normal(0, 0.3, SR), SR)
-        rep = jitter_shimmer_hnr(buf, f0_track(buf))
-        if rep.n_cycles < 2:
-            assert np.isnan(rep.jitter_local)
-            assert np.isnan(rep.shimmer_local)
+        g = gemaps_core(buf)
+        if n_cycles(buf) < 2:
+            assert np.isnan(g["jitter_local"])
+            assert np.isnan(g["shimmer_local"])
 
     def test_harmonic_sine_hnr_higher_than_noise(self):
         rng = np.random.default_rng(9)
         clean = sine(200)
         noisy = AudioBuffer(clean.samples + rng.normal(0, 0.2, SR), SR)
-        hnr_clean = jitter_shimmer_hnr(clean, f0_track(clean)).hnr_db
-        hnr_noisy = jitter_shimmer_hnr(noisy, f0_track(noisy)).hnr_db
-        assert hnr_clean > hnr_noisy
+        assert gemaps_core(clean)["hnr_db"] > gemaps_core(noisy)["hnr_db"]
 
 
 class TestMfcc:

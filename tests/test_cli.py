@@ -138,6 +138,15 @@ class TestConfigPlumbing:
         assert rc == 2
         assert "window" in capsys.readouterr().err
 
+    def test_bad_analyze_config_exit_two(self, tmp_path, capsys):
+        csv = tmp_path / "toy.csv"
+        toy_csv(csv)
+        cfgp = tmp_path / "bad.json"
+        cfgp.write_text(json.dumps({"analyze": {"low_variance_threshold": "0.1"}}))
+        rc = main(["--config", str(cfgp), "analyze", str(csv), str(tmp_path / "out")])
+        assert rc == 2
+        assert "low_variance_threshold" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path):
         csv = tmp_path / "toy.csv"
         toy_csv(csv)

@@ -87,6 +87,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(PipelineConfig(analyze=AnalyzeSpec(transform="svd")))
 
+    @pytest.mark.parametrize("analyze", [
+        {"low_variance_threshold": "0.1"},
+        {"high_correlation_threshold": None},
+        {"low_variance_threshold": True},
+        {"low_variance": "false"},
+        {"high_correlation": 0},
+        {"transform_k": True},
+    ])
+    def test_analyze_field_types(self, analyze, tmp_path):
+        field = next(iter(analyze))
+        with pytest.raises(ConfigError, match=field):
+            config_from_dict({"analyze": analyze}, tmp_path)
+
 
 class TestRoundTrip:
     def test_dict_round_trip_preserves_config(self, tmp_path):
@@ -160,11 +173,11 @@ class TestFeatureNames:
     def test_default_family_sizes(self):
         cfg = PipelineConfig()
         names = feature_names_for(cfg)
-        assert len(GEMAPS_FEATURE_NAMES) == 30
+        assert len(GEMAPS_FEATURE_NAMES) == 27
         assert len(SPECTRAL_FEATURE_NAMES) == 30
         assert len(COMPLEXITY_FEATURE_NAMES) == 7
         assert len(SYNTAX_FEATURE_NAMES) == 112
-        assert len(names) == 30 + 30 + 7 + 112
+        assert len(names) == 27 + 30 + 7 + 112
 
     def test_all_families_enabled(self):
         cfg = PipelineConfig(
@@ -177,7 +190,7 @@ class TestFeatureNames:
         assert len(SENTIMENT_FEATURE_NAMES) == 1
         assert len(COHERENCE_FEATURE_NAMES) == 42
         # 22 frame series x 2 statistics
-        assert len(names) == 179 + 44 + 42
+        assert len(names) == 176 + 44 + 42
 
     def test_names_are_unique(self):
         cfg = PipelineConfig(lld_functionals=("mean", "stddev", "p10", "p90"))

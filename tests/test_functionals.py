@@ -125,7 +125,7 @@ def sine(freq, seconds=1.0, amp=0.7):
 
 class TestGemapsCore:
     def test_golden_names_and_count(self):
-        assert len(GEMAPS_FEATURE_NAMES) == 30
+        assert len(GEMAPS_FEATURE_NAMES) == 27
         fv = gemaps_core(sine(440))
         assert fv.names == GEMAPS_FEATURE_NAMES
 

@@ -90,6 +90,19 @@ class TestDiscover:
         with pytest.raises(NoInputs):
             discover_inputs(tmp_path)
 
+    def test_upper_case_suffix_found(self, tmp_path):
+        make_wav(tmp_path / "REC_00.WAV")
+        (tmp_path / "REC_00.txt").write_text("hello there\n")
+        items = discover_inputs(tmp_path)
+        assert [i.source_id for i in items] == ["REC_00"]
+        assert items[0].transcript_path == tmp_path / "REC_00.txt"
+
+    def test_suffix_case_variants_sharing_a_stem_raise(self, tmp_path):
+        for name in ("a.WAV", "a.b.wav", "a.wav"):
+            make_wav(tmp_path / name)
+        with pytest.raises(SchemaError, match=r"a\.WAV and a\.wav"):
+            discover_inputs(tmp_path)
+
 
 class TestExtractFeatures:
     def test_row_matches_configured_names(self, corpus):
@@ -210,11 +223,31 @@ class TestRunExtract:
         manifest = run_extract(corpus, out, PipelineConfig())
         assert manifest.all_ok
         assert manifest.row_count == 3
-        assert manifest.feature_count == 179
+        assert manifest.feature_count == 176
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         assert [ln.split(",")[0] for ln in lines[1:]] == [
             "rec_a", "rec_b", "rec_c"]
+
+    def test_no_gemaps_column_copies_another(self, tmp_path):
+        # noisy gated voice: two harmonics, three bursts, white noise
+        rng = np.random.default_rng(5)
+        for i, f0 in enumerate((120.0, 165.0, 210.0)):
+            t = np.arange(int(1.5 * SR)) / SR
+            x = 0.3 * np.sin(2 * np.pi * f0 * t) + 0.1 * np.sin(4 * np.pi * f0 * t + 1.0)
+            gate = (t % 0.5) < rng.uniform(0.25, 0.4)
+            x = x * gate + 0.01 * rng.standard_normal(t.size)
+            write_wav(AudioBuffer(x, SR), tmp_path / f"voice{i}.wav")
+        cfg = PipelineConfig(spectral=False, complexity=False, syntax=False)
+        out = tmp_path / "features.csv"
+        assert run_extract(tmp_path, out, cfg).all_ok
+        header, *rows = (ln.split(",") for ln in out.read_text().splitlines())
+        columns = dict(zip(header, zip(*rows)))
+        assert len(rows) == 3
+        names = feature_names_for(cfg)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                assert columns[a] != columns[b], (a, b)
 
     def test_header_is_pure_function_of_config(self, corpus, tmp_path):
         cfg = PipelineConfig()
