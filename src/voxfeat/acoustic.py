@@ -12,6 +12,7 @@ deterministic: the same AudioBuffer always yields bit-identical outputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,16 +194,18 @@ def _yin_periods(segs: np.ndarray, tau_min: int, tau_max: int, threshold: float)
     NaN where no lag dips below the threshold."""
     n = segs.shape[0]
     w = tau_max
-    # windowed cross term C(tau) = sum_{n<w} x[n] x[n+tau] via one batched fft;
-    # any n_fft >= 2*tau_max keeps wrapped (negative) lags out of 0..tau_max
-    n_fft = _next_pow2(segs.shape[1])
+    # windowed cross term C(tau) = sum_{n<w} x[n] x[n+tau] via one batched fft.
+    # Any n_fft >= 2*tau_max keeps wrapped (negative) lags out of 0..tau_max,
+    # so take the smallest 2^a 3^b, not the next power of two: 576 points, not
+    # 1024, at 16 kHz and f_min 60 Hz
+    n_fft = _next_smooth(segs.shape[1])
     spec_full = np.fft.rfft(segs, n_fft, axis=1)
     spec_head = np.fft.rfft(segs[:, :w], n_fft, axis=1)
     cross = np.fft.irfft(np.conj(spec_head) * spec_full, n_fft, axis=1)[:, : tau_max + 1]
 
     csum = np.concatenate([np.zeros((n, 1)), np.cumsum(segs * segs, axis=1)], axis=1)
     taus = np.arange(tau_max + 1)
-    energy_tau = csum[:, taus + w] - csum[:, taus]
+    energy_tau = csum[:, w: w + tau_max + 1] - csum[:, : tau_max + 1]
     diff = np.maximum(csum[:, w][:, None] + energy_tau - 2.0 * cross, 0.0)
 
     # cumulative mean normalization; digital silence keeps dp at 1 (unvoiced)
@@ -223,35 +226,53 @@ def _yin_periods(segs: np.ndarray, tau_min: int, tau_max: int, threshold: float)
                    tau_min + np.argmin(dp[:, tau_min:], axis=1))
 
     rows = np.arange(n)
-    a = dp[rows, tau - 1]
     b = dp[rows, tau]
-    c = dp[rows, np.minimum(tau + 1, tau_max)]
-    denom = a - 2 * b + c
-    bend = (tau < tau_max) & (denom != 0)
-    delta = np.where(bend, np.clip(0.5 * (a - c) / np.where(bend, denom, 1.0), -0.5, 0.5), 0.0)
+    delta, _ = _parabola(dp[rows, tau - 1], b, dp[rows, np.minimum(tau + 1, tau_max)],
+                         tau < tau_max)
     return np.where(b < threshold, tau + delta, np.nan)
+
+
+def _next_smooth(n: int) -> int:
+    """The smallest 2^a * 3^b >= n: a length numpy's FFT takes in fast radix-2/3 steps."""
+    best, p3 = _next_pow2(n), 1
+    while p3 < best:
+        best = min(best, p3 * _next_pow2(-(-n // p3)))
+        p3 *= 3
+    return best
+
+
+def _parabola(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+              ok: np.ndarray | bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """Vertex offset (clipped to +/-0.5) and height of the parabola through
+    (-1, a), (0, b), (1, c), elementwise. Where `ok` is False or the three
+    points are collinear, the offset is 0 and the height b."""
+    denom = a - 2 * b + c
+    bend = ok & (denom != 0)
+    delta = np.where(bend, np.clip(0.5 * (a - c) / np.where(bend, denom, 1.0), -0.5, 0.5), 0.0)
+    return delta, np.where(bend, b - 0.25 * (a - c) * delta, b)
 
 
 # ---------------------------------------------------------------------------
 # jitter / shimmer / HNR
 # ---------------------------------------------------------------------------
 
-def _refine_peak(x: np.ndarray, i: int) -> tuple[float, float]:
-    """Parabolic sub-sample refinement of a local maximum at index i."""
-    if i <= 0 or i >= x.size - 1:
-        return float(i), float(x[i])
-    a, b, c = x[i - 1], x[i], x[i + 1]
-    denom = a - 2 * b + c
-    if denom == 0:
-        return float(i), float(b)
-    delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
-    return i + delta, float(b - 0.25 * (a - c) * delta)
+def _refine_peaks(x: np.ndarray, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parabolic sub-sample refinement of the local maxima of x at indices
+    idx: times and heights. A peak at either end of x keeps its sample."""
+    delta, height = _parabola(x[np.maximum(idx - 1, 0)], x[idx],
+                              x[np.minimum(idx + 1, x.size - 1)],
+                              (idx > 0) & (idx < x.size - 1))
+    return idx + delta, height
 
 
 def _cycle_peaks_by_region(
     x: np.ndarray, sample_rate_hz: int, f0: FrameSeries
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Peak times and amplitudes of each voiced region that holds a peak."""
+    """Peak times and amplitudes of each voiced region that holds a peak.
+
+    Each peak bounds the search for the next, so the chain is a loop; its
+    body does Python arithmetic and one argmax per cycle, and each region's
+    peaks are refined together afterwards."""
     hop = int(round(f0.hop_seconds * sample_rate_hz))
     voiced = np.flatnonzero(~np.isnan(f0.values))
     if voiced.size == 0:
@@ -260,33 +281,24 @@ def _cycle_peaks_by_region(
     regions = np.split(voiced, np.flatnonzero(np.diff(voiced) > 1) + 1)
     for region in regions:
         i0, i1 = int(region[0]), int(region[-1])
+        f = f0.values[i0: i1 + 1]  # all voiced, so every period is finite
+        periods = (sample_rate_hz / f).tolist()
         start = i0 * hop
-        slowest = float(np.nanmin(f0.values[region]))
-        end = min(x.size, i1 * hop + int(2 * sample_rate_hz / slowest))
-        period = sample_rate_hz / f0.values[i0]
-        seed_end = min(x.size, start + int(1.5 * period))
+        end = min(x.size, i1 * hop + int(2 * sample_rate_hz / float(f.min())))
+        seed_end = min(x.size, start + int(1.5 * periods[0]))
         if seed_end - start < 3:
             continue
-        p = start + int(np.argmax(x[start:seed_end]))
-        t, a = _refine_peak(x, p)
-        times = [t]
-        amps = [a]
+        p = start + int(x[start:seed_end].argmax())
+        peaks = [p]
         while True:
-            fi = min(max(int(round(p / hop)), i0), i1)
-            f_here = f0.values[fi]
-            if np.isnan(f_here):
-                f_here = f0.values[i0]
-            period = sample_rate_hz / f_here
-            lo = p + int(np.floor(0.8 * period))
-            hi = p + int(np.ceil(1.25 * period)) + 1
+            period = periods[min(max(round(p / hop), i0), i1) - i0]
+            lo = p + math.floor(0.8 * period)
+            hi = p + math.ceil(1.25 * period) + 1
             if hi > end or lo >= x.size - 1:
                 break
-            q = lo + int(np.argmax(x[lo:hi]))
-            t, a = _refine_peak(x, q)
-            times.append(t)
-            amps.append(a)
-            p = q
-        out.append((np.asarray(times), np.asarray(amps)))
+            p = lo + int(x[lo:hi].argmax())
+            peaks.append(p)
+        out.append(_refine_peaks(x, np.array(peaks)))
     return out
 
 
@@ -330,36 +342,61 @@ def cycle_perturbation(
     return jitter, shimmer / abs(mean_amp)
 
 
-def _hnr_at_frame(x: np.ndarray, start: int, sample_rate_hz: int, f0_hz: float) -> float:
-    period = sample_rate_hz / f0_hz
-    lag = int(round(period))
-    w = int(round(2 * period))
-    if start + w + lag + 1 >= x.size or lag < 2:
-        return np.nan
-    seg = x[start: start + w + lag + 1]
-    base = seg[:w]
-    norm0 = float(base @ base)
-    if norm0 <= 0:
-        return np.nan
-    rs = []
-    for ell in (lag - 1, lag, lag + 1):
-        shifted = seg[ell: ell + w]
-        denom = np.sqrt(norm0 * float(shifted @ shifted))
-        rs.append(float(base @ shifted) / denom if denom > 0 else 0.0)
-    # the parabola's vertex over the three lags, capped so HNR stays within
-    # about +/-120 dB
-    r = float(np.clip(_refine_peak(np.asarray(rs), 1)[1], 1e-12, 1 - 1e-12))
-    return 10.0 * np.log10(r / (1.0 - r))
-
-
 def hnr_series(buf: AudioBuffer, f0: FrameSeries) -> FrameSeries:
-    """Harmonics-to-noise ratio per voiced frame, NaN when unvoiced."""
+    """Harmonics-to-noise ratio per voiced frame, NaN when unvoiced.
+
+    A voiced frame starting at sample s with period P = sr/f0 takes the
+    integer lag l = round(P) and a 2-period window w = round(2P). At each of
+    the integer lags k = l-1, l, l+1 it takes the normalized correlation of
+    x[s:s+w] with x[s+k:s+k+w] (0 when either is silent); r is the vertex of
+    the 3-point parabola through the three (its offset clipped to +/-0.5
+    lag), clamped to [1e-12, 1-1e-12] so HNR stays within about +/-120 dB,
+    and HNR = 10*log10(r / (1 - r)). NaN where l < 2, where the frame's
+    w + l + 1 samples run past the end, or where x[s:s+w] is silent.
+
+    Voiced frames are taken in blocks of BLOCK_FRAMES; within a block the
+    frames sharing (l, w) are gathered into one matrix, and each row's dot
+    products are the ones a per-frame loop takes, bit for bit.
+    """
+    x = buf.samples
     hop = int(round(f0.hop_seconds * buf.sample_rate_hz))
     vals = np.full(f0.values.size, np.nan)
-    for i, f in enumerate(f0.values):
-        if not np.isnan(f):
-            vals[i] = _hnr_at_frame(buf.samples, i * hop, buf.sample_rate_hz, f)
+    voiced = np.flatnonzero(~np.isnan(f0.values))
+    for frames in np.split(voiced, np.arange(BLOCK_FRAMES, voiced.size, BLOCK_FRAMES)):
+        period = buf.sample_rate_hz / f0.values[frames]
+        lag = np.rint(period).astype(np.int64)
+        w = np.rint(2 * period).astype(np.int64)
+        starts = frames * hop
+        fits = (starts + w + lag + 1 < x.size) & (lag >= 2)
+        frames, starts = frames[fits], starts[fits]
+        span = int(w.max(initial=0)) + 1
+        key = lag[fits] * span + w[fits]  # one integer per (lag, w) pair
+        for k in np.unique(key).tolist():
+            rows = key == k
+            vals[frames[rows]] = _hnr_rows(x, starts[rows], *divmod(k, span))
     return FrameSeries("hnr", vals, f0.hop_seconds)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row: a stacked matmul of (1, n) by (n, 1) takes
+    the same dot routine as one 1-D `@`, so each row's bits match it."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _hnr_rows(x: np.ndarray, starts: np.ndarray, lag: int, w: int) -> np.ndarray:
+    """hnr_series's value at each frame start, all with integer lag `lag`
+    and window `w`."""
+    segs = x[starts[:, None] + np.arange(w + lag + 1)]
+    base = segs[:, :w]
+    norm0 = _rowdot(base, base)
+    rs = []
+    for ell in (lag - 1, lag, lag + 1):
+        shifted = segs[:, ell: ell + w]
+        denom = np.sqrt(norm0 * _rowdot(shifted, shifted))
+        rs.append(np.where(denom > 0, _rowdot(base, shifted) / np.where(denom > 0, denom, 1.0),
+                           0.0))
+    r = np.clip(_parabola(*rs)[1], 1e-12, 1 - 1e-12)
+    return np.where(norm0 > 0, 10.0 * np.log10(r / (1.0 - r)), np.nan)
 
 
 def nan_mean(values: np.ndarray) -> float:
@@ -548,13 +585,9 @@ def tempogram_tempo(onset: FrameSeries, window: int = 384) -> tuple[float, np.nd
     if lag_max < lag_min:
         return np.nan, np.zeros((0, 0))
     step = max(1, w // 4)
-    starts = list(range(0, max(env.size - w, 0) + 1, step))
+    segs = np.lib.stride_tricks.sliding_window_view(env, w)[::step]
     lags = np.arange(lag_min, lag_max + 1)
-    gram = np.zeros((len(starts), lags.size))
-    for r, s in enumerate(starts):
-        seg = env[s: s + w]
-        for j, lag in enumerate(lags):
-            gram[r, j] = float(seg[:-lag] @ seg[lag:])
+    gram = np.stack([_rowdot(segs[:, :-lag], segs[:, lag:]) for lag in lags.tolist()], axis=1)
     agg = gram.mean(axis=0)
     if np.all(agg <= 0):
         return np.nan, gram
@@ -696,8 +729,12 @@ class Analysis:
 
     Every acoustic family reads the same Analysis, so the descriptor pass,
     F0, HNR and glottal cycles run once per recording, and a family that
-    needs no F0 never runs the tracker. Only per-frame (and per-cycle)
-    series are kept, never frames or spectra. One thread uses one Analysis.
+    needs no F0 never runs the tracker. Each is array code over blocks: the
+    descriptors over blocks of frames, F0 and HNR over blocks of
+    BLOCK_FRAMES (voiced) frames, and the glottal cycles over each voiced
+    region, whose peak chain alone is a loop of Python arithmetic with one
+    argmax per cycle. Only per-frame (and per-cycle) series are kept, never
+    frames or spectra. One thread uses one Analysis.
     """
 
     def __init__(self, buf: AudioBuffer, config: AcousticConfig) -> None:

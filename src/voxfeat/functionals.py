@@ -171,11 +171,13 @@ def apply_bank(series: FrameSeries, bank: FunctionalBank = DEFAULT_BANK) -> Feat
 class Family:
     """One feature family, declared once.
 
-    Each entry is (name, formula), or (series, formula, stats), which stands
-    for one feature "<series>_<stat>" per statistic, its formula followed by
-    the statistic's text. `compute` returns the family's FeatureVector from
-    the recording's shared acoustic.Analysis for an "acoustic.*" category, or
-    from (Transcript, TextResources) for a "text.*" one.
+    Each entry is (name, formula), or (series, formula, stats[, over]),
+    which stands for one feature "<series>_<stat>" per statistic, its formula
+    followed by the statistic's text; `over` names what the series runs over
+    (" over frames" unless given). `compute` returns the family's
+    FeatureVector from the recording's shared acoustic.Analysis for an
+    "acoustic.*" category, or from (Transcript, TextResources) for a
+    "text.*" one.
     """
 
     category: str
@@ -190,8 +192,9 @@ class Family:
             if len(entry) == 2:
                 features.append(entry)
             else:
-                series, formula, stats = entry
-                features.extend((f"{series}_{s}", f"{formula}; {stat_text(s)}") for s in stats)
+                series, formula, stats, *over = entry
+                features.extend((f"{series}_{s}", f"{formula}; {stat_text(s, *over)}")
+                                for s in stats)
         object.__setattr__(self, "features", tuple(features))
         object.__setattr__(self, "names", tuple(name for name, _ in features))
 
@@ -218,6 +221,7 @@ _MEAN_STD = ("mean", "stddev")
 # for the jitter, shimmer and HNR series, whose means are the gemaps scalars
 # jitter_local, shimmer_local and hnr_db
 _STD = ("stddev",)
+_PAIRS = " over adjacent cycle pairs"  # the jitter and shimmer series hold one term per pair
 
 # descriptors that both the spectral set and the LLD family summarize
 _DESCRIPTOR_TEXT = {
@@ -280,8 +284,8 @@ def _slope_text(lo: int, hi: int) -> str:
 GEMAPS = Family("acoustic.gemaps", (
     ("f0_semitone", "12*log2(f0_hz / 27.5) on voiced frames", _MEAN_STD),
     ("loudness", "frame RMS amplitude", _MEAN_STD),
-    ("jitter", "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair", _STD),
-    ("shimmer", "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair", _STD),
+    ("jitter", "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair", _STD, _PAIRS),
+    ("shimmer", "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair", _STD, _PAIRS),
     ("hnr", "10*log10(r / (1 - r)), r = periodic autocorrelation share", _STD),
     *((name, _slope_text(lo, hi), _MEAN_STD)
       for name, (lo, hi) in zip(_SLOPE_NAMES, SLOPE_BANDS_HZ)),

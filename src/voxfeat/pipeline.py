@@ -58,6 +58,8 @@ from .textfeat import (
 
 log = logging.getLogger("voxfeat")
 
+TRANSCRIPT_SUFFIXES = (".conllu", ".txt")  # in order of preference; any case
+
 
 @dataclass(frozen=True)
 class InputResult:
@@ -120,32 +122,35 @@ def load_resources(cfg: PipelineConfig) -> TextResources:
 
 def discover_inputs(audio_dir: str | Path,
                     transcript_dir: str | Path | None = None) -> list[RecordingInput]:
-    """WAV files (suffix in any case) sorted by name; transcripts matched by
-    shared basename, .conllu preferred over .txt. Two files whose stems are
-    equal, such as a.wav and a.WAV, would share one row and raise
-    SchemaError."""
+    """WAV files sorted by name; transcripts matched by shared basename,
+    .conllu preferred over .txt. Suffixes match in any case. Two WAVs whose
+    stems are equal, such as a.wav and a.WAV, would share one row, and two
+    transcripts of one kind for a recording, such as a.txt and a.TXT, would
+    both claim it: either raises SchemaError."""
     audio_dir = Path(audio_dir)
     tdir = Path(transcript_dir) if transcript_dir is not None else audio_dir
     wavs = sorted(p for p in audio_dir.glob("*.[wW][aA][vV]") if p.is_file())
     if not wavs:
         raise NoInputs(f"no .wav files in {audio_dir}")
+    transcripts: dict[tuple[str, str], list[Path]] = {}
+    for path in sorted(tdir.glob("*")):
+        if path.suffix.lower() in TRANSCRIPT_SUFFIXES and path.is_file():
+            transcripts.setdefault((path.stem, path.suffix.lower()), []).append(path)
     out: dict[str, RecordingInput] = {}
     for wav in wavs:
-        if wav.stem in out:
-            raise SchemaError(f"{out[wav.stem].wav_path.name} and {wav.name} "
-                              f"share the source id {wav.stem!r}")
-        transcript = None
-        for ext in (".conllu", ".txt"):
-            candidate = tdir / (wav.stem + ext)
-            if candidate.is_file():
-                transcript = candidate
-                break
+        found = [transcripts.get((wav.stem, ext), []) for ext in TRANSCRIPT_SUFFIXES]
+        claims = [[out[wav.stem].wav_path, wav]] if wav.stem in out else []
+        for paths in claims + found:
+            if len(paths) > 1:
+                raise SchemaError(f"{paths[0].name} and {paths[1].name} "
+                                  f"share the source id {wav.stem!r}")
+        transcript = next((paths[0] for paths in found if paths), None)
         out[wav.stem] = RecordingInput(wav.stem, wav, transcript)
     return list(out.values())
 
 
 def _load_transcript(path: Path) -> Transcript:
-    if path.suffix == ".conllu":
+    if path.suffix.lower() == ".conllu":
         return load_conllu(path)
     return tokenize(path.read_text(encoding="utf-8"))
 

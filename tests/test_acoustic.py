@@ -720,3 +720,180 @@ class TestF0MatchesReferencePicker:
         buf = AudioBuffer(0.5 * gate * tone + rng.normal(0, 0.01, t.size), SR)
         voiced = self.check(buf)
         assert voiced.size > 2 * BLOCK_FRAMES and 0.3 < voiced.mean() < 0.9
+
+
+def reference_refine_peak(x, i):
+    """The scalar parabolic refinement the cycle picker and HNR used."""
+    if i <= 0 or i >= x.size - 1:
+        return float(i), float(x[i])
+    a, b, c = x[i - 1], x[i], x[i + 1]
+    denom = a - 2 * b + c
+    if denom == 0:
+        return float(i), float(b)
+    delta = float(np.clip(0.5 * (a - c) / denom, -0.5, 0.5))
+    return i + delta, float(b - 0.25 * (a - c) * delta)
+
+
+def reference_hnr(buf, f0):
+    """The per-frame HNR loop hnr_series replaced, unchanged."""
+    x, sr = buf.samples, buf.sample_rate_hz
+    hop = int(round(f0.hop_seconds * sr))
+    vals = np.full(f0.values.size, np.nan)
+    for i, f in enumerate(f0.values):
+        if np.isnan(f):
+            continue
+        start = i * hop
+        period = sr / f
+        lag = int(round(period))
+        w = int(round(2 * period))
+        if start + w + lag + 1 >= x.size or lag < 2:
+            continue
+        seg = x[start: start + w + lag + 1]
+        base = seg[:w]
+        norm0 = float(base @ base)
+        if norm0 <= 0:
+            continue
+        rs = []
+        for ell in (lag - 1, lag, lag + 1):
+            shifted = seg[ell: ell + w]
+            denom = np.sqrt(norm0 * float(shifted @ shifted))
+            rs.append(float(base @ shifted) / denom if denom > 0 else 0.0)
+        r = float(np.clip(reference_refine_peak(np.asarray(rs), 1)[1], 1e-12, 1 - 1e-12))
+        vals[i] = 10.0 * np.log10(r / (1.0 - r))
+    return vals
+
+
+def reference_cycles(buf, f0):
+    """The per-cycle peak picker pick_cycle_peaks replaced, unchanged."""
+    x, sr = buf.samples, buf.sample_rate_hz
+    hop = int(round(f0.hop_seconds * sr))
+    voiced = np.flatnonzero(~np.isnan(f0.values))
+    times, amps = [], []
+    if voiced.size == 0:
+        return np.empty(0), np.empty(0)
+    for region in np.split(voiced, np.flatnonzero(np.diff(voiced) > 1) + 1):
+        i0, i1 = int(region[0]), int(region[-1])
+        start = i0 * hop
+        slowest = float(np.nanmin(f0.values[region]))
+        end = min(x.size, i1 * hop + int(2 * sr / slowest))
+        seed_end = min(x.size, start + int(1.5 * sr / f0.values[i0]))
+        if seed_end - start < 3:
+            continue
+        p = start + int(np.argmax(x[start:seed_end]))
+        t, a = reference_refine_peak(x, p)
+        times.append(t)
+        amps.append(a)
+        while True:
+            period = sr / f0.values[min(max(int(round(p / hop)), i0), i1)]
+            lo = p + int(np.floor(0.8 * period))
+            hi = p + int(np.ceil(1.25 * period)) + 1
+            if hi > end or lo >= x.size - 1:
+                break
+            p = lo + int(np.argmax(x[lo:hi]))
+            t, a = reference_refine_peak(x, p)
+            times.append(t)
+            amps.append(a)
+    return np.asarray(times, dtype=float), np.asarray(amps, dtype=float)
+
+
+def gliding_tone(seconds, sr=SR, f_lo=90.0, f_hi=230.0, seed=29):
+    """Two harmonics whose F0 glides between f_lo and f_hi, gated, in light noise."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(seconds * sr)) / sr
+    f = f_lo + (f_hi - f_lo) * (0.5 + 0.5 * np.sin(2 * np.pi * 0.35 * t))
+    phase = 2 * np.pi * np.cumsum(f) / sr
+    gate = np.sin(2 * np.pi * 0.6 * t) > -0.6
+    x = gate * (0.4 * np.sin(phase) + 0.2 * np.sin(2 * phase + 0.7))
+    return AudioBuffer(x + rng.normal(0.0, 0.005, t.size), sr)
+
+
+class TestVoiceQualityMatchesReferenceLoops:
+    """hnr_series and the cycle picker, as array code, equal the per-frame
+    and per-cycle loops they replaced."""
+
+    def check(self, buf, f0=None):
+        f0 = f0_track(buf) if f0 is None else f0
+        got = acoustic.hnr_series(buf, f0).values
+        want = reference_hnr(buf, f0)
+        np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+        np.testing.assert_allclose(got[~np.isnan(want)], want[~np.isnan(want)], rtol=1e-12)
+        times, amps = acoustic.pick_cycle_peaks(buf.samples, buf.sample_rate_hz, f0)
+        ref_times, ref_amps = reference_cycles(buf, f0)
+        np.testing.assert_array_equal(times, ref_times)
+        np.testing.assert_array_equal(amps, ref_amps)
+        return f0.values, got, times
+
+    def test_gliding_tone_over_several_blocks(self):
+        f0, hnr, times = self.check(gliding_tone(3.2 * BLOCK_FRAMES * 0.010))
+        voiced = ~np.isnan(f0)
+        assert voiced.sum() > 2 * BLOCK_FRAMES and np.isfinite(hnr).sum() > 2 * BLOCK_FRAMES
+        # many (lag, w) groups within a block
+        lags = np.rint(SR / f0[voiced][:BLOCK_FRAMES])
+        assert np.unique(lags).size > 20
+        assert times.size > 500
+
+    def test_voiced_frames_near_the_end(self):
+        # 200 Hz at 8 kHz: lag 40 and w 80, so a frame at s needs s + 121 < n
+        sr, hop = 8000, 80
+        for extra, fits in ((121, False), (122, True)):
+            n = 10 * hop + extra
+            buf = AudioBuffer(0.5 * np.sin(2 * np.pi * 200.0 * np.arange(n) / sr + 0.3), sr)
+            _, hnr, _ = self.check(buf, FrameSeries("f0", np.full(11, 200.0), 0.01))
+            assert np.isfinite(hnr[9]) and np.isfinite(hnr[10]) == fits
+
+    def test_lag_below_two(self):
+        # F0 of 700-900 Hz at 1 kHz: a period of 1.1-1.4 samples rounds to lag 1
+        sr = 1000
+        buf = AudioBuffer(np.random.default_rng(4).normal(0, 0.3, 400), sr)
+        values = np.full(40, np.nan)
+        values[3:30] = np.linspace(700.0, 900.0, 27)
+        values[12:20] = 300.0  # lag 3: these frames are defined
+        _, hnr, _ = self.check(buf, FrameSeries("f0", values, 0.01))
+        assert np.all(np.isnan(hnr[3:12])) and np.isfinite(hnr[12:20]).all()
+
+    def test_digital_silence_inside_a_voiced_region(self):
+        buf = gliding_tone(1.5, seed=31)
+        f0 = f0_track(buf)
+        x = buf.samples.copy()
+        x[4000:9000] = 0.0  # the tracker still says voiced here
+        f0_vals, hnr, _ = self.check(AudioBuffer(x, SR), f0)
+        silent = np.arange(f0_vals.size) * 160
+        inside = (silent >= 4000) & (silent + 700 <= 9000) & ~np.isnan(f0_vals)
+        assert inside.any() and np.all(np.isnan(hnr[inside]))
+
+    def test_peaks_at_both_ends(self):
+        # a 200 Hz cosine at 8 kHz (period 40) ending 51 samples past a peak:
+        # the first cycle's peak is sample 0, the last cycle's the last sample
+        sr, n = 8000, 40 * 50 + 51
+        x = 0.5 * np.cos(2 * np.pi * np.arange(n) / 40)
+        x[0] = x[-1] = 0.9
+        f0 = FrameSeries("f0", np.full(n // 80 + 2, 200.0), 0.01)
+        _, _, times = self.check(AudioBuffer(x, sr), f0)
+        assert times[0] == 0.0 and times[-1] == n - 1
+
+
+def reference_tempogram(env, w, step, lags):
+    """The per-(window, lag) dot-product loop tempogram_tempo replaced."""
+    starts = range(0, max(env.size - w, 0) + 1, step)
+    return np.array([[float(env[s: s + w][:-lag] @ env[s: s + w][lag:]) for lag in lags]
+                     for s in starts])
+
+
+class TestTempogramMatchesReferenceLoop:
+    @pytest.mark.parametrize("n, window", [(2, 384), (50, 384), (384, 384), (385, 384),
+                                           (1000, 384), (4500, 384), (700, 100)])
+    def test_tempo_and_gram(self, n, window):
+        rng = np.random.default_rng(n)
+        for env in (rng.random(n), np.abs(rng.normal(size=n)) ** 3,
+                    (np.arange(n) % 50 == 0).astype(float), np.zeros(n)):
+            tempo, gram = tempogram_tempo(FrameSeries("flux", env, 0.010), window)
+            w = min(window, n)
+            lags = list(range(20, min(w - 1, 200) + 1))  # 300 to 30 BPM at a 10 ms hop
+            if not lags:
+                assert np.isnan(tempo) and gram.shape == (0, 0)
+                continue
+            want = reference_tempogram(env, w, max(1, w // 4), lags)
+            np.testing.assert_allclose(gram, want, rtol=1e-12, atol=0)
+            agg = want.mean(axis=0)
+            expected = np.nan if np.all(agg <= 0) else 60.0 / (lags[int(np.argmax(agg))] * 0.010)
+            np.testing.assert_array_equal(tempo, expected)

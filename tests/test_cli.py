@@ -120,6 +120,15 @@ class TestFeatdict:
         assert main(["featdict", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_cycle_series_run_over_cycle_pairs(self, tmp_path):
+        # jitter and shimmer hold one term per adjacent cycle pair, HNR one per frame
+        out = tmp_path / "fd.tsv"
+        assert main(["featdict", str(out)]) == 0
+        formulas = dict(line.split("\t")[::3] for line in out.read_text().splitlines())
+        for name in ("jitter_stddev", "shimmer_stddev"):
+            assert formulas[name].endswith("; population stddev over adjacent cycle pairs")
+        assert formulas["hnr_stddev"].endswith("; population stddev over frames")
+
 
 class TestConfigPlumbing:
     def test_config_flag_loads_json(self, tmp_path):

@@ -20,6 +20,7 @@ from voxfeat.config import (
 )
 from voxfeat.errors import NoInputs, SchemaError, UnwritableOutput
 from voxfeat.pipeline import (
+    _load_transcript,
     discover_inputs,
     extract_features,
     load_resources,
@@ -96,6 +97,24 @@ class TestDiscover:
         items = discover_inputs(tmp_path)
         assert [i.source_id for i in items] == ["REC_00"]
         assert items[0].transcript_path == tmp_path / "REC_00.txt"
+
+    def test_transcript_suffix_in_any_case(self, tmp_path):
+        make_wav(tmp_path / "REC_00.WAV")
+        (tmp_path / "REC_00.TXT").write_text("hello there\n")
+        make_wav(tmp_path / "REC_01.wav")
+        (tmp_path / "REC_01.Txt").write_text("plain words\n")
+        (tmp_path / "REC_01.CONLLU").write_text(CONLLU)
+        items = discover_inputs(tmp_path)
+        assert [i.transcript_path.name for i in items] == ["REC_00.TXT", "REC_01.CONLLU"]
+        # and an upper-case .CONLLU is read as CoNLL-U, with its tags
+        assert _load_transcript(items[1].transcript_path).sentences[0][0].pos == "DET"
+
+    def test_transcripts_differing_in_suffix_case_raise(self, tmp_path):
+        make_wav(tmp_path / "a.wav")
+        (tmp_path / "a.TXT").write_text("hello there\n")
+        (tmp_path / "a.txt").write_text("hello there\n")
+        with pytest.raises(SchemaError, match=r"a\.TXT and a\.txt"):
+            discover_inputs(tmp_path)
 
     def test_suffix_case_variants_sharing_a_stem_raise(self, tmp_path):
         for name in ("a.WAV", "a.b.wav", "a.wav"):
@@ -186,11 +205,12 @@ class TestSharedAnalysis:
 
 
 class TestMemoryBound:
-    def test_peak_grows_with_samples_and_series_only(self, tmp_path):
-        """From 30 s to 120 s, extract_features's traced peak grows by at most
-        twice the samples' growth (the float64 buffer and its decode) plus
-        the per-frame series' growth: no frame or spectrum array follows the
-        recording's length."""
+    """From 30 s to 120 s, extract_features's traced peak grows by at most
+    twice the samples' growth (the float64 buffer and its decode) plus the
+    per-frame series' growth: no frame or spectrum array follows the
+    recording's length."""
+
+    def growth_and_bound(self, tmp_path, freq):
         from voxfeat.acoustic import AcousticConfig, frame_descriptors
 
         sr = 8000
@@ -199,8 +219,7 @@ class TestMemoryBound:
         peaks, frames = {}, {}
         for seconds in (30, 120):
             t = np.arange(seconds * sr) / sr
-            # 1 kHz is above f_max: unvoiced, so the per-voiced-frame loops stay short
-            write_wav(AudioBuffer(0.4 * np.sin(2 * np.pi * 1000.0 * t), sr),
+            write_wav(AudioBuffer(0.4 * np.sin(2 * np.pi * freq * t), sr),
                       tmp_path / f"tone{seconds}.wav")
             item = [i for i in discover_inputs(tmp_path) if i.source_id == f"tone{seconds}"][0]
             tracemalloc.start()
@@ -214,7 +233,17 @@ class TestMemoryBound:
         series_per_frame = 2 + sum(int(np.prod(v.shape[1:])) for v in short.values())  # + f0, hnr
         samples_growth = (120 - 30) * sr * 8
         series_growth = (frames[120] - frames[30]) * series_per_frame * 8
-        assert peaks[120] - peaks[30] <= 2 * samples_growth + series_growth
+        return peaks[120] - peaks[30], 2 * samples_growth + series_growth
+
+    def test_peak_grows_with_samples_and_series_only(self, tmp_path):
+        # 1 kHz is above f_max: unvoiced, so no HNR frame and no cycle
+        growth, bound = self.growth_and_bound(tmp_path, 1000.0)
+        assert growth <= bound
+
+    def test_voiced_peak_grows_with_samples_and_series_only(self, tmp_path):
+        # 150 Hz is voiced throughout: HNR and the cycle marks run in the same bound
+        growth, bound = self.growth_and_bound(tmp_path, 150.0)
+        assert growth <= bound
 
 
 class TestRunExtract:
