@@ -180,11 +180,12 @@ def f0_track(
     hop = int(round(hop_seconds * sr))
     if x.size < chunk:
         return FrameSeries("f0", np.empty(0), hop_seconds)
-    starts = hop * np.arange(1 + (x.size - chunk) // hop)
-    periods = np.concatenate([
-        _yin_periods(x[block[:, None] + np.arange(chunk)], tau_min, tau_max, threshold)
-        for block in np.split(starts, np.arange(BLOCK_FRAMES, starts.size, BLOCK_FRAMES))
-    ])
+    # each block is a basic slice of this strided view, not a gathered copy
+    frames = np.lib.stride_tricks.sliding_window_view(x, chunk)[::hop]
+    periods = np.empty(frames.shape[0])
+    for start in range(0, frames.shape[0], BLOCK_FRAMES):
+        stop = start + BLOCK_FRAMES
+        periods[start:stop] = _yin_periods(frames[start:stop], tau_min, tau_max, threshold)
     f0 = sr / periods
     return FrameSeries("f0", np.where((f0 >= f_min) & (f0 <= f_max), f0, np.nan), hop_seconds)
 
@@ -199,20 +200,35 @@ def _yin_periods(segs: np.ndarray, tau_min: int, tau_max: int, threshold: float)
     # so take the smallest 2^a 3^b, not the next power of two: 576 points, not
     # 1024, at 16 kHz and f_min 60 Hz
     n_fft = _next_smooth(segs.shape[1])
-    spec_full = np.fft.rfft(segs, n_fft, axis=1)
     spec_head = np.fft.rfft(segs[:, :w], n_fft, axis=1)
-    cross = np.fft.irfft(np.conj(spec_head) * spec_full, n_fft, axis=1)[:, : tau_max + 1]
+    np.conj(spec_head, out=spec_head)
+    spec_head *= np.fft.rfft(segs, n_fft, axis=1)
+    cross = np.fft.irfft(spec_head, n_fft, axis=1)[:, : tau_max + 1]
+    del spec_head
 
-    csum = np.concatenate([np.zeros((n, 1)), np.cumsum(segs * segs, axis=1)], axis=1)
+    # csum[:, k] is the energy of the first k + 1 samples. The difference
+    # d(tau) = E(0..w) + E(tau..tau+w) - 2 C(tau) and then its normalized
+    # form d'(tau) are built in place in dp[:, 1:], with d'(0) = 1
+    csum = np.multiply(segs, segs)
+    np.cumsum(csum, axis=1, out=csum)
     taus = np.arange(tau_max + 1)
-    energy_tau = csum[:, w: w + tau_max + 1] - csum[:, : tau_max + 1]
-    diff = np.maximum(csum[:, w][:, None] + energy_tau - 2.0 * cross, 0.0)
+    dp = np.empty((n, tau_max + 1))
+    dp[:, 0] = 1.0
+    diff = dp[:, 1:]
+    np.subtract(csum[:, w: w + tau_max], csum[:, :tau_max], out=diff)
+    diff += csum[:, w - 1, None]
+    del csum
+    cross = cross[:, 1:]
+    cross *= 2.0
+    diff -= cross
+    np.maximum(diff, 0.0, out=diff)
 
     # cumulative mean normalization; digital silence keeps dp at 1 (unvoiced)
-    run = np.cumsum(diff[:, 1:], axis=1)
-    dp = np.ones_like(diff)
+    run = np.cumsum(diff, axis=1)
+    diff *= taus[1:]
     positive = run > 0
-    dp[:, 1:] = np.where(positive, diff[:, 1:] * taus[1:] / np.where(positive, run, 1.0), 1.0)
+    np.divide(diff, run, out=diff, where=positive)
+    diff[~positive] = 1.0
 
     # the first lag below the threshold, walked downhill to its local minimum
     # (the first lag before tau_max whose successor does not descend); with
@@ -443,7 +459,7 @@ def mfcc(
     orthonormal type-II DCT, first n_coeffs kept on the last axis.
     """
     bank = _mfcc_bank(spec.magnitudes.shape[-1], spec.bin_hz, n_mels, n_coeffs, fmin, fmax)
-    return _cepstra(spec, bank, dct_basis(n_mels, n_coeffs))
+    return _cepstra(spec.magnitudes ** 2, bank, dct_basis(n_mels, n_coeffs))
 
 
 def _mfcc_bank(n_bins: int, bin_hz: float, n_mels: int, n_coeffs: int,
@@ -476,9 +492,9 @@ def dct_basis(n: int, k: int) -> np.ndarray:
     return basis
 
 
-def _cepstra(spec: Spectrum, bank: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """One cepstral coefficient per row of the DCT basis, of each spectrum frame."""
-    energies = (spec.magnitudes ** 2) @ bank.T
+def _cepstra(power: np.ndarray, bank: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """One cepstral coefficient per row of the DCT basis, of each power spectrum frame."""
+    energies = power @ bank.T
     logs = np.log(np.maximum(energies, SPECTRAL_FLOOR))
     return logs @ basis.T
 
@@ -491,23 +507,35 @@ def spectral_shape(spec: Spectrum) -> dict[str, np.ndarray]:
     """Centroid, bandwidth, rolloff, flatness of each frame; all NaN for a
     silent frame. Scalars for a one-frame spectrum."""
     mags = spec.magnitudes
-    freqs = spec.frequencies
+    return _spectral_shape(mags, mags ** 2, spec.frequencies)[0]
+
+
+def _spectral_shape(
+    mags: np.ndarray, power: np.ndarray, freqs: np.ndarray
+) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """spectral_shape from the magnitudes and their power, and the power
+    floored at SPECTRAL_FLOOR, which overwrites `power`. One buffer of the
+    spectrum's shape holds each intermediate in turn."""
     total = mags.sum(axis=-1)
     silent = total <= 0
     total = np.where(silent, 1.0, total)
-    centroid = (freqs * mags).sum(axis=-1) / total
-    bandwidth = np.sqrt((mags * (freqs - centroid[..., None]) ** 2).sum(axis=-1) / total)
-    power = mags ** 2
-    cumulative = np.cumsum(power, axis=-1)
-    rolloff = freqs[np.argmax(cumulative >= 0.85 * cumulative[..., -1:], axis=-1)]
-    floored = np.maximum(power, SPECTRAL_FLOOR)
-    flatness = np.clip(np.exp(np.mean(np.log(floored), axis=-1)) / np.mean(floored, axis=-1),
-                       0.0, 1.0)
+    work = np.multiply(freqs, mags)
+    centroid = work.sum(axis=-1) / total
+    np.subtract(freqs, centroid[..., None], out=work)
+    np.square(work, out=work)
+    work *= mags
+    bandwidth = np.sqrt(work.sum(axis=-1) / total)
+    np.cumsum(power, axis=-1, out=work)
+    rolloff = freqs[np.argmax(work >= 0.85 * work[..., -1:], axis=-1)]
     # uniform limit, kept exact instead of the exp(log()) round-trip
-    flatness = np.where(power.max(axis=-1) == power.min(axis=-1), 1.0, flatness)
+    uniform = power.max(axis=-1) == power.min(axis=-1)
+    floored = np.maximum(power, SPECTRAL_FLOOR, out=power)
+    flatness = np.clip(np.exp(np.mean(np.log(floored, out=work), axis=-1))
+                       / np.mean(floored, axis=-1), 0.0, 1.0)
+    flatness = np.where(uniform, 1.0, flatness)
     shape = {"centroid_hz": centroid, "bandwidth_hz": bandwidth,
              "rolloff_hz": rolloff, "flatness": flatness}
-    return {key: np.where(silent, np.nan, value)[()] for key, value in shape.items()}
+    return {key: np.where(silent, np.nan, value)[()] for key, value in shape.items()}, floored
 
 
 def spectral_contrast(
@@ -544,8 +572,7 @@ def spectral_contrast(
 def frame_scalars(frames: FrameMatrix) -> dict[str, FrameSeries]:
     """Zero-crossing rate (pre-window samples) and RMS (windowed samples)."""
     raw = frames.raw
-    signs = raw[:, :-1] * raw[:, 1:]
-    zcr = (signs < 0).sum(axis=1) / (frames.frame_len - 1)
+    zcr = (raw[:, :-1] * raw[:, 1:] < 0).sum(axis=1) / (frames.frame_len - 1)
     rms = np.sqrt(np.mean(frames.frames ** 2, axis=1))
     return {
         "zcr": FrameSeries("zcr", zcr, frames.hop_seconds),
@@ -566,7 +593,10 @@ def spectral_flux_onset(spectrogram: Spectrum, hop_seconds: float) -> FrameSerie
 def _log_rises(logs: np.ndarray, before: np.ndarray) -> np.ndarray:
     """Mean positive rise of each log-magnitude row over the row before it;
     `before` is the (1, bins) row preceding logs[0]."""
-    return np.maximum(0.0, np.diff(logs, axis=0, prepend=before)).mean(axis=1)
+    rises = np.empty_like(logs)
+    np.subtract(logs[:1], before, out=rises[:1])
+    np.subtract(logs[1:], logs[:-1], out=rises[1:])
+    return np.maximum(0.0, rises, out=rises).mean(axis=1)
 
 
 def tempogram_tempo(onset: FrameSeries, window: int = 384) -> tuple[float, np.ndarray]:
@@ -610,11 +640,15 @@ def poly_features(spec: Spectrum, order: int) -> np.ndarray:
 
 def band_slope(spec: Spectrum, lo: float, hi: float) -> np.ndarray:
     """Least-squares slope (dB/Hz) of the floored log-power spectrum over [lo, hi]."""
-    freqs = spec.frequencies
+    return _band_slope(np.maximum(spec.magnitudes ** 2, SPECTRAL_FLOOR), spec.frequencies, lo, hi)
+
+
+def _band_slope(floored: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """band_slope of the power spectrum already floored at SPECTRAL_FLOOR."""
     sel = (freqs >= lo) & (freqs <= hi)
     if sel.sum() < 2:
-        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
-    power_db = 10.0 * np.log10(np.maximum(spec.magnitudes[..., sel] ** 2, SPECTRAL_FLOOR))
+        return np.full(floored.shape[:-1], np.nan)[()]
+    power_db = 10.0 * np.log10(floored[..., sel])
     # closed form on centred frequencies: exactly 0 for a flat (or silent) band
     centred = freqs[sel] - freqs[sel].mean()
     return ((power_db - power_db.mean(axis=-1, keepdims=True)) @ centred
@@ -630,8 +664,11 @@ def _db_ratio(num: np.ndarray, den: np.ndarray, scale: float) -> np.ndarray:
 
 def alpha_ratio(spec: Spectrum) -> np.ndarray:
     """10*log10 of the power in 50-1000 Hz over the power in 1000-5000 Hz."""
-    freqs = spec.frequencies
-    power = spec.magnitudes ** 2
+    return _alpha_ratio(spec.magnitudes ** 2, spec.frequencies)
+
+
+def _alpha_ratio(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """alpha_ratio of a power spectrum."""
     low = power[..., (freqs >= 50.0) & (freqs <= 1000.0)].sum(axis=-1)
     high = power[..., (freqs > 1000.0) & (freqs <= 5000.0)].sum(axis=-1)
     return _db_ratio(low, high, 10.0)
@@ -680,25 +717,7 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     out: dict[str, np.ndarray] = {}
     before = None
     for start, stop in zip(edges, edges[1:]):
-        block = FrameMatrix(raw[start:stop] * window, raw[start:stop], frame_len, hop, sr)
-        spec = spectra(block, n_fft)
-        logs = np.log(np.maximum(spec.magnitudes, SPECTRAL_FLOOR))
-        shape = spectral_shape(spec)
-        poly = poly_features(spec, 1)
-        rows = {
-            **{name: series.values for name, series in frame_scalars(block).items()},
-            **{name: shape[f"{name}_hz"] for name in ("centroid", "bandwidth", "rolloff")},
-            "flatness": shape["flatness"],
-            "mfcc": _cepstra(spec, bank, basis),
-            "contrast": spectral_contrast(spec, CONTRAST_BANDS, CONTRAST_FMIN_HZ),
-            "poly_slope": poly[:, 0],
-            "poly_intercept": poly[:, 1],
-            **{f"slope_{lo}_{hi}": band_slope(spec, lo, hi) for lo, hi in SLOPE_BANDS_HZ},
-            "alpha_ratio": alpha_ratio(spec),
-            "hammarberg": hammarberg(spec),
-            "flux": _log_rises(logs, logs[:1] if before is None else before),
-        }
-        before = logs[-1:].copy()  # a copy, so the block's logs can be freed
+        rows, before = _block_rows(raw[start:stop], window, hop, sr, n_fft, bank, basis, before)
         for name, value in rows.items():
             if name not in out:
                 out[name] = np.empty((n_frames,) + value.shape[1:])
@@ -706,6 +725,40 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     if n_frames < 2:
         out["flux"][:] = np.nan
     return out
+
+
+def _block_rows(raw: np.ndarray, window: np.ndarray, hop: int, sr: int, n_fft: int,
+                bank: np.ndarray, basis: np.ndarray, before: np.ndarray | None
+                ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """frame_descriptors' rows of one block of raw frames, and the block's
+    last log-magnitude row (flux's `before` for the next block).
+
+    The steps are ordered, and each array is dropped once read, so that at
+    most three (frames, bins) float arrays, or the windowed frames and their
+    transform, are alive at once; the power spectrum is floored in place."""
+    block = FrameMatrix(raw * window, raw, raw.shape[1], hop, sr)
+    rows = {name: series.values for name, series in frame_scalars(block).items()}
+    transform = np.fft.rfft(block.frames, n_fft, axis=-1)
+    del block
+    spec = Spectrum(np.abs(transform), sr / n_fft)
+    del transform
+    mags, freqs = spec.magnitudes, spec.frequencies
+    logs = np.log(np.maximum(mags, SPECTRAL_FLOOR))
+    rows["flux"] = _log_rises(logs, logs[:1] if before is None else before)
+    before = logs[-1:].copy()  # a copy, so the block's logs can be freed
+    del logs
+    poly = poly_features(spec, 1)
+    rows.update(poly_slope=poly[:, 0], poly_intercept=poly[:, 1],
+                contrast=spectral_contrast(spec, CONTRAST_BANDS, CONTRAST_FMIN_HZ),
+                hammarberg=hammarberg(spec))
+    power = mags ** 2
+    rows.update(mfcc=_cepstra(power, bank, basis), alpha_ratio=_alpha_ratio(power, freqs))
+    shape, floored = _spectral_shape(mags, power, freqs)
+    rows.update({name: shape[f"{name}_hz"] for name in ("centroid", "bandwidth", "rolloff")},
+                flatness=shape["flatness"])
+    rows.update({f"slope_{lo}_{hi}": _band_slope(floored, freqs, lo, hi)
+                 for lo, hi in SLOPE_BANDS_HZ})
+    return rows, before
 
 
 class _once:

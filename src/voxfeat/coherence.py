@@ -17,7 +17,10 @@ phrases x phrases matrix; it is NaN with fewer than two nonzero rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -34,12 +37,23 @@ _BANK = FunctionalBank(_STATS)
 
 @dataclass(frozen=True)
 class EmbeddingTable:
+    """Word vectors of length dim, stacked as the rows of one (words, dim)
+    `matrix` in the order of `vectors`, whose values become views of those
+    rows; `index` maps each word to its row."""
+
     dim: int
     vectors: dict[str, np.ndarray]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.dim < 1 or not self.vectors:
             raise ValueError("embedding table must be nonempty with dim >= 1")
+        matrix = np.array(list(self.vectors.values()), dtype=float)
+        matrix = matrix.reshape(len(self.vectors), self.dim)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "vectors", dict(zip(self.vectors, matrix)))
+        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.vectors)})
 
     def __contains__(self, word: str) -> bool:
         return word in self.vectors
@@ -73,19 +87,16 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             start = 1
         except ValueError:
             pass
-    vectors: dict[str, np.ndarray] = {}
-    for i, line in enumerate(lines[start:], start + 1):
-        parts = line.split()
-        word = parts[0].lower()
-        vec = np.array([float(v) for v in parts[1:]])
-        if dim is None:
-            dim = vec.size  # headerless: first row fixes the dimension
-        if vec.size != dim:
-            raise DimensionMismatch(f"{path.name}:{i}: {vec.size} values, expected {dim}")
-        vectors[word] = vec
-    if not vectors or dim is None or dim < 1:
+    rows = [line.split() for line in lines[start:]]
+    if rows and dim is None:
+        dim = len(rows[0]) - 1  # headerless: first row fixes the dimension
+    for i, size in enumerate(map(len, rows), start + 1):
+        if size - 1 != dim:
+            raise DimensionMismatch(f"{path.name}:{i}: {size - 1} values, expected {dim}")
+    if not rows or dim is None or dim < 1:
         raise EmptyFile(f"{path}: no usable embedding rows")
-    return EmbeddingTable(dim, vectors)
+    values = np.array([row[1:] for row in rows], dtype=float)
+    return EmbeddingTable(dim, dict(zip([row[0].lower() for row in rows], values)))
 
 
 def phrase_vector(sentence: tuple[Token, ...], emb: EmbeddingTable) -> np.ndarray | None:
@@ -98,10 +109,25 @@ def phrase_vector(sentence: tuple[Token, ...], emb: EmbeddingTable) -> np.ndarra
 
 def _phrase_matrix(t: Transcript, emb: EmbeddingTable) -> tuple[np.ndarray, int]:
     """Phrase vectors of the sentences that have one, as rows of a
-    (phrases, dim) array, and how many sentences had none."""
-    vectors = [v for v in (phrase_vector(s, emb) for s in t.sentences) if v is not None]
-    return (np.array(vectors, dtype=float).reshape(len(vectors), emb.dim),
-            len(t.sentences) - len(vectors))
+    (phrases, dim) array, and how many sentences had none.
+
+    Each is phrase_vector's mean, bit for bit: the sentences with k
+    in-vocabulary words are stacked as (m, k, dim), summed over axis 1 in
+    the order np.mean sums them, and divided by k."""
+    rows = np.fromiter(map(emb.index.get, t.lowers, repeat(-1)), np.intp, t.n_tokens)
+    lengths = np.array([len(s) for s in t.sentences], dtype=np.intp)
+    known = rows >= 0
+    rows = rows[known]
+    hits = np.add.reduceat(known, np.cumsum(lengths) - lengths) if lengths.size else lengths
+    defined = np.flatnonzero(hits)
+    hits = hits[defined]
+    first = np.cumsum(hits) - hits  # each defined sentence's first entry of rows
+    out = np.empty((defined.size, emb.dim))
+    for k in np.unique(hits).tolist():
+        group = np.flatnonzero(hits == k)
+        words = emb.matrix[rows[first[group, None] + np.arange(k)]]
+        out[group] = words.sum(axis=1) / k
+    return out, len(t.sentences) - defined.size
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -175,11 +201,9 @@ def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
 
     lengths = [len(s) for s in t.sentences]
     max_phrase_length = max(lengths) if lengths else 0
-    tokens = t.tokens()
-    tagged = [tok for tok in tokens if tok.pos is not None]
-    if tagged and tokens:
-        dets = sum(1 for tok in tokens if tok.pos in ("DET", "DT"))
-        determiner_rate = dets / len(tokens)
+    tags = Counter(map(attrgetter("pos"), t.tokens()))
+    if len(tags) > (None in tags):  # some token is tagged
+        determiner_rate = (tags["DET"] + tags["DT"]) / t.n_tokens
     else:
         determiner_rate = float("nan")
 

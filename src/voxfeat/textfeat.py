@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
+from itertools import chain, compress
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,8 +53,7 @@ _DEP = DEPRELS + (UNTAGGED,)
 _NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     lower: str
     pos: str | None = None
@@ -60,22 +63,30 @@ class Token:
 
 @dataclass(frozen=True)
 class Transcript:
+    """Sentences of tokens. The flat token tuple and each token's lower form
+    (`lowers`) are built once, here, and shared by every text family."""
+
     sentences: tuple[tuple[Token, ...], ...]
+    _tokens: tuple[Token, ...] = field(init=False, repr=False, compare=False)
+    lowers: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sentences", tuple(tuple(s) for s in self.sentences))
-        for sentence in self.sentences:
-            if not sentence:
-                raise ValueError("sentences must be nonempty")
-            if any(not t.surface for t in sentence):
-                raise ValueError("token surfaces must be nonempty")
+        sentences = tuple(tuple(s) for s in self.sentences)
+        object.__setattr__(self, "sentences", sentences)
+        if not all(sentences):
+            raise ValueError("sentences must be nonempty")
+        tokens = tuple(chain.from_iterable(sentences))
+        if not all(map(attrgetter("surface"), tokens)):
+            raise ValueError("token surfaces must be nonempty")
+        object.__setattr__(self, "_tokens", tokens)
+        object.__setattr__(self, "lowers", tuple(map(attrgetter("lower"), tokens)))
 
-    def tokens(self) -> list[Token]:
-        return [t for sentence in self.sentences for t in sentence]
+    def tokens(self) -> tuple[Token, ...]:
+        return self._tokens
 
     @property
     def n_tokens(self) -> int:
-        return sum(len(s) for s in self.sentences)
+        return len(self._tokens)
 
 
 @dataclass(frozen=True)
@@ -114,7 +125,7 @@ def tokenize(text: str, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript
             surface = raw.strip(string.punctuation)
             if not surface:
                 continue
-            tokens.append(Token(surface, surface.lower(), is_unintelligible=flagged))
+            tokens.append(Token(surface, surface.lower(), None, None, flagged))
         if tokens:
             sentences.append(tuple(tokens))
     return Transcript(tuple(sentences))
@@ -133,32 +144,34 @@ def complexity(
     log2(V) (NaN when V=1); brunet = N^(V^-0.165); honore =
     100 ln(N)/(1 - V1/V) (NaN when every type is a hapax); suffix matches
     require the word to be strictly longer than the suffix.
+
+    Every rule but the marker flag depends on the lower form alone, so each
+    distinct form is tested once and weighted by its count.
     """
-    tokens = t.tokens()
-    n = len(tokens)
+    n = t.n_tokens
     if n == 0:
         nan = float("nan")
         return ComplexityFeatures(nan, nan, nan, nan, nan, nan, nan)
 
-    lowers = [tok.lower for tok in tokens]
-    counts: dict[str, int] = {}
-    for w in lowers:
-        counts[w] = counts.get(w, 0) + 1
+    counts = Counter(t.lowers)  # forms in first-occurrence order
     v = len(counts)
-    v1 = sum(1 for c in counts.values() if c == 1)
+    v1 = list(counts.values()).count(1)
 
-    unintelligible = sum(
-        1 for tok in tokens
-        if tok.is_unintelligible or (lexicon is not None and tok.lower not in lexicon)
-    )
+    flagged = list(compress(t.lowers, map(attrgetter("is_unintelligible"), t.tokens())))
+    unintelligible = len(flagged)
+    if lexicon is not None:
+        unintelligible += (sum(c for w, c in counts.items() if w not in lexicon)
+                           - sum(1 for w in flagged if w not in lexicon))
     probs = np.array(list(counts.values()), dtype=float) / n
     entropy = float(-(probs * np.log2(probs)).sum())
     standardized = entropy / np.log2(v) if v > 1 else float("nan")
-    suffix_hits = sum(
-        1 for w in lowers
-        if any(w.endswith(suf) and len(w) > len(suf) for suf in suffixes)
-    )
-    number_hits = sum(1 for w in lowers if _NUMERIC_RE.match(w) or w in number_words)
+    suffix_hits = 0
+    if suffixes:
+        # one or more characters before one of the suffixes
+        suffixed = re.compile("(?s).+(?:" + "|".join(map(re.escape, suffixes)) + ")")
+        suffix_hits = sum(c for w, c in counts.items() if suffixed.fullmatch(w))
+    number_hits = sum(c for w, c in counts.items()
+                      if _NUMERIC_RE.match(w) or w in number_words)
     brunet = n ** (v ** -0.165)
     honore = 100.0 * np.log(n) / (1.0 - v1 / v) if v1 != v else float("nan")
 
@@ -184,31 +197,24 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
+        if not line or line.isspace():
             if current:
                 sentences.append(tuple(current))
                 current = []
             continue
-        if line.startswith("#"):
+        if line[0] == "#":
             continue
         cols = line.split("\t")
         if len(cols) != 10:
             raise MalformedConllu(
                 f"{path.name}:{line_no}: {len(cols)} columns, expected 10"
             )
-        token_id = cols[0]
+        token_id, surface, _, pos, _, _, _, deprel, _, _ = cols
         if "-" in token_id or "." in token_id:
             continue
-        surface = cols[1]
-        pos = cols[3] if cols[3] != "_" else None
-        deprel = cols[7] if cols[7] != "_" else None
-        current.append(Token(
-            surface=surface,
-            lower=surface.lower(),
-            pos=pos,
-            deprel=deprel,
-            is_unintelligible=surface.lower() in markers,
-        ))
+        lower = surface.lower()
+        current.append(Token(surface, lower, None if pos == "_" else pos,
+                             None if deprel == "_" else deprel, lower in markers))
     if current:
         sentences.append(tuple(current))
     return Transcript(tuple(sentences))
@@ -223,12 +229,11 @@ def syntax_counts(t: Transcript) -> SyntaxCounts:
     pos_counts = {tag: 0 for tag in _POS}
     dep_counts = {rel: 0 for rel in _DEP}
     tokens = t.tokens()
-    for tok in tokens:
-        pos = tok.pos if tok.pos in pos_counts else UNTAGGED
-        pos_counts[pos] += 1
-        base = tok.deprel.split(":")[0] if tok.deprel else None
-        dep = base if base in dep_counts else UNTAGGED
-        dep_counts[dep] += 1
+    for pos, count in Counter(map(attrgetter("pos"), tokens)).items():
+        pos_counts[pos if pos in pos_counts else UNTAGGED] += count
+    for deprel, count in Counter(map(attrgetter("deprel"), tokens)).items():
+        base = deprel.split(":")[0] if deprel else None
+        dep_counts[base if base in dep_counts else UNTAGGED] += count
     return SyntaxCounts(pos_counts, dep_counts, len(tokens))
 
 
@@ -270,7 +275,7 @@ def sentiment(t: Transcript, lexicon: dict[str, float]) -> float:
     """Mean valence of lexicon-matched token occurrences; NaN if none match."""
     if not lexicon:
         raise EmptyLexicon("sentiment lexicon is empty")
-    hits = [lexicon[tok.lower] for tok in t.tokens() if tok.lower in lexicon]
+    hits = list(map(lexicon.__getitem__, filter(lexicon.__contains__, t.lowers)))
     return float(np.mean(hits)) if hits else float("nan")
 
 

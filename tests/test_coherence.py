@@ -12,6 +12,7 @@ from voxfeat.coherence import (
     COHERENCE_FEATURE_NAMES,
     ORDERS,
     EmbeddingTable,
+    _phrase_matrix,
     bundled_embeddings_path,
     coherence_feature_vector,
     coherence_features,
@@ -370,3 +371,117 @@ def test_memory_stays_linear_in_phrases():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     assert np.isfinite(cf.per_order[3]["n_mean"])
+
+
+# ---------------------------------------------------------------------------
+# the grouped phrase matrix and the one-pass table loader against the loops
+# they replaced
+# ---------------------------------------------------------------------------
+
+def reference_phrase_matrix(t, emb):
+    """Each sentence's mean of its in-vocabulary rows, one np.mean per sentence."""
+    vectors = []
+    for sentence in t.sentences:
+        rows = [emb.vectors[tok.lower] for tok in sentence if tok.lower in emb.vectors]
+        if rows:
+            vectors.append(np.mean(rows, axis=0))
+    return (np.array(vectors, dtype=float).reshape(len(vectors), emb.dim),
+            len(t.sentences) - len(vectors))
+
+
+def reference_load_embeddings(path):
+    """(words in table order, rows) parsed one line and one float() at a time."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    head = lines[0].split()
+    start = 1 if len(head) == 2 and all(f.lstrip("-").isdigit() for f in head) else 0
+    vectors = {}
+    for line in lines[start:]:
+        parts = line.split()
+        vectors[parts[0].lower()] = np.array([float(v) for v in parts[1:]])
+    return list(vectors), np.array(list(vectors.values()))
+
+
+class TestPhraseMatrixMatchesReference:
+    """Sentences of 7, 8 and 9 in-vocabulary words sit at the edges of
+    numpy's 8-way unrolled sum, and 130 past its 128-element block."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 5, 50])
+    def test_sentence_lengths_at_the_summation_edges(self, dim):
+        rng = np.random.default_rng(90 + dim)
+        words = [f"w{i}" for i in range(40)]
+        emb = EmbeddingTable(dim, {w: rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+                                   for w in words})
+        sentences = []
+        for k in (1, 7, 8, 9, 130, 8, 0, 9, 2, 130, 7, 0, 0, 1):
+            known = [words[j] for j in rng.integers(0, len(words), k)]
+            oov = ["oov"] * int(rng.integers(0 if k else 1, 4))
+            mixed = known + oov
+            rng.shuffle(mixed)
+            sentences.append(sent(*mixed))
+        t = Transcript(tuple(sentences))
+        got, skipped = _phrase_matrix(t, emb)
+        want, want_skipped = reference_phrase_matrix(t, emb)
+        np.testing.assert_array_equal(got, want)
+        assert skipped == want_skipped == 3
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_transcripts(self, seed):
+        rng = np.random.default_rng(95 + seed)
+        for _ in range(40):
+            t, emb = random_case(rng)
+            got, skipped = _phrase_matrix(t, emb)
+            want, want_skipped = reference_phrase_matrix(t, emb)
+            np.testing.assert_array_equal(got, want)
+            assert skipped == want_skipped
+            for s in t.sentences:
+                v = phrase_vector(s, emb)
+                if v is not None:
+                    assert any(np.array_equal(v, row) for row in got)
+
+    def test_all_oov_and_empty(self):
+        emb = table(a=[1.0, 2.0])
+        for t in (Transcript(()), Transcript((sent("x", "y"), sent("z")))):
+            got, skipped = _phrase_matrix(t, emb)
+            assert got.shape == (0, 2) and skipped == len(t.sentences)
+
+
+class TestLoadEmbeddingsMatchesReference:
+    def test_values_parse_like_float(self, tmp_path):
+        rng = np.random.default_rng(99)
+        values = np.concatenate([rng.standard_normal(600) * 10.0 ** rng.integers(-300, 300, 600),
+                                 [0.0, -0.0, 5e-324, 1.7976931348623157e308]])
+        texts = [repr(float(v)) for v in values] + ["1e5", "-.5", "7.", "+3", "1_0", "00012"]
+        rows = [" ".join(texts[i:i + 5]) for i in range(0, len(texts), 5)]
+        while len(rows[-1].split()) < 5:
+            rows[-1] += " 1"
+        lines = [f"W{i % 97} {row}" for i, row in enumerate(rows)]  # duplicates, upper case
+        p = tmp_path / "e.txt"
+        for header in ("", f"{len(lines)} 5\n"):
+            p.write_text(header + "\n\n".join(lines) + "\n")
+            emb = load_embeddings(p)
+            words, matrix = reference_load_embeddings(p)
+            assert list(emb.vectors) == words == list(emb.index)
+            assert emb.matrix.tobytes() == matrix.tobytes()
+            for w, row in emb.vectors.items():
+                assert row.tobytes() == matrix[emb.index[w]].tobytes()
+
+    def test_mismatch_names_the_line(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("a 1 0\n\nb 0 1\nc 0 1 7\n")
+        with pytest.raises(DimensionMismatch, match=r"e\.txt:3: 3 values, expected 2"):
+            load_embeddings(p)
+        p.write_text("2 3\na 1 0 1\nb 0 1\n")
+        with pytest.raises(DimensionMismatch, match=r"e\.txt:3: 2 values, expected 3"):
+            load_embeddings(p)
+
+    def test_header_alone_or_zero_width_is_empty(self, tmp_path):
+        p = tmp_path / "e.txt"
+        for text in ("3 4\n", "a\nb\n", "2 0\na\n"):
+            p.write_text(text)
+            with pytest.raises(EmptyFile):
+                load_embeddings(p)
+
+    def test_table_built_from_vectors(self):
+        emb = table(a=[1.0, 2.0], b=[3.0, 4.0])
+        np.testing.assert_array_equal(emb.matrix, [[1.0, 2.0], [3.0, 4.0]])
+        assert emb.index == {"a": 0, "b": 1}

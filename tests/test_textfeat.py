@@ -7,8 +7,15 @@ import pytest
 
 from voxfeat.errors import EmptyLexicon, MalformedConllu
 from voxfeat.textfeat import (
+    _NUMERIC_RE,
     COMPLEXITY_FEATURE_NAMES,
+    DEFAULT_SUFFIXES,
+    DEPRELS,
+    NUMBER_WORDS,
     SYNTAX_FEATURE_NAMES,
+    UNTAGGED,
+    UPOS_TAGS,
+    ComplexityFeatures,
     Token,
     Transcript,
     complexity,
@@ -297,3 +304,182 @@ class TestLoaders:
         fv = complexity_feature_vector(cf, "s1")
         assert fv.names == COMPLEXITY_FEATURE_NAMES
         assert fv.source_id == "s1"
+
+
+# ---------------------------------------------------------------------------
+# the per-type text features against the per-token loops they replaced
+# ---------------------------------------------------------------------------
+
+def reference_complexity(t, lexicon=None, suffixes=DEFAULT_SUFFIXES, number_words=NUMBER_WORDS):
+    """complexity as a loop over tokens, unchanged from before it counted types."""
+    tokens = t.tokens()
+    n = len(tokens)
+    if n == 0:
+        nan = float("nan")
+        return ComplexityFeatures(nan, nan, nan, nan, nan, nan, nan)
+    lowers = [tok.lower for tok in tokens]
+    counts = {}
+    for w in lowers:
+        counts[w] = counts.get(w, 0) + 1
+    v = len(counts)
+    v1 = sum(1 for c in counts.values() if c == 1)
+    unintelligible = sum(
+        1 for tok in tokens
+        if tok.is_unintelligible or (lexicon is not None and tok.lower not in lexicon))
+    probs = np.array(list(counts.values()), dtype=float) / n
+    entropy = float(-(probs * np.log2(probs)).sum())
+    standardized = entropy / np.log2(v) if v > 1 else float("nan")
+    suffix_hits = sum(1 for w in lowers
+                      if any(w.endswith(suf) and len(w) > len(suf) for suf in suffixes))
+    number_hits = sum(1 for w in lowers if _NUMERIC_RE.match(w) or w in number_words)
+    brunet = n ** (v ** -0.165)
+    honore = 100.0 * np.log(n) / (1.0 - v1 / v) if v1 != v else float("nan")
+    return ComplexityFeatures(unintelligible / n, standardized, suffix_hits / n,
+                              number_hits / n, float(brunet), float(honore), v / n)
+
+
+def reference_syntax_counts(t):
+    pos_counts = {tag: 0 for tag in UPOS_TAGS + (UNTAGGED,)}
+    dep_counts = {rel: 0 for rel in DEPRELS + (UNTAGGED,)}
+    for tok in t.tokens():
+        pos_counts[tok.pos if tok.pos in pos_counts else UNTAGGED] += 1
+        base = tok.deprel.split(":")[0] if tok.deprel else None
+        dep_counts[base if base in dep_counts else UNTAGGED] += 1
+    return pos_counts, dep_counts, len(t.tokens())
+
+
+def reference_sentiment(t, lexicon):
+    hits = [lexicon[tok.lower] for tok in t.tokens() if tok.lower in lexicon]
+    return float(np.mean(hits)) if hits else float("nan")
+
+
+# a word equal to a suffix, words one character longer, numerals, number
+# words in any case, markers and words of every kind the rules tell apart
+TEXT_VOCAB = (
+    "ness", "kindness", "xness", "ly", "fly", "only", "ity", "city", "able", "table",
+    "1,000.5", "12", "1.2.3", "1,", ".5", "one", "Thousand", "TWENTY", "zero",
+    "xxx", "cat", "Cat", "dog", "the", "a", "sat", "qzqz", "é", "straße",
+)
+TEXT_TAGS = (*UPOS_TAGS, None, "WEIRD", UNTAGGED, "DT")
+TEXT_RELS = (*DEPRELS, None, "", "nsubj:pass", "obl:tmod", "madeup", "madeup:sub", "root")
+
+
+def random_text(rng, n_sentences):
+    sentences = []
+    for _ in range(n_sentences):
+        words = [TEXT_VOCAB[j] for j in rng.integers(0, len(TEXT_VOCAB), rng.integers(1, 12))]
+        sentences.append(tuple(
+            Token(w, w.lower(), TEXT_TAGS[int(rng.integers(0, len(TEXT_TAGS)))],
+                  TEXT_RELS[int(rng.integers(0, len(TEXT_RELS)))],
+                  bool(w == "xxx" or rng.random() < 0.05))
+            for w in words))
+    return Transcript(tuple(sentences))
+
+
+def same_fields(a, b):
+    np.testing.assert_array_equal(np.array(list(vars(a).values()), dtype=float),
+                                  np.array(list(vars(b).values()), dtype=float))
+
+
+class TestTextMatchesReferenceLoops:
+    SUFFIX_LISTS = (DEFAULT_SUFFIXES, (), ("ness",), ("", "ly"), ("y", "ity", "a.b"))
+    LEXICONS = (None, frozenset({"cat", "dog", "the", "ness", "xxx"}), frozenset())
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_transcripts(self, seed):
+        rng = np.random.default_rng(80 + seed)
+        valence = {"cat": 0.5, "dog": -0.25, "one": 0.1, "ness": 1.0 / 3.0, "sat": -2.0}
+        for n_sentences in (0, 1, 2, 5, 30):
+            t = random_text(rng, n_sentences)
+            for suffixes in self.SUFFIX_LISTS:
+                for lexicon in self.LEXICONS:
+                    same_fields(complexity(t, lexicon, suffixes),
+                                reference_complexity(t, lexicon, suffixes))
+            sc = syntax_counts(t)
+            assert (sc.pos_counts, sc.dep_counts, sc.total_tokens) == reference_syntax_counts(t)
+            assert list(sc.pos_counts) == list(reference_syntax_counts(t)[0])
+            np.testing.assert_array_equal(sentiment(t, valence), reference_sentiment(t, valence))
+
+    def test_tokenized_text(self):
+        t = tokenize("The kindness of 1,000.5 cats. xxx [inaudible] ness! Only one? "
+                     "Twenty-one, (twelve) 12 ... fly.")
+        for suffixes in self.SUFFIX_LISTS:
+            for lexicon in self.LEXICONS:
+                same_fields(complexity(t, lexicon, suffixes),
+                            reference_complexity(t, lexicon, suffixes))
+
+    def test_a_word_equal_to_a_suffix_is_not_suffixed(self):
+        t = transcript_of(["ness", "ly", "kindness", "fly"])
+        assert complexity(t).suffix_ratio == 0.5
+        assert complexity(t, suffixes=()).suffix_ratio == 0.0
+
+    def test_a_nan_valence_is_a_match(self):
+        t = transcript_of(["cat", "dog"])
+        assert np.isnan(sentiment(t, {"cat": float("nan"), "dog": 1.0}))
+        assert np.isnan(reference_sentiment(t, {"cat": float("nan"), "dog": 1.0}))
+
+    def test_empty_transcript(self):
+        t = Transcript(())
+        same_fields(complexity(t), reference_complexity(t))
+        assert t.tokens() == () and t.lowers == () and t.n_tokens == 0
+        sc = syntax_counts(t)
+        assert (sc.pos_counts, sc.dep_counts, sc.total_tokens) == reference_syntax_counts(t)
+        assert np.isnan(sentiment(t, {"cat": 1.0}))
+
+
+class TestTranscript:
+    def test_tokens_and_lowers_follow_the_sentences(self):
+        t = transcript_of(["The", "Cat"], ["sat"])
+        assert [tok.surface for tok in t.tokens()] == ["The", "Cat", "sat"]
+        assert t.lowers == ("the", "cat", "sat")
+        assert t.n_tokens == 3
+
+    def test_empty_sentence_rejected(self):
+        with pytest.raises(ValueError):
+            Transcript(((Token("a", "a"),), ()))
+
+    def test_empty_surface_rejected(self):
+        with pytest.raises(ValueError):
+            Transcript(((Token("a", "a"), Token("", "")),))
+
+    def test_equality_is_by_sentences(self):
+        assert transcript_of(["a", "b"]) == transcript_of(["a", "b"])
+        assert transcript_of(["a", "b"]) != transcript_of(["a"], ["b"])
+
+
+def reference_load_conllu(path, markers=frozenset({"xxx", "[unintelligible]", "[inaudible]"})):
+    """load_conllu's sentences as (surface, lower, pos, deprel, flag) tuples,
+    parsed by the line loop it had before tokens were tuples."""
+    sentences, current = [], []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        if not line.strip():
+            if current:
+                sentences.append(tuple(current))
+                current = []
+            continue
+        if line.startswith("#"):
+            continue
+        cols = line.split("\t")
+        if "-" in cols[0] or "." in cols[0]:
+            continue
+        current.append((cols[1], cols[1].lower(), cols[3] if cols[3] != "_" else None,
+                        cols[7] if cols[7] != "_" else None, cols[1].lower() in markers))
+    if current:
+        sentences.append(tuple(current))
+    return tuple(sentences)
+
+
+def test_conllu_matches_reference_parse(tmp_path):
+    lines = [
+        "# text = one", "1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_",
+        "2\tXXX\t_\t_\t_\t_\t0\tnsubj:pass\t_\t_", " \t ", "", "# two",
+        "1-2\tdon't\t_\t_\t_\t_\t_\t_\t_\t_", "1\tdo\tdo\tAUX\t_\t_\t0\troot\t_\t_",
+        "2.1\tgone\t_\t_\t_\t_\t_\t_\t_\t_", "2\t[inaudible]\t_\tX\t_\t_\t1\t_\t_\t_",
+        "　", "1\tStraße\t_\tNOUN\t_\t_\t0\troot\t_\t_",
+    ]
+    p = tmp_path / "r.conllu"
+    for sep in ("\n", "\r\n", "\r"):
+        p.write_bytes(sep.join(lines).encode("utf-8") + b"\n")
+        got = tuple(tuple(tuple(tok) for tok in s) for s in load_conllu(p).sentences)
+        assert got == reference_load_conllu(p)
+        assert [len(s) for s in got] == [2, 2, 1]
