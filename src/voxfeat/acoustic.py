@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -88,16 +89,17 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class AcousticConfig:
-    """Analysis defaults: 25 ms frames, 10 ms hop, hann window."""
+    """Framing settings (defaults: 25 ms frames, 10 ms hop, hann window),
+    and the fixed F0 search range and threshold, FFT length and mel bands."""
 
     frame_seconds: float = 0.025
     hop_seconds: float = 0.010
     window: str = "hann"
-    f_min_hz: float = 60.0
-    f_max_hz: float = 500.0
-    yin_threshold: float = 0.15
-    n_fft: int | None = None  # None: next power of two >= frame length
-    n_mels: int = 26
+    f_min_hz: ClassVar[float] = 60.0
+    f_max_hz: ClassVar[float] = 500.0
+    yin_threshold: ClassVar[float] = 0.15
+    n_fft: ClassVar[int | None] = None  # None: the next power of two >= frame length
+    n_mels: ClassVar[int] = 26
 
 
 def _next_pow2(n: int) -> int:
@@ -129,15 +131,10 @@ def power_spectrum(frame: np.ndarray, n_fft: int, sample_rate_hz: int) -> Spectr
     identity holds over the full transform: sum |X[k]|^2 = n_fft * sum x[n]^2.
     """
     frame = np.asarray(frame, dtype=np.float64)
-    _check_fft_size(n_fft, frame.shape[-1])
-    return Spectrum(np.abs(np.fft.rfft(frame, n_fft, axis=-1)), sample_rate_hz / n_fft)
-
-
-def _check_fft_size(n_fft: int, frame_len: int) -> None:
-    if n_fft < frame_len or n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
+    if n_fft < frame.shape[-1] or n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
         raise InvalidFftSize(
-            f"n_fft must be a power of two >= frame length {frame_len}, got {n_fft}"
-        )
+            f"n_fft must be a power of two >= frame length {frame.shape[-1]}, got {n_fft}")
+    return Spectrum(np.abs(np.fft.rfft(frame, n_fft, axis=-1)), sample_rate_hz / n_fft)
 
 
 def spectra(frames: FrameMatrix, n_fft: int | None = None) -> Spectrum:
@@ -458,14 +455,8 @@ def mfcc(
     Power spectrum -> triangular mel filterbank -> floored natural log ->
     orthonormal type-II DCT, first n_coeffs kept on the last axis.
     """
-    bank = _mfcc_bank(spec.magnitudes.shape[-1], spec.bin_hz, n_mels, n_coeffs, fmin, fmax)
-    return _cepstra(spec.magnitudes ** 2, bank, dct_basis(n_mels, n_coeffs))
-
-
-def _mfcc_bank(n_bins: int, bin_hz: float, n_mels: int, n_coeffs: int,
-               fmin: float, fmax: float | None) -> np.ndarray:
-    """mfcc's filterbank, after checking its band configuration."""
-    nyquist = (n_bins - 1) * bin_hz
+    n_bins = spec.magnitudes.shape[-1]
+    nyquist = (n_bins - 1) * spec.bin_hz
     if fmax is None:
         fmax = nyquist
     if n_mels < 1:
@@ -476,7 +467,8 @@ def _mfcc_bank(n_bins: int, bin_hz: float, n_mels: int, n_coeffs: int,
         raise InvalidBandConfig(f"need n_coeffs <= n_mels, got {n_coeffs} > {n_mels}")
     if not 0 <= fmin < fmax or fmax > nyquist + 1e-9:
         raise InvalidBandConfig(f"need 0 <= fmin < fmax <= {nyquist}, got [{fmin}, {fmax}]")
-    return mel_filterbank(n_mels, n_bins, bin_hz, fmin, fmax)
+    bank = mel_filterbank(n_mels, n_bins, spec.bin_hz, fmin, fmax)
+    return _cepstra(spec.magnitudes ** 2, bank, dct_basis(n_mels, n_coeffs))
 
 
 def dct_basis(n: int, k: int) -> np.ndarray:
@@ -707,10 +699,9 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     frame_len, hop = _frame_geometry(buf, config)
     raw = raw_frames(buf, frame_len, hop)
     window = window_coefficients(config.window, frame_len)
-    n_fft = _next_pow2(frame_len) if config.n_fft is None else config.n_fft
-    _check_fft_size(n_fft, frame_len)
+    n_fft = _next_pow2(frame_len)
     sr = buf.sample_rate_hz
-    bank = _mfcc_bank(n_fft // 2 + 1, sr / n_fft, config.n_mels, config.n_mels, 0.0, None)
+    bank = mel_filterbank(config.n_mels, n_fft // 2 + 1, sr / n_fft, 0.0, sr / 2)
     basis = dct_basis(config.n_mels, config.n_mels)
     n_frames = raw.shape[0]
     edges = [i * BLOCK_FRAMES for i in range(max(1, n_frames // BLOCK_FRAMES))] + [n_frames]

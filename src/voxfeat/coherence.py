@@ -25,14 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .acoustic import FrameSeries
-from .errors import DimensionMismatch, EmptyFile
-from .functionals import Family, FeatureVector, FunctionalBank, apply_bank, stat_text
+from .errors import ConfigError, DimensionMismatch, EmptyFile
+from .functionals import DEFAULT_BANK, Family, FeatureVector
 from .textfeat import Token, Transcript
 
 ORDERS = (0, 1, 2, 3)
-_STATS = ("mean", "stddev", "min", "max", "p10")
-_BANK = FunctionalBank(_STATS)
 
 
 @dataclass(frozen=True)
@@ -71,7 +68,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read "word v1 v2 ... vdim" lines, optional "count dim" header.
 
     The header is recognized when the first line holds exactly two integer
-    fields. Duplicate words keep the last row.
+    fields. Duplicate words keep the last row. Errors name a row by its
+    number among the non-blank lines.
     """
     path = Path(path)
     lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
@@ -90,12 +88,16 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     rows = [line.split() for line in lines[start:]]
     if rows and dim is None:
         dim = len(rows[0]) - 1  # headerless: first row fixes the dimension
-    for i, size in enumerate(map(len, rows), start + 1):
-        if size - 1 != dim:
-            raise DimensionMismatch(f"{path.name}:{i}: {size - 1} values, expected {dim}")
+    values = []
+    for i, row in enumerate(rows, start + 1):
+        if len(row) - 1 != dim:
+            raise DimensionMismatch(f"{path.name}:{i}: {len(row) - 1} values, expected {dim}")
+        try:
+            values.append(np.array(row[1:], dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{i}: {exc}") from None
     if not rows or dim is None or dim < 1:
         raise EmptyFile(f"{path}: no usable embedding rows")
-    values = np.array([row[1:] for row in rows], dtype=float)
     return EmbeddingTable(dim, dict(zip([row[0].lower() for row in rows], values)))
 
 
@@ -193,11 +195,10 @@ def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
     per_order: dict[int, dict[str, float]] = {}
     for q in ORDERS:
         series = _series(v, unit, q)
-        raw = apply_bank(FrameSeries("c", series, 0.0), _BANK)
-        norm = apply_bank(FrameSeries("c", series - baseline, 0.0), _BANK)
-        stats = {s: raw[f"c_{s}"] for s in _STATS}
-        stats.update({f"n_{s}": norm[f"c_{s}"] for s in _STATS})
-        per_order[q] = stats
+        raw = DEFAULT_BANK.summarize(series)
+        norm = DEFAULT_BANK.summarize(series - baseline)
+        per_order[q] = {**dict(zip(DEFAULT_BANK.stats, raw)),
+                        **{f"n_{s}": value for s, value in zip(DEFAULT_BANK.stats, norm)}}
 
     lengths = [len(s) for s in t.sentences]
     max_phrase_length = max(lengths) if lengths else 0
@@ -223,12 +224,12 @@ def _cosine_text(q: int) -> str:
 
 
 COHERENCE = Family("text.coherence", (
-    *((f"coherence_q{q}_{prefix}{stat}", f"{text}; {stat_text(stat, over='')}")
+    *((f"coherence_q{q}_{prefix}{stat}", f"{text}; {st.describe(over='')}")
       for q in ORDERS
       for prefix, text in (
           ("", _cosine_text(q)),
           ("n_", _cosine_text(q) + ", minus the all-pairs cosine baseline"))
-      for stat in _STATS),
+      for stat, st in zip(DEFAULT_BANK.stats, DEFAULT_BANK.statistics)),
     ("max_phrase_length", "token count of the longest sentence"),
     ("determiner_rate", "determiner-tagged tokens / N"),
 ), lambda t, res: coherence_feature_vector(coherence_features(t, res.embeddings)))

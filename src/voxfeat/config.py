@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,10 +66,14 @@ class PipelineConfig:
 
 def validate_config(cfg: PipelineConfig) -> None:
     """Raise ConfigError on the first violated invariant."""
-    if not (isinstance(cfg.frame_seconds, (int, float)) and cfg.frame_seconds > 0):
-        raise ConfigError(f"frame_seconds must be > 0, got {cfg.frame_seconds!r}")
-    if not (isinstance(cfg.hop_seconds, (int, float)) and cfg.hop_seconds > 0):
-        raise ConfigError(f"hop_seconds must be > 0, got {cfg.hop_seconds!r}")
+    for name in ("frame_seconds", "hop_seconds"):
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0 < value < math.inf):
+            raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    if cfg.hop_seconds > cfg.frame_seconds:
+        raise ConfigError(f"hop_seconds must not exceed frame_seconds, got "
+                          f"{cfg.hop_seconds!r} > {cfg.frame_seconds!r}")
     if cfg.window not in WINDOW_KINDS:
         raise ConfigError(f"window must be one of {WINDOW_KINDS}, got {cfg.window!r}")
     for toggle in ("gemaps_core", "spectral", "complexity", "syntax",

@@ -86,6 +86,10 @@ class DegenerateClasses(VoxfeatError):
     """Class structure too thin (fewer than 2 classes or singleton class)."""
 
 
+class EmptyFold(VoxfeatError):
+    """Cross-validation would leave a fold without rows."""
+
+
 class ConvergenceFailure(VoxfeatError):
     """Iterative fit diverged or missed its tolerance within its iteration cap."""
 

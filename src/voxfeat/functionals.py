@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -32,30 +32,86 @@ from .acoustic import (
 )
 from .audio_io import AudioBuffer
 
-_KNOWN_STATS = {"mean", "stddev", "min", "max", "median", "range", "slope", "delta_mean_abs"}
 _PERCENTILE_RE = re.compile(r"^p(\d+(?:\.\d+)?)$")
+
+
+class Statistic(NamedTuple):
+    """One statistic of a series: `compute` takes its non-NaN values and
+    their frame indices; `text` is its formula, which names what the series
+    runs over unless the statistic is defined on frame order."""
+
+    compute: Callable[[np.ndarray, np.ndarray], float]
+    text: str
+    frame_order: bool = False
+
+    def describe(self, over: str = " over frames") -> str:
+        return self.text if self.frame_order else self.text + over
+
+
+def _slope(values: np.ndarray, indices: np.ndarray) -> float:
+    if values.size < 2 or np.ptp(indices) == 0:
+        return np.nan
+    x = indices.astype(np.float64)
+    xc = x - x.mean()
+    return (xc @ (values - values.mean())) / (xc @ xc)
+
+
+def _delta_mean_abs(values: np.ndarray, indices: np.ndarray) -> float:
+    adjacent = np.diff(indices) == 1
+    if not np.any(adjacent):
+        return np.nan
+    return np.mean(np.abs(np.diff(values)[adjacent]))
+
+
+STATISTICS = {
+    "mean": Statistic(lambda v, i: v.mean(), "mean"),
+    "stddev": Statistic(lambda v, i: v.std(), "population stddev"),
+    "min": Statistic(lambda v, i: v.min(), "minimum"),
+    "max": Statistic(lambda v, i: v.max(), "maximum"),
+    "median": Statistic(lambda v, i: np.median(v), "median"),
+    "range": Statistic(lambda v, i: v.max() - v.min(), "max minus min"),
+    "slope": Statistic(_slope, "least-squares slope against frame index", True),
+    "delta_mean_abs": Statistic(_delta_mean_abs, "mean |difference| of adjacent frames", True),
+}
+
+
+def statistic(name: str) -> Statistic:
+    """The STATISTICS entry of name, or the percentile "p<value>", 0 < value < 100."""
+    if name in STATISTICS:
+        return STATISTICS[name]
+    m = _PERCENTILE_RE.match(name)
+    if m and 0.0 < float(m.group(1)) < 100.0:
+        pct = float(m.group(1))
+        return Statistic(lambda v, i: np.percentile(v, pct), f"{m.group(1)}th percentile")
+    raise ValueError(f"unknown statistic {name!r}")
 
 
 @dataclass(frozen=True)
 class FunctionalBank:
-    """Ordered statistics to apply per series.
-
-    Allowed: mean, stddev (population), min, max, median, range, slope,
-    delta_mean_abs, and percentiles written "p<value>" with value in (0,100).
-    """
+    """Ordered statistics to apply per series, resolved when the bank is
+    built: names from STATISTICS, or percentiles "p<value>"."""
 
     stats: tuple[str, ...]
+    statistics: tuple[Statistic, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.stats:
             raise ValueError("FunctionalBank needs at least one statistic")
-        for s in self.stats:
-            if s in _KNOWN_STATS:
-                continue
-            m = _PERCENTILE_RE.match(s)
-            if m and 0.0 < float(m.group(1)) < 100.0:
-                continue
-            raise ValueError(f"unknown statistic {s!r}")
+        object.__setattr__(self, "statistics", tuple(map(statistic, self.stats)))
+
+    def summarize(self, values: np.ndarray, name: str = "") -> list[float]:
+        """Each statistic over the series' non-NaN values (slope against
+        their original frame indices), in bank order: all NaN for an all-NaN
+        series, ValueError for one holding an infinity."""
+        values = np.asarray(values, dtype=np.float64)
+        keep = ~np.isnan(values)
+        kept = values[keep]
+        if not np.all(np.isfinite(kept)):
+            raise ValueError(f"series {name!r} contains non-finite non-NaN values")
+        if kept.size == 0:
+            return [np.nan] * len(self.stats)
+        indices = np.flatnonzero(keep)
+        return [float(s.compute(kept, indices)) for s in self.statistics]
 
 
 DEFAULT_BANK = FunctionalBank(("mean", "stddev", "min", "max", "p10"))
@@ -94,73 +150,10 @@ def concat_vectors(parts: list[FeatureVector], source_id: str = "") -> FeatureVe
     return FeatureVector(tuple(names), np.asarray(values), source_id)
 
 
-def _stat(values: np.ndarray, indices: np.ndarray, stat: str) -> float:
-    """One statistic over the non-NaN values (indices = original positions)."""
-    if values.size == 0:
-        return np.nan
-    if stat == "mean":
-        return float(values.mean())
-    if stat == "stddev":
-        return float(values.std())
-    if stat == "min":
-        return float(values.min())
-    if stat == "max":
-        return float(values.max())
-    if stat == "median":
-        return float(np.median(values))
-    if stat == "range":
-        return float(values.max() - values.min())
-    if stat == "slope":
-        if values.size < 2 or np.ptp(indices) == 0:
-            return np.nan
-        x = indices.astype(np.float64)
-        xc = x - x.mean()
-        return float((xc @ (values - values.mean())) / (xc @ xc))
-    if stat == "delta_mean_abs":
-        adjacent = np.diff(indices) == 1
-        if not np.any(adjacent):
-            return np.nan
-        deltas = np.diff(values)[adjacent]
-        return float(np.mean(np.abs(deltas)))
-    pct = float(_PERCENTILE_RE.match(stat).group(1))
-    return float(np.percentile(values, pct))
-
-
-_STAT_TEXT = {
-    "mean": "mean",
-    "stddev": "population stddev",
-    "min": "minimum",
-    "max": "maximum",
-    "median": "median",
-    "range": "max minus min",
-}
-# defined on frame order, so their text names frames whatever the series is
-_FRAME_ORDER_TEXT = {
-    "slope": "least-squares slope against frame index",
-    "delta_mean_abs": "mean |difference| of adjacent frames",
-}
-
-
-def stat_text(stat: str, over: str = " over frames") -> str:
-    """Formula text of one statistic of _stat; `over` names what it runs over."""
-    if stat in _FRAME_ORDER_TEXT:
-        return _FRAME_ORDER_TEXT[stat]
-    return _STAT_TEXT.get(stat, f"{stat[1:]}th percentile") + over
-
-
 def apply_bank(series: FrameSeries, bank: FunctionalBank = DEFAULT_BANK) -> FeatureVector:
-    """One feature per (series, stat) pair, named "<series>_<stat>".
-
-    NaN frames are excluded; slope regresses against the original frame
-    index, and delta_mean_abs only spans adjacent frames that are both
-    defined. An all-NaN series maps to all-NaN features.
-    """
-    keep = ~np.isnan(series.values)
-    values = series.values[keep]
-    indices = np.flatnonzero(keep)
-    names = tuple(f"{series.name}_{s}" for s in bank.stats)
-    vals = np.array([_stat(values, indices, s) for s in bank.stats])
-    return FeatureVector(names, vals)
+    """One feature "<series>_<stat>" per statistic of the bank (see summarize)."""
+    return FeatureVector(tuple(f"{series.name}_{s}" for s in bank.stats),
+                         bank.summarize(series.values, series.name))
 
 
 # ---------------------------------------------------------------------------
@@ -185,18 +178,21 @@ class Family:
     compute: Callable[..., FeatureVector]
     features: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    banks: dict[str, FunctionalBank] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        banks = {entry[0]: FunctionalBank(entry[2]) for entry in self.entries if len(entry) > 2}
         features: list[tuple[str, str]] = []
         for entry in self.entries:
             if len(entry) == 2:
                 features.append(entry)
             else:
                 series, formula, stats, *over = entry
-                features.extend((f"{series}_{s}", f"{formula}; {stat_text(s, *over)}")
-                                for s in stats)
+                features.extend((f"{series}_{s}", f"{formula}; {st.describe(*over)}")
+                                for s, st in zip(stats, banks[series].statistics))
         object.__setattr__(self, "features", tuple(features))
         object.__setattr__(self, "names", tuple(name for name, _ in features))
+        object.__setattr__(self, "banks", banks)
 
     @property
     def is_text(self) -> bool:
@@ -204,16 +200,12 @@ class Family:
 
     def vector(self, values: dict, source_id: str = "") -> FeatureVector:
         """The family's row from computed values keyed by entry: a per-frame
-        array for each series entry, summarized by its statistics, and a
-        number for each (name, formula) entry."""
+        array for each series entry, summarized by its bank, and a number
+        for each (name, formula) entry."""
         out: list[float] = []
-        for entry in self.entries:
-            value = values[entry[0]]
-            if len(entry) == 2:
-                out.append(value)
-            else:
-                bank = FunctionalBank(entry[2])
-                out.extend(apply_bank(FrameSeries(entry[0], value, 0.0), bank).values)
+        for name, *_ in self.entries:
+            bank = self.banks.get(name)
+            out.extend(bank.summarize(values[name], name) if bank else [values[name]])
         return FeatureVector(self.names, np.asarray(out, dtype=np.float64), source_id)
 
 
@@ -236,7 +228,7 @@ _DESCRIPTOR_TEXT = {
 
 
 def _mfcc_text(k: int) -> str:
-    return f"mel cepstrum coefficient {k} (26 HTK mel bands, DCT-II ortho)"
+    return f"mel cepstrum coefficient {k} ({AcousticConfig.n_mels} HTK mel bands, DCT-II ortho)"
 
 
 def _gemaps(a: Analysis) -> FeatureVector:

@@ -11,7 +11,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..errors import DegenerateClasses, InvalidK, NotClassification
+from ..errors import DegenerateClasses, EmptyFold, InvalidK, NotClassification
 from .model import (
     accuracy_score,
     fit_lasso,
@@ -352,7 +352,7 @@ def cv_score_curve(
         y_all = _class_labels(tbl, "cv_score_curve").astype(np.float64)
     fold_idx = _fold_indices(tbl, folds, seed)
     if any(idx.size == 0 for idx in fold_idx):
-        raise ValueError(f"{folds} folds leave an empty fold for {tbl.n_rows} rows")
+        raise EmptyFold(f"{folds} folds leave an empty fold for {tbl.n_rows} rows")
     if k_values and min(k_values) < 1:
         raise InvalidK(f"k must be >= 1, got {min(k_values)}")
     if select_ks is None:

@@ -6,6 +6,7 @@ recording. Floats are written with repr() so a read-back is exact.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,6 +175,10 @@ def read_table_csv(path: str | Path) -> FeatureTable:
                 target.append(float(cells[-1]))
         except ValueError as exc:
             raise SchemaError(f"{path}:{i}: non-numeric cell ({exc})") from None
+    for what, items in (("column name", names), ("row id", row_ids)):
+        repeated = [item for item, count in Counter(items).items() if count > 1]
+        if repeated:
+            raise SchemaError(f"{path}: {what} {repeated[0]!r} appears more than once")
     matrix = np.asarray(rows) if rows else np.empty((0, len(names)))
     return FeatureTable(
         names, matrix, tuple(row_ids), np.asarray(target) if has_target else None

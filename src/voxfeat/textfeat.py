@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EmptyLexicon, MalformedConllu
+from .errors import ConfigError, EmptyLexicon, MalformedConllu
 from .functionals import Family, FeatureVector
 
 DEFAULT_MARKERS = frozenset({"xxx", "[unintelligible]", "[inaudible]"})
@@ -297,14 +297,14 @@ def load_valence_csv(path: str | Path) -> dict[str, float]:
             continue
         parts = line.split(",")
         if len(parts) != 2:
-            raise ValueError(f"line {i + 1}: expected 'word,valence', got {line!r}")
+            raise ConfigError(f"{path}:{i + 1}: expected 'word,valence', got {line!r}")
         word, raw = parts[0].strip().lower(), parts[1].strip()
         try:
             out[word] = float(raw)
         except ValueError:
             if i == 0:
                 continue  # header
-            raise ValueError(f"line {i + 1}: bad valence {raw!r}") from None
+            raise ConfigError(f"{path}:{i + 1}: bad valence {raw!r}") from None
     if not out:
         raise EmptyLexicon(f"{path}: no valence entries")
     return out

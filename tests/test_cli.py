@@ -107,6 +107,68 @@ class TestAnalyze:
         assert "target" in err
 
 
+class TestOutsideInputExitTwo:
+    """Malformed outside input stops the run with a named error: exit 2 and
+    one "voxfeat: error:" line naming the file, never a traceback."""
+
+    def analyze(self, tmp_path, capsys, text):
+        csv = tmp_path / "t.csv"
+        csv.write_text(text)
+        rc = main(["analyze", str(csv), str(tmp_path / "out")])
+        return rc, capsys.readouterr().err
+
+    def extract(self, audio_dir, tmp_path, capsys, cfg):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(cfg))
+        rc = main(["--config", str(cfgp), "extract", str(audio_dir), str(tmp_path / "f.csv")])
+        return rc, capsys.readouterr().err
+
+    def test_repeated_row_id(self, tmp_path, capsys):
+        rc, err = self.analyze(tmp_path, capsys, "row_id,a,target\nr0,1.0,0\nr0,2.0,1\n")
+        assert rc == 2
+        assert "voxfeat: error: stage 'load': " in err
+        assert "t.csv: row id 'r0' appears more than once" in err
+
+    def test_repeated_column_name(self, tmp_path, capsys):
+        rc, err = self.analyze(tmp_path, capsys, "row_id,a,a,target\nr0,1,2,0\nr1,2,3,1\n")
+        assert rc == 2
+        assert "voxfeat: error: stage 'load': " in err
+        assert "t.csv: column name 'a' appears more than once" in err
+
+    def test_too_few_rows_for_the_folds(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        rows = [f"r{i},{rng.normal()!r},{rng.normal()!r},{i % 2}" for i in range(6)]
+        rc, err = self.analyze(tmp_path, capsys, "\n".join(["row_id,a,b,target", *rows]) + "\n")
+        assert rc == 2
+        assert ("voxfeat: error: stage 'cv_curve': 5 folds leave an empty fold for 6 rows"
+                in err)
+
+    def test_bad_valence_line(self, audio_dir, tmp_path, capsys):
+        (tmp_path / "v.csv").write_text("word,valence\nhappy,abc\n")
+        rc, err = self.extract(audio_dir, tmp_path, capsys,
+                               {"sentiment": True, "valence_path": "v.csv"})
+        assert rc == 2
+        assert "voxfeat: error: " in err
+        assert "v.csv:2: bad valence 'abc'" in err
+
+    def test_bad_embedding_row(self, audio_dir, tmp_path, capsys):
+        (tmp_path / "e.txt").write_text("a 1 2\nb x 3\n")
+        rc, err = self.extract(audio_dir, tmp_path, capsys,
+                               {"coherence": True, "embeddings_path": "e.txt"})
+        assert rc == 2
+        assert "voxfeat: error: " in err
+        assert "e.txt:2: " in err and "'x'" in err
+
+    @pytest.mark.parametrize("cfg", [{"frame_seconds": True}, {"hop_seconds": True},
+                                     {"hop_seconds": 0.05}])
+    def test_bad_framing_config(self, tmp_path, capsys, cfg):
+        cfgp = tmp_path / "cfg.json"
+        cfgp.write_text(json.dumps(cfg))
+        rc = main(["--config", str(cfgp), "featdict", str(tmp_path / "fd.tsv")])
+        assert rc == 2
+        assert f"voxfeat: error: {next(iter(cfg))}" in capsys.readouterr().err
+
+
 class TestFeatdict:
     def test_writes_expected_bytes(self, tmp_path):
         out = tmp_path / "fd.tsv"

@@ -38,6 +38,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(PipelineConfig(hop_seconds=0.0))
 
+    @pytest.mark.parametrize("name", ["frame_seconds", "hop_seconds"])
+    def test_seconds_reject_bool_and_inf(self, name):
+        # bool is an int subclass: true would load as a 1 s frame or hop
+        for bad in (True, float("inf")):
+            with pytest.raises(ConfigError, match=name):
+                config_from_dict({name: bad})
+
+    def test_hop_must_not_exceed_frame(self):
+        with pytest.raises(ConfigError, match="hop_seconds must not exceed frame_seconds"):
+            config_from_dict({"hop_seconds": 0.05})
+        validate_config(PipelineConfig(frame_seconds=0.02, hop_seconds=0.02))
+
     def test_window_must_be_known(self):
         with pytest.raises(ConfigError):
             validate_config(PipelineConfig(window="blackman"))
@@ -202,6 +214,6 @@ class TestFeatureNames:
         assert not any(n.startswith(("pos_", "dep_")) for n in names)
 
     def test_order_is_pure_function_of_config(self):
-        cfg = PipelineConfig(lld_functionals=("kurtosis", "mean"))
+        cfg = PipelineConfig(lld_functionals=("slope", "mean"))
         assert feature_names_for(cfg) == feature_names_for(
             dataclasses.replace(cfg))

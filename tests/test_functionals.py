@@ -2,21 +2,33 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
-from voxfeat.acoustic import FrameSeries
+from voxfeat import coherence
+from voxfeat.acoustic import AcousticConfig, Analysis, FrameSeries
 from voxfeat.audio_io import AudioBuffer
+from voxfeat.config import PipelineConfig, feature_names_for
+from voxfeat.featdict import feature_dictionary
 from voxfeat.functionals import (
+    DEFAULT_BANK,
+    GEMAPS,
     GEMAPS_FEATURE_NAMES,
+    SPECTRAL,
     SPECTRAL_FEATURE_NAMES,
+    STATISTICS,
+    Family,
     FeatureVector,
     FunctionalBank,
     apply_bank,
     concat_vectors,
     gemaps_core,
+    lld_family,
     spectral_set,
 )
+from voxfeat.textfeat import Token, Transcript
 
 SR = 16000
 
@@ -99,6 +111,177 @@ class TestApplyBank:
             fv = apply_bank(series(vals), bank)
             lo, p10, med, hi = fv.values
             assert lo <= p10 <= med <= hi
+
+
+# The if-chain and text lookups the statistics table replaced, kept as references.
+_REF_PERCENTILE_RE = re.compile(r"^p(\d+(?:\.\d+)?)$")
+
+
+def reference_stat(values, indices, stat):
+    if values.size == 0:
+        return np.nan
+    if stat == "mean":
+        return float(values.mean())
+    if stat == "stddev":
+        return float(values.std())
+    if stat == "min":
+        return float(values.min())
+    if stat == "max":
+        return float(values.max())
+    if stat == "median":
+        return float(np.median(values))
+    if stat == "range":
+        return float(values.max() - values.min())
+    if stat == "slope":
+        if values.size < 2 or np.ptp(indices) == 0:
+            return np.nan
+        x = indices.astype(np.float64)
+        xc = x - x.mean()
+        return float((xc @ (values - values.mean())) / (xc @ xc))
+    if stat == "delta_mean_abs":
+        adjacent = np.diff(indices) == 1
+        if not np.any(adjacent):
+            return np.nan
+        return float(np.mean(np.abs(np.diff(values)[adjacent])))
+    pct = float(_REF_PERCENTILE_RE.match(stat).group(1))
+    return float(np.percentile(values, pct))
+
+
+_REF_TEXT = {"mean": "mean", "stddev": "population stddev", "min": "minimum",
+             "max": "maximum", "median": "median", "range": "max minus min"}
+_REF_FRAME_ORDER_TEXT = {"slope": "least-squares slope against frame index",
+                         "delta_mean_abs": "mean |difference| of adjacent frames"}
+
+
+def reference_stat_text(stat, over=" over frames"):
+    if stat in _REF_FRAME_ORDER_TEXT:
+        return _REF_FRAME_ORDER_TEXT[stat]
+    return _REF_TEXT.get(stat, f"{stat[1:]}th percentile") + over
+
+
+def reference_apply(values, stats):
+    values = np.asarray(values, dtype=np.float64)
+    keep = ~np.isnan(values)
+    return np.array([reference_stat(values[keep], np.flatnonzero(keep), s) for s in stats])
+
+
+ALL_STATS = (*STATISTICS, "p10", "p5", "p99.5")
+
+
+class TestStatisticsTable:
+    """One table defines each statistic's value and text; both equal the
+    if-chain and lookups it replaced, bit for bit."""
+
+    def test_every_named_statistic_is_covered(self):
+        assert set(STATISTICS) == {"mean", "stddev", "min", "max", "median", "range",
+                                   "slope", "delta_mean_abs"}
+
+    def test_text_matches_reference(self):
+        bank = FunctionalBank(ALL_STATS)
+        for over in ((), (" over frames",), ("",), (" over adjacent cycle pairs",)):
+            for name, st in zip(ALL_STATS, bank.statistics):
+                assert st.describe(*over) == reference_stat_text(name, *over)
+
+    @pytest.mark.parametrize("case", ["gaps", "single", "all_nan", "empty", "one_gap_each"])
+    def test_values_match_reference(self, case):
+        rng = np.random.default_rng(21)
+        bank = FunctionalBank(ALL_STATS)
+        for _ in range(30):
+            if case == "gaps":
+                values = rng.standard_normal(rng.integers(2, 50))
+                values[rng.random(values.size) < 0.3] = np.nan
+            elif case == "single":
+                values = np.full(rng.integers(1, 6), np.nan)
+                values[rng.integers(0, values.size)] = rng.standard_normal()
+            elif case == "all_nan":
+                values = np.full(rng.integers(1, 6), np.nan)
+            elif case == "empty":
+                values = np.empty(0)
+            else:  # alternating defined frames: no adjacent pair
+                values = rng.standard_normal(rng.integers(3, 20))
+                values[1::2] = np.nan
+            got = np.array(bank.summarize(values))
+            np.testing.assert_array_equal(got.view(np.int64),
+                                          reference_apply(values, ALL_STATS).view(np.int64))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_infinite_values_raise(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            FunctionalBank(("mean",)).summarize(np.array([1.0, bad, np.nan]), "x")
+        with pytest.raises(ValueError, match="non-finite"):
+            Family("x", (("s", "text", ("mean",)),), None).vector({"s": np.array([0.0, bad])})
+
+    def test_bank_resolves_when_built(self):
+        with pytest.raises(ValueError, match="unknown statistic 'kurtosis'"):
+            FunctionalBank(("mean", "kurtosis"))
+        with pytest.raises(ValueError, match="kurtosis"):
+            Family("x", (("s", "text", ("kurtosis",)),), lambda a: None)
+
+    def test_config_with_unknown_statistic_raises(self):
+        cfg = PipelineConfig(lld_functionals=("kurtosis",))
+        with pytest.raises(ValueError, match="kurtosis"):
+            feature_names_for(cfg)
+        with pytest.raises(ValueError, match="kurtosis"):
+            feature_dictionary(cfg)
+
+
+def per_entry_vector(family, values):
+    """Family.vector as it was: a FunctionalBank, a FrameSeries and a
+    FeatureVector per series entry."""
+    out = []
+    for entry in family.entries:
+        if len(entry) == 2:
+            out.append(values[entry[0]])
+        else:
+            series = FrameSeries(entry[0], values[entry[0]], 0.0)
+            out.extend(apply_bank(series, FunctionalBank(entry[2])).values)
+    return np.asarray(out, dtype=np.float64)
+
+
+class TestFamilyVectorMatchesPerEntryPath:
+    @pytest.fixture()
+    def captured(self, monkeypatch):
+        """Each Family.vector call's family, values and result."""
+        calls = []
+        vector = Family.vector
+
+        def spy(family, values, source_id=""):
+            calls.append((family, values, vector(family, values, source_id)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(Family, "vector", spy)
+        return calls
+
+    @pytest.mark.parametrize("seconds", [0.025, 0.3, 2.0])
+    def test_acoustic_families(self, captured, seconds):
+        rng = np.random.default_rng(31)
+        t = np.arange(int(seconds * SR)) / SR
+        x = 0.5 * np.sin(2 * np.pi * 150.0 * t) * (t % 0.5 < 0.3) + 0.01 * rng.normal(size=t.size)
+        a = Analysis(AudioBuffer(x, SR), AcousticConfig())
+        for family in (GEMAPS, SPECTRAL, lld_family(ALL_STATS)):
+            family.compute(a)
+        assert len(captured) == 3
+        for family, values, got in captured:
+            np.testing.assert_array_equal(got.values.view(np.int64),
+                                          per_entry_vector(family, values).view(np.int64))
+
+    def test_coherence(self):
+        rng = np.random.default_rng(33)
+        emb = coherence.EmbeddingTable(3, {f"w{i}": rng.standard_normal(3) for i in range(6)})
+        words = [f"w{j}" for j in rng.integers(0, 8, 40)]  # w6, w7 are out of vocabulary
+        t = Transcript(tuple((Token(w, w), Token(v, v)) for w, v in zip(words, words[1:])))
+        cf = coherence.coherence_features(t, emb)
+        v, _ = coherence._phrase_matrix(t, emb)
+        baseline = coherence._baseline(coherence._unit_rows(v))
+        for q in coherence.ORDERS:
+            series = coherence.coherence_series(t, emb, q)
+            raw = apply_bank(FrameSeries("c", series, 0.0)).values
+            norm = apply_bank(FrameSeries("c", series - baseline, 0.0)).values
+            want = np.concatenate([raw, norm])
+            got = np.array(list(cf.per_order[q].values()))
+            assert list(cf.per_order[q]) == [*DEFAULT_BANK.stats,
+                                             *(f"n_{s}" for s in DEFAULT_BANK.stats)]
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestFeatureVector:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from voxfeat.errors import DegenerateClasses, InvalidK, NotClassification
+from voxfeat.errors import DegenerateClasses, EmptyFold, InvalidK, NotClassification
 from voxfeat.mlpipe import (
     CurvePoint,
     FeatureTable,
@@ -485,7 +485,7 @@ class TestCvCurve:
         x = rng.normal(size=(6, 2))
         y = two_class_labels(3, 3)
         t = make(["a", "b"], x, y)
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyFold, match="5 folds leave an empty fold for 6 rows"):
             cv_score_curve(t, anova_f_select, "logistic", [1], 5)
 
     def test_unknown_estimator_rejected(self):

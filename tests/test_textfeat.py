@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from voxfeat.errors import EmptyLexicon, MalformedConllu
+from voxfeat.errors import ConfigError, EmptyLexicon, MalformedConllu
 from voxfeat.textfeat import (
     _NUMERIC_RE,
     COMPLEXITY_FEATURE_NAMES,
@@ -285,7 +285,7 @@ class TestLoaders:
     def test_valence_csv_malformed(self, tmp_path):
         p = tmp_path / "v.csv"
         p.write_text("good,1.0\nbad\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"v\.csv:2: expected 'word,valence'"):
             load_valence_csv(p)
 
     def test_valence_csv_empty(self, tmp_path):
