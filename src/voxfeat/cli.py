@@ -34,7 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None,
                         help="pipeline config JSON (env: VOXFEAT_CONFIG)")
     parser.add_argument("--jobs", type=int, default=None,
-                        help="worker pool size (env: VOXFEAT_JOBS)")
+                        help="extract worker processes; 1 extracts in this process "
+                             "(default: one per usable CPU; env: VOXFEAT_JOBS)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (env: VOXFEAT_SEED)")
     sub = parser.add_subparsers(dest="command", required=True)

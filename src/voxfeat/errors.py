@@ -110,3 +110,7 @@ class UnwritableOutput(VoxfeatError):
 
 class ConfigError(VoxfeatError):
     """Pipeline configuration invalid or references missing files."""
+
+
+class WorkerDied(VoxfeatError):
+    """An extract worker process ended before returning an input's row."""

@@ -24,7 +24,7 @@ from .config import (
     feature_names_for,
     validate_config,
 )
-from .errors import NoInputs, SchemaError, UnwritableOutput, VoxfeatError
+from .errors import NoInputs, SchemaError, UnwritableOutput, VoxfeatError, WorkerDied
 from .functionals import FeatureVector, concat_vectors
 from .mlpipe import (
     FeatureTable,
@@ -164,9 +164,6 @@ def extract_features(item: RecordingInput, cfg: PipelineConfig,
     transcript: Transcript | None = None
     if item.transcript_path is not None:
         transcript = _load_transcript(item.transcript_path)
-    else:
-        log.warning("%s: no transcript found, text features set to NaN",
-                    item.source_id)
 
     analysis = Analysis(buf, acfg)  # shared by every acoustic family
     parts: list[FeatureVector] = []
@@ -203,12 +200,26 @@ def manifest_path_for(out_csv: str | Path) -> Path:
     return Path(out_csv).with_suffix(".manifest.json")
 
 
+def worker_count(jobs: int | None, n_inputs: int) -> int:
+    """Extract workers for n_inputs recordings: jobs when positive, else the
+    CPUs this process may run on; never more than there are inputs."""
+    if jobs is None or jobs <= 0:
+        if hasattr(os, "sched_getaffinity"):
+            jobs = len(os.sched_getaffinity(0))
+        else:
+            jobs = os.cpu_count() or 1
+    return max(1, min(jobs, n_inputs))
+
+
 def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
                 transcript_dir: str | Path | None = None,
                 jobs: int | None = None) -> RunManifest:
     """Extract features for every recording in audio_dir into out_csv.
 
-    Rows appear sorted by source_id regardless of completion order; a failed
+    With one worker, recordings are extracted in a worker thread; with more,
+    in that many forked worker processes (a fork copies only the calling
+    thread, so a caller that runs other threads should pass jobs=1). Rows
+    appear sorted by source_id regardless of completion order; a failed
     input is recorded in the manifest and produces no row. The CSV and the
     manifest are written atomically (temp file + rename).
     """
@@ -217,23 +228,27 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
     inputs = discover_inputs(audio_dir, transcript_dir)
     res = load_resources(cfg)
     names = feature_names_for(cfg)
-    workers = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
+    workers = worker_count(jobs, len(inputs))
+    for item in sorted(inputs, key=lambda it: it.source_id):
+        if item.transcript_path is None:
+            log.warning("%s: no transcript found, text features set to NaN",
+                        item.source_id)
 
-    def work(item: RecordingInput):
-        return extract_features(item, cfg, res)
-
-    rows: dict[str, FeatureVector] = {}
+    if workers > 1:
+        outcomes = _extract_forked(inputs, cfg, res, workers)
+    else:
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            outcomes = list(pool.map(lambda it: _extract_row(it, cfg, res), inputs))
+    rows: dict[str, np.ndarray] = {}
     failures: dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for item, outcome in zip(inputs, pool.map(
-                lambda it: _guard(work, it), inputs)):
-            if isinstance(outcome, FeatureVector):
-                rows[item.source_id] = outcome
-            else:
-                failures[item.source_id] = outcome
+    for item, outcome in zip(inputs, outcomes):
+        if isinstance(outcome, str):
+            failures[item.source_id] = outcome
+        else:
+            rows[item.source_id] = outcome
 
     ordered = sorted(rows)
-    matrix = (np.stack([rows[sid].values for sid in ordered])
+    matrix = (np.stack([rows[sid] for sid in ordered])
               if ordered else np.empty((0, len(names))))
     table = FeatureTable(names, matrix, tuple(ordered))
     out_csv = Path(out_csv)
@@ -255,12 +270,82 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
     return manifest
 
 
-def _guard(fn, item):
-    """Run one extraction; map any failure to its message for the manifest."""
+def _failure(exc: Exception) -> str:
+    """An input's failure as the manifest records it."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _extract_row(item: RecordingInput, cfg: PipelineConfig,
+                 res: TextResources) -> np.ndarray | str:
+    """One input's row values, or its failure message for the manifest."""
     try:
-        return fn(item)
+        return extract_features(item, cfg, res).values
     except Exception as exc:  # noqa: BLE001 - per-file isolation is the contract
-        return f"{type(exc).__name__}: {exc}"
+        return _failure(exc)
+
+
+# (cfg, res) of a forked extract worker; set by _init_worker in the worker
+# process only, so both arrive through fork instead of being pickled per task
+_worker_args: tuple[PipelineConfig, TextResources] | None = None
+
+
+def _init_worker(cfg: PipelineConfig, res: TextResources) -> None:
+    global _worker_args
+    _worker_args = (cfg, res)
+
+
+def _extract_in_worker(item: RecordingInput) -> np.ndarray | str:
+    return _extract_row(item, *_worker_args)
+
+
+def _extract_forked(inputs: list[RecordingInput], cfg: PipelineConfig,
+                    res: TextResources, workers: int) -> list[np.ndarray | str]:
+    """Each input's _extract_row outcome, computed in forked worker processes.
+
+    A worker that dies breaks its pool and loses every input still pending
+    in it. Each lost input is retried alone in a fresh one-worker pool, and
+    one that ends that worker too fails as WorkerDied.
+    """
+    # imported here: a run with one worker never loads multiprocessing
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    # numpy loads these on first use (np.unique touches numpy.ma). Loaded
+    # before the fork, every worker inherits them; otherwise each pool's
+    # workers import them again on every call.
+    import numpy.fft  # noqa: F401
+    import numpy.ma  # noqa: F401
+
+    context = multiprocessing.get_context("fork")
+
+    def outcomes_in_pool(items: list[RecordingInput], size: int) -> list:
+        """Outcomes in input order, None where the pool broke first; the
+        with block joins every worker before this returns."""
+        futures = []
+        with ProcessPoolExecutor(size, mp_context=context, initializer=_init_worker,
+                                 initargs=(cfg, res)) as pool:
+            try:
+                for item in items:
+                    futures.append(pool.submit(_extract_in_worker, item))
+            except BrokenProcessPool:
+                pass
+            outcomes: list = [None] * len(items)
+            for i, future in enumerate(futures):
+                try:
+                    outcomes[i] = future.result()
+                except BrokenProcessPool:
+                    pass
+        return outcomes
+
+    outcomes = outcomes_in_pool(inputs, workers)
+    for i, item in enumerate(inputs):
+        if outcomes[i] is None:
+            outcomes[i] = outcomes_in_pool([item], 1)[0]
+        if outcomes[i] is None:
+            outcomes[i] = _failure(WorkerDied(
+                "the worker process ended while extracting this input"))
+    return outcomes
 
 
 # ---------------------------------------------------------------------------

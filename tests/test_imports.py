@@ -1,5 +1,6 @@
 """voxfeat starts on numpy alone: scipy is imported only by the logistic
-fits with three or more classes, on their first use."""
+fits with three or more classes, on their first use, and multiprocessing
+only by an extract with more than one worker."""
 
 import json
 import os
@@ -16,9 +17,24 @@ import numpy as np
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
+def pool_modules():
+    return sorted(m for m in ("multiprocessing", "concurrent.futures.process")
+                  if m in sys.modules)
+
 seen = {}
 import voxfeat, voxfeat.cli, voxfeat.pipeline
 seen["import"] = scipy_modules()
+seen["import_pool"] = pool_modules()
+
+from voxfeat.audio_io import AudioBuffer, write_wav
+from voxfeat.config import PipelineConfig
+from voxfeat.pipeline import run_extract
+t = np.arange(16000) / 16000
+write_wav(AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t), 16000), sys.argv[1] + "/a.wav")
+write_wav(AudioBuffer(0.4 * np.sin(2 * np.pi * 180 * t), 16000), sys.argv[1] + "/b.wav")
+seen["extract_ok"] = run_extract(sys.argv[1], sys.argv[1] + "/f.csv", PipelineConfig(),
+                                 jobs=1).all_ok
+seen["extract_pool"] = pool_modules()
 
 from voxfeat.config import AnalyzeSpec, PipelineConfig
 from voxfeat.pipeline import run_analyze
@@ -51,6 +67,9 @@ def test_start_up_and_binary_analyze_load_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen["import"] == []
+    assert seen["import_pool"] == []
+    assert seen["extract_ok"]
+    assert seen["extract_pool"] == []
     assert seen["estimator"] == "logistic"
     assert seen["analyze"] == []
     # a three-class fit still converges, and only it loads scipy.optimize

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import logging
+import multiprocessing
 import os
 import stat
 import tracemalloc
@@ -19,6 +21,7 @@ from voxfeat.config import (
     feature_names_for,
 )
 from voxfeat.errors import NoInputs, SchemaError, UnwritableOutput
+from voxfeat import pipeline
 from voxfeat.pipeline import (
     _load_transcript,
     discover_inputs,
@@ -27,6 +30,7 @@ from voxfeat.pipeline import (
     manifest_path_for,
     run_analyze,
     run_extract,
+    worker_count,
 )
 
 SR = 16000
@@ -372,6 +376,80 @@ class TestRunExtract:
         target = tmp_path / "no_such_dir" / "f.csv"
         with pytest.raises(UnwritableOutput):
             run_extract(corpus, target, PipelineConfig())
+
+
+@pytest.fixture(scope="module")
+def batch(tmp_path_factory):
+    """Five recordings, more than the workers: e and e-1 have no transcript
+    (their ids sort in the opposite order to their file names), f a .txt,
+    g a .conllu, and h is not a WAV."""
+    root = tmp_path_factory.mktemp("batch")
+    for seed, stem in enumerate(("e", "e-1", "f", "g"), start=1):
+        make_wav(root / f"{stem}.wav", 150.0 + 40.0 * seed, seed=seed)
+    (root / "h.wav").write_bytes(b"RIFF not a wave file")
+    (root / "f.txt").write_text("the quick brown fox jumps over the lazy dog.\n")
+    (root / "g.conllu").write_text(CONLLU)
+    return root
+
+
+BATCH_CFG = PipelineConfig(coherence=True, embeddings_path=str(bundled_embeddings_path()))
+
+
+def extract_outputs(audio_dir, out, jobs):
+    run_extract(audio_dir, out, BATCH_CFG, jobs=jobs)
+    return out.read_bytes(), json.loads(manifest_path_for(out).read_text())["inputs"]
+
+
+class TestWorkerProcesses:
+    @pytest.fixture(scope="class")
+    def serial(self, batch, tmp_path_factory):
+        return extract_outputs(batch, tmp_path_factory.mktemp("serial") / "f.csv", 1)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_outputs_equal_one_worker(self, batch, serial, tmp_path, jobs):
+        assert extract_outputs(batch, tmp_path / "f.csv", jobs) == serial
+        assert [e["status"] for e in serial[1]] == ["ok"] * 4 + ["error"]
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_fails_only_its_input(self, batch, serial, tmp_path, monkeypatch):
+        real = pipeline.extract_features
+
+        def dies_on_f(item, cfg, res):
+            if item.source_id == "f":
+                os._exit(3)
+            return real(item, cfg, res)
+
+        monkeypatch.setattr(pipeline, "extract_features", dies_on_f)
+        text, inputs = extract_outputs(batch, tmp_path / "f.csv", 2)
+        by_id = {e["source_id"]: e for e in inputs}
+        assert by_id["f"]["status"] == "error"
+        assert by_id["f"]["message"].startswith("WorkerDied:")
+        serial_rows = serial[0].decode().splitlines()
+        assert text.decode().splitlines() == [
+            ln for ln in serial_rows if not ln.startswith("f,")]
+        assert [e for e in inputs if e["source_id"] != "f"] == [
+            e for e in serial[1] if e["source_id"] != "f"]
+        assert multiprocessing.active_children() == []
+
+    def test_missing_transcripts_logged_once_in_source_id_order(self, batch, tmp_path,
+                                                                caplog):
+        with caplog.at_level(logging.WARNING, logger="voxfeat"):
+            run_extract(batch, tmp_path / "f.csv", BATCH_CFG, jobs=2)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{sid}: no transcript found, text features set to NaN"
+            for sid in ("e", "e-1", "h")]
+
+    def test_worker_count(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert [worker_count(jobs, 10) for jobs in (None, 0, -1)] == [3, 3, 3]
+        assert worker_count(None, 2) == 2
+        assert worker_count(4, 10) == 4
+        assert worker_count(4, 1) == 1
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert worker_count(None, 10) == 8
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(None, 10) == 1
 
 
 def toy_csv(path, seed=0, n=60):
