@@ -2,7 +2,8 @@
 
 The package splits into feature producers (audio_io, acoustic, functionals,
 textfeat, coherence), a modeling toolkit (mlpipe), and the batch layer that
-ties them together (config, pipeline, featdict, cli).
+ties them together (config, pipeline, featdict, cli). Every text input file
+is read by textio.
 """
 
 from .audio_io import AudioBuffer, load_wav, write_wav

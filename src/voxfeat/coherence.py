@@ -28,6 +28,7 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, EmptyFile
 from .functionals import DEFAULT_BANK, Family, FeatureVector
 from .textfeat import Token, Transcript
+from .textio import read_text
 
 ORDERS = (0, 1, 2, 3)
 
@@ -47,10 +48,25 @@ class EmbeddingTable:
         if self.dim < 1 or not self.vectors:
             raise ValueError("embedding table must be nonempty with dim >= 1")
         matrix = np.array(list(self.vectors.values()), dtype=float)
-        matrix = matrix.reshape(len(self.vectors), self.dim)
+        self._attach(list(self.vectors), matrix.reshape(len(self.vectors), self.dim))
+
+    @classmethod
+    def from_matrix(cls, words: list[str], matrix: np.ndarray) -> EmbeddingTable:
+        """The table of words[i] -> row i of a nonempty (words, dim) float
+        matrix, kept without a copy when no word repeats; a repeated word
+        keeps its last row, at the place of its first."""
+        last = dict(zip(words, range(len(words))))
+        if len(last) < len(words):
+            matrix = matrix[list(last.values())]
+        table = cls.__new__(cls)
+        object.__setattr__(table, "dim", matrix.shape[1])
+        table._attach(list(last), matrix)
+        return table
+
+    def _attach(self, words: list[str], matrix: np.ndarray) -> None:
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "vectors", dict(zip(self.vectors, matrix)))
-        object.__setattr__(self, "index", {w: i for i, w in enumerate(self.vectors)})
+        object.__setattr__(self, "vectors", dict(zip(words, matrix)))
+        object.__setattr__(self, "index", {w: i for i, w in enumerate(words)})
 
     def __contains__(self, word: str) -> bool:
         return word in self.vectors
@@ -70,9 +86,14 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     The header is recognized when the first line holds exactly two integer
     fields. Duplicate words keep the last row. Errors name a row by its
     number among the non-blank lines.
+
+    The values are parsed in one np.loadtxt call. Where it fails, or finds
+    a width other than the header's, the rows are parsed again one at a
+    time, which raises the error that names the row, and accepts what
+    float() accepts beyond loadtxt, such as "1_0" or non-ASCII digits.
     """
     path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise EmptyFile(f"{path}: no embedding rows")
     start = 0
@@ -85,7 +106,32 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             start = 1
         except ValueError:
             pass
-    rows = [line.split() for line in lines[start:]]
+    body = lines[start:]
+    matrix = _parse_block(body, dim) if body else None
+    if matrix is None:
+        matrix = _parse_rows(path, body, start, dim)
+    return EmbeddingTable.from_matrix([line.split(None, 1)[0].lower() for line in body], matrix)
+
+
+def _parse_block(body: list[str], dim: int | None) -> np.ndarray | None:
+    """The (rows, dim) values of every body line in one C-level parse, or
+    None where it fails, or finds no values or a width other than dim."""
+    try:
+        # the word column reads as 0.0 and is dropped
+        block = np.loadtxt(body, comments=None, converters={0: lambda word: 0.0}, ndmin=2)
+    except ValueError:
+        return None
+    width = block.shape[1] - 1
+    if width < 1 or (dim is not None and width != dim):
+        return None
+    return np.ascontiguousarray(block[:, 1:])
+
+
+def _parse_rows(path: Path, body: list[str], start: int, dim: int | None) -> np.ndarray:
+    """The values of every body line parsed one row at a time, raising
+    DimensionMismatch or ConfigError naming the first bad row, and EmptyFile
+    for a table with no rows or no values."""
+    rows = [line.split() for line in body]
     if rows and dim is None:
         dim = len(rows[0]) - 1  # headerless: first row fixes the dimension
     values = []
@@ -98,7 +144,7 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
             raise ConfigError(f"{path}:{i}: {exc}") from None
     if not rows or dim is None or dim < 1:
         raise EmptyFile(f"{path}: no usable embedding rows")
-    return EmbeddingTable(dim, dict(zip([row[0].lower() for row in rows], values)))
+    return np.array(values)
 
 
 def phrase_vector(sentence: tuple[Token, ...], emb: EmbeddingTable) -> np.ndarray | None:

@@ -20,6 +20,7 @@ from .coherence import COHERENCE
 from .errors import ConfigError
 from .functionals import GEMAPS, SPECTRAL, Family, FunctionalBank, lld_family
 from .textfeat import COMPLEXITY, SENTIMENT, SYNTAX
+from .textio import read_text
 
 _SELECTORS = ("anova_f", "rfe", "mrmr", "importance")
 _ESTIMATORS = ("auto", "logistic", "ols")
@@ -168,7 +169,7 @@ def config_from_dict(data: dict, base_dir: str | Path | None = None) -> Pipeline
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = read_text(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     try:

@@ -68,6 +68,10 @@ class EmptyFile(VoxfeatError):
     """Input file holds no usable rows."""
 
 
+class EncodingError(VoxfeatError):
+    """Text input file is not UTF-8."""
+
+
 # -- feature table pipeline --------------------------------------------------
 
 class TooFewColumns(VoxfeatError):

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import SchemaError
+from ..textio import read_text
 
 RESERVED = ("row_id", "target")
 
@@ -152,7 +153,7 @@ def table_to_csv_text(tbl: FeatureTable) -> str:
 
 def read_table_csv(path: str | Path) -> FeatureTable:
     path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty feature CSV")
     header = lines[0].split(",")

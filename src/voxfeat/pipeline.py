@@ -55,6 +55,7 @@ from .textfeat import (
     load_word_list,
     tokenize,
 )
+from .textio import read_text
 
 log = logging.getLogger("voxfeat")
 
@@ -152,7 +153,7 @@ def discover_inputs(audio_dir: str | Path,
 def _load_transcript(path: Path) -> Transcript:
     if path.suffix.lower() == ".conllu":
         return load_conllu(path)
-    return tokenize(path.read_text(encoding="utf-8"))
+    return tokenize(read_text(path))
 
 
 def extract_features(item: RecordingInput, cfg: PipelineConfig,

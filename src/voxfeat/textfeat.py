@@ -20,8 +20,11 @@ import numpy as np
 
 from .errors import ConfigError, EmptyLexicon, MalformedConllu
 from .functionals import Family, FeatureVector
+from .textio import read_text
 
 DEFAULT_MARKERS = frozenset({"xxx", "[unintelligible]", "[inaudible]"})
+# what tokenize strips from a token before matching a bracketed marker
+_PUNCT_OUTSIDE_MARKERS = string.punctuation.replace("[", "").replace("]", "")
 
 DEFAULT_SUFFIXES = ("ness", "ment", "tion", "ity", "able", "ful", "less", "ly")
 
@@ -113,19 +116,24 @@ class SyntaxCounts:
 def tokenize(text: str, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript:
     """Split text into sentences on .!? and tokens on whitespace.
 
-    Marker matching happens on the raw lowercased token before punctuation
-    stripping, so bracketed markers like "[inaudible]" survive. Tokens that
-    are pure punctuation vanish.
+    A token is flagged as a marker when its lowercased raw form, that form
+    with the punctuation around it stripped except square brackets (so
+    "[inaudible]," matches "[inaudible]"), or its lowercased surface (so
+    "xxx," and "(xxx)" match "xxx") is in markers. The surface strips all
+    punctuation around the token; tokens that are pure punctuation vanish.
     """
     sentences = []
     for chunk in re.split(r"[.!?]+", text):
         tokens = []
         for raw in chunk.split():
-            flagged = raw.lower() in markers
             surface = raw.strip(string.punctuation)
             if not surface:
                 continue
-            tokens.append(Token(surface, surface.lower(), None, None, flagged))
+            lower = surface.lower()
+            raw_lower = raw.lower()
+            flagged = (lower in markers or raw_lower in markers
+                       or raw_lower.strip(_PUNCT_OUTSIDE_MARKERS) in markers)
+            tokens.append(Token(surface, lower, None, None, flagged))
         if tokens:
             sentences.append(tuple(tokens))
     return Transcript(tuple(sentences))
@@ -196,7 +204,7 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
     path = Path(path)
     sentences: list[tuple[Token, ...]] = []
     current: list[Token] = []
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         if not line or line.isspace():
             if current:
                 sentences.append(tuple(current))
@@ -291,7 +299,7 @@ SENTIMENT = Family("text.sentiment", (
 def load_valence_csv(path: str | Path) -> dict[str, float]:
     """CSV "word,valence" per line; one optional header line tolerated."""
     out: dict[str, float] = {}
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text(path).splitlines()
     for i, line in enumerate(lines):
         if not line.strip():
             continue
@@ -313,7 +321,7 @@ def load_valence_csv(path: str | Path) -> dict[str, float]:
 def load_word_list(path: str | Path) -> frozenset[str]:
     words = {
         line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in read_text(path).splitlines()
         if line.strip()
     }
     return frozenset(words)
@@ -322,6 +330,6 @@ def load_word_list(path: str | Path) -> frozenset[str]:
 def load_suffix_list(path: str | Path) -> tuple[str, ...]:
     return tuple(
         line.strip().lower()
-        for line in Path(path).read_text(encoding="utf-8").splitlines()
+        for line in read_text(path).splitlines()
         if line.strip()
     )

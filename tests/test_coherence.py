@@ -20,7 +20,7 @@ from voxfeat.coherence import (
     load_embeddings,
     phrase_vector,
 )
-from voxfeat.errors import DimensionMismatch, EmptyFile
+from voxfeat.errors import ConfigError, DimensionMismatch, EmptyFile
 from voxfeat.functionals import FunctionalBank, apply_bank
 from voxfeat.textfeat import Token, Transcript, tokenize
 
@@ -401,6 +401,48 @@ def reference_load_embeddings(path):
     return list(vectors), np.array(list(vectors.values()))
 
 
+def row_by_row_load_embeddings(path):
+    """load_embeddings as it was before its one-shot parse: one np.array
+    per row, then one stack of the rows."""
+    lines = [ln for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+    if not lines:
+        raise EmptyFile(f"{path}: no embedding rows")
+    start = 0
+    dim = None
+    head = lines[0].split()
+    if len(head) == 2:
+        try:
+            int(head[0]), int(head[1])
+            dim = int(head[1])
+            start = 1
+        except ValueError:
+            pass
+    rows = [line.split() for line in lines[start:]]
+    if rows and dim is None:
+        dim = len(rows[0]) - 1
+    values = []
+    for i, row in enumerate(rows, start + 1):
+        if len(row) - 1 != dim:
+            raise DimensionMismatch(f"{path.name}:{i}: {len(row) - 1} values, expected {dim}")
+        try:
+            values.append(np.array(row[1:], dtype=float))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{i}: {exc}") from None
+    if not rows or dim is None or dim < 1:
+        raise EmptyFile(f"{path}: no usable embedding rows")
+    return EmbeddingTable(dim, dict(zip([row[0].lower() for row in rows], values)))
+
+
+def outcome(loader, path):
+    """A loaded table as (dim, words, matrix bytes, index), or its error as
+    (type, message)."""
+    try:
+        emb = loader(path)
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return type(exc), str(exc)
+    return emb.dim, list(emb.vectors), emb.matrix.tobytes(), emb.index
+
+
 class TestPhraseMatrixMatchesReference:
     """Sentences of 7, 8 and 9 in-vocabulary words sit at the edges of
     numpy's 8-way unrolled sum, and 130 past its 128-element block."""
@@ -480,6 +522,34 @@ class TestLoadEmbeddingsMatchesReference:
             p.write_text(text)
             with pytest.raises(EmptyFile):
                 load_embeddings(p)
+
+    @pytest.mark.parametrize("value", [
+        "1,5", "1.5e", "infinity", "-Infinity", "nan", "-nan", "1e400", "-1e-400", "0x10",
+        "\u0661\u0662", "\uff11", "1__0", "1_0", "+.5e-3", "5e-324", "1d5", '"1"', "#1",
+    ])
+    @pytest.mark.parametrize("header", ["", "3 2\n"])
+    def test_odd_values_parse_like_the_row_by_row_parser(self, tmp_path, value, header):
+        p = tmp_path / "e.txt"
+        p.write_text(f"{header}a 1 2\nB {value} -0.0\nc 3 4\n", encoding="utf-8")
+        assert outcome(load_embeddings, p) == outcome(row_by_row_load_embeddings, p)
+
+    @pytest.mark.parametrize("text", [
+        "a\t1\t2\nb\t3 4\n",                   # tabs
+        "  a   1    2  \n\n b 3\t\t 4\n",        # runs of spaces, blank line
+        "2 2\r\na 1 2\r\n\r\nb 3 4\r\n",          # CRLF
+        "a 1 2\rb 3 4\r",                        # lone CR
+        "a\u00a01 2\nb\u30003 4\x0c\n",           # non-ASCII and form-feed whitespace
+        "2 2\na 1 2\nb 3 4 5\n",                 # too wide
+        "2 2\na 1 2\nb 3\n",                     # too narrow
+        "a 1 2\nb 3\n",                          # narrower than the first row
+        "2 3\na 1 2\nb 3 4\n",                   # narrower than the header
+        "a\nb\n", "2 0\na\n", "3 4\n", "1 1\n2 2\n", "1 x\n",
+        "a 1 2\na 3 4\nA 5 6\nb 7 8\n",           # a repeated word keeps its last row
+    ])
+    def test_layouts_parse_like_the_row_by_row_parser(self, tmp_path, text):
+        p = tmp_path / "e.txt"
+        p.write_bytes(text.encode("utf-8"))
+        assert outcome(load_embeddings, p) == outcome(row_by_row_load_embeddings, p)
 
     def test_table_built_from_vectors(self):
         emb = table(a=[1.0, 2.0], b=[3.0, 4.0])

@@ -204,6 +204,28 @@ class TestStatisticsTable:
             np.testing.assert_array_equal(got.view(np.int64),
                                           reference_apply(values, ALL_STATS).view(np.int64))
 
+    def test_order_statistics_match_numpy_bit_for_bit(self):
+        """Lengths 1 to 5000 (each one up to 600, then every 37th), on data
+        of four kinds in turn: distinct values, heavy ties, only -0.0 and
+        0.0, and signed zeros tied with +-1."""
+        rng = np.random.default_rng(23)
+        pcts = (0.5, 10.0, 50.0, 99.5)
+        bank = FunctionalBank(("min", "max", "median", *(f"p{p:g}" for p in pcts)))
+        for n in [*range(1, 601), *range(601, 5000, 37), 5000]:
+            kind = n % 4
+            if kind == 0:
+                values = rng.standard_normal(n)
+            elif kind == 1:
+                values = rng.integers(0, 3, n) * 0.1
+            elif kind == 2:
+                values = rng.choice([0.0, -0.0], n)
+            else:
+                values = rng.choice([0.0, -0.0, 1.0, -1.0], n)
+            want = [values.min(), values.max(), np.median(values),
+                    *(np.percentile(values, p) for p in pcts)]
+            got = bank.summarize(values)
+            assert np.array(got).view(np.int64).tolist() == np.array(want).view(np.int64).tolist(), n
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_infinite_values_raise(self, bad):
         with pytest.raises(ValueError, match="non-finite"):

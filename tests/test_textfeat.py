@@ -60,6 +60,30 @@ class TestTokenize:
         assert toks[1].is_unintelligible
         assert toks[1].surface == "inaudible"  # brackets stripped from surface
 
+    @pytest.mark.parametrize("text,flags", [
+        ("yes xxx, no", [False, True, False]),
+        ("yes xxx. no", [False, True, False]),
+        ("yes [inaudible], no", [False, True, False]),
+        ("yes ([inaudible]) no", [False, True, False]),
+        ("yes [Unintelligible]; no", [False, True, False]),
+        ("yes (xxx) no", [False, True, False]),
+        ("yes \"XXX\" no", [False, True, False]),
+        ("yes [xxx] no", [False, True, False]),
+        ("yes xxxx no", [False, False, False]),
+        ("yes inaudible, no", [False, False, False]),
+        ("yes [inaudible no", [False, False, False]),
+        ("yes xxx-ish no", [False, False, False]),
+    ])
+    def test_marker_next_to_punctuation(self, text, flags):
+        assert [tok.is_unintelligible for tok in tokenize(text).tokens()] == flags
+
+    def test_marker_flag_matches_conllu(self, tmp_path):
+        p = tmp_path / "a.conllu"
+        p.write_text("1\tyes\t_\t_\t_\t_\t_\t_\t_\t_\n2\txxx\t_\t_\t_\t_\t_\t_\t_\t_\n"
+                     "3\t,\t_\t_\t_\t_\t_\t_\t_\t_\n4\tno\t_\t_\t_\t_\t_\t_\t_\t_\n")
+        tagged = [t.lower for t in load_conllu(p).tokens() if t.is_unintelligible]
+        assert tagged == [t.lower for t in tokenize("yes xxx, no").tokens() if t.is_unintelligible]
+
     def test_empty_text(self):
         assert tokenize("").sentences == ()
 
