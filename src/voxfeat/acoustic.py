@@ -14,18 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
 
 from .audio_io import AudioBuffer, FrameMatrix, frame_signal, raw_frames, window_coefficients
-from .errors import (
-    InvalidBandConfig,
-    InvalidFftSize,
-    InvalidOrder,
-    InvalidRange,
-    TooFewFrames,
-)
+from .errors import InvalidBandConfig, InvalidOrder, InvalidRange
 
 SPECTRAL_FLOOR = 1e-10  # applied before any log so silence stays finite
 
@@ -123,25 +118,17 @@ def analysis_frames(buf: AudioBuffer, config: AcousticConfig) -> FrameMatrix:
 # spectra
 # ---------------------------------------------------------------------------
 
-def power_spectrum(frame: np.ndarray, n_fft: int, sample_rate_hz: int) -> Spectrum:
-    """Magnitude spectrum of a windowed frame (or of each row of a frame
-    matrix), zero-padded to n_fft.
-
-    n_fft must be a power of two not smaller than the frame. Parseval's
-    identity holds over the full transform: sum |X[k]|^2 = n_fft * sum x[n]^2.
-    """
-    frame = np.asarray(frame, dtype=np.float64)
-    if n_fft < frame.shape[-1] or n_fft < 2 or (n_fft & (n_fft - 1)) != 0:
-        raise InvalidFftSize(
-            f"n_fft must be a power of two >= frame length {frame.shape[-1]}, got {n_fft}")
-    return Spectrum(np.abs(np.fft.rfft(frame, n_fft, axis=-1)), sample_rate_hz / n_fft)
-
-
 def spectra(frames: FrameMatrix, n_fft: int | None = None) -> Spectrum:
-    """The (frames, bins) spectrogram of every frame."""
+    """The (frames, bins) magnitude spectrogram of every frame, each
+    zero-padded to n_fft (default: the next power of two >= the frame).
+
+    Parseval's identity holds over the full transform: sum |X[k]|^2 =
+    n_fft * sum x[n]^2.
+    """
     if n_fft is None:
         n_fft = _next_pow2(frames.frame_len)
-    return power_spectrum(frames.frames, n_fft, frames.sample_rate_hz)
+    return Spectrum(np.abs(np.fft.rfft(frames.frames, n_fft, axis=-1)),
+                    frames.sample_rate_hz / n_fft)
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +482,14 @@ def _cepstra(power: np.ndarray, bank: np.ndarray, basis: np.ndarray) -> np.ndarr
 # spectral descriptors
 # ---------------------------------------------------------------------------
 
-def spectral_shape(spec: Spectrum) -> dict[str, np.ndarray]:
-    """Centroid, bandwidth, rolloff, flatness of each frame; all NaN for a
-    silent frame. Scalars for a one-frame spectrum."""
-    mags = spec.magnitudes
-    return _spectral_shape(mags, mags ** 2, spec.frequencies)[0]
-
-
 def _spectral_shape(
     mags: np.ndarray, power: np.ndarray, freqs: np.ndarray
 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """spectral_shape from the magnitudes and their power, and the power
-    floored at SPECTRAL_FLOOR, which overwrites `power`. One buffer of the
-    spectrum's shape holds each intermediate in turn."""
+    """Centroid, bandwidth, rolloff and flatness of each frame, from its
+    magnitudes and their power; all NaN for a silent frame, scalars for one
+    frame. Also returns the power floored at SPECTRAL_FLOOR, which
+    overwrites `power`. One buffer of the spectrum's shape holds each
+    intermediate in turn."""
     total = mags.sum(axis=-1)
     silent = total <= 0
     total = np.where(silent, 1.0, total)
@@ -572,19 +554,9 @@ def frame_scalars(frames: FrameMatrix) -> dict[str, FrameSeries]:
     }
 
 
-def spectral_flux_onset(spectrogram: Spectrum, hop_seconds: float) -> FrameSeries:
-    """Onset strength of a (frames, bins) spectrogram: mean positive
-    log-magnitude increase per frame, 0 for the first."""
-    mags = np.atleast_2d(spectrogram.magnitudes)
-    if mags.shape[0] < 2:
-        raise TooFewFrames(f"flux needs >= 2 frames, got {mags.shape[0]}")
-    logs = np.log(np.maximum(mags, SPECTRAL_FLOOR))
-    return FrameSeries("flux", _log_rises(logs, logs[:1]), hop_seconds)
-
-
 def _log_rises(logs: np.ndarray, before: np.ndarray) -> np.ndarray:
-    """Mean positive rise of each log-magnitude row over the row before it;
-    `before` is the (1, bins) row preceding logs[0]."""
+    """Onset strength: the mean positive rise of each log-magnitude row over
+    the row before it; `before` is the (1, bins) row preceding logs[0]."""
     rises = np.empty_like(logs)
     np.subtract(logs[:1], before, out=rises[:1])
     np.subtract(logs[1:], logs[:-1], out=rises[1:])
@@ -630,13 +602,9 @@ def poly_features(spec: Spectrum, order: int) -> np.ndarray:
     return np.polyfit(spec.frequencies, spec.magnitudes.T, order).T
 
 
-def band_slope(spec: Spectrum, lo: float, hi: float) -> np.ndarray:
-    """Least-squares slope (dB/Hz) of the floored log-power spectrum over [lo, hi]."""
-    return _band_slope(np.maximum(spec.magnitudes ** 2, SPECTRAL_FLOOR), spec.frequencies, lo, hi)
-
-
 def _band_slope(floored: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """band_slope of the power spectrum already floored at SPECTRAL_FLOOR."""
+    """Least-squares slope (dB/Hz) over [lo, hi] of the log-power spectrum,
+    from the power already floored at SPECTRAL_FLOOR; NaN below two bins."""
     sel = (freqs >= lo) & (freqs <= hi)
     if sel.sum() < 2:
         return np.full(floored.shape[:-1], np.nan)[()]
@@ -654,13 +622,8 @@ def _db_ratio(num: np.ndarray, den: np.ndarray, scale: float) -> np.ndarray:
                     np.nan)[()]
 
 
-def alpha_ratio(spec: Spectrum) -> np.ndarray:
-    """10*log10 of the power in 50-1000 Hz over the power in 1000-5000 Hz."""
-    return _alpha_ratio(spec.magnitudes ** 2, spec.frequencies)
-
-
 def _alpha_ratio(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """alpha_ratio of a power spectrum."""
+    """10*log10 of the power in 50-1000 Hz over the power in 1000-5000 Hz."""
     low = power[..., (freqs >= 50.0) & (freqs <= 1000.0)].sum(axis=-1)
     high = power[..., (freqs > 1000.0) & (freqs <= 5000.0)].sum(axis=-1)
     return _db_ratio(low, high, 10.0)
@@ -752,22 +715,6 @@ def _block_rows(raw: np.ndarray, window: np.ndarray, hop: int, sr: int, n_fft: i
     return rows, before
 
 
-class _once:
-    """functools.cached_property without its lock: before Python 3.12 that
-    lock is shared by every instance, so threads analyzing different
-    recordings would wait on each other."""
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.__doc__ = fn.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.fn.__name__] = self.fn(obj)
-        return value
-
-
 class Analysis:
     """One recording's intermediates, each computed once, on first use.
 
@@ -778,28 +725,28 @@ class Analysis:
     BLOCK_FRAMES (voiced) frames, and the glottal cycles over each voiced
     region, whose peak chain alone is a loop of Python arithmetic with one
     argmax per cycle. Only per-frame (and per-cycle) series are kept, never
-    frames or spectra. One thread uses one Analysis.
+    frames or spectra.
     """
 
     def __init__(self, buf: AudioBuffer, config: AcousticConfig) -> None:
         self.buf = buf
         self.config = config
 
-    @_once
+    @cached_property
     def descriptors(self) -> dict[str, np.ndarray]:
         """Every per-frame energy and spectral series (see frame_descriptors)."""
         return frame_descriptors(self.buf, self.config)
 
-    @_once
+    @cached_property
     def f0(self) -> FrameSeries:
         c = self.config
         return f0_track(self.buf, c.f_min_hz, c.f_max_hz, c.hop_seconds, c.yin_threshold)
 
-    @_once
+    @cached_property
     def hnr(self) -> FrameSeries:
         return hnr_series(self.buf, self.f0)
 
-    @_once
+    @cached_property
     def cycle_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cycle jitter and shimmer terms (see cycle_perturbation)."""
         return cycle_perturbation(self.buf.samples, self.buf.sample_rate_hz, self.f0)

@@ -214,18 +214,6 @@ def _baseline(unit: np.ndarray) -> float:
     return (same + cross) / (m * (m - 1) / 2.0)
 
 
-def coherence_series(t: Transcript, emb: EmbeddingTable, q: int) -> np.ndarray:
-    """Cosines at phrase distance q+1 over defined phrase vectors.
-
-    NaN cosines (zero-norm vectors) are excluded. Fewer than q+2 defined
-    phrases yields an empty series.
-    """
-    if q not in ORDERS:
-        raise ValueError(f"order must be one of {ORDERS}, got {q}")
-    v, _ = _phrase_matrix(t, emb)
-    return _series(v, _unit_rows(v), q)
-
-
 def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
     """Raw and baseline-normalized coherence statistics for orders 0-3.
 
@@ -280,8 +268,3 @@ COHERENCE = Family("text.coherence", (
     ("determiner_rate", "determiner-tagged tokens / N"),
 ), lambda t, res: coherence_feature_vector(coherence_features(t, res.embeddings)))
 COHERENCE_FEATURE_NAMES = COHERENCE.names
-
-
-def bundled_embeddings_path() -> Path:
-    """Tiny embedding table shipped for tests and smoke runs."""
-    return Path(__file__).parent / "data" / "tiny_embeddings.txt"

@@ -30,20 +30,12 @@ class SignalTooShort(VoxfeatError):
 
 # -- acoustic descriptors ----------------------------------------------------
 
-class InvalidFftSize(VoxfeatError):
-    """FFT size not a power of two or smaller than the frame."""
-
-
 class InvalidRange(VoxfeatError):
     """Bad frequency search range (f_min >= f_max or outside Nyquist)."""
 
 
 class InvalidBandConfig(VoxfeatError):
     """Mel/band configuration is inconsistent with the spectrum."""
-
-
-class TooFewFrames(VoxfeatError):
-    """Operation needs more frames than the input provides."""
 
 
 class InvalidOrder(VoxfeatError):

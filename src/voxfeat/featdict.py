@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .config import PipelineConfig, feature_families
-from .errors import UnwritableOutput
+from .textio import write_text
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,5 @@ def featdict_text(cfg: PipelineConfig) -> str:
 
 
 def write_featdict(cfg: PipelineConfig, path: str | Path) -> None:
-    try:
-        Path(path).write_text(featdict_text(cfg), encoding="utf-8")
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from None
+    """Write the dictionary atomically; UnwritableOutput if that fails."""
+    write_text(path, featdict_text(cfg))

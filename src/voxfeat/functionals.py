@@ -308,7 +308,6 @@ GEMAPS = Family("acoustic.gemaps", (
     ("shimmer_local", "mean |A[i+1] - A[i]| / |mean(A)| over all cycle peaks"),
     ("hnr_db", "10*log10(r / (1 - r)) averaged over voiced frames"),
 ), _gemaps)
-GEMAPS_FEATURE_NAMES = GEMAPS.names  # 10*2 + 3 + 4 = 27
 
 
 def _spectral(a: Analysis) -> FeatureVector:
@@ -341,7 +340,6 @@ SPECTRAL = Family("acoustic.spectral", (
     ("poly_intercept", "intercept of an order-1 fit to the magnitude spectrum", _MEAN_STD),
     ("tempo_bpm", "BPM at the max of the windowed onset-strength autocorrelation"),
 ), _spectral)
-SPECTRAL_FEATURE_NAMES = SPECTRAL.names  # 30
 
 _LLD_MFCC = 13
 

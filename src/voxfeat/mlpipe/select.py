@@ -192,30 +192,21 @@ def rfe_select(tbl: FeatureTable, k: int, estimator: str = "ols") -> SelectionRe
 # importance threshold
 # ---------------------------------------------------------------------------
 
-def importance_select(
-    tbl: FeatureTable, threshold: float | str = "mean", alpha: float = 0.01
-) -> SelectionResult:
+def importance_select(tbl: FeatureTable, threshold: float = 0.0) -> SelectionResult:
     """Model-importance cutoff: lasso coefficients for regression targets,
-    L2 logistic coefficients for class targets.
+    L2 logistic coefficients for class targets, each at alpha 0.01.
 
-    A numeric threshold keeps importance >= threshold (0 keeps everything);
-    "mean" keeps importance strictly above the mean, so an all-zero
-    coefficient vector selects nothing.
+    Keeps importance >= threshold (the default 0 keeps everything).
     """
+    if threshold < 0:
+        raise ValueError(f"threshold must be >= 0, got {threshold}")
     y = _require_target(tbl, "importance_select")
     z, _ = impute_and_standardize(tbl)
     if is_classification(tbl):
-        imp = fit_logistic(z.rows, np.round(y).astype(np.int64), alpha=alpha).importance()
+        imp = fit_logistic(z.rows, np.round(y).astype(np.int64), alpha=0.01).importance()
     else:
-        imp = fit_lasso(z.rows, y, alpha=alpha).importance()
-    if threshold == "mean":
-        cut = float(imp.mean())
-        keep_mask = imp > cut
-    else:
-        cut = float(threshold)
-        if cut < 0:
-            raise ValueError(f"threshold must be >= 0, got {threshold}")
-        keep_mask = imp >= cut
+        imp = fit_lasso(z.rows, y, alpha=0.01).importance()
+    keep_mask = imp >= threshold
     names = tbl.column_names
     kept = tuple(n for j, n in enumerate(names) if keep_mask[j])
     # stable sort keeps column order among exact ties

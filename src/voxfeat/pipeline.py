@@ -7,7 +7,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -55,7 +54,7 @@ from .textfeat import (
     load_word_list,
     tokenize,
 )
-from .textio import read_text
+from .textio import read_text, write_text
 
 log = logging.getLogger("voxfeat")
 
@@ -180,23 +179,6 @@ def extract_features(item: RecordingInput, cfg: PipelineConfig,
     return concat_vectors(parts, item.source_id)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    # created with 0o666 like open() does, so the umask sets the final mode
-    # (mkstemp's 0o600 would stick to the renamed file)
-    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
-    try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from None
-
-
 def manifest_path_for(out_csv: str | Path) -> Path:
     return Path(out_csv).with_suffix(".manifest.json")
 
@@ -217,8 +199,8 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
                 jobs: int | None = None) -> RunManifest:
     """Extract features for every recording in audio_dir into out_csv.
 
-    With one worker, recordings are extracted in a worker thread; with more,
-    in that many forked worker processes (a fork copies only the calling
+    With one worker, recordings are extracted in the calling thread; with
+    more, in that many forked worker processes (a fork copies only the calling
     thread, so a caller that runs other threads should pass jobs=1). Rows
     appear sorted by source_id regardless of completion order; a failed
     input is recorded in the manifest and produces no row. The CSV and the
@@ -238,8 +220,7 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
     if workers > 1:
         outcomes = _extract_forked(inputs, cfg, res, workers)
     else:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            outcomes = list(pool.map(lambda it: _extract_row(it, cfg, res), inputs))
+        outcomes = [_extract_row(item, cfg, res) for item in inputs]
     rows: dict[str, np.ndarray] = {}
     failures: dict[str, str] = {}
     for item, outcome in zip(inputs, outcomes):
@@ -253,7 +234,7 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
               if ordered else np.empty((0, len(names))))
     table = FeatureTable(names, matrix, tuple(ordered))
     out_csv = Path(out_csv)
-    _atomic_write(out_csv, table_to_csv_text(table))
+    write_text(out_csv, table_to_csv_text(table))
 
     results = tuple(
         InputResult(item.source_id, item.source_id not in failures,
@@ -267,7 +248,7 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
         wall_seconds=round(time.monotonic() - started, 3),
         config_hash=config_hash(cfg),
     )
-    _atomic_write(manifest_path_for(out_csv), manifest.to_json())
+    write_text(manifest_path_for(out_csv), manifest.to_json())
     return manifest
 
 
@@ -469,20 +450,20 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     lines = ["feature,rank,score"]
     lines += [f"{name},{final.ranking[name]},{final.scores.get(name, float('nan'))!r}"
               for name in ranked]
-    _atomic_write(out_dir / "ranking.csv", "\n".join(lines) + "\n")
-    _atomic_write(out_dir / "kept_features.txt", "\n".join(final.kept_columns) + "\n")
+    write_text(out_dir / "ranking.csv", "\n".join(lines) + "\n")
+    write_text(out_dir / "kept_features.txt", "\n".join(final.kept_columns) + "\n")
     curve_lines = ["k,mean_score,std_score"]
     curve_lines += [f"{p.k},{p.mean_score!r},{p.std_score!r}" for p in curve]
-    _atomic_write(out_dir / "curve.csv", "\n".join(curve_lines) + "\n")
+    write_text(out_dir / "curve.csv", "\n".join(curve_lines) + "\n")
 
-    _atomic_write(out_dir / "curve.svg",
+    write_text(out_dir / "curve.svg",
                   curve_svg(curve, "accuracy" if estimator == "logistic" else "R^2"))
     plots = ["curve.svg"]
     if len(final.kept_columns) >= 2:
         top_x, top_y = final.kept_columns[0], final.kept_columns[1]
-        _atomic_write(out_dir / "scatter.svg",
+        write_text(out_dir / "scatter.svg",
                       scatter_svg(scatter_export(tbl, top_x, top_y)))
-        _atomic_write(out_dir / "heatmap.svg", heatmap_svg(
+        write_text(out_dir / "heatmap.svg", heatmap_svg(
             corr_heatmap_export(tbl.select_columns(final.kept_columns))))
         plots += ["scatter.svg", "heatmap.svg"]
     else:
@@ -493,6 +474,6 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     report["outputs"] = sorted(
         ["ranking.csv", "kept_features.txt", "curve.csv", "report.json"] + plots)
 
-    _atomic_write(out_dir / "report.json",
+    write_text(out_dir / "report.json",
                   json.dumps(report, indent=2, sort_keys=True) + "\n")
     return report

@@ -15,13 +15,9 @@ from collections import Counter
 import numpy as np
 import scipy.stats
 
-from voxfeat.acoustic import f0_track, power_spectrum
-from voxfeat.audio_io import AudioBuffer, write_wav
-from voxfeat.coherence import (
-    EmbeddingTable,
-    coherence_features,
-    coherence_series,
-)
+from voxfeat.acoustic import f0_track, spectra
+from voxfeat.audio_io import AudioBuffer, frame_signal, write_wav
+from voxfeat.coherence import EmbeddingTable, coherence_features
 from voxfeat.config import PipelineConfig
 from voxfeat.functionals import gemaps_core, spectral_set
 from voxfeat.mlpipe import (
@@ -98,7 +94,8 @@ def test_criterion_02_parseval(capsys):
         frame_len = int(rng.integers(32, 512))
         n_fft = 1 << (frame_len - 1).bit_length()
         x = rng.standard_normal(frame_len)
-        m = power_spectrum(x, n_fft, SR).magnitudes
+        frames = frame_signal(AudioBuffer(x, SR), frame_len, frame_len, "rectangular")
+        m = spectra(frames, n_fft).magnitudes[0]
         half = m[0] ** 2 + m[-1] ** 2 + 2.0 * np.sum(m[1:-1] ** 2)
         direct = n_fft * np.sum(x * x)
         worst = max(worst, abs(half - direct) / direct)
@@ -182,13 +179,10 @@ def test_criterion_04_coherence(capsys):
     words = ("the", "cat", "sat", "on", "mat")
     emb = EmbeddingTable(6, {w: rng.standard_normal(6) for w in words})
     t = tokenize(" ".join(["the cat sat on mat."] * 6))
-    exact = True
-    for q in (0, 1, 2, 3):
-        ser = coherence_series(t, emb, q)
-        exact = exact and ser.size > 0 and bool(np.all(ser == 1.0))
+    # an empty series would give NaN statistics
     feats = coherence_features(t, emb)
-    exact = exact and all(
-        feats.per_order[q]["mean"] == 1.0 for q in (0, 1, 2, 3))
+    exact = all(feats.per_order[q][stat] == 1.0
+                for q in (0, 1, 2, 3) for stat in ("mean", "min", "max"))
 
     vocab = [f"w{i}" for i in range(6)]
     lo, hi = np.inf, -np.inf
@@ -202,13 +196,12 @@ def test_criterion_04_coherence(capsys):
             " ".join(rng.choice(pool, size=rng.integers(2, 5)))
             for _ in range(int(rng.integers(3, 6)))
         ]
-        draw_t = tokenize(". ".join(sents) + ".")
+        draw_feats = coherence_features(tokenize(". ".join(sents) + "."), table)
         for q in (0, 1, 2, 3):
-            ser = coherence_series(draw_t, table, q)
-            finite = ser[np.isfinite(ser)]
-            if finite.size:
-                lo = min(lo, finite.min())
-                hi = max(hi, finite.max())
+            stats = draw_feats.per_order[q]
+            if not math.isnan(stats["min"]):  # NaN: no defined cosine at this order
+                lo = min(lo, stats["min"])
+                hi = max(hi, stats["max"])
     ok = exact and lo >= -1.0 and hi <= 1.0
     report(capsys, 4, "coherence-bounds", ok,
            f"repeated-sentence exact 1.0: {exact}, range [{lo:.4f}, {hi:.4f}]")

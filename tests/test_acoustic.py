@@ -15,9 +15,7 @@ from voxfeat.acoustic import (
     Analysis,
     FrameSeries,
     Spectrum,
-    alpha_ratio,
     analysis_frames,
-    band_slope,
     dct_basis,
     f0_track,
     frame_descriptors,
@@ -25,21 +23,12 @@ from voxfeat.acoustic import (
     hammarberg,
     mfcc,
     poly_features,
-    power_spectrum,
     spectra,
     spectral_contrast,
-    spectral_flux_onset,
-    spectral_shape,
     tempogram_tempo,
 )
 from voxfeat.audio_io import AudioBuffer, frame_signal, load_wav
-from voxfeat.errors import (
-    InvalidBandConfig,
-    InvalidFftSize,
-    InvalidOrder,
-    InvalidRange,
-    TooFewFrames,
-)
+from voxfeat.errors import InvalidBandConfig, InvalidOrder, InvalidRange, SignalTooShort
 from voxfeat.functionals import gemaps_core
 
 SR = 16000
@@ -67,18 +56,45 @@ def alternating_period_signal(short=80, long=84, sr=SR):
     return AudioBuffer(0.7 * x[:sr], sr)
 
 
-class TestPowerSpectrum:
+def one_frame_spectrum(x, n_fft):
+    """spectra of x as a single rectangular-window frame."""
+    return spectra(frame_signal(AudioBuffer(x, SR), x.size, x.size, "rectangular"), n_fft)
+
+
+# One-call forms of the descriptor kernels that frame_descriptors runs on
+# each block, so that hand-made spectra can test the kernels directly.
+
+def spectral_shape(spec):
+    mags = spec.magnitudes
+    return acoustic._spectral_shape(mags, mags ** 2, spec.frequencies)[0]
+
+
+def band_slope(spec, lo, hi):
+    floored = np.maximum(spec.magnitudes ** 2, acoustic.SPECTRAL_FLOOR)
+    return acoustic._band_slope(floored, spec.frequencies, lo, hi)
+
+
+def alpha_ratio(spec):
+    return acoustic._alpha_ratio(spec.magnitudes ** 2, spec.frequencies)
+
+
+def flux(spec):
+    """Onset strength of each frame of a (frames, bins) spectrogram, 0 for the first."""
+    logs = np.log(np.maximum(spec.magnitudes, acoustic.SPECTRAL_FLOOR))
+    return acoustic._log_rises(logs, logs[:1])
+
+
+class TestSpectra:
     def test_zero_frame(self):
-        spec = power_spectrum(np.zeros(64), 64, SR)
-        np.testing.assert_array_equal(spec.magnitudes, np.zeros(33))
+        spec = one_frame_spectrum(np.zeros(64), 64)
+        np.testing.assert_array_equal(spec.magnitudes, np.zeros((1, 33)))
         assert spec.bin_hz == SR / 64
 
     def test_single_bin_tone(self):
         n_fft = 128
         k = 9
         frame = np.cos(2 * np.pi * k * np.arange(n_fft) / n_fft)
-        spec = power_spectrum(frame, n_fft, SR)
-        mags = spec.magnitudes.copy()
+        mags = one_frame_spectrum(frame, n_fft).magnitudes[0]
         peak = mags[k]
         mags[k] = 0.0
         assert peak > 0
@@ -90,8 +106,7 @@ class TestPowerSpectrum:
         grid = np.arange(n_fft)
         for _ in range(50):
             x = rng.standard_normal(64)
-            spec = power_spectrum(x, n_fft, SR)
-            m = spec.magnitudes
+            m = one_frame_spectrum(x, n_fft).magnitudes[0]
             # reconstruct the full-transform energy from the half spectrum
             full = m[0] ** 2 + m[-1] ** 2 + 2 * np.sum(m[1:-1] ** 2)
             # oracle: direct O(n^2) DFT summation
@@ -102,11 +117,15 @@ class TestPowerSpectrum:
             assert abs(full - direct) / direct < 1e-9
             assert abs(full - n_fft * np.sum(x * x)) / full < 1e-9
 
-    def test_bad_fft_size(self):
-        with pytest.raises(InvalidFftSize):
-            power_spectrum(np.ones(100), 100, SR)  # not a power of two
-        with pytest.raises(InvalidFftSize):
-            power_spectrum(np.ones(100), 64, SR)  # smaller than frame
+    def test_default_fft_size_is_next_power_of_two(self):
+        rng = np.random.default_rng(4)
+        buf = AudioBuffer(rng.standard_normal(2000), SR)
+        for frame_len, n_fft in ((400, 512), (512, 512), (513, 1024)):
+            fm = frame_signal(buf, frame_len, 160)
+            spec = spectra(fm)
+            assert spec.magnitudes.shape == (fm.frames.shape[0], n_fft // 2 + 1)
+            assert spec.bin_hz == SR / n_fft
+            np.testing.assert_array_equal(spec.magnitudes, spectra(fm, n_fft).magnitudes)
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(5)
@@ -114,8 +133,8 @@ class TestPowerSpectrum:
         fm = frame_signal(buf, 400, 160)
         batch = spectra(fm, 512)
         for i, spec in enumerate(batch):
-            single = power_spectrum(fm.frames[i], 512, SR)
-            np.testing.assert_allclose(spec.magnitudes, single.magnitudes, rtol=1e-12)
+            single = spectra(type(fm)(fm.frames[i:i + 1], fm.raw[i:i + 1], 400, 160, SR), 512)
+            np.testing.assert_allclose(spec.magnitudes, single.magnitudes[0], rtol=1e-12)
 
 
 class TestF0Track:
@@ -369,28 +388,31 @@ class TestFrameScalars:
 
 class TestFluxOnset:
     def test_constant_spectrogram(self):
-        flux = spectral_flux_onset(Spectrum(np.ones((5, 33)), 100.0), 0.01)
-        np.testing.assert_array_equal(flux.values, np.zeros(5))
+        np.testing.assert_array_equal(flux(Spectrum(np.ones((5, 33)), 100.0)), np.zeros(5))
 
     def test_silence_then_tone_spike(self):
         mags = np.zeros((4, 33))
         mags[2:, 5] = 1.0  # two silent frames, then two frames of one tone bin
-        flux = spectral_flux_onset(Spectrum(mags, 100.0), 0.01)
-        assert flux.values[0] == 0.0
-        assert flux.values[1] == 0.0
-        assert flux.values[2] > 0.0
-        assert flux.values[3] == 0.0
+        rises = flux(Spectrum(mags, 100.0))
+        assert rises[0] == 0.0
+        assert rises[1] == 0.0
+        assert rises[2] > 0.0
+        assert rises[3] == 0.0
 
     def test_decreasing_energy(self):
         mags = np.array([1.0, 0.5, 0.25])[:, None] * np.ones(33)
-        flux = spectral_flux_onset(Spectrum(mags, 100.0), 0.01)
-        np.testing.assert_array_equal(flux.values, np.zeros(3))
+        np.testing.assert_array_equal(flux(Spectrum(mags, 100.0)), np.zeros(3))
 
     def test_too_few_frames(self):
-        with pytest.raises(TooFewFrames):
-            spectral_flux_onset(Spectrum(np.ones((1, 33)), 100.0), 0.01)
-        with pytest.raises(TooFewFrames):
-            spectral_flux_onset(Spectrum(np.ones(33), 100.0), 0.01)
+        # on the Analysis path: no frame at all is an error, one frame has
+        # no predecessor and so no onset strength
+        cfg = AcousticConfig()
+        frame_len = int(round(cfg.frame_seconds * SR))
+        with pytest.raises(SignalTooShort):
+            Analysis(AudioBuffer(np.ones(frame_len - 1), SR), cfg).descriptors
+        one = Analysis(AudioBuffer(np.ones(frame_len), SR), cfg).descriptors
+        assert one["flux"].shape == (1,)
+        assert np.isnan(one["flux"][0])
 
 
 class TestTempo:
@@ -533,12 +555,12 @@ class TestVectorizedDescriptors:
             assert_rel(fn(self.spec), by_rows(fn, self.spec))
 
     def test_flux(self):
-        flux = spectral_flux_onset(self.spec, 0.01).values
+        whole = flux(self.spec)
         mags = self.spec.magnitudes
-        pairs = [spectral_flux_onset(Spectrum(mags[i - 1: i + 1], self.spec.bin_hz), 0.01)
-                 .values[1] for i in range(1, mags.shape[0])]
-        assert flux[0] == 0.0
-        assert_rel(flux[1:], pairs)
+        pairs = [flux(Spectrum(mags[i - 1: i + 1], self.spec.bin_hz))[1]
+                 for i in range(1, mags.shape[0])]
+        assert whole[0] == 0.0
+        assert_rel(whole[1:], pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +630,7 @@ class TestBlockPass:
             "slope_500_1500": band_slope(spec, 500.0, 1500.0),
             "alpha_ratio": alpha_ratio(spec),
             "hammarberg": hammarberg(spec),
-            "flux": spectral_flux_onset(spec, cfg.hop_seconds).values,
+            "flux": flux(spec),
         }
         got = frame_descriptors(buf, cfg)
         assert got.keys() == expected.keys()

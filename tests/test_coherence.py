@@ -13,16 +13,23 @@ from voxfeat.coherence import (
     ORDERS,
     EmbeddingTable,
     _phrase_matrix,
-    bundled_embeddings_path,
+    _series,
+    _unit_rows,
     coherence_feature_vector,
     coherence_features,
-    coherence_series,
     load_embeddings,
     phrase_vector,
 )
 from voxfeat.errors import ConfigError, DimensionMismatch, EmptyFile
 from voxfeat.functionals import FunctionalBank, apply_bank
 from voxfeat.textfeat import Token, Transcript, tokenize
+
+
+def coherence_series(t, emb, q):
+    """The series coherence_features summarizes at order q: cosines at phrase
+    distance q+1 over the defined phrase vectors, zero-norm pairs left out."""
+    v, _ = _phrase_matrix(t, emb)
+    return _series(v, _unit_rows(v), q)
 
 
 def table(**vectors):
@@ -66,8 +73,8 @@ class TestLoadEmbeddings:
         p.write_text("a 1 0\na 0 2\n")
         np.testing.assert_array_equal(load_embeddings(p).vectors["a"], [0.0, 2.0])
 
-    def test_bundled_table_loads(self):
-        emb = load_embeddings(bundled_embeddings_path())
+    def test_bundled_table_loads(self, embeddings_path):
+        emb = load_embeddings(embeddings_path)
         assert emb.dim == 8
         assert len(emb.vectors) <= 50
         assert "the" in emb
@@ -110,6 +117,22 @@ class TestCoherenceSeries:
         emb = table(a=[1.0, 0.0])
         t = Transcript((sent("a"), sent("a"), sent("a")))
         assert coherence_series(t, emb, 3).size == 0
+
+    def test_summarized_at_each_order(self):
+        # coherence_features reports orders 0-3 and no other, each the
+        # summary of the same series this module's helper builds
+        rng = np.random.default_rng(3)
+        emb = table(**{w: rng.normal(size=4) for w in "abcdef"})
+        t = Transcript(tuple(sent(*rng.choice(list("abcdefz"), size=3)) for _ in range(12)))
+        cf = coherence_features(t, emb)
+        assert sorted(cf.per_order) == list(ORDERS) == [0, 1, 2, 3]
+        assert not any(name.startswith("coherence_q4") for name in COHERENCE_FEATURE_NAMES)
+        for q in ORDERS:
+            series = coherence_series(t, emb, q)
+            assert series.size > 0
+            np.testing.assert_allclose(
+                [cf.per_order[q][s] for s in ("mean", "min", "max")],
+                [series.mean(), series.min(), series.max()], rtol=1e-12)
 
     def test_cosine_bounds_random_sweep(self):
         rng = np.random.default_rng(31)
@@ -155,11 +178,6 @@ class TestCoherenceSeries:
             np.testing.assert_array_equal(
                 coherence_series(t1, emb, q), coherence_series(t2, emb, q)
             )
-
-    def test_invalid_order(self):
-        emb = table(a=[1.0])
-        with pytest.raises(ValueError):
-            coherence_series(Transcript((sent("a"),)), emb, 4)
 
 
 class TestCoherenceFeatures:
@@ -217,8 +235,8 @@ class TestCoherenceFeatures:
             if not np.isnan(stats["mean"]):
                 assert stats["min"] <= stats["mean"] <= stats["max"]
 
-    def test_tokenize_integration_with_bundled_table(self):
-        emb = load_embeddings(bundled_embeddings_path())
+    def test_tokenize_integration_with_bundled_table(self, embeddings_path):
+        emb = load_embeddings(embeddings_path)
         t = tokenize("The cat sat on the mat. The dog ran. The cat sat on the mat.")
         cf = coherence_features(t, emb)
         assert cf.per_order[0]["mean"] is not None

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from voxfeat.coherence import COHERENCE_FEATURE_NAMES, bundled_embeddings_path
+from voxfeat.coherence import COHERENCE_FEATURE_NAMES
 from voxfeat.config import (
     SENTIMENT_FEATURE_NAMES,
     AnalyzeSpec,
@@ -20,7 +20,7 @@ from voxfeat.config import (
     validate_config,
 )
 from voxfeat.errors import ConfigError
-from voxfeat.functionals import GEMAPS_FEATURE_NAMES, SPECTRAL_FEATURE_NAMES
+from voxfeat.functionals import GEMAPS, SPECTRAL
 from voxfeat.textfeat import COMPLEXITY_FEATURE_NAMES, SYNTAX_FEATURE_NAMES
 
 
@@ -185,17 +185,17 @@ class TestFeatureNames:
     def test_default_family_sizes(self):
         cfg = PipelineConfig()
         names = feature_names_for(cfg)
-        assert len(GEMAPS_FEATURE_NAMES) == 27
-        assert len(SPECTRAL_FEATURE_NAMES) == 30
+        assert len(GEMAPS.names) == 27
+        assert len(SPECTRAL.names) == 30
         assert len(COMPLEXITY_FEATURE_NAMES) == 7
         assert len(SYNTAX_FEATURE_NAMES) == 112
         assert len(names) == 27 + 30 + 7 + 112
 
-    def test_all_families_enabled(self):
+    def test_all_families_enabled(self, embeddings_path):
         cfg = PipelineConfig(
             sentiment=False,
             coherence=True,
-            embeddings_path=str(bundled_embeddings_path()),
+            embeddings_path=embeddings_path,
             lld_functionals=("mean", "stddev"),
         )
         names = feature_names_for(cfg)

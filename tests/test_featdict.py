@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 from collections import Counter
 from pathlib import Path
@@ -9,13 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from voxfeat.acoustic import Spectrum, band_slope, spectral_contrast, spectral_flux_onset
-from voxfeat.coherence import (
-    EmbeddingTable,
-    bundled_embeddings_path,
-    coherence_feature_vector,
-    coherence_features,
-)
+from voxfeat import acoustic
+from voxfeat.acoustic import Spectrum, spectral_contrast
+from voxfeat.coherence import EmbeddingTable, coherence_feature_vector, coherence_features
 from voxfeat.config import PipelineConfig, feature_names_for
 from voxfeat.errors import UnwritableOutput
 from voxfeat.featdict import (
@@ -25,10 +22,11 @@ from voxfeat.featdict import (
 )
 from voxfeat.textfeat import Token, Transcript
 
+# every family on (the dictionary reads no resource, so the path is only named)
 ALL_ON = PipelineConfig(
     sentiment=False,
     coherence=True,
-    embeddings_path=str(bundled_embeddings_path()),
+    embeddings_path="embeddings.txt",
     lld_functionals=("mean", "stddev"),
 )
 
@@ -121,6 +119,20 @@ class TestText:
         with pytest.raises(UnwritableOutput):
             write_featdict(PipelineConfig(), tmp_path / "missing_dir" / "x.tsv")
 
+    def test_failed_write_leaves_the_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "features.tsv"
+        write_featdict(PipelineConfig(), out)
+        before = out.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(UnwritableOutput):
+            write_featdict(ALL_ON, out)
+        assert out.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["features.tsv"]
+
 
 def formula(name: str) -> str:
     return {e.name: e.formula for e in feature_dictionary(ALL_ON)}[name]
@@ -137,17 +149,17 @@ class TestFormulaOracles:
         freqs = np.arange(257) * bin_hz
         # dB power: a line of -0.01 dB/Hz up to 500 Hz, then -0.03 dB/Hz
         power_db = np.where(freqs <= 500, -20 - 0.01 * freqs, -25 - 0.03 * (freqs - 500))
-        spec = Spectrum(np.sqrt(10 ** (power_db / 10)), bin_hz)
-        assert band_slope(spec, 0.0, 500.0) == pytest.approx(-0.01, rel=1e-9)
-        assert band_slope(spec, 500.0, 1500.0) == pytest.approx(-0.03, rel=1e-9)
+        floored = np.maximum(10 ** (power_db / 10), acoustic.SPECTRAL_FLOOR)
+        for (lo, hi), slope in (((0.0, 500.0), -0.01), ((500.0, 1500.0), -0.03)):
+            assert acoustic._band_slope(floored, freqs, lo, hi) == pytest.approx(slope, rel=1e-9)
 
     def test_flux_is_mean_of_rises(self):
         assert formula("flux_mean").startswith(
             "mean over bins of the positive log-magnitude rise since the previous frame")
         assert formula("lld_flux_mean") == formula("flux_mean")
-        spec = Spectrum(np.array([np.ones(4), [np.e, 1.0, 1 / np.e, np.e ** 2]]), 100.0)
+        logs = np.log(np.array([np.ones(4), [np.e, 1.0, 1 / np.e, np.e ** 2]]))
         # rises 1, 0, 0, 2 over 4 bins: the mean is 0.75, a sum would be 3
-        assert spectral_flux_onset(spec, 0.01).values[1] == pytest.approx(0.75, rel=1e-12)
+        assert acoustic._log_rises(logs, logs[:1])[1] == pytest.approx(0.75, rel=1e-12)
 
     def test_contrast_is_log_ratio_of_magnitudes(self):
         assert formula("contrast_b3_mean").startswith(

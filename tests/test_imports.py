@@ -1,6 +1,6 @@
 """voxfeat starts on numpy alone: scipy is imported only by the logistic
-fits with three or more classes, on their first use, and multiprocessing
-only by an extract with more than one worker."""
+fits with three or more classes, on their first use, and multiprocessing and
+concurrent.futures only by an extract with more than one worker."""
 
 import json
 import os
@@ -18,8 +18,8 @@ def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
 def pool_modules():
-    return sorted(m for m in ("multiprocessing", "concurrent.futures.process")
-                  if m in sys.modules)
+    return sorted(m for m in ("multiprocessing", "concurrent.futures",
+                              "concurrent.futures.process") if m in sys.modules)
 
 seen = {}
 import voxfeat, voxfeat.cli, voxfeat.pipeline

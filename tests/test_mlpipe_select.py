@@ -192,9 +192,10 @@ class TestImportanceSelect:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(80, 6))
         t = make([f"f{i}" for i in range(6)], x, x[:, 1] * 2.0)
-        res = importance_select(t)
+        res = importance_select(t, threshold=0.5)
         assert res.kept_columns == ("f1",)
         assert res.ranking["f1"] == 1
+        assert all(res.scores[f"f{i}"] == 0.0 for i in (0, 2, 3, 4, 5))
 
     def test_zero_threshold_keeps_everything(self):
         rng = np.random.default_rng(8)
@@ -203,20 +204,22 @@ class TestImportanceSelect:
         res = importance_select(t, threshold=0.0)
         assert set(res.kept_columns) == {"f0", "f1", "f2", "f3"}
 
-    def test_uninformative_target_selects_nothing_at_mean(self):
-        # constant non-integer target: every lasso coefficient is zero and
-        # nothing clears a strict mean cutoff
+    def test_uninformative_target_scores_zero(self):
+        # constant non-integer target: every lasso coefficient is zero, so
+        # any positive threshold keeps nothing
         rng = np.random.default_rng(9)
         x = rng.normal(size=(20, 3))
         t = make(["a", "b", "c"], x, np.full(20, 0.5))
-        assert importance_select(t).kept_columns == ()
+        assert importance_select(t).scores == {"a": 0.0, "b": 0.0, "c": 0.0}
+        assert importance_select(t, threshold=1e-12).kept_columns == ()
 
     def test_exact_ties_rank_in_column_order(self):
-        # a strong lasso penalty zeroes all but two of 40 coefficients
+        # on a noiseless two-feature target the lasso zeroes all but two of
+        # 40 coefficients
         rng = np.random.default_rng(11)
         x = rng.normal(size=(60, 40))
         t = make([f"f{i:02d}" for i in range(40)], x, 3.0 * x[:, 30] + 2.0 * x[:, 7])
-        res = importance_select(t, alpha=1.0)
+        res = importance_select(t)
         order = sorted(res.ranking, key=res.ranking.get)
         assert order[:2] == ["f30", "f07"]
         assert order[2:] == [f"f{i:02d}" for i in range(40) if i not in (7, 30)]

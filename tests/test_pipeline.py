@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from voxfeat.audio_io import AudioBuffer, write_wav
-from voxfeat.coherence import bundled_embeddings_path
 from voxfeat.config import (
     AnalyzeSpec,
     PipelineConfig,
@@ -303,12 +302,13 @@ class TestRunExtract:
         run_extract(corpus, b, cfg, jobs=4)
         assert a.read_bytes() == b.read_bytes()
 
-    def test_worker_count_does_not_change_text_output(self, corpus, tmp_path):
+    def test_worker_count_does_not_change_text_output(self, corpus, tmp_path,
+                                                      embeddings_path):
         valence = tmp_path / "valence.csv"
         valence.write_text("word,valence\nquick,0.6\nlazy,-0.4\ndog,0.2\n")
         cfg = PipelineConfig(sentiment=True, coherence=True,
                              valence_path=str(valence),
-                             embeddings_path=str(bundled_embeddings_path()))
+                             embeddings_path=embeddings_path)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         run_extract(corpus, a, cfg, jobs=1)
         run_extract(corpus, b, cfg, jobs=2)
@@ -392,26 +392,29 @@ def batch(tmp_path_factory):
     return root
 
 
-BATCH_CFG = PipelineConfig(coherence=True, embeddings_path=str(bundled_embeddings_path()))
+@pytest.fixture(scope="module")
+def batch_cfg(embeddings_path):
+    return PipelineConfig(coherence=True, embeddings_path=embeddings_path)
 
 
-def extract_outputs(audio_dir, out, jobs):
-    run_extract(audio_dir, out, BATCH_CFG, jobs=jobs)
+def extract_outputs(audio_dir, out, cfg, jobs):
+    run_extract(audio_dir, out, cfg, jobs=jobs)
     return out.read_bytes(), json.loads(manifest_path_for(out).read_text())["inputs"]
 
 
 class TestWorkerProcesses:
     @pytest.fixture(scope="class")
-    def serial(self, batch, tmp_path_factory):
-        return extract_outputs(batch, tmp_path_factory.mktemp("serial") / "f.csv", 1)
+    def serial(self, batch, batch_cfg, tmp_path_factory):
+        return extract_outputs(batch, tmp_path_factory.mktemp("serial") / "f.csv", batch_cfg, 1)
 
     @pytest.mark.parametrize("jobs", [2, 3])
-    def test_outputs_equal_one_worker(self, batch, serial, tmp_path, jobs):
-        assert extract_outputs(batch, tmp_path / "f.csv", jobs) == serial
+    def test_outputs_equal_one_worker(self, batch, batch_cfg, serial, tmp_path, jobs):
+        assert extract_outputs(batch, tmp_path / "f.csv", batch_cfg, jobs) == serial
         assert [e["status"] for e in serial[1]] == ["ok"] * 4 + ["error"]
         assert multiprocessing.active_children() == []
 
-    def test_dead_worker_fails_only_its_input(self, batch, serial, tmp_path, monkeypatch):
+    def test_dead_worker_fails_only_its_input(self, batch, batch_cfg, serial, tmp_path,
+                                              monkeypatch):
         real = pipeline.extract_features
 
         def dies_on_f(item, cfg, res):
@@ -420,7 +423,7 @@ class TestWorkerProcesses:
             return real(item, cfg, res)
 
         monkeypatch.setattr(pipeline, "extract_features", dies_on_f)
-        text, inputs = extract_outputs(batch, tmp_path / "f.csv", 2)
+        text, inputs = extract_outputs(batch, tmp_path / "f.csv", batch_cfg, 2)
         by_id = {e["source_id"]: e for e in inputs}
         assert by_id["f"]["status"] == "error"
         assert by_id["f"]["message"].startswith("WorkerDied:")
@@ -431,10 +434,10 @@ class TestWorkerProcesses:
             e for e in serial[1] if e["source_id"] != "f"]
         assert multiprocessing.active_children() == []
 
-    def test_missing_transcripts_logged_once_in_source_id_order(self, batch, tmp_path,
-                                                                caplog):
+    def test_missing_transcripts_logged_once_in_source_id_order(self, batch, batch_cfg,
+                                                                tmp_path, caplog):
         with caplog.at_level(logging.WARNING, logger="voxfeat"):
-            run_extract(batch, tmp_path / "f.csv", BATCH_CFG, jobs=2)
+            run_extract(batch, tmp_path / "f.csv", batch_cfg, jobs=2)
         assert [r.getMessage() for r in caplog.records] == [
             f"{sid}: no transcript found, text features set to NaN"
             for sid in ("e", "e-1", "h")]
