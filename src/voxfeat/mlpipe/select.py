@@ -1,7 +1,8 @@
 """Supervised feature selection and the cross-validated score curve.
 
 All selectors fit on imputed+standardized copies, report original column
-names, and break score ties by column order.
+names, and break score ties by column order. Each reads the task from the
+table's classification field; rfe ranks by OLS under both tasks.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .table import (
     fit_standardize,
     impute_and_standardize,
     impute_only,
-    is_classification,
 )
 from .transform import SelectionResult, pearson, unit_columns
 
@@ -42,7 +42,7 @@ def _require_target(tbl: FeatureTable, op: str) -> np.ndarray:
 
 def _class_labels(tbl: FeatureTable, op: str) -> np.ndarray:
     y = _require_target(tbl, op)
-    if not is_classification(tbl):
+    if not tbl.classification:
         raise NotClassification(f"{op} requires small-integer class labels")
     return np.round(y).astype(np.int64)
 
@@ -62,12 +62,18 @@ def _rank_by_score_desc(
 # ---------------------------------------------------------------------------
 
 def anova_f_values(tbl: FeatureTable) -> np.ndarray:
-    """One-way ANOVA F per column against the class target.
+    """F per column: one-way ANOVA against class labels, the regression F
+    r^2 (n - 2) / (1 - r^2) against any other target.
 
-    Zero within-group variance with spread between groups maps to +inf;
-    0/0 (a fully constant column) maps to 0.
+    Zero within-group variance with spread between groups (|r| = 1) maps to
+    +inf; 0/0 (a fully constant column) maps to 0.
     """
-    y = _class_labels(tbl, "anova_f_select")
+    y = _require_target(tbl, "anova_f_select")
+    if not tbl.classification:
+        r2 = pearson(unit_columns(impute_only(tbl).rows), unit_columns(y)) ** 2
+        return np.divide(r2 * (tbl.n_rows - 2), 1 - r2, out=np.full(tbl.n_cols, np.inf),
+                         where=r2 < 1)
+    y = np.round(y).astype(np.int64)
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise DegenerateClasses(f"need >= 2 classes, got {classes.size}")
@@ -178,7 +184,7 @@ def rfe_path(tbl: FeatureTable, k_values: list[int],
 
 
 def rfe_select(tbl: FeatureTable, k: int, estimator: str = "ols") -> SelectionResult:
-    """Recursive elimination: refit, drop the weakest-coefficient features,
+    """Recursive elimination: refit OLS, drop the weakest-coefficient features,
     repeat until k remain. Step size adapts as max(1, remaining // 10).
 
     Ranking: survivors take ranks 1..k by final coefficient magnitude;
@@ -202,7 +208,7 @@ def importance_select(tbl: FeatureTable, threshold: float = 0.0) -> SelectionRes
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     y = _require_target(tbl, "importance_select")
     z, _ = impute_and_standardize(tbl)
-    if is_classification(tbl):
+    if tbl.classification:
         imp = fit_logistic(z.rows, np.round(y).astype(np.int64), alpha=0.01).importance()
     else:
         imp = fit_lasso(z.rows, y, alpha=0.01).importance()
@@ -224,7 +230,7 @@ def _relevance(u: np.ndarray, tbl: FeatureTable) -> np.ndarray:
     """|pearson| against the target; >2 classes use one-vs-rest max."""
     y = tbl.target
     classes = np.unique(y)
-    if is_classification(tbl) and classes.size > 2:
+    if tbl.classification and classes.size > 2:
         targets = [(y == cls).astype(np.float64) for cls in classes]
     else:
         targets = [y]
@@ -234,7 +240,8 @@ def _relevance(u: np.ndarray, tbl: FeatureTable) -> np.ndarray:
 def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
     """Greedy minimum-redundancy maximum-relevance forward selection.
 
-    First pick maximizes |corr(feature, target)|; each later pick maximizes
+    First pick maximizes relevance |corr(feature, target)| (with more than
+    two classes, the largest one-vs-rest |corr|); each later pick maximizes
     relevance minus mean |corr| to everything already selected. Undefined
     correlations count as 0; ties resolve to the earliest column.
     """
@@ -279,7 +286,7 @@ def _fold_indices(tbl: FeatureTable, folds: int, seed: int) -> list[np.ndarray]:
     """Stratified folds for class targets, contiguous shuffled otherwise."""
     n = tbl.n_rows
     rng = np.random.default_rng(seed)
-    if is_classification(tbl):
+    if tbl.classification:
         y = np.round(tbl.target).astype(np.int64)
         assignment = np.zeros(n, dtype=np.int64)
         for cls in np.unique(y):

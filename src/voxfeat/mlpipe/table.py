@@ -7,7 +7,7 @@ recording. Floats are written with repr() so a read-back is exact.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,8 @@ class FeatureTable:
     rows: np.ndarray
     row_ids: tuple[str, ...]
     target: np.ndarray | None = None
+    # class labels (True) or a regressed target (False); None applies integral_target
+    classification: bool | None = None
 
     def __post_init__(self) -> None:
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -48,6 +50,8 @@ class FeatureTable:
             raise ValueError("row ids must be unique")
         if self.target is not None and self.target.size != len(self.row_ids):
             raise ValueError("target length must equal the row count")
+        if self.classification is None:
+            object.__setattr__(self, "classification", integral_target(self.target))
 
     @property
     def n_rows(self) -> int:
@@ -62,24 +66,24 @@ class FeatureTable:
 
     def select_columns(self, names: list[str] | tuple[str, ...]) -> "FeatureTable":
         idx = [self.column_names.index(n) for n in names]
-        return FeatureTable(tuple(names), self.rows[:, idx], self.row_ids, self.target)
+        return replace(self, column_names=tuple(names), rows=self.rows[:, idx])
 
     def select_rows(self, indices: np.ndarray) -> "FeatureTable":
         target = self.target[indices] if self.target is not None else None
-        return FeatureTable(
-            self.column_names,
-            self.rows[indices],
-            tuple(self.row_ids[i] for i in indices),
-            target,
-        )
+        return replace(self, rows=self.rows[indices],
+                       row_ids=tuple(self.row_ids[i] for i in indices), target=target)
 
 
-def is_classification(tbl: FeatureTable) -> bool:
-    """Integral finite targets are treated as class labels."""
-    y = tbl.target
+def integral_target(y: np.ndarray | None) -> bool:
+    """The default task rule: only a finite integral target holds class labels."""
     if y is None or y.size == 0 or not np.all(np.isfinite(y)):
         return False
     return bool(np.all(np.abs(y - np.round(y)) < 1e-9))
+
+
+def is_classification(tbl: FeatureTable) -> bool:
+    """Whether the table's target is analyzed as class labels."""
+    return tbl.classification
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ def apply_standardize(tbl: FeatureTable, params: StandardizeParams) -> FeatureTa
     scale = np.where(params.stds > 0, params.stds, 1.0)
     z = (filled - params.means[None, :]) / scale[None, :]
     z[:, params.stds == 0] = 0.0  # constant columns carry no signal
-    return FeatureTable(tbl.column_names, z, tbl.row_ids, tbl.target)
+    return replace(tbl, rows=z)
 
 
 def impute_and_standardize(tbl: FeatureTable) -> tuple[FeatureTable, StandardizeParams]:
@@ -125,7 +129,7 @@ def impute_and_standardize(tbl: FeatureTable) -> tuple[FeatureTable, Standardize
 def impute_only(tbl: FeatureTable) -> FeatureTable:
     params = fit_standardize(tbl)
     filled = np.where(np.isnan(tbl.rows), params.means[None, :], tbl.rows)
-    return FeatureTable(tbl.column_names, filled, tbl.row_ids, tbl.target)
+    return replace(tbl, rows=filled)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ original column names.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,14 +49,11 @@ def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionR
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     filled = impute_only(tbl)
     variances = filled.rows.var(axis=0) if tbl.n_rows else np.zeros(tbl.n_cols)
-    scores = {name: float(variances[j]) for j, name in enumerate(tbl.column_names)}
-    kept = [n for j, n in enumerate(tbl.column_names) if variances[j] > threshold]
-    dropped = [n for j, n in enumerate(tbl.column_names) if variances[j] <= threshold]
-    order = sorted(
-        tbl.column_names, key=lambda n: (-scores[n], tbl.column_names.index(n))
-    )
-    ranking = {name: i + 1 for i, name in enumerate(order)}
-    return SelectionResult(tuple(kept), ranking, scores)
+    names = tbl.column_names
+    kept = tuple(n for j, n in enumerate(names) if variances[j] > threshold)
+    order = np.argsort(-variances, kind="stable")  # ties keep column order
+    ranking = {names[i]: r + 1 for r, i in enumerate(order)}
+    return SelectionResult(kept, ranking, dict(zip(names, variances.tolist())))
 
 
 def unit_columns(x: np.ndarray) -> np.ndarray:
@@ -145,7 +142,7 @@ def pca(tbl: FeatureTable, k: int) -> PcaResult:
     ratio = (s[:k] ** 2) / total if total > 0 else np.zeros(k)
     variances = (s[:k] ** 2) / max(tbl.n_rows, 1)
     names = tuple(f"pc{i + 1}" for i in range(k))
-    transformed = FeatureTable(names, scores, tbl.row_ids, tbl.target)
+    transformed = replace(tbl, column_names=names, rows=scores)
     return PcaResult(transformed, components, ratio, variances)
 
 
@@ -210,5 +207,5 @@ def ica(
             break
     sources = (w @ white).T
     names = tuple(f"ic{i + 1}" for i in range(k))
-    transformed = FeatureTable(names, sources, tbl.row_ids, tbl.target)
+    transformed = replace(tbl, column_names=names, rows=sources)
     return IcaResult(transformed, w, converged, iterations)

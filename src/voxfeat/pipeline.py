@@ -7,7 +7,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,8 @@ from .config import (
     feature_names_for,
     validate_config,
 )
-from .errors import NoInputs, SchemaError, UnwritableOutput, VoxfeatError, WorkerDied
+from .errors import (NoInputs, NotClassification, SchemaError, UnwritableOutput,
+                     VoxfeatError, WorkerDied)
 from .functionals import FeatureVector, concat_vectors
 from .mlpipe import (
     FeatureTable,
@@ -34,7 +35,6 @@ from .mlpipe import (
     high_correlation_filter,
     ica,
     importance_select,
-    is_classification,
     low_variance_filter,
     mrmr_rank,
     pca,
@@ -353,6 +353,15 @@ _SELECTORS = {
 }
 
 
+def _decide_task(tbl: FeatureTable, estimator: str) -> FeatureTable:
+    """Settle the task: "logistic" classifies, "ols" regresses, "auto" keeps the rule's."""
+    if tbl.target is None:
+        raise SchemaError("the feature CSV has no target column")
+    if estimator == "logistic" and not tbl.classification:
+        raise NotClassification("estimator 'logistic' needs small-integer class labels")
+    return replace(tbl, classification=False) if estimator == "ols" else tbl
+
+
 def _stage(name: str, fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -377,6 +386,7 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
         raise UnwritableOutput(f"cannot create {out_dir}: {exc}") from None
 
     tbl = _stage("load", read_table_csv, features_csv)
+    tbl = _stage("task", _decide_task, tbl, spec.estimator)
     report: dict = {
         "input": str(features_csv),
         "config_hash": config_hash(cfg),
@@ -424,12 +434,7 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
             })
             tbl = ires.transformed
 
-    if tbl.target is None:
-        raise SchemaError(
-            "stage 'selection': the feature CSV has no target column")
-    estimator = spec.estimator
-    if estimator == "auto":
-        estimator = "logistic" if is_classification(tbl) else "ols"
+    estimator = "logistic" if tbl.classification else "ols"
     select_ks = _SELECTORS[spec.selector]
 
     k_values = sorted({min(k, tbl.n_cols) for k in spec.k_values})
@@ -441,6 +446,8 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
         "stage": "selection",
         "selector": spec.selector,
         "estimator": estimator,
+        "task": "classification" if tbl.classification else "regression",
+        "task_from": "target" if spec.estimator == "auto" else "estimator",
         "kept": list(final.kept_columns),
         "curve": [{"k": p.k, "mean_score": p.mean_score,
                    "std_score": p.std_score} for p in curve],

@@ -103,7 +103,7 @@ class TestAnalyze:
         rc = main(["analyze", str(csv), str(tmp_path / "out")])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "selection" in err
+        assert "task" in err
         assert "target" in err
 
 

@@ -14,6 +14,7 @@ from voxfeat.mlpipe import (
     anova_f_values,
     apply_standardize,
     cv_score_curve,
+    fit_lasso,
     fit_logistic,
     fit_ols,
     fit_standardize,
@@ -102,10 +103,29 @@ class TestAnovaF:
         with pytest.raises(DegenerateClasses):
             anova_f_values(t)
 
-    def test_continuous_target_rejected(self):
-        t = make(["a"], np.arange(4.0)[:, None], np.array([0.1, 0.2, 0.3, 0.4]))
-        with pytest.raises(NotClassification):
-            anova_f_values(t)
+    def test_regression_f_equals_anova_f_on_two_classes(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n0, n1 = (int(v) for v in rng.integers(3, 40, 2))
+            y = two_class_labels(n0, n1)
+            data = rng.normal(size=(n0 + n1, 4)) + 0.7 * y[:, None] * rng.normal(size=4)
+            names = [f"f{i}" for i in range(4)]
+            ids = tuple(f"r{i}" for i in range(n0 + n1))
+            anova = anova_f_values(FeatureTable(names, data, ids, y, classification=True))
+            regression = anova_f_values(FeatureTable(names, data, ids, y, classification=False))
+            assert np.allclose(regression, anova, rtol=1e-12, atol=0)
+
+    def test_regression_f_matches_pearsonr(self):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(5, 80))
+            data = rng.normal(size=(n, 3))
+            y = data @ rng.normal(size=3) + rng.normal(size=n)
+            t = make(["a", "b", "c"], data, y)
+            assert not is_classification(t)
+            r = np.array([scipy.stats.pearsonr(data[:, j], y).statistic for j in range(3)])
+            expected = r ** 2 * (n - 2) / (1 - r ** 2)
+            assert np.allclose(anova_f_values(t), expected, rtol=1e-12, atol=0)
 
     def test_missing_target_rejected(self):
         with pytest.raises(NotClassification):
@@ -265,6 +285,45 @@ def oracle_mrmr(x, y, k):
                 best, best_val = j, val
         chosen.append(best)
     return chosen
+
+
+class TestRegressionOnIntegerTarget:
+    """An integer score (0-30, like MMSE) in a table marked as regression."""
+
+    def table(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(60, 5))
+        y = np.clip(np.round(15 + 4 * x[:, 0] - 3 * x[:, 1] + rng.normal(size=60)), 0, 30)
+        ids = tuple(f"r{i}" for i in range(60))
+        return FeatureTable(tuple(f"f{i}" for i in range(5)), x, ids, y, classification=False)
+
+    def test_folds_are_unstratified(self):
+        perm = np.random.default_rng(3).permutation(60)
+        expected = [np.sort(chunk) for chunk in np.array_split(perm, 5)]
+        got = _fold_indices(self.table(), 5, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+    def test_importance_is_lasso(self):
+        t = self.table()
+        z, _ = impute_and_standardize(t)
+        expected = fit_lasso(z.rows, t.target, alpha=0.01).importance()
+        assert list(importance_select(t).scores.values()) == expected.tolist()
+
+    def test_mrmr_relevance_is_abs_pearson(self):
+        t = self.table()
+        r = [abs(scipy.stats.pearsonr(t.rows[:, j], t.target).statistic) for j in range(5)]
+        res = mrmr_rank(t, 1)
+        assert res.kept_columns == (t.column_names[int(np.argmax(r))],)
+        assert res.scores[res.kept_columns[0]] == pytest.approx(max(r), rel=1e-12)
+
+    def test_anova_f_needs_the_regression_task(self):
+        # as classes, the score's values with one row each defeat the ANOVA
+        t = self.table()
+        as_classes = FeatureTable(t.column_names, t.rows, t.row_ids, t.target)
+        assert is_classification(as_classes)
+        with pytest.raises(DegenerateClasses):
+            anova_f_values(as_classes)
+        assert np.all(np.isfinite(anova_f_values(t)))
 
 
 class TestMrmr:

@@ -9,8 +9,10 @@ from voxfeat.mlpipe import (
     apply_standardize,
     fit_standardize,
     impute_and_standardize,
+    ica,
     impute_only,
     is_classification,
+    pca,
     read_table_csv,
     table_to_csv_text,
 )
@@ -138,6 +140,27 @@ class TestClassification:
     def test_near_integral_within_tolerance(self):
         t = make(["a"], np.zeros((2, 1)), np.array([1.0 + 1e-12, 0.0]))
         assert is_classification(t)
+
+    def test_caller_overrides_the_rule(self):
+        t = make(["a"], np.zeros((3, 1)), np.array([0.0, 1.0, 2.0]))
+        regressed = FeatureTable(t.column_names, t.rows, t.row_ids, t.target,
+                                 classification=False)
+        assert is_classification(t)
+        assert not is_classification(regressed)
+
+    def test_derived_tables_keep_the_task(self):
+        rng = np.random.default_rng(5)
+        data = rng.normal(size=(12, 4))
+        data[0, 1] = np.nan
+        for flag in (True, False):
+            # a target the rule would decide the other way
+            y = np.arange(12.0) * (0.5 if flag else 1.0)
+            t = FeatureTable(("a", "b", "c", "d"), data, tuple(f"r{i}" for i in range(12)),
+                             y, classification=flag)
+            derived = [t.select_rows(np.arange(0, 12, 2)), t.select_columns(["b", "a"]),
+                       impute_only(t), impute_and_standardize(t)[0],
+                       pca(t, 2).transformed, ica(t, 2).transformed]
+            assert [is_classification(d) for d in derived] == [flag] * len(derived)
 
 
 class TestCsv:

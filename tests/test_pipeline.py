@@ -19,7 +19,7 @@ from voxfeat.config import (
     config_hash,
     feature_names_for,
 )
-from voxfeat.errors import NoInputs, SchemaError, UnwritableOutput
+from voxfeat.errors import NoInputs, NotClassification, SchemaError, UnwritableOutput
 from voxfeat import pipeline
 from voxfeat.pipeline import (
     _load_transcript,
@@ -478,6 +478,78 @@ def toy_csv(path, seed=0, n=60):
             fh.write(f"r{i:03d},{vals},{int(y[i])}\n")
 
 
+def score_csv(path, target, seed=0, n=120, p=30):
+    """n x p normal features; the target follows f00, f01 and f02. "mmse" is
+    an integer score clipped to 0-30, "float" the same score unrounded."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, p))
+    y = 15 + 4 * x[:, 0] - 3 * x[:, 1] + 2 * x[:, 2] + rng.normal(size=n)
+    if target == "mmse":
+        y = np.clip(np.round(y), 0, 30)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("row_id," + ",".join(f"f{j:02d}" for j in range(p)) + ",target\n")
+        for i in range(n):
+            fh.write(f"r{i:03d}," + ",".join(repr(float(v)) for v in x[i])
+                     + f",{float(y[i])!r}\n")
+
+
+class TestTaskDecision:
+    """run_analyze decides classification or regression once, after load."""
+
+    @staticmethod
+    def selection(report):
+        return next(s for s in report["stages"] if s["stage"] == "selection")
+
+    @pytest.mark.parametrize("estimator,target,task,task_from", [
+        ("auto", "classes", "classification", "target"),
+        ("auto", "float", "regression", "target"),
+        ("logistic", "classes", "classification", "estimator"),
+        ("ols", "classes", "regression", "estimator"),
+        ("ols", "float", "regression", "estimator"),
+    ])
+    def test_report_records_task(self, tmp_path, estimator, target, task, task_from):
+        path = tmp_path / "t.csv"
+        if target == "classes":
+            toy_csv(path)
+        else:
+            score_csv(path, target)
+        cfg = PipelineConfig(analyze=AnalyzeSpec(estimator=estimator, k_values=(1, 2)))
+        sel = self.selection(run_analyze(path, tmp_path / "out", cfg))
+        assert (sel["task"], sel["task_from"]) == (task, task_from)
+        assert sel["estimator"] == ("logistic" if task == "classification" else "ols")
+
+    def test_logistic_on_float_target_fails_before_any_filter(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a filter or transform ran before the task stage")
+
+        for name in ("low_variance_filter", "high_correlation_filter", "pca", "ica"):
+            monkeypatch.setattr(pipeline, name, must_not_run)
+        path = tmp_path / "float.csv"
+        score_csv(path, "float")
+        cfg = PipelineConfig(analyze=AnalyzeSpec(estimator="logistic", transform="ica"))
+        with pytest.raises(NotClassification, match="stage 'task'"):
+            run_analyze(path, tmp_path / "out", cfg)
+
+    @pytest.mark.parametrize("selector", ["anova_f", "mrmr", "rfe", "importance"])
+    def test_mmse_like_target_regressed_under_ols(self, tmp_path, selector):
+        path = tmp_path / "mmse.csv"
+        score_csv(path, "mmse")
+        cfg = PipelineConfig(analyze=AnalyzeSpec(selector=selector, estimator="ols"))
+        sel = self.selection(run_analyze(path, tmp_path / "out", cfg))
+        assert sel["task"] == "regression"
+        assert set(sel["kept"][:3]) == {"f00", "f01", "f02"}
+        assert max(c["mean_score"] for c in sel["curve"]) > 0.9
+
+    def test_float_target_under_default_config(self, tmp_path):
+        path = tmp_path / "float.csv"
+        score_csv(path, "float")
+        sel = self.selection(run_analyze(path, tmp_path / "out", PipelineConfig()))
+        assert (sel["selector"], sel["estimator"], sel["task"]) == (
+            "anova_f", "ols", "regression")
+        assert set(sel["kept"][:3]) == {"f00", "f01", "f02"}
+        assert max(c["mean_score"] for c in sel["curve"]) > 0.9
+
+
 class TestRunAnalyze:
     @pytest.fixture()
     def toy(self, tmp_path):
@@ -546,7 +618,7 @@ class TestRunAnalyze:
     def test_missing_target_names_the_stage(self, tmp_path, cfg):
         path = tmp_path / "nt.csv"
         path.write_text("row_id,a,b\nr0,1.0,2.0\nr1,2.0,1.0\nr2,0.5,0.2\n")
-        with pytest.raises(SchemaError, match="selection"):
+        with pytest.raises(SchemaError, match="task"):
             run_analyze(path, tmp_path / "out", cfg)
 
     def test_malformed_csv_names_load_stage(self, tmp_path, cfg):

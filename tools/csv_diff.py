@@ -1,14 +1,23 @@
-"""Report, column by column, how two feature CSVs differ.
+"""Report, column by column, how two feature CSVs differ, or every file of
+two output directories.
 
     python3 tools/csv_diff.py PARENT.csv CHANGE.csv
+    python3 tools/csv_diff.py PARENT_DIR CHANGE_DIR
 
 Rows are paired by position. For each column whose cells differ it prints
 the number of rows that differ, the largest relative difference
 |change - parent| / |parent| over the differing rows where both cells are
 finite numbers (inf where the parent cell is 0), and the number of rows
 where one side is NaN and the other is not. Columns present in only one
-file and a differing row count are reported too. Exit status: 0 when the
-files are byte-identical, 1 when they differ.
+file and a differing row count are reported too.
+
+Given two directories, it walks both and prints one or more lines per file,
+each prefixed with the file's path relative to its directory: a CSV present
+on both sides gets the column report above, any other shared file
+"byte-identical" or "differs", and a file on one side only "only in DIR".
+
+Exit status: 0 when the files, or every file of the two directories, are
+byte-identical, 1 on any difference.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ import argparse
 import csv
 import math
 import sys
+from pathlib import Path
 
 
 def _number(cell: str) -> float | None:
@@ -74,18 +84,48 @@ def compare(parent_path: str, change_path: str) -> list[str]:
     return lines
 
 
+def differing_lines(parent: Path, change: Path) -> list[str]:
+    """The column report of two CSVs whose bytes differ."""
+    return compare(str(parent), str(change)) or ["files differ in bytes but not in any cell"]
+
+
+def compare_dirs(parent: Path, change: Path) -> tuple[list[str], bool]:
+    """Lines for every file under either directory, and whether any differs."""
+    def files(root: Path) -> set[str]:
+        return {p.relative_to(root).as_posix() for p in root.rglob("*") if p.is_file()}
+
+    p_files, c_files = files(parent), files(change)
+    lines: list[str] = []
+    differ = p_files != c_files
+    for name in sorted(p_files | c_files):
+        a, b = parent / name, change / name
+        if name not in c_files or name not in p_files:
+            lines.append(f"{name}: only in {parent if name in p_files else change}")
+        elif a.read_bytes() == b.read_bytes():
+            lines.append(f"{name}: byte-identical")
+        else:
+            differ = True
+            diff = differing_lines(a, b) if name.lower().endswith(".csv") else ["differs"]
+            lines += [f"{name}: {line}" for line in diff]
+    return lines, differ
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent")
     ap.add_argument("change")
     args = ap.parse_args(argv)
-    with open(args.parent, "rb") as f, open(args.change, "rb") as g:
-        if f.read() == g.read():
-            print("byte-identical")
-            return 0
-    lines = compare(args.parent, args.change) or ["files differ in bytes but not in any cell"]
-    print("\n".join(lines))
-    return 1
+    parent, change = Path(args.parent), Path(args.change)
+    if parent.is_dir() and change.is_dir():
+        lines, differ = compare_dirs(parent, change)
+    elif parent.is_dir() or change.is_dir():
+        ap.error("give two files or two directories")
+    else:
+        differ = parent.read_bytes() != change.read_bytes()
+        lines = differing_lines(parent, change) if differ else ["byte-identical"]
+    if lines:
+        print("\n".join(lines))
+    return int(differ)
 
 
 if __name__ == "__main__":
