@@ -20,56 +20,40 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, EmptyFile
 from .functionals import DEFAULT_BANK, Family, FeatureVector
-from .textfeat import Token, Transcript
+from .textfeat import Transcript
 from .textio import read_text
 
 ORDERS = (0, 1, 2, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable:
-    """Word vectors of length dim, stacked as the rows of one (words, dim)
-    `matrix` in the order of `vectors`, whose values become views of those
-    rows; `index` maps each word to its row."""
+    """Word vectors as the rows of one nonempty (words, dim) float `matrix`:
+    row i is the vector of words[i], and `index` maps each word to its row."""
 
-    dim: int
-    vectors: dict[str, np.ndarray]
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
+    words: tuple[str, ...]
+    matrix: np.ndarray = field(repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.dim < 1 or not self.vectors:
+        if not self.words or self.matrix.ndim != 2 or self.matrix.shape[1] < 1:
             raise ValueError("embedding table must be nonempty with dim >= 1")
-        matrix = np.array(list(self.vectors.values()), dtype=float)
-        self._attach(list(self.vectors), matrix.reshape(len(self.vectors), self.dim))
+        if self.matrix.shape[0] != len(self.words):
+            raise ValueError(f"{len(self.words)} words for {self.matrix.shape[0]} rows")
+        index = dict(zip(self.words, range(len(self.words))))
+        if len(index) < len(self.words):
+            raise ValueError("embedding words must be distinct")
+        object.__setattr__(self, "index", index)
 
-    @classmethod
-    def from_matrix(cls, words: list[str], matrix: np.ndarray) -> EmbeddingTable:
-        """The table of words[i] -> row i of a nonempty (words, dim) float
-        matrix, kept without a copy when no word repeats; a repeated word
-        keeps its last row, at the place of its first."""
-        last = dict(zip(words, range(len(words))))
-        if len(last) < len(words):
-            matrix = matrix[list(last.values())]
-        table = cls.__new__(cls)
-        object.__setattr__(table, "dim", matrix.shape[1])
-        table._attach(list(last), matrix)
-        return table
-
-    def _attach(self, words: list[str], matrix: np.ndarray) -> None:
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "vectors", dict(zip(words, matrix)))
-        object.__setattr__(self, "index", {w: i for i, w in enumerate(words)})
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.vectors
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 @dataclass(frozen=True)
@@ -84,8 +68,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     """Read "word v1 v2 ... vdim" lines, optional "count dim" header.
 
     The header is recognized when the first line holds exactly two integer
-    fields. Duplicate words keep the last row. Errors name a row by its
-    number among the non-blank lines.
+    fields. A repeated word keeps its last row, at the place of its first.
+    Errors name a row by its number among the non-blank lines.
 
     The values are parsed in one np.loadtxt call. Where it fails, or finds
     a width other than the header's, the rows are parsed again one at a
@@ -110,7 +94,11 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     matrix = _parse_block(body, dim) if body else None
     if matrix is None:
         matrix = _parse_rows(path, body, start, dim)
-    return EmbeddingTable.from_matrix([line.split(None, 1)[0].lower() for line in body], matrix)
+    words = [line.split(None, 1)[0].lower() for line in body]
+    last = dict(zip(words, range(len(words))))
+    if len(last) < len(words):
+        matrix = matrix[list(last.values())]
+    return EmbeddingTable(tuple(last), matrix)
 
 
 def _parse_block(body: list[str], dim: int | None) -> np.ndarray | None:
@@ -147,9 +135,10 @@ def _parse_rows(path: Path, body: list[str], start: int, dim: int | None) -> np.
     return np.array(values)
 
 
-def phrase_vector(sentence: tuple[Token, ...], emb: EmbeddingTable) -> np.ndarray | None:
-    """Mean embedding of in-vocabulary tokens; None when all are OOV."""
-    rows = [emb.vectors[t.lower] for t in sentence if t.lower in emb.vectors]
+def phrase_vector(sentence: tuple[str, ...], emb: EmbeddingTable) -> np.ndarray | None:
+    """Mean embedding of a sentence's in-vocabulary lower forms; None when
+    all are out of vocabulary."""
+    rows = [emb.matrix[emb.index[w]] for w in sentence if w in emb.index]
     if not rows:
         return None
     return np.mean(rows, axis=0)
@@ -163,7 +152,7 @@ def _phrase_matrix(t: Transcript, emb: EmbeddingTable) -> tuple[np.ndarray, int]
     in-vocabulary words are stacked as (m, k, dim), summed over axis 1 in
     the order np.mean sums them, and divided by k."""
     rows = np.fromiter(map(emb.index.get, t.lowers, repeat(-1)), np.intp, t.n_tokens)
-    lengths = np.array([len(s) for s in t.sentences], dtype=np.intp)
+    lengths = np.array(t.lengths, dtype=np.intp)
     known = rows >= 0
     rows = rows[known]
     hits = np.add.reduceat(known, np.cumsum(lengths) - lengths) if lengths.size else lengths
@@ -175,7 +164,7 @@ def _phrase_matrix(t: Transcript, emb: EmbeddingTable) -> tuple[np.ndarray, int]
         group = np.flatnonzero(hits == k)
         words = emb.matrix[rows[first[group, None] + np.arange(k)]]
         out[group] = words.sum(axis=1) / k
-    return out, len(t.sentences) - defined.size
+    return out, len(t.lengths) - defined.size
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -234,9 +223,8 @@ def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
         per_order[q] = {**dict(zip(DEFAULT_BANK.stats, raw)),
                         **{f"n_{s}": value for s, value in zip(DEFAULT_BANK.stats, norm)}}
 
-    lengths = [len(s) for s in t.sentences]
-    max_phrase_length = max(lengths) if lengths else 0
-    tags = Counter(map(attrgetter("pos"), t.tokens()))
+    max_phrase_length = max(t.lengths, default=0)
+    tags = Counter(t.pos)
     if len(tags) > (None in tags):  # some token is tagged
         determiner_rate = (tags["DET"] + tags["DT"]) / t.n_tokens
     else:

@@ -109,14 +109,6 @@ def anova_f_select(tbl: FeatureTable, k: int) -> SelectionResult:
 # RFE
 # ---------------------------------------------------------------------------
 
-def _fit_importances(x: np.ndarray, y: np.ndarray, estimator: str) -> np.ndarray:
-    if estimator == "ols":
-        return fit_ols(x, y).importance()
-    if estimator == "logistic":
-        return fit_logistic(x, y).importance()
-    raise ValueError(f"unknown estimator {estimator!r}; use 'ols' or 'logistic'")
-
-
 def _without(cols: np.ndarray, drop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Boolean mask of the positions in drop, and cols with them removed."""
     mask = np.zeros(cols.size, dtype=bool)
@@ -138,8 +130,7 @@ def _rfe_result(names: tuple[str, ...], survivors: np.ndarray, imp: np.ndarray,
     )
 
 
-def rfe_path(tbl: FeatureTable, k_values: list[int],
-             estimator: str = "ols") -> dict[int, SelectionResult]:
+def rfe_path(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResult]:
     """rfe_select's result for each k in k_values, from one elimination path.
 
     Every k takes the same steps of max(1, remaining // 10) weakest columns
@@ -155,15 +146,13 @@ def rfe_path(tbl: FeatureTable, k_values: list[int],
         if not 1 <= k <= tbl.n_cols:
             raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
     y = _require_target(tbl, "rfe_select")
-    if estimator == "logistic":
-        y = _class_labels(tbl, "rfe_select").astype(np.float64)
     rows = impute_and_standardize(tbl)[0].rows
     names = tbl.column_names
     remaining = np.arange(tbl.n_cols)
     batches: list[tuple[np.ndarray, np.ndarray]] = []  # (columns, importances) per step
     results: dict[int, SelectionResult] = {}
     while ks:
-        imp = _fit_importances(rows[:, remaining], y, estimator)
+        imp = fit_ols(rows[:, remaining], y).importance()
         order = np.argsort(imp, kind="stable")  # weakest first
         n_left = remaining.size
         step = max(1, n_left // 10)
@@ -174,7 +163,7 @@ def rfe_path(tbl: FeatureTable, k_values: list[int],
                 continue
             drop, kept = _without(remaining, order[:n_left - k])
             results[k] = _rfe_result(
-                names, kept, _fit_importances(rows[:, kept], y, estimator),
+                names, kept, fit_ols(rows[:, kept], y).importance(),
                 batches + [(remaining[drop], imp[drop])])
         if ks:
             drop, kept = _without(remaining, order[:step])
@@ -183,7 +172,7 @@ def rfe_path(tbl: FeatureTable, k_values: list[int],
     return results
 
 
-def rfe_select(tbl: FeatureTable, k: int, estimator: str = "ols") -> SelectionResult:
+def rfe_select(tbl: FeatureTable, k: int) -> SelectionResult:
     """Recursive elimination: refit OLS, drop the weakest-coefficient features,
     repeat until k remain. Step size adapts as max(1, remaining // 10).
 
@@ -191,7 +180,7 @@ def rfe_select(tbl: FeatureTable, k: int, estimator: str = "ols") -> SelectionRe
     eliminated features follow in reverse elimination order (last out ranks
     best), strongest first within a batch.
     """
-    return rfe_path(tbl, [k], estimator)[k]
+    return rfe_path(tbl, [k])[k]
 
 
 # ---------------------------------------------------------------------------

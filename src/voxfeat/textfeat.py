@@ -10,11 +10,9 @@ from __future__ import annotations
 import re
 import string
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain, compress
-from operator import attrgetter
+from dataclasses import dataclass
+from itertools import accumulate, compress
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,42 +52,43 @@ _POS = UPOS_TAGS + (UNTAGGED,)
 _DEP = DEPRELS + (UNTAGGED,)
 
 _NUMERIC_RE = re.compile(r"^\d+(?:[.,]\d+)*$")
-
-
-class Token(NamedTuple):
-    surface: str
-    lower: str
-    pos: str | None = None
-    deprel: str | None = None
-    is_unintelligible: bool = False
+# a run of .!? ends a sentence, except a "." with a digit on each side
+_SENTENCE_END = re.compile(r"(?:[!?]|(?<!\d)\.|\.(?!\d))+")
 
 
 @dataclass(frozen=True)
 class Transcript:
-    """Sentences of tokens. The flat token tuple and each token's lower form
-    (`lowers`) are built once, here, and shared by every text family."""
+    """A transcript as per-token columns: each token's lower form, its UPOS
+    tag and dependency relation (None when untagged) and whether it is an
+    unintelligible marker; and `lengths`, the token count of each sentence,
+    whose tokens follow one another in the columns."""
 
-    sentences: tuple[tuple[Token, ...], ...]
-    _tokens: tuple[Token, ...] = field(init=False, repr=False, compare=False)
-    lowers: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    lowers: tuple[str, ...]
+    pos: tuple[str | None, ...]
+    deprel: tuple[str | None, ...]
+    flagged: tuple[bool, ...]
+    lengths: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        sentences = tuple(tuple(s) for s in self.sentences)
-        object.__setattr__(self, "sentences", sentences)
-        if not all(sentences):
+        n = len(self.lowers)
+        if not len(self.pos) == len(self.deprel) == len(self.flagged) == n:
+            raise ValueError("token columns must have equal length")
+        if not all(length > 0 for length in self.lengths):
             raise ValueError("sentences must be nonempty")
-        tokens = tuple(chain.from_iterable(sentences))
-        if not all(map(attrgetter("surface"), tokens)):
-            raise ValueError("token surfaces must be nonempty")
-        object.__setattr__(self, "_tokens", tokens)
-        object.__setattr__(self, "lowers", tuple(map(attrgetter("lower"), tokens)))
-
-    def tokens(self) -> tuple[Token, ...]:
-        return self._tokens
+        if sum(self.lengths) != n:
+            raise ValueError(f"sentence lengths sum to {sum(self.lengths)}, not {n} tokens")
+        if not all(self.lowers):
+            raise ValueError("token lower forms must be nonempty")
 
     @property
     def n_tokens(self) -> int:
-        return len(self._tokens)
+        return len(self.lowers)
+
+    @property
+    def sentences(self) -> tuple[tuple[str, ...], ...]:
+        """Each sentence's lower forms."""
+        return tuple(self.lowers[end - length:end]
+                     for length, end in zip(self.lengths, accumulate(self.lengths)))
 
 
 @dataclass(frozen=True)
@@ -116,27 +115,31 @@ class SyntaxCounts:
 def tokenize(text: str, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript:
     """Split text into sentences on .!? and tokens on whitespace.
 
-    A token is flagged as a marker when its lowercased raw form, that form
-    with the punctuation around it stripped except square brackets (so
-    "[inaudible]," matches "[inaudible]"), or its lowercased surface (so
-    "xxx," and "(xxx)" match "xxx") is in markers. The surface strips all
-    punctuation around the token; tokens that are pure punctuation vanish.
+    A "." with a digit on each side ("3.50") does not end a sentence. A
+    token is its raw form with the punctuation around it stripped; tokens
+    that are pure punctuation vanish. It is flagged as a marker when its
+    lowercased raw form, that form with the punctuation around it stripped
+    except square brackets (so "[inaudible]," matches "[inaudible]"), or
+    its lower form (so "xxx," and "(xxx)" match "xxx") is in markers.
     """
-    sentences = []
-    for chunk in re.split(r"[.!?]+", text):
-        tokens = []
+    lowers: list[str] = []
+    flagged: list[bool] = []
+    lengths: list[int] = []
+    for chunk in _SENTENCE_END.split(text):
+        start = len(lowers)
         for raw in chunk.split():
             surface = raw.strip(string.punctuation)
             if not surface:
                 continue
             lower = surface.lower()
             raw_lower = raw.lower()
-            flagged = (lower in markers or raw_lower in markers
-                       or raw_lower.strip(_PUNCT_OUTSIDE_MARKERS) in markers)
-            tokens.append(Token(surface, lower, None, None, flagged))
-        if tokens:
-            sentences.append(tuple(tokens))
-    return Transcript(tuple(sentences))
+            lowers.append(lower)
+            flagged.append(lower in markers or raw_lower in markers
+                           or raw_lower.strip(_PUNCT_OUTSIDE_MARKERS) in markers)
+        if len(lowers) > start:
+            lengths.append(len(lowers) - start)
+    untagged = (None,) * len(lowers)
+    return Transcript(tuple(lowers), untagged, untagged, tuple(flagged), tuple(lengths))
 
 
 def complexity(
@@ -165,7 +168,7 @@ def complexity(
     v = len(counts)
     v1 = list(counts.values()).count(1)
 
-    flagged = list(compress(t.lowers, map(attrgetter("is_unintelligible"), t.tokens())))
+    flagged = list(compress(t.lowers, t.flagged))
     unintelligible = len(flagged)
     if lexicon is not None:
         unintelligible += (sum(c for w, c in counts.items() if w not in lexicon)
@@ -202,13 +205,17 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
     ("1.1") are skipped. Sentences separate on blank lines.
     """
     path = Path(path)
-    sentences: list[tuple[Token, ...]] = []
-    current: list[Token] = []
+    lowers: list[str] = []
+    pos: list[str | None] = []
+    deprel: list[str | None] = []
+    flagged: list[bool] = []
+    lengths: list[int] = []
+    start = 0  # where the current sentence's tokens begin
     for line_no, line in enumerate(read_text(path).splitlines(), 1):
         if not line or line.isspace():
-            if current:
-                sentences.append(tuple(current))
-                current = []
+            if len(lowers) > start:
+                lengths.append(len(lowers) - start)
+                start = len(lowers)
             continue
         if line[0] == "#":
             continue
@@ -217,15 +224,17 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
             raise MalformedConllu(
                 f"{path.name}:{line_no}: {len(cols)} columns, expected 10"
             )
-        token_id, surface, _, pos, _, _, _, deprel, _, _ = cols
+        token_id, surface, _, upos, _, _, _, rel, _, _ = cols
         if "-" in token_id or "." in token_id:
             continue
         lower = surface.lower()
-        current.append(Token(surface, lower, None if pos == "_" else pos,
-                             None if deprel == "_" else deprel, lower in markers))
-    if current:
-        sentences.append(tuple(current))
-    return Transcript(tuple(sentences))
+        lowers.append(lower)
+        pos.append(None if upos == "_" else upos)
+        deprel.append(None if rel == "_" else rel)
+        flagged.append(lower in markers)
+    if len(lowers) > start:
+        lengths.append(len(lowers) - start)
+    return Transcript(tuple(lowers), tuple(pos), tuple(deprel), tuple(flagged), tuple(lengths))
 
 
 def syntax_counts(t: Transcript) -> SyntaxCounts:
@@ -236,13 +245,12 @@ def syntax_counts(t: Transcript) -> SyntaxCounts:
     """
     pos_counts = {tag: 0 for tag in _POS}
     dep_counts = {rel: 0 for rel in _DEP}
-    tokens = t.tokens()
-    for pos, count in Counter(map(attrgetter("pos"), tokens)).items():
+    for pos, count in Counter(t.pos).items():
         pos_counts[pos if pos in pos_counts else UNTAGGED] += count
-    for deprel, count in Counter(map(attrgetter("deprel"), tokens)).items():
+    for deprel, count in Counter(t.deprel).items():
         base = deprel.split(":")[0] if deprel else None
         dep_counts[base if base in dep_counts else UNTAGGED] += count
-    return SyntaxCounts(pos_counts, dep_counts, len(tokens))
+    return SyntaxCounts(pos_counts, dep_counts, t.n_tokens)
 
 
 def syntax_feature_vector(sc: SyntaxCounts, source_id: str = "") -> FeatureVector:

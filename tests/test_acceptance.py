@@ -153,7 +153,7 @@ def test_criterion_03_lexical_oracles(capsys):
     worst = 0.0
     for text in CORPORA:
         t = tokenize(text)
-        words = [tok.lower for tok in t.tokens()]
+        words = list(t.lowers)
         want = oracle_complexity(words)
         got = complexity(t)
         for field, expected in want.items():
@@ -177,7 +177,7 @@ def test_criterion_04_coherence(capsys):
     inside [-1, 1]."""
     rng = np.random.default_rng(4)
     words = ("the", "cat", "sat", "on", "mat")
-    emb = EmbeddingTable(6, {w: rng.standard_normal(6) for w in words})
+    emb = EmbeddingTable(words, rng.standard_normal((len(words), 6)))
     t = tokenize(" ".join(["the cat sat on mat."] * 6))
     # an empty series would give NaN statistics
     feats = coherence_features(t, emb)
@@ -190,7 +190,7 @@ def test_criterion_04_coherence(capsys):
         vecs = {w: rng.standard_normal(3) for w in vocab}
         if draw % 50 == 0:
             vecs[vocab[0]] = np.zeros(3)  # zero-norm path must stay excluded
-        table = EmbeddingTable(3, vecs)
+        table = EmbeddingTable(tuple(vecs), np.array(list(vecs.values())))
         pool = vocab + ["oov1", "oov2"]
         sents = [
             " ".join(rng.choice(pool, size=rng.integers(2, 5)))
@@ -432,7 +432,7 @@ def test_criterion_11_degenerate_inputs(capsys):
     checks.append(cf.type_token_ratio == 1.0)
     checks.append(math.isnan(cf.standardized_word_entropy))
     checks.append(math.isnan(cf.honore_statistic))
-    emb = EmbeddingTable(2, {"hello": np.array([1.0, 0.0])})
+    emb = EmbeddingTable(("hello",), np.array([[1.0, 0.0]]))
     feats = coherence_features(one, emb)
     checks.append(math.isnan(feats.per_order[0]["mean"]))
 

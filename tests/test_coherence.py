@@ -22,7 +22,9 @@ from voxfeat.coherence import (
 )
 from voxfeat.errors import ConfigError, DimensionMismatch, EmptyFile
 from voxfeat.functionals import FunctionalBank, apply_bank
-from voxfeat.textfeat import Token, Transcript, tokenize
+from voxfeat.textfeat import tokenize
+
+from transcripts import transcript_of
 
 
 def coherence_series(t, emb, q):
@@ -33,14 +35,7 @@ def coherence_series(t, emb, q):
 
 
 def table(**vectors):
-    dim = len(next(iter(vectors.values())))
-    return EmbeddingTable(dim, {w: np.asarray(v, dtype=float) for w, v in vectors.items()})
-
-
-def sent(*words, pos=None):
-    return tuple(
-        Token(w, w.lower(), pos=(pos[i] if pos else None)) for i, w in enumerate(words)
-    )
+    return EmbeddingTable(tuple(vectors), np.array(list(vectors.values()), dtype=float))
 
 
 class TestLoadEmbeddings:
@@ -49,7 +44,7 @@ class TestLoadEmbeddings:
         p.write_text("2 2\na 1 0\nb 0 1\n")
         emb = load_embeddings(p)
         assert emb.dim == 2
-        assert set(emb.vectors) == {"a", "b"}
+        assert emb.words == ("a", "b")
 
     def test_headerless_inferred_dim(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -71,37 +66,39 @@ class TestLoadEmbeddings:
     def test_duplicate_last_wins(self, tmp_path):
         p = tmp_path / "e.txt"
         p.write_text("a 1 0\na 0 2\n")
-        np.testing.assert_array_equal(load_embeddings(p).vectors["a"], [0.0, 2.0])
+        emb = load_embeddings(p)
+        assert emb.words == ("a",)
+        np.testing.assert_array_equal(emb.matrix, [[0.0, 2.0]])
 
     def test_bundled_table_loads(self, embeddings_path):
         emb = load_embeddings(embeddings_path)
         assert emb.dim == 8
-        assert len(emb.vectors) <= 50
-        assert "the" in emb
+        assert len(emb.words) <= 50
+        assert "the" in emb.index
 
 
 class TestPhraseVector:
     def test_single_word_identity(self):
         emb = table(cat=[1.0, 2.0])
-        np.testing.assert_array_equal(phrase_vector(sent("cat"), emb), [1.0, 2.0])
+        np.testing.assert_array_equal(phrase_vector(("cat",), emb), [1.0, 2.0])
 
     def test_mean_of_two(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
-        np.testing.assert_array_equal(phrase_vector(sent("a", "b"), emb), [0.5, 0.5])
+        np.testing.assert_array_equal(phrase_vector(("a", "b",), emb), [0.5, 0.5])
 
     def test_all_oov_absent(self):
         emb = table(cat=[1.0, 0.0])
-        assert phrase_vector(sent("dog", "bird"), emb) is None
+        assert phrase_vector(("dog", "bird",), emb) is None
 
     def test_oov_words_ignored(self):
         emb = table(cat=[2.0, 4.0])
-        np.testing.assert_array_equal(phrase_vector(sent("zz", "cat"), emb), [2.0, 4.0])
+        np.testing.assert_array_equal(phrase_vector(("zz", "cat",), emb), [2.0, 4.0])
 
 
 class TestCoherenceSeries:
     def test_repeated_sentence_exactly_one(self):
         emb = table(the=[0.3, 0.7], cat=[0.9, 0.1])
-        t = Transcript(tuple(sent("the", "cat") for _ in range(5)))
+        t = transcript_of(*[("the", "cat")] * 5)
         for q in (0, 1, 2, 3):
             series = coherence_series(t, emb, q)
             assert series.size == 5 - (q + 1)
@@ -109,13 +106,13 @@ class TestCoherenceSeries:
 
     def test_orthogonal_alternation(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
-        t = Transcript((sent("a"), sent("b"), sent("a")))
+        t = transcript_of(["a"], ["b"], ["a"])
         np.testing.assert_array_equal(coherence_series(t, emb, 0), [0.0, 0.0])
         np.testing.assert_array_equal(coherence_series(t, emb, 1), [1.0])
 
     def test_too_few_phrases_empty(self):
         emb = table(a=[1.0, 0.0])
-        t = Transcript((sent("a"), sent("a"), sent("a")))
+        t = transcript_of(["a"], ["a"], ["a"])
         assert coherence_series(t, emb, 3).size == 0
 
     def test_summarized_at_each_order(self):
@@ -123,7 +120,7 @@ class TestCoherenceSeries:
         # summary of the same series this module's helper builds
         rng = np.random.default_rng(3)
         emb = table(**{w: rng.normal(size=4) for w in "abcdef"})
-        t = Transcript(tuple(sent(*rng.choice(list("abcdefz"), size=3)) for _ in range(12)))
+        t = transcript_of(*(rng.choice(list("abcdefz"), size=3) for _ in range(12)))
         cf = coherence_features(t, emb)
         assert sorted(cf.per_order) == list(ORDERS) == [0, 1, 2, 3]
         assert not any(name.startswith("coherence_q4") for name in COHERENCE_FEATURE_NAMES)
@@ -138,12 +135,11 @@ class TestCoherenceSeries:
         rng = np.random.default_rng(31)
         words = [f"w{i}" for i in range(20)]
         for _ in range(50):
-            emb = EmbeddingTable(6, {w: rng.standard_normal(6) for w in words})
-            sentences = tuple(
-                sent(*(words[j] for j in rng.integers(0, 20, rng.integers(1, 6))))
+            emb = EmbeddingTable(tuple(words), rng.standard_normal((len(words), 6)))
+            t = transcript_of(*(
+                [words[j] for j in rng.integers(0, 20, rng.integers(1, 6))]
                 for _ in range(rng.integers(4, 10))
-            )
-            t = Transcript(sentences)
+            ))
             for q in (0, 1, 2, 3):
                 series = coherence_series(t, emb, q)
                 assert np.all(series >= -1.0 - 1e-12)
@@ -155,7 +151,7 @@ class TestCoherenceSeries:
         for _ in range(40):
             v = rng.standard_normal(5)
             emb = table(a=v, b=3.7 * v, c=-0.2 * v)
-            t = Transcript((sent("a"), sent("b"), sent("c"), sent("a")))
+            t = transcript_of(["a"], ["b"], ["c"], ["a"])
             for q in (0, 1, 2):
                 series = coherence_series(t, emb, q)
                 assert np.all(np.abs(series) <= 1.0)
@@ -164,16 +160,16 @@ class TestCoherenceSeries:
         rng = np.random.default_rng(32)
         words = [f"w{i}" for i in range(8)]
         base = {w: rng.standard_normal(4) for w in words}
-        t = Transcript(tuple(sent(words[i], words[(i + 3) % 8]) for i in range(6)))
-        a = coherence_series(t, EmbeddingTable(4, base), 0)
+        t = transcript_of(*((words[i], words[(i + 3) % 8]) for i in range(6)))
+        a = coherence_series(t, table(**base), 0)
         scaled = {w: 7.5 * v for w, v in base.items()}
-        b = coherence_series(t, EmbeddingTable(4, scaled), 0)
+        b = coherence_series(t, table(**scaled), 0)
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
     def test_oov_sentence_skipped_transparently(self):
         emb = table(a=[1.0, 0.0], b=[0.0, 1.0])
-        t1 = Transcript((sent("a"), sent("b"), sent("a")))
-        t2 = Transcript((sent("a"), sent("zzz"), sent("b"), sent("a")))
+        t1 = transcript_of(["a"], ["b"], ["a"])
+        t2 = transcript_of(["a"], ["zzz"], ["b"], ["a"])
         for q in (0, 1, 2, 3):
             np.testing.assert_array_equal(
                 coherence_series(t1, emb, q), coherence_series(t2, emb, q)
@@ -183,7 +179,7 @@ class TestCoherenceSeries:
 class TestCoherenceFeatures:
     def test_repeated_sentence_raw_one_normalized_zero(self):
         emb = table(the=[0.3, 0.7], cat=[0.9, 0.1])
-        t = Transcript(tuple(sent("the", "cat") for _ in range(6)))
+        t = transcript_of(*[("the", "cat")] * 6)
         cf = coherence_features(t, emb)
         for q in (0, 1, 2, 3):
             assert cf.per_order[q]["mean"] == 1.0
@@ -191,14 +187,14 @@ class TestCoherenceFeatures:
 
     def test_markers_and_phrase_length(self):
         emb = table(the=[1.0, 0.0], cat=[0.0, 1.0])
-        t = Transcript((sent("the", "big", "cat", "sat", pos=["DET", "ADJ", "NOUN", "VERB"]),))
+        t = transcript_of(("the", "big", "cat", "sat"), pos=["DET", "ADJ", "NOUN", "VERB"])
         cf = coherence_features(t, emb)
         assert cf.max_phrase_length == 4
         assert cf.determiner_rate == 0.25
 
     def test_single_sentence_stats_nan(self):
         emb = table(cat=[1.0, 1.0])
-        t = Transcript((sent("cat"),))
+        t = transcript_of(["cat"])
         cf = coherence_features(t, emb)
         for q in (0, 1, 2, 3):
             assert np.isnan(cf.per_order[q]["mean"])
@@ -206,18 +202,18 @@ class TestCoherenceFeatures:
 
     def test_untagged_determiner_rate_nan(self):
         emb = table(cat=[1.0, 0.0])
-        cf = coherence_features(Transcript((sent("cat"),)), emb)
+        cf = coherence_features(transcript_of(["cat"]), emb)
         assert np.isnan(cf.determiner_rate)
 
     def test_skipped_count(self):
         emb = table(cat=[1.0, 0.0])
-        t = Transcript((sent("cat"), sent("qqq"), sent("cat")))
+        t = transcript_of(["cat"], ["qqq"], ["cat"])
         cf = coherence_features(t, emb)
         assert cf.skipped_phrases == 1
 
     def test_feature_vector_names(self):
         emb = table(cat=[1.0, 0.0])
-        cf = coherence_features(Transcript((sent("cat"),)), emb)
+        cf = coherence_features(transcript_of(["cat"]), emb)
         fv = coherence_feature_vector(cf, "s")
         assert fv.names == COHERENCE_FEATURE_NAMES
         assert len(COHERENCE_FEATURE_NAMES) == 4 * 10 + 2
@@ -225,11 +221,9 @@ class TestCoherenceFeatures:
     def test_max_stat_ordering(self):
         rng = np.random.default_rng(33)
         words = [f"w{i}" for i in range(10)]
-        emb = EmbeddingTable(5, {w: rng.standard_normal(5) for w in words})
-        sentences = tuple(
-            sent(*(words[j] for j in rng.integers(0, 10, 3))) for _ in range(12)
-        )
-        cf = coherence_features(Transcript(sentences), emb)
+        emb = EmbeddingTable(tuple(words), rng.standard_normal((len(words), 5)))
+        t = transcript_of(*([words[j] for j in rng.integers(0, 10, 3)] for _ in range(12)))
+        cf = coherence_features(t, emb)
         for q in (0, 1, 2, 3):
             stats = cf.per_order[q]
             if not np.isnan(stats["mean"]):
@@ -296,11 +290,10 @@ def reference_coherence(t, emb):
 
     lengths = [len(s) for s in t.sentences]
     max_phrase_length = max(lengths) if lengths else 0
-    tokens = t.tokens()
-    tagged = [tok for tok in tokens if tok.pos is not None]
-    if tagged and tokens:
-        dets = sum(1 for tok in tokens if tok.pos in ("DET", "DT"))
-        determiner_rate = dets / len(tokens)
+    tagged = [pos for pos in t.pos if pos is not None]
+    if tagged:
+        dets = sum(1 for pos in t.pos if pos in ("DET", "DT"))
+        determiner_rate = dets / len(t.pos)
     else:
         determiner_rate = float("nan")
     return per_order, by_order, skipped, max_phrase_length, determiner_rate
@@ -313,24 +306,25 @@ def random_table(rng):
     base = rng.standard_normal(dim)
     vectors = {f"w{i}": rng.standard_normal(dim) for i in range(8)}
     vectors.update(zero=np.zeros(dim), par=base, par3=3.7 * base, neg=-0.2 * base)
-    return EmbeddingTable(dim, vectors)
+    return table(**vectors)
 
 
 def random_case(rng):
     """A random table and transcript: OOV words, repeated sentences, POS
     tags on some transcripts."""
     emb = random_table(rng)
-    vocab = [*emb.vectors, "oov1", "oov2", "oov3"]
+    vocab = [*emb.words, "oov1", "oov2", "oov3"]
     tagged = rng.random() < 0.5
-    sentences = []
+    sentences = []  # (words, tags) pairs
     for _ in range(int(rng.integers(0, 14))):
         if sentences and rng.random() < 0.25:
             sentences.append(sentences[int(rng.integers(0, len(sentences)))])
             continue
         words = [vocab[j] for j in rng.integers(0, len(vocab), rng.integers(1, 5))]
         tags = [("DET", "NOUN", "VERB")[j] for j in rng.integers(0, 3, len(words))]
-        sentences.append(sent(*words, pos=tags if tagged else None))
-    return Transcript(tuple(sentences)), emb
+        sentences.append((words, tags))
+    pos = [tag for _, tags in sentences for tag in tags] if tagged else None
+    return transcript_of(*(words for words, _ in sentences), pos=pos), emb
 
 
 class TestMatchesReference:
@@ -362,24 +356,24 @@ class TestMatchesReference:
         rng = np.random.default_rng(50 + n_defined)
         for _ in range(10):
             emb = random_table(rng)
-            defined = [sent(f"w{j}") for j in rng.integers(0, 8, n_defined)]
-            oov = [sent("oov1", "oov2")] * int(rng.integers(0, 3))
-            self.check(Transcript(tuple(oov + defined + oov)), emb)
+            defined = [[f"w{j}"] for j in rng.integers(0, 8, n_defined)]
+            oov = [["oov1", "oov2"]] * int(rng.integers(0, 3))
+            self.check(transcript_of(*oov, *defined, *oov), emb)
 
     def test_zero_and_parallel_vectors(self):
         emb = random_table(np.random.default_rng(60))
         words = ("zero", "par", "par3", "zero", "neg", "par", "zero", "par3", "w1")
-        self.check(Transcript(tuple(sent(w) for w in words)), emb)
+        self.check(transcript_of(*([w] for w in words)), emb)
         # only zero vectors: every cosine is undefined
-        self.check(Transcript(tuple(sent("zero") for _ in range(6))), emb)
+        self.check(transcript_of(*[["zero"]] * 6), emb)
 
 
 def test_memory_stays_linear_in_phrases():
     # an n x n float matrix over 2,000 phrases would take 32 MB by itself
     rng = np.random.default_rng(70)
-    emb = EmbeddingTable(50, {f"w{i}": rng.standard_normal(50) for i in range(400)})
-    t = Transcript(tuple(
-        sent(*(f"w{j}" for j in rng.integers(0, 400, rng.integers(1, 9))))
+    emb = EmbeddingTable(tuple(f"w{i}" for i in range(400)), rng.standard_normal((400, 50)))
+    t = transcript_of(*(
+        [f"w{j}" for j in rng.integers(0, 400, rng.integers(1, 9))]
         for _ in range(2000)))
     tracemalloc.start()
     try:
@@ -400,7 +394,7 @@ def reference_phrase_matrix(t, emb):
     """Each sentence's mean of its in-vocabulary rows, one np.mean per sentence."""
     vectors = []
     for sentence in t.sentences:
-        rows = [emb.vectors[tok.lower] for tok in sentence if tok.lower in emb.vectors]
+        rows = [emb.matrix[emb.index[w]] for w in sentence if w in emb.index]
         if rows:
             vectors.append(np.mean(rows, axis=0))
     return (np.array(vectors, dtype=float).reshape(len(vectors), emb.dim),
@@ -448,7 +442,8 @@ def row_by_row_load_embeddings(path):
             raise ConfigError(f"{path}:{i}: {exc}") from None
     if not rows or dim is None or dim < 1:
         raise EmptyFile(f"{path}: no usable embedding rows")
-    return EmbeddingTable(dim, dict(zip([row[0].lower() for row in rows], values)))
+    vectors = dict(zip([row[0].lower() for row in rows], values))  # the last row of a word
+    return EmbeddingTable(tuple(vectors), np.array(list(vectors.values())))
 
 
 def outcome(loader, path):
@@ -458,7 +453,7 @@ def outcome(loader, path):
         emb = loader(path)
     except Exception as exc:  # noqa: BLE001 - the error is the outcome
         return type(exc), str(exc)
-    return emb.dim, list(emb.vectors), emb.matrix.tobytes(), emb.index
+    return emb.dim, emb.words, emb.matrix.tobytes(), emb.index
 
 
 class TestPhraseMatrixMatchesReference:
@@ -469,16 +464,16 @@ class TestPhraseMatrixMatchesReference:
     def test_sentence_lengths_at_the_summation_edges(self, dim):
         rng = np.random.default_rng(90 + dim)
         words = [f"w{i}" for i in range(40)]
-        emb = EmbeddingTable(dim, {w: rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
-                                   for w in words})
+        emb = table(**{w: rng.standard_normal(dim) * 10.0 ** rng.integers(-3, 4)
+                       for w in words})
         sentences = []
         for k in (1, 7, 8, 9, 130, 8, 0, 9, 2, 130, 7, 0, 0, 1):
             known = [words[j] for j in rng.integers(0, len(words), k)]
             oov = ["oov"] * int(rng.integers(0 if k else 1, 4))
             mixed = known + oov
             rng.shuffle(mixed)
-            sentences.append(sent(*mixed))
-        t = Transcript(tuple(sentences))
+            sentences.append(mixed)
+        t = transcript_of(*sentences)
         got, skipped = _phrase_matrix(t, emb)
         want, want_skipped = reference_phrase_matrix(t, emb)
         np.testing.assert_array_equal(got, want)
@@ -493,14 +488,23 @@ class TestPhraseMatrixMatchesReference:
             want, want_skipped = reference_phrase_matrix(t, emb)
             np.testing.assert_array_equal(got, want)
             assert skipped == want_skipped
-            for s in t.sentences:
-                v = phrase_vector(s, emb)
-                if v is not None:
-                    assert any(np.array_equal(v, row) for row in got)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_phrase_vector_over_sentences_is_the_matrix(self, seed):
+        # the traced benchmark replay calls phrase_vector(s, emb) for s in
+        # t.sentences; its defined vectors are _phrase_matrix's rows, bit for bit
+        rng = np.random.default_rng(120 + seed)
+        for _ in range(40):
+            t, emb = random_case(rng)
+            got, skipped = _phrase_matrix(t, emb)
+            vectors = [phrase_vector(s, emb) for s in t.sentences]
+            defined = [v for v in vectors if v is not None]
+            assert len(defined) == got.shape[0] and skipped == len(vectors) - len(defined)
+            assert all(v.tobytes() == row.tobytes() for v, row in zip(defined, got))
 
     def test_all_oov_and_empty(self):
         emb = table(a=[1.0, 2.0])
-        for t in (Transcript(()), Transcript((sent("x", "y"), sent("z")))):
+        for t in (transcript_of(), transcript_of(["x", "y"], ["z"])):
             got, skipped = _phrase_matrix(t, emb)
             assert got.shape == (0, 2) and skipped == len(t.sentences)
 
@@ -520,10 +524,8 @@ class TestLoadEmbeddingsMatchesReference:
             p.write_text(header + "\n\n".join(lines) + "\n")
             emb = load_embeddings(p)
             words, matrix = reference_load_embeddings(p)
-            assert list(emb.vectors) == words == list(emb.index)
+            assert list(emb.words) == words == list(emb.index)
             assert emb.matrix.tobytes() == matrix.tobytes()
-            for w, row in emb.vectors.items():
-                assert row.tobytes() == matrix[emb.index[w]].tobytes()
 
     def test_mismatch_names_the_line(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -572,4 +574,12 @@ class TestLoadEmbeddingsMatchesReference:
     def test_table_built_from_vectors(self):
         emb = table(a=[1.0, 2.0], b=[3.0, 4.0])
         np.testing.assert_array_equal(emb.matrix, [[1.0, 2.0], [3.0, 4.0]])
-        assert emb.index == {"a": 0, "b": 1}
+        assert emb.index == {"a": 0, "b": 1} and emb.dim == 2
+
+    @pytest.mark.parametrize("words,shape", [
+        ((), (0, 2)), (("a",), (1, 0)), (("a", "b"), (1, 2)), (("a",), (2, 2)),
+        (("a", "b", "a"), (3, 2)),
+    ])
+    def test_table_rejects_a_bad_shape_or_a_repeated_word(self, words, shape):
+        with pytest.raises(ValueError):
+            EmbeddingTable(words, np.zeros(shape))

@@ -20,7 +20,8 @@ from voxfeat.featdict import (
     feature_dictionary,
     write_featdict,
 )
-from voxfeat.textfeat import Token, Transcript
+
+from transcripts import transcript_of
 
 # every family on (the dictionary reads no resource, so the path is only named)
 ALL_ON = PipelineConfig(
@@ -178,9 +179,8 @@ class TestFormulaOracles:
     def test_normalized_coherence_subtracts_baseline(self):
         assert formula("coherence_q0_n_mean").endswith(
             ", minus the all-pairs cosine baseline; mean")
-        emb = EmbeddingTable(2, {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0]),
-                                 "c": np.array([1.0, 1.0])})
-        t = Transcript(tuple((Token(w, w),) for w in "abc"))
+        emb = EmbeddingTable(("a", "b", "c"), np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
+        t = transcript_of(["a"], ["b"], ["c"])
         fv = coherence_feature_vector(coherence_features(t, emb))
         # adjacent cosines 0 and 1/sqrt(2); all pairs add cos(a, c) = 1/sqrt(2)
         raw_mean, baseline = np.sqrt(0.5) / 2, np.sqrt(2) / 3

@@ -26,7 +26,8 @@ from voxfeat.functionals import (
     lld_family,
     spectral_set,
 )
-from voxfeat.textfeat import Token, Transcript
+
+from transcripts import transcript_of
 
 SR = 16000
 
@@ -287,9 +288,9 @@ class TestFamilyVectorMatchesPerEntryPath:
 
     def test_coherence(self):
         rng = np.random.default_rng(33)
-        emb = coherence.EmbeddingTable(3, {f"w{i}": rng.standard_normal(3) for i in range(6)})
+        emb = coherence.EmbeddingTable(tuple(f"w{i}" for i in range(6)), rng.standard_normal((6, 3)))
         words = [f"w{j}" for j in rng.integers(0, 8, 40)]  # w6, w7 are out of vocabulary
-        t = Transcript(tuple((Token(w, w), Token(v, v)) for w, v in zip(words, words[1:])))
+        t = transcript_of(*zip(words, words[1:]))
         cf = coherence.coherence_features(t, emb)
         v, _ = coherence._phrase_matrix(t, emb)
         unit = coherence._unit_rows(v)

@@ -28,7 +28,7 @@ from voxfeat.mlpipe import (
     rfe_select,
 )
 from voxfeat.mlpipe import select as select_module
-from voxfeat.mlpipe.select import _class_labels, _fit_importances, _fold_indices
+from voxfeat.mlpipe.select import _fold_indices
 from voxfeat.pipeline import _SELECTORS, _importance_topk
 
 
@@ -186,25 +186,11 @@ class TestRfe:
         assert {"f3", "f11"} <= set(res.kept_columns)
         assert sorted(res.ranking.values()) == list(range(1, 26))
 
-    def test_logistic_estimator(self):
-        rng = np.random.default_rng(6)
-        x = rng.normal(size=(60, 4))
-        y = two_class_labels(30, 30)
-        x[:, 0] += y * 6.0
-        t = make([f"f{i}" for i in range(4)], x, y)
-        res = rfe_select(t, 1, estimator="logistic")
-        assert res.kept_columns == ("f0",)
-
     def test_k_bounds(self):
         t = make(["a", "b"], np.arange(8.0).reshape(4, 2), np.arange(4.0))
         for bad in (0, 3):
             with pytest.raises(InvalidK):
                 rfe_select(t, bad)
-
-    def test_unknown_estimator_rejected(self):
-        t = make(["a", "b"], np.arange(8.0).reshape(4, 2), np.arange(4.0))
-        with pytest.raises(ValueError):
-            rfe_select(t, 1, estimator="forest")
 
 
 class TestImportanceSelect:
@@ -648,22 +634,20 @@ class TestCurveSelectsOncePerFold:
             cv_score_curve(tbl, None, "logistic", [0, 2], 3, select_ks=_SELECTORS["anova_f"])
 
 
-def reference_rfe(tbl, k, estimator="ols"):
+def reference_rfe(tbl, k):
     """The former rfe_select: one elimination walk per k."""
     y = tbl.target
-    if estimator == "logistic":
-        y = _class_labels(tbl, "rfe_select").astype(np.float64)
     z, _ = impute_and_standardize(tbl)
     remaining = list(range(tbl.n_cols))
     batches = []
     while len(remaining) > k:
-        imp = _fit_importances(z.rows[:, remaining], y, estimator)
+        imp = fit_ols(z.rows[:, remaining], y).importance()
         step = min(max(1, len(remaining) // 10), len(remaining) - k)
         order = np.argsort(imp, kind="stable")[:step]
         batches.append([(remaining[i], float(imp[i])) for i in sorted(order, key=lambda i: imp[i])])
         drop = {remaining[i] for i in order}
         remaining = [j for j in remaining if j not in drop]
-    final_imp = _fit_importances(z.rows[:, remaining], y, estimator)
+    final_imp = fit_ols(z.rows[:, remaining], y).importance()
     survivor_order = np.argsort(-final_imp, kind="stable")
     kept = tuple(tbl.column_names[remaining[i]] for i in survivor_order)
     ranking, scores = {}, {}
@@ -715,21 +699,18 @@ def path_ks(rng, n_cols):
 class TestRfePath:
     """One elimination path per table gives every k what its own walk gives."""
 
-    @pytest.mark.parametrize("seed, target, estimator", [
-        (50, "float", "ols"), (51, "binary", "ols"),
-        (52, "binary", "logistic"), (53, "3-class", "logistic"),
-    ])
-    def test_matches_rfe_select_and_reference(self, seed, target, estimator):
+    @pytest.mark.parametrize("seed, target", [(50, "float"), (51, "binary")])
+    def test_matches_rfe_select_and_reference(self, seed, target):
         rng = np.random.default_rng(seed)
         for _ in range(3):
             tbl = rfe_table(rng, target)
             ks = path_ks(rng, tbl.n_cols)
-            got = rfe_path(tbl, ks, estimator)
+            got = rfe_path(tbl, ks)
             assert sorted(got) == sorted(set(ks))
             for k in ks:
-                want = reference_rfe(tbl, k, estimator)
+                want = reference_rfe(tbl, k)
                 assert got[k] == want, k
-                assert rfe_select(tbl, k, estimator) == want, k
+                assert rfe_select(tbl, k) == want, k
                 assert sorted(want.ranking.values()) == list(range(1, tbl.n_cols + 1))
 
     @pytest.fixture

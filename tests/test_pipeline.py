@@ -110,7 +110,7 @@ class TestDiscover:
         items = discover_inputs(tmp_path)
         assert [i.transcript_path.name for i in items] == ["REC_00.TXT", "REC_01.CONLLU"]
         # and an upper-case .CONLLU is read as CoNLL-U, with its tags
-        assert _load_transcript(items[1].transcript_path).sentences[0][0].pos == "DET"
+        assert _load_transcript(items[1].transcript_path).pos[0] == "DET"
 
     def test_transcripts_differing_in_suffix_case_raise(self, tmp_path):
         make_wav(tmp_path / "a.wav")

@@ -16,7 +16,6 @@ from voxfeat.textfeat import (
     UNTAGGED,
     UPOS_TAGS,
     ComplexityFeatures,
-    Token,
     Transcript,
     complexity,
     complexity_feature_vector,
@@ -29,36 +28,24 @@ from voxfeat.textfeat import (
     tokenize,
 )
 
-
-def transcript_of(*sent_words, pos=None):
-    sentences = []
-    for words in sent_words:
-        toks = []
-        for i, w in enumerate(words):
-            tag = pos[i] if pos else None
-            toks.append(Token(w, w.lower(), pos=tag))
-        sentences.append(tuple(toks))
-    return Transcript(tuple(sentences))
+from transcripts import transcript_of
 
 
 class TestTokenize:
     def test_two_sentences(self):
         t = tokenize("The cat. The cat.")
         assert len(t.sentences) == 2
-        assert all(len(s) == 2 for s in t.sentences)
-        assert t.sentences[0][0].surface == "The"
-        assert t.sentences[0][0].lower == "the"
+        assert t.sentences == (("the", "cat"), ("the", "cat"))
+        assert t.lengths == (2, 2)
 
     def test_marker_flagged(self):
         t = tokenize("uh xxx okay")
-        flags = [tok.is_unintelligible for tok in t.tokens()]
-        assert flags == [False, True, False]
+        assert t.flagged == (False, True, False)
 
     def test_bracketed_marker_survives_punctuation(self):
         t = tokenize("so [inaudible] then")
-        toks = t.tokens()
-        assert toks[1].is_unintelligible
-        assert toks[1].surface == "inaudible"  # brackets stripped from surface
+        assert t.flagged[1]
+        assert t.lowers[1] == "inaudible"  # brackets stripped from the token
 
     @pytest.mark.parametrize("text,flags", [
         ("yes xxx, no", [False, True, False]),
@@ -75,25 +62,42 @@ class TestTokenize:
         ("yes xxx-ish no", [False, False, False]),
     ])
     def test_marker_next_to_punctuation(self, text, flags):
-        assert [tok.is_unintelligible for tok in tokenize(text).tokens()] == flags
+        assert list(tokenize(text).flagged) == flags
 
     def test_marker_flag_matches_conllu(self, tmp_path):
         p = tmp_path / "a.conllu"
         p.write_text("1\tyes\t_\t_\t_\t_\t_\t_\t_\t_\n2\txxx\t_\t_\t_\t_\t_\t_\t_\t_\n"
                      "3\t,\t_\t_\t_\t_\t_\t_\t_\t_\n4\tno\t_\t_\t_\t_\t_\t_\t_\t_\n")
-        tagged = [t.lower for t in load_conllu(p).tokens() if t.is_unintelligible]
-        assert tagged == [t.lower for t in tokenize("yes xxx, no").tokens() if t.is_unintelligible]
+        t = load_conllu(p)
+        tagged = [w for w, flag in zip(t.lowers, t.flagged) if flag]
+        t = tokenize("yes xxx, no")
+        assert tagged == [w for w, flag in zip(t.lowers, t.flagged) if flag]
 
     def test_empty_text(self):
         assert tokenize("").sentences == ()
 
     def test_punctuation_only_tokens_dropped(self):
         t = tokenize("well -- yes")
-        assert [tok.surface for tok in t.tokens()] == ["well", "yes"]
+        assert t.lowers == ("well", "yes")
 
     def test_exclamation_question_split(self):
         t = tokenize("Go! Now? Please.")
         assert len(t.sentences) == 3
+
+    def test_decimal_point_does_not_end_a_sentence(self):
+        t = tokenize("He paid 3.50 dollars. Then 1,000.5 more.")
+        assert t.sentences == (("he", "paid", "3.50", "dollars"), ("then", "1,000.5", "more"))
+        assert complexity(t).number_ratio == 2 / 7
+
+    @pytest.mark.parametrize("text,sentences", [
+        ("I have 3. Next", (("i", "have", "3"), ("next",))),
+        ("Take .5 now", (("take",), ("5", "now"))),
+        ("It was 3.. 4 more", (("it", "was", "3"), ("4", "more"))),
+        ("Call 3.5.7 now!2.5", (("call", "3.5.7", "now"), ("2.5",))),
+        ("Version v2.x here", (("version", "v2"), ("x", "here"))),
+    ])
+    def test_a_point_ends_a_sentence_unless_digits_flank_it(self, text, sentences):
+        assert tokenize(text).sentences == sentences
 
 
 class TestComplexity:
@@ -119,12 +123,7 @@ class TestComplexity:
         assert cf.suffix_ratio == 0.5
 
     def test_unintelligible_union_no_double_count(self):
-        toks = (
-            Token("xxx", "xxx", is_unintelligible=True),
-            Token("qzqz", "qzqz"),
-            Token("cat", "cat"),
-        )
-        t = Transcript(((toks),))
+        t = transcript_of(["xxx", "qzqz", "cat"], flagged=[True, False, False])
         cf = complexity(t, lexicon=frozenset({"cat"}))
         # xxx flagged AND out-of-lexicon counts once; qzqz out-of-lexicon
         assert cf.unintelligible_word_ratio == pytest.approx(2 / 3)
@@ -135,7 +134,7 @@ class TestComplexity:
         assert cf.unintelligible_word_ratio == pytest.approx(1 / 3)
 
     def test_empty_transcript_all_nan(self):
-        cf = complexity(Transcript(()))
+        cf = complexity(transcript_of())
         for name in COMPLEXITY_FEATURE_NAMES:
             assert np.isnan(getattr(cf, name))
 
@@ -196,10 +195,9 @@ class TestConllu:
         p.write_text(self.CONTENT)
         t = load_conllu(p)
         assert len(t.sentences) == 2
-        tok = t.sentences[0][1]
-        assert tok.surface == "cat"
-        assert tok.pos == "NOUN"
-        assert tok.deprel == "root"
+        assert t.sentences == (("the", "cat"), ("it", "sat"))
+        assert t.pos[1] == "NOUN"
+        assert t.deprel[1] == "root"
 
     def test_range_and_empty_node_skipped(self, tmp_path):
         content = (
@@ -211,7 +209,7 @@ class TestConllu:
         p = tmp_path / "b.conllu"
         p.write_text(content)
         t = load_conllu(p)
-        assert [tok.surface for tok in t.tokens()] == ["do", "n't"]
+        assert t.lowers == ("do", "n't")
 
     def test_wrong_column_count(self, tmp_path):
         p = tmp_path / "c.conllu"
@@ -222,9 +220,9 @@ class TestConllu:
     def test_underscore_means_untagged(self, tmp_path):
         p = tmp_path / "d.conllu"
         p.write_text("1\thm\thm\t_\t_\t_\t0\t_\t_\t_\n")
-        tok = load_conllu(p).tokens()[0]
-        assert tok.pos is None
-        assert tok.deprel is None
+        t = load_conllu(p)
+        assert t.pos == (None,)
+        assert t.deprel == (None,)
 
 
 class TestSyntaxCounts:
@@ -236,7 +234,7 @@ class TestSyntaxCounts:
         assert all(v == 0 for k, v in sc.pos_counts.items() if k != "NOUN")
 
     def test_empty_transcript(self):
-        sc = syntax_counts(Transcript(()))
+        sc = syntax_counts(transcript_of())
         fv = syntax_feature_vector(sc)
         counts = [v for n, v in fv.as_dict().items() if "_count_" in n]
         rates = [v for n, v in fv.as_dict().items() if "_rate_" in n]
@@ -249,18 +247,16 @@ class TestSyntaxCounts:
         assert sc.rate(sc.pos_counts["NOUN"]) == pytest.approx(2 / 3)
 
     def test_subtype_folds_to_base(self):
-        toks = (Token("was", "was", pos="AUX", deprel="aux:pass"),)
-        sc = syntax_counts(Transcript((toks,)))
+        sc = syntax_counts(transcript_of(["was"], pos=["AUX"], deprel=["aux:pass"]))
         assert sc.dep_counts["aux"] == 1
 
     def test_unknown_tag_goes_untagged(self):
-        toks = (Token("um", "um", pos="WEIRD", deprel="madeup"),)
-        sc = syntax_counts(Transcript((toks,)))
+        sc = syntax_counts(transcript_of(["um"], pos=["WEIRD"], deprel=["madeup"]))
         assert sc.pos_counts["UNTAGGED"] == 1
         assert sc.dep_counts["UNTAGGED"] == 1
 
     def test_fixed_width(self):
-        fv1 = syntax_feature_vector(syntax_counts(Transcript(())))
+        fv1 = syntax_feature_vector(syntax_counts(transcript_of()))
         fv2 = syntax_feature_vector(syntax_counts(transcript_of(["hi"], pos=["INTJ"])))
         assert fv1.names == fv2.names == SYNTAX_FEATURE_NAMES
         assert len(SYNTAX_FEATURE_NAMES) == (17 + 1) * 2 + (37 + 1) * 2
@@ -275,7 +271,7 @@ class TestSyntaxCounts:
         words = ["the", "cat", "sat"]
         tags = ["DET", "NOUN", "VERB"]
         once = syntax_feature_vector(syntax_counts(transcript_of(words, pos=tags)))
-        twice = syntax_feature_vector(syntax_counts(transcript_of(words, words, pos=tags)))
+        twice = syntax_feature_vector(syntax_counts(transcript_of(words, words, pos=tags * 2)))
         for name in SYNTAX_FEATURE_NAMES:
             if "_rate_" in name:
                 a, b = once[name], twice[name]
@@ -336,20 +332,19 @@ class TestLoaders:
 
 def reference_complexity(t, lexicon=None, suffixes=DEFAULT_SUFFIXES, number_words=NUMBER_WORDS):
     """complexity as a loop over tokens, unchanged from before it counted types."""
-    tokens = t.tokens()
-    n = len(tokens)
+    lowers = list(t.lowers)
+    n = len(lowers)
     if n == 0:
         nan = float("nan")
         return ComplexityFeatures(nan, nan, nan, nan, nan, nan, nan)
-    lowers = [tok.lower for tok in tokens]
     counts = {}
     for w in lowers:
         counts[w] = counts.get(w, 0) + 1
     v = len(counts)
     v1 = sum(1 for c in counts.values() if c == 1)
     unintelligible = sum(
-        1 for tok in tokens
-        if tok.is_unintelligible or (lexicon is not None and tok.lower not in lexicon))
+        1 for lower, flag in zip(t.lowers, t.flagged)
+        if flag or (lexicon is not None and lower not in lexicon))
     probs = np.array(list(counts.values()), dtype=float) / n
     entropy = float(-(probs * np.log2(probs)).sum())
     standardized = entropy / np.log2(v) if v > 1 else float("nan")
@@ -365,15 +360,17 @@ def reference_complexity(t, lexicon=None, suffixes=DEFAULT_SUFFIXES, number_word
 def reference_syntax_counts(t):
     pos_counts = {tag: 0 for tag in UPOS_TAGS + (UNTAGGED,)}
     dep_counts = {rel: 0 for rel in DEPRELS + (UNTAGGED,)}
-    for tok in t.tokens():
-        pos_counts[tok.pos if tok.pos in pos_counts else UNTAGGED] += 1
-        base = tok.deprel.split(":")[0] if tok.deprel else None
+    n = 0
+    for pos, deprel in zip(t.pos, t.deprel):
+        pos_counts[pos if pos in pos_counts else UNTAGGED] += 1
+        base = deprel.split(":")[0] if deprel else None
         dep_counts[base if base in dep_counts else UNTAGGED] += 1
-    return pos_counts, dep_counts, len(t.tokens())
+        n += 1
+    return pos_counts, dep_counts, n
 
 
 def reference_sentiment(t, lexicon):
-    hits = [lexicon[tok.lower] for tok in t.tokens() if tok.lower in lexicon]
+    hits = [lexicon[lower] for lower in t.lowers if lower in lexicon]
     return float(np.mean(hits)) if hits else float("nan")
 
 
@@ -389,15 +386,15 @@ TEXT_RELS = (*DEPRELS, None, "", "nsubj:pass", "obl:tmod", "madeup", "madeup:sub
 
 
 def random_text(rng, n_sentences):
-    sentences = []
+    sentences, pos, deprel, flagged = [], [], [], []
     for _ in range(n_sentences):
         words = [TEXT_VOCAB[j] for j in rng.integers(0, len(TEXT_VOCAB), rng.integers(1, 12))]
-        sentences.append(tuple(
-            Token(w, w.lower(), TEXT_TAGS[int(rng.integers(0, len(TEXT_TAGS)))],
-                  TEXT_RELS[int(rng.integers(0, len(TEXT_RELS)))],
-                  bool(w == "xxx" or rng.random() < 0.05))
-            for w in words))
-    return Transcript(tuple(sentences))
+        sentences.append(words)
+        for w in words:
+            pos.append(TEXT_TAGS[int(rng.integers(0, len(TEXT_TAGS)))])
+            deprel.append(TEXT_RELS[int(rng.integers(0, len(TEXT_RELS)))])
+            flagged.append(bool(w == "xxx" or rng.random() < 0.05))
+    return transcript_of(*sentences, pos=pos, deprel=deprel, flagged=flagged)
 
 
 def same_fields(a, b):
@@ -443,37 +440,63 @@ class TestTextMatchesReferenceLoops:
         assert np.isnan(reference_sentiment(t, {"cat": float("nan"), "dog": 1.0}))
 
     def test_empty_transcript(self):
-        t = Transcript(())
+        t = transcript_of()
         same_fields(complexity(t), reference_complexity(t))
-        assert t.tokens() == () and t.lowers == () and t.n_tokens == 0
+        assert t.lowers == () and t.sentences == () and t.n_tokens == 0
         sc = syntax_counts(t)
         assert (sc.pos_counts, sc.dep_counts, sc.total_tokens) == reference_syntax_counts(t)
         assert np.isnan(sentiment(t, {"cat": 1.0}))
 
 
 class TestTranscript:
-    def test_tokens_and_lowers_follow_the_sentences(self):
+    def test_sentences_split_the_columns_by_lengths(self):
         t = transcript_of(["The", "Cat"], ["sat"])
-        assert [tok.surface for tok in t.tokens()] == ["The", "Cat", "sat"]
         assert t.lowers == ("the", "cat", "sat")
+        assert t.lengths == (2, 1)
+        assert t.sentences == (("the", "cat"), ("sat",))
         assert t.n_tokens == 3
 
-    def test_empty_sentence_rejected(self):
-        with pytest.raises(ValueError):
-            Transcript(((Token("a", "a"),), ()))
+    @pytest.mark.parametrize("sentences", [
+        (), (("a",),), (("a", "b"), ("c",), ("d", "e", "f")), (("x",),) * 4,
+    ])
+    def test_sentences_round_trip(self, sentences):
+        assert transcript_of(*sentences).sentences == sentences
 
-    def test_empty_surface_rejected(self):
-        with pytest.raises(ValueError):
-            Transcript(((Token("a", "a"), Token("", "")),))
+    @pytest.mark.parametrize("columns", [
+        (("a", "b"), (None,), (None, None), (False, False), (2,)),
+        (("a", "b"), (None, None), (None, None, None), (False, False), (2,)),
+        (("a", "b"), (None, None), (None, None), (False,), (2,)),
+    ])
+    def test_columns_of_unequal_length_rejected(self, columns):
+        with pytest.raises(ValueError, match="equal length"):
+            Transcript(*columns)
 
-    def test_equality_is_by_sentences(self):
+    @pytest.mark.parametrize("lengths", [(1, 0), (0,), (0, 1), (2, -1, 1)])
+    def test_empty_sentence_rejected(self, lengths):
+        n = sum(lengths)
+        words = ("a",) * max(n, 0)
+        with pytest.raises(ValueError, match="nonempty"):
+            Transcript(words, (None,) * len(words), (None,) * len(words),
+                       (False,) * len(words), lengths)
+
+    @pytest.mark.parametrize("lengths", [(), (1,), (2, 2), (3,)])
+    def test_lengths_must_sum_to_the_token_count(self, lengths):
+        with pytest.raises(ValueError, match="sum"):
+            Transcript(("a", "b"), (None, None), (None, None), (False, False), lengths)
+
+    def test_empty_lower_form_rejected(self):
+        with pytest.raises(ValueError, match="lower"):
+            Transcript(("a", ""), (None, None), (None, None), (False, False), (2,))
+
+    def test_equality_is_by_columns(self):
         assert transcript_of(["a", "b"]) == transcript_of(["a", "b"])
         assert transcript_of(["a", "b"]) != transcript_of(["a"], ["b"])
+        assert transcript_of(["a"]) != transcript_of(["a"], pos=["DET"])
 
 
 def reference_load_conllu(path, markers=frozenset({"xxx", "[unintelligible]", "[inaudible]"})):
-    """load_conllu's sentences as (surface, lower, pos, deprel, flag) tuples,
-    parsed by the line loop it had before tokens were tuples."""
+    """load_conllu's sentences as (lower, pos, deprel, flag) tuples, parsed
+    by the line loop it had before tokens were tuples."""
     sentences, current = [], []
     for line in path.read_text(encoding="utf-8").splitlines():
         if not line.strip():
@@ -486,7 +509,7 @@ def reference_load_conllu(path, markers=frozenset({"xxx", "[unintelligible]", "[
         cols = line.split("\t")
         if "-" in cols[0] or "." in cols[0]:
             continue
-        current.append((cols[1], cols[1].lower(), cols[3] if cols[3] != "_" else None,
+        current.append((cols[1].lower(), cols[3] if cols[3] != "_" else None,
                         cols[7] if cols[7] != "_" else None, cols[1].lower() in markers))
     if current:
         sentences.append(tuple(current))
@@ -504,6 +527,8 @@ def test_conllu_matches_reference_parse(tmp_path):
     p = tmp_path / "r.conllu"
     for sep in ("\n", "\r\n", "\r"):
         p.write_bytes(sep.join(lines).encode("utf-8") + b"\n")
-        got = tuple(tuple(tuple(tok) for tok in s) for s in load_conllu(p).sentences)
+        t = load_conllu(p)
+        tokens = list(zip(t.lowers, t.pos, t.deprel, t.flagged))
+        got = tuple(tuple(tokens[end - n:end]) for n, end in zip(t.lengths, np.cumsum(t.lengths)))
         assert got == reference_load_conllu(p)
         assert [len(s) for s in got] == [2, 2, 1]

@@ -30,7 +30,7 @@ CONLLU = "# text = hello café\n1\thello\t_\tINTJ\t_\t_\t0\troot\t_\t_\n2\txxx\t
 
 def embeddings_of(path):
     emb = load_embeddings(path)
-    return emb.dim, {w: v.tolist() for w, v in emb.vectors.items()}
+    return emb.dim, dict(zip(emb.words, emb.matrix.tolist()))
 
 
 def config_of(path):
