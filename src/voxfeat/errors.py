@@ -45,7 +45,7 @@ class InvalidOrder(VoxfeatError):
 # -- text and embeddings -----------------------------------------------------
 
 class MalformedConllu(VoxfeatError):
-    """Token line with the wrong column count."""
+    """Token line with the wrong column count or an empty FORM."""
 
 
 class EmptyLexicon(VoxfeatError):

@@ -3,6 +3,13 @@
 All selectors fit on imputed+standardized copies, report original column
 names, and break score ties by column order. Each reads the task from the
 table's classification field; rfe ranks by OLS under both tasks.
+
+rfe solves each OLS fit's normal equations from one Gram matrix per table
+(or fold), checked by a Cholesky factorization, and takes minimum-norm lstsq
+when the fit has more columns than rows or the Cholesky fails or shows a
+squared pivot ratio below PIVOT_RATIO_MIN. A constant column makes every fit
+that keeps it singular, so run_analyze drops such columns first
+(transform.low_variance_filter counts them as variance 0).
 """
 
 from __future__ import annotations
@@ -130,6 +137,39 @@ def _rfe_result(names: tuple[str, ...], survivors: np.ndarray, imp: np.ndarray,
     )
 
 
+# Smallest ratio of the smallest to the largest squared Cholesky pivot at
+# which an RFE fit trusts the normal equations. Solving them squares the
+# design's condition number; below this ratio the fit takes lstsq instead.
+PIVOT_RATIO_MIN = 1e-6
+
+
+def _well_conditioned(sub: np.ndarray) -> bool:
+    """Whether a Cholesky of the symmetric sub succeeds with its smallest
+    squared pivot at least PIVOT_RATIO_MIN times its largest."""
+    try:
+        pivots = np.diag(np.linalg.cholesky(sub)) ** 2
+    except np.linalg.LinAlgError:
+        return False
+    return bool(pivots.min() >= PIVOT_RATIO_MIN * pivots.max())
+
+
+def _ols_importance(rows: np.ndarray, y: np.ndarray, gram: np.ndarray,
+                    rhs: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """|OLS coefficients| of y on rows[:, cols] plus an intercept: the one
+    function that makes every RFE fit.
+
+    gram and rhs are D'D and D'y for D = [rows, 1]. The fit solves the
+    normal equations on the sub-Gram matrix of cols and the intercept. It
+    takes fit_ols (minimum-norm lstsq) instead when that design has more
+    columns than rows or the sub-matrix fails _well_conditioned.
+    """
+    idx = np.append(cols, gram.shape[0] - 1)
+    sub = gram.take(idx, axis=0).take(idx, axis=1)
+    if idx.size <= rows.shape[0] and _well_conditioned(sub):
+        return np.abs(np.linalg.solve(sub, rhs[idx])[:-1])
+    return fit_ols(rows[:, cols], y).importance()
+
+
 def rfe_path(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResult]:
     """rfe_select's result for each k in k_values, from one elimination path.
 
@@ -140,6 +180,14 @@ def rfe_path(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResul
     reusing that state's fit, and costs one more fit unless it lies on the
     path. Each k gets the same fits, hence the same result, as a walk for
     that k alone.
+
+    The Gram matrix of the standardized rows and an intercept is formed
+    once per call. Every fit solves the normal equations on its sub-matrix,
+    or takes fit_ols's minimum-norm lstsq when the fit has more columns than
+    rows or the Cholesky of the sub-matrix fails or has a squared pivot ratio
+    below PIVOT_RATIO_MIN (_ols_importance). A constant column is such a
+    case, as it z-scores to zeros or to +-1 in every observed cell, nearly a
+    copy of the intercept; transform.low_variance_filter drops it first.
     """
     ks = sorted(set(k_values))
     for k in ks:
@@ -147,12 +195,14 @@ def rfe_path(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResul
             raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
     y = _require_target(tbl, "rfe_select")
     rows = impute_and_standardize(tbl)[0].rows
+    design = np.column_stack([rows, np.ones(tbl.n_rows)])
+    gram, rhs = design.T @ design, design.T @ y
     names = tbl.column_names
     remaining = np.arange(tbl.n_cols)
     batches: list[tuple[np.ndarray, np.ndarray]] = []  # (columns, importances) per step
     results: dict[int, SelectionResult] = {}
     while ks:
-        imp = fit_ols(rows[:, remaining], y).importance()
+        imp = _ols_importance(rows, y, gram, rhs, remaining)
         order = np.argsort(imp, kind="stable")  # weakest first
         n_left = remaining.size
         step = max(1, n_left // 10)
@@ -163,7 +213,7 @@ def rfe_path(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResul
                 continue
             drop, kept = _without(remaining, order[:n_left - k])
             results[k] = _rfe_result(
-                names, kept, fit_ols(rows[:, kept], y).importance(),
+                names, kept, _ols_importance(rows, y, gram, rhs, kept),
                 batches + [(remaining[drop], imp[drop])])
         if ks:
             drop, kept = _without(remaining, order[:step])

@@ -42,13 +42,25 @@ def _result_from_partition(
 def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionResult:
     """Drop columns whose raw population variance is <= threshold.
 
-    Variance is measured after imputation but before any scaling; an
-    all-NaN column has variance 0 and is always dropped.
+    Variance is measured after imputation but before any scaling. A column
+    whose observed (non-NaN) cells are all equal has variance exactly 0, as
+    has an all-NaN column, so every constant column is dropped. Kept, its
+    z-scores are zeros, or +-1 in every observed cell and so nearly a copy
+    of the intercept; each rfe fit that keeps it is then singular or nearly
+    so and takes lstsq instead of the Cholesky-checked Gram solve (see
+    select.rfe_path).
     """
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    filled = impute_only(tbl)
-    variances = filled.rows.var(axis=0) if tbl.n_rows else np.zeros(tbl.n_cols)
+    variances = np.zeros(tbl.n_cols)
+    if tbl.n_rows:
+        # a constant column's variance can round to a few ulps (30 copies of
+        # 0.1 measure 7.7e-34), and so can its mean imputed into its missing
+        # cells, so a column whose observed cells are all equal (a peak to
+        # peak of 0 over its non-NaN cells) counts as exactly 0
+        rows = tbl.rows
+        spread = np.fmax.reduce(rows, axis=0) > np.fmin.reduce(rows, axis=0)
+        variances = np.where(spread, impute_only(tbl).rows.var(axis=0), 0.0)
     names = tbl.column_names
     kept = tuple(n for j, n in enumerate(names) if variances[j] > threshold)
     order = np.argsort(-variances, kind="stable")  # ties keep column order
@@ -164,6 +176,14 @@ def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
     return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
 
 
+def _aligned_change(w_new: np.ndarray, w: np.ndarray) -> float:
+    """Largest entry change between two unmixing matrices, after flipping
+    each row of w to the sign of w_new's (rows may flip between iterations)."""
+    signs = np.sign(np.sum(w_new * w, axis=1))
+    signs[signs == 0] = 1.0
+    return float(np.max(np.abs(w_new - signs[:, None] * w)))
+
+
 def ica(
     tbl: FeatureTable,
     k: int,
@@ -173,9 +193,13 @@ def ica(
     """FastICA with log-cosh contrast and symmetric decorrelation.
 
     Data is whitened through PCA first; the unmixing matrix starts from the
-    identity, so runs are reproducible without randomness. Non-convergence
-    within max_iter is reported via the flag; a numerically exploding
-    iteration raises ConvergenceFailure.
+    identity, so runs are reproducible without randomness. The iteration
+    converges when no entry of the unmixing matrix moves by tol or more
+    (rows aligned in sign). It stops unconverged at max_iter, or earlier
+    when an iterate comes back within tol of the one two steps before while
+    still moving by over sqrt(tol) per step: a period-2 cycle, which more
+    iterations would only repeat. A numerically exploding iteration raises
+    ConvergenceFailure.
     """
     if not 1 <= k <= min(tbl.n_rows, tbl.n_cols):
         raise InvalidK(f"k must be in [1, {min(tbl.n_rows, tbl.n_cols)}], got {k}")
@@ -187,6 +211,7 @@ def ica(
     white = (z.rows @ vt[:k].T / scale[None, :] * np.sqrt(n)).T
 
     w = np.eye(k)
+    w_before = None  # the iterate before w
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -197,13 +222,17 @@ def ica(
         w_new = _sym_decorrelate(w_new)
         if not np.all(np.isfinite(w_new)):
             raise ConvergenceFailure(f"ICA diverged at iteration {iterations}")
-        # rows may flip sign between iterations; align before measuring change
-        signs = np.sign(np.sum(w_new * w, axis=1))
-        signs[signs == 0] = 1.0
-        change = float(np.max(np.abs(w_new - signs[:, None] * w)))
-        w = w_new
-        if change < tol:
-            converged = True
+        step = _aligned_change(w_new, w)
+        converged = step < tol
+        # a period-2 cycle: back within tol of the iterate before w while a
+        # step still moves it by over sqrt(tol). An oscillation that converges
+        # at ratio -r per step moves that far only when 1 - r < sqrt(tol),
+        # thousands of steps from converging. Two steps undo a row's sign
+        # flip at each step, so this comparison needs no alignment.
+        cycling = (w_before is not None and step > np.sqrt(tol)
+                   and float(np.max(np.abs(w_new - w_before))) < tol)
+        w_before, w = w, w_new
+        if converged or cycling:
             break
     sources = (w @ white).T
     names = tuple(f"ic{i + 1}" for i in range(k))

@@ -174,29 +174,33 @@ def _diverging(r: float) -> str:
 def heatmap_svg(exp: HeatmapExport, cell: int = 30) -> str:
     """Correlation matrix as a colored grid with per-cell value tooltips."""
     n = len(exp.names)
+    names = [_escape(name) for name in exp.names]
     label_w = 10 + 7 * max(len(name) for name in exp.names)
     left, top = label_w, 40 + label_w
     width = left + n * cell + 30
     height = top + n * cell + 30
     parts = _svg_open(width, height, "feature correlation")
-    for j, name in enumerate(exp.names):
+    for j, name in enumerate(names):
         cx = left + j * cell + cell / 2
         parts.append(f'<text x="{_fmt(cx)}" y="{_fmt(top - 6)}" text-anchor="start" '
                      f'{_FONT} font-size="10" fill="#111111" '
                      f'transform="rotate(-60 {_fmt(cx)} {_fmt(top - 6)})">'
-                     f'{_escape(name)}</text>')
-    for i, name in enumerate(exp.names):
+                     f'{name}</text>')
+    xs = [_fmt(left + j * cell) for j in range(n)]
+    fills: dict[float, str] = {}  # one _diverging per distinct value
+    for i, name in enumerate(names):
         cy = top + i * cell + cell / 2 + 3
         parts.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(cy)}" text-anchor="end" '
-                     f'{_FONT} font-size="10" fill="#111111">{_escape(name)}</text>')
-        for j in range(n):
-            value = float(exp.matrix[i, j])
+                     f'{_FONT} font-size="10" fill="#111111">{name}</text>')
+        y = _fmt(top + i * cell)
+        for x, other, value in zip(xs, names, exp.matrix[i].tolist()):
+            fill = fills.get(value)
+            if fill is None:
+                fill = fills[value] = _diverging(value)
             parts.append(
-                f'<rect x="{_fmt(left + j * cell)}" y="{_fmt(top + i * cell)}" '
-                f'width="{cell}" height="{cell}" fill="{_diverging(value)}" '
+                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}" '
                 f'stroke="#ffffff" stroke-width="1">'
-                f'<title>{_escape(exp.names[i])} / {_escape(exp.names[j])}: '
-                f'{value:.3f}</title></rect>')
+                f'<title>{name} / {other}: {value:.3f}</title></rect>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

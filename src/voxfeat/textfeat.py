@@ -202,7 +202,9 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
 
     Token lines carry 10 tab-separated columns; UPOS is column 4 and DEPREL
     column 8 ("_" means untagged). Multiword ranges ("1-2") and empty nodes
-    ("1.1") are skipped. Sentences separate on blank lines.
+    ("1.1") are skipped. Sentences separate on blank lines. A token line
+    without 10 columns, or with an empty FORM (column 2), raises
+    MalformedConllu naming the file and line.
     """
     path = Path(path)
     lowers: list[str] = []
@@ -227,6 +229,8 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
         token_id, surface, _, upos, _, _, _, rel, _, _ = cols
         if "-" in token_id or "." in token_id:
             continue
+        if not surface:
+            raise MalformedConllu(f"{path.name}:{line_no}: empty FORM column")
         lower = surface.lower()
         lowers.append(lower)
         pos.append(None if upos == "_" else upos)

@@ -18,9 +18,11 @@ from voxfeat.mlpipe import (
     fit_logistic,
     fit_ols,
     fit_standardize,
+    high_correlation_filter,
     impute_and_standardize,
     importance_select,
     is_classification,
+    low_variance_filter,
     mrmr_rank,
     r2_score,
     ranked_prefixes,
@@ -664,6 +666,16 @@ def reference_rfe(tbl, k):
     return SelectionResult(kept, ranking, scores)
 
 
+def assert_same_rfe(got, want):
+    """Same kept columns and ranking; scores within 1e-12 relative, as the
+    Gram solves and the lstsq fits of reference_rfe round differently."""
+    assert got.kept_columns == want.kept_columns
+    assert got.ranking == want.ranking
+    assert got.scores.keys() == want.scores.keys()
+    for name, score in want.scores.items():
+        assert got.scores[name] == pytest.approx(score, rel=1e-12, abs=0), name
+
+
 def path_states(n_cols, k_min):
     """Column counts the unclamped elimination visits on its way to k_min."""
     states = [n_cols]
@@ -709,20 +721,21 @@ class TestRfePath:
             assert sorted(got) == sorted(set(ks))
             for k in ks:
                 want = reference_rfe(tbl, k)
-                assert got[k] == want, k
-                assert rfe_select(tbl, k) == want, k
+                assert_same_rfe(got[k], want)
+                assert rfe_select(tbl, k) == got[k], k
                 assert sorted(want.ranking.values()) == list(range(1, tbl.n_cols + 1))
 
     @pytest.fixture
     def ols_fits(self, monkeypatch):
-        """Column count of every OLS fit the selection code makes."""
+        """Column count of every RFE fit."""
         fits = []
+        fit = select_module._ols_importance
 
-        def counting_ols(x, y):
-            fits.append(x.shape[1])
-            return fit_ols(x, y)
+        def counting_fit(rows, y, gram, rhs, cols):
+            fits.append(cols.size)
+            return fit(rows, y, gram, rhs, cols)
 
-        monkeypatch.setattr(select_module, "fit_ols", counting_ols)
+        monkeypatch.setattr(select_module, "_ols_importance", counting_fit)
         return fits
 
     def test_fits_path_once_plus_one_per_k_off_it(self, ols_fits):
@@ -777,3 +790,80 @@ class TestRfePath:
         for bad in (0, tbl.n_cols + 1):
             with pytest.raises(InvalidK):
                 rfe_path(tbl, [2, bad])
+
+
+def gram_fit(x, y):
+    """_ols_importance over every column of x, with its Gram matrix."""
+    design = np.column_stack([x, np.ones(x.shape[0])])
+    return select_module._ols_importance(x, y, design.T @ design, design.T @ y,
+                                         np.arange(x.shape[1]))
+
+
+class TestRfeFits:
+    """Each RFE fit solves the normal equations on the Gram matrix, or takes
+    lstsq where they are near singular."""
+
+    @pytest.fixture
+    def lstsq_fits(self, monkeypatch):
+        """Column count of every fit that takes the lstsq fallback."""
+        fits = []
+
+        def counting_ols(x, y):
+            fits.append(x.shape[1])
+            return fit_ols(x, y)
+
+        monkeypatch.setattr(select_module, "fit_ols", counting_ols)
+        return fits
+
+    def test_full_rank_design_solves_the_normal_equations(self, lstsq_fits):
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(50, 8))
+        y = x @ rng.normal(size=8) + rng.normal(size=50)
+        got = gram_fit(x, y)
+        assert lstsq_fits == []
+        np.testing.assert_allclose(got, fit_ols(x, y).importance(), rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("case", ["near-copy", "all-zero", "more-columns-than-rows"])
+    def test_near_singular_design_takes_lstsq_exactly(self, case, lstsq_fits):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(40, 6))
+        if case == "near-copy":
+            x[:, 5] = x[:, 2] * (1.0 + 1e-9 * rng.normal(size=40))
+        elif case == "all-zero":
+            x[:, 5] = 0.0
+        else:
+            x = rng.normal(size=(40, 45))
+        y = x[:, 0] - x[:, 1] + rng.normal(size=40)
+        got = gram_fit(x, y)
+        assert lstsq_fits == [x.shape[1]]
+        assert np.array_equal(got, fit_ols(x, y).importance())
+
+    def test_pivot_ratio_rule(self):
+        ok = np.diag([4.0, 1.0, 4.0 * select_module.PIVOT_RATIO_MIN * 2])
+        assert select_module._well_conditioned(ok)
+        assert not select_module._well_conditioned(np.diag([4.0, 1.0, 4e-7]))
+        assert not select_module._well_conditioned(np.diag([4.0, 1.0, 0.0]))
+        assert not select_module._well_conditioned(np.diag([4.0, -1.0, 1.0]))
+
+    def test_filtered_table_never_falls_back(self, lstsq_fits):
+        """A table built like the benchmark's sweep table (blocks of columns
+        sharing a latent factor, near-copies and constants): once the
+        variance and correlation filters have run, every fit of the path and
+        of the score curve's folds solves the normal equations."""
+        rng = np.random.default_rng(62)
+        n, n_block = 120, 32
+        y = rng.permutation(np.arange(n) % 2).astype(np.float64)
+        planted = rng.normal(size=(n, 3)) + 1.2 * (y - 0.5)[:, None]
+        latent = np.repeat(rng.normal(size=(n, n_block // 8)), 8, axis=1)
+        blocks = 0.75 * latent + 0.66 * rng.normal(size=(n, n_block))
+        near = blocks[:, :2] + 0.03 * rng.normal(size=(n, 2))
+        consts = np.full((n, 2), [0.1, 1 / 3])
+        x = np.column_stack([planted, blocks, near, consts]) * rng.uniform(0.5, 20.0, 39)
+        x[rng.random(x.shape) < 0.01] = np.nan
+        tbl = make([f"f{j:02d}" for j in range(x.shape[1])], x, y)
+        tbl = tbl.select_columns(low_variance_filter(tbl).kept_columns)
+        tbl = tbl.select_columns(high_correlation_filter(tbl, 0.95).kept_columns)
+        assert tbl.n_cols == 35
+        rfe_path(tbl, [10])
+        cv_score_curve(tbl, None, "logistic", [1, 2, 5, 10], 5, select_ks=_SELECTORS["rfe"])
+        assert lstsq_fits == []

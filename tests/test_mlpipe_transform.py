@@ -12,6 +12,7 @@ from voxfeat.mlpipe import (
     low_variance_filter,
     pca,
 )
+from voxfeat.mlpipe.transform import _aligned_change
 
 
 def make(cols, data, target=None):
@@ -23,6 +24,23 @@ def make(cols, data, target=None):
 class TestLowVariance:
     def test_constant_column_dropped_at_zero(self):
         t = make(["c", "v"], np.column_stack([np.full(6, 3.0), np.arange(6.0)]))
+        res = low_variance_filter(t, 0.0)
+        assert res.kept_columns == ("v",)
+        assert res.scores["c"] == 0.0
+
+    @pytest.mark.parametrize("value", [0.1, 1 / 3])
+    def test_all_equal_column_has_variance_zero(self, value):
+        # 30 copies of 0.1 measure a variance of ulps (np.var gives 7.7e-34)
+        t = make(["c", "v"], np.column_stack([np.full(30, value), np.arange(30.0)]))
+        res = low_variance_filter(t, 0.0)
+        assert res.kept_columns == ("v",)
+        assert res.scores["c"] == 0.0
+
+    def test_constant_with_missing_cells_has_variance_zero(self):
+        # the mean imputed into the NaN cells can differ from 0.1 by an ulp
+        col = np.full(30, 0.1)
+        col[[3, 17]] = np.nan
+        t = make(["c", "v"], np.column_stack([col, np.arange(30.0)]))
         res = low_variance_filter(t, 0.0)
         assert res.kept_columns == ("v",)
         assert res.scores["c"] == 0.0
@@ -230,6 +248,27 @@ class TestIca:
         res = ica(make(["a", "b"], src), 2, max_iter=1)
         assert not res.converged
         assert res.n_iter == 1
+
+    def test_period_two_cycle_stops_unconverged(self):
+        # Gaussian data has no independent directions to find; from the
+        # identity this draw settles into two alternating unmixing matrices
+        rng = np.random.default_rng(14)
+        t = make([f"c{j}" for j in range(6)], rng.normal(size=(100, 6)))
+        res = ica(t, 4)
+        assert not res.converged
+        assert res.n_iter == 72
+        two_back = ica(t, 4, max_iter=70).unmixing
+        one_back = ica(t, 4, max_iter=71).unmixing
+        assert _aligned_change(res.unmixing, two_back) < 1e-6
+        assert _aligned_change(res.unmixing, one_back) > 1e-3
+
+    def test_damped_oscillation_still_converges(self):
+        # steps alternate in sign here too, but shrink: not a cycle
+        rng = np.random.default_rng(1)
+        t = make([f"c{j}" for j in range(6)], rng.normal(size=(100, 6)))
+        res = ica(t, 4)
+        assert res.converged
+        assert res.n_iter == 38
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)

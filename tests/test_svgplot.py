@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -9,6 +10,7 @@ import numpy as np
 from voxfeat.mlpipe import (
     CurvePoint,
     FeatureTable,
+    HeatmapExport,
     corr_heatmap_export,
     scatter_export,
 )
@@ -72,6 +74,23 @@ class TestHeatmap:
     def test_deterministic(self):
         exp = corr_heatmap_export(table(5))
         assert heatmap_svg(exp) == heatmap_svg(exp)
+
+    def test_bytes_pinned(self):
+        """NaN, +-inf, +-1, -0.0, a value past 1 and names that need
+        escaping render to pinned bytes: a color shared by equal values and
+        a name escaped once per heatmap change nothing in the output."""
+        names = ("a<b", "c&d", 'say "hi"', "plain", "x>y&z")
+        matrix = np.array([
+            [1.0, -1.0, np.nan, 0.25, -0.0004],
+            [-1.0, 1.0, 0.5, -0.333, np.inf],
+            [np.nan, 0.5, 1.0, 1.5, -0.0],
+            [0.25, -0.333, 1.5, 1.0, 0.999],
+            [-0.0004, -np.inf, -0.0, 0.999, 1.0],
+        ])
+        svg = heatmap_svg(HeatmapExport(names, matrix)).encode()
+        assert len(svg) == 5214
+        assert hashlib.sha256(svg).hexdigest() == (
+            "5e6cabb1701bd72e62785266f27870829770bcc3cc94c8385d97c6b0a14b4dc4")
 
 
 class TestCurve:

@@ -217,6 +217,13 @@ class TestConllu:
         with pytest.raises(MalformedConllu):
             load_conllu(p)
 
+    def test_empty_form_names_file_and_line(self, tmp_path):
+        p = tmp_path / "e.conllu"
+        p.write_text("1\tThe\tthe\tDET\tDT\t_\t2\tdet\t_\t_\n"
+                     "2\t\t_\tX\t_\t_\t0\troot\t_\t_\n")
+        with pytest.raises(MalformedConllu, match=r"^e\.conllu:2: empty FORM"):
+            load_conllu(p)
+
     def test_underscore_means_untagged(self, tmp_path):
         p = tmp_path / "d.conllu"
         p.write_text("1\thm\thm\t_\t_\t_\t0\t_\t_\t_\n")
