@@ -2,12 +2,14 @@
 
 Pitch (difference-function method), jitter/shimmer/HNR from picked glottal
 cycles, MFCC, spectral shape/contrast/flux/band slopes, energy scalars,
-tempo, and polynomial spectrum fits. Spectral descriptors are array
-expressions over the last axis, so one frame, a block of frames and a whole
-spectrogram run the same code. An Analysis computes them in one pass over
-blocks of BLOCK_FRAMES frames and keeps only the per-frame series, so its
-memory follows the block, not the recording. Everything here is pure and
-deterministic: the same AudioBuffer always yields bit-identical outputs.
+tempo, and polynomial spectrum fits. The spectral kernels take plain
+magnitude arrays with the frames on the leading axes and the bins on the
+last, beside the bins' frequencies, so one frame, a block of frames and a
+whole spectrogram run the same code; their settings are module constants.
+An Analysis computes them in one pass over blocks of BLOCK_FRAMES frames
+and keeps only the per-frame series, so its memory follows the block, not
+the recording. Everything here is pure and deterministic: the same
+AudioBuffer always yields bit-identical outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .audio_io import AudioBuffer, FrameMatrix, frame_signal, raw_frames, window_coefficients
-from .errors import InvalidBandConfig, InvalidOrder, InvalidRange
+from .errors import InvalidBandConfig, InvalidRange
 
 SPECTRAL_FLOOR = 1e-10  # applied before any log so silence stays finite
 
@@ -34,6 +36,8 @@ SPECTRAL_FLOOR = 1e-10  # applied before any log so silence stays finite
 BLOCK_FRAMES = 256
 CONTRAST_BANDS = 4
 CONTRAST_FMIN_HZ = 200.0
+CONTRAST_QUANTILE = 0.02
+TEMPO_WINDOW = 384  # frames of onset strength per tempogram window
 SLOPE_BANDS_HZ = ((0, 500), (500, 1500))  # the band-slope series, slope_<lo>_<hi>
 
 
@@ -72,14 +76,6 @@ class Spectrum:
         if self.magnitudes.ndim != 2:
             raise TypeError("only a (frames, bins) Spectrum iterates over frames")
         return (Spectrum(row, self.bin_hz) for row in self.magnitudes)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return np.arange(self.magnitudes.shape[-1]) * self.bin_hz
-
-    @property
-    def nyquist_hz(self) -> float:
-        return (self.magnitudes.shape[-1] - 1) * self.bin_hz
 
 
 @dataclass(frozen=True)
@@ -421,13 +417,9 @@ def mel_filterbank(n_mels: int, n_bins: int, bin_hz: float, fmin: float, fmax: f
     mel_points = np.linspace(hz_to_mel(fmin), hz_to_mel(fmax), n_mels + 2)
     hz_points = mel_to_hz(mel_points)
     freqs = np.arange(n_bins) * bin_hz
-    bank = np.zeros((n_mels, n_bins))
-    for m in range(n_mels):
-        left, centre, right = hz_points[m], hz_points[m + 1], hz_points[m + 2]
-        up = (freqs - left) / (centre - left)
-        down = (right - freqs) / (right - centre)
-        bank[m] = np.maximum(0.0, np.minimum(up, down))
-    return bank
+    left, centre, right = hz_points[:-2, None], hz_points[1:-1, None], hz_points[2:, None]
+    return np.maximum(0.0, np.minimum((freqs - left) / (centre - left),
+                                      (right - freqs) / (right - centre)))
 
 
 def mfcc(
@@ -512,46 +504,30 @@ def _spectral_shape(
     return {key: np.where(silent, np.nan, value)[()] for key, value in shape.items()}, floored
 
 
-def spectral_contrast(
-    spec: Spectrum,
-    n_bands: int = CONTRAST_BANDS,
-    fmin: float = CONTRAST_FMIN_HZ,
-    quantile: float = 0.02,
-) -> np.ndarray:
-    """Octave-band peak-to-valley contrast in nats, bands on the last axis.
+def _contrast(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """Octave-band peak-to-valley contrast in nats, CONTRAST_BANDS bands on
+    the last axis.
 
-    Band i spans [fmin*2^i, fmin*2^(i+1)) clipped to Nyquist; contrast is
-    log(mean of the top-quantile magnitudes) - log(mean of the bottom
+    Band i spans [fmin*2^i, fmin*2^(i+1)) from fmin = CONTRAST_FMIN_HZ,
+    clipped to Nyquist (freqs[-1]); contrast is log(mean of the top
+    CONTRAST_QUANTILE of the band's magnitudes) - log(mean of the bottom
     quantile), at least one bin per side. Empty bands yield NaN.
     """
-    if n_bands < 1:
-        raise InvalidBandConfig(f"n_bands must be >= 1, got {n_bands}")
-    freqs = spec.frequencies
-    out = np.full(spec.magnitudes.shape[:-1] + (n_bands,), np.nan)
-    for i in range(n_bands):
-        lo = fmin * 2.0 ** i
-        hi = min(fmin * 2.0 ** (i + 1), spec.nyquist_hz)
-        sel = (freqs >= lo) & (freqs < hi) if hi < spec.nyquist_hz else (freqs >= lo) & (freqs <= hi)
+    nyquist = freqs[-1]
+    out = np.full(mags.shape[:-1] + (CONTRAST_BANDS,), np.nan)
+    for i in range(CONTRAST_BANDS):
+        lo = CONTRAST_FMIN_HZ * 2.0 ** i
+        hi = min(CONTRAST_FMIN_HZ * 2.0 ** (i + 1), nyquist)
+        sel = (freqs >= lo) & (freqs < hi) if hi < nyquist else (freqs >= lo) & (freqs <= hi)
         n_sel = int(sel.sum())
         if n_sel == 0:
             continue
-        count = max(1, int(quantile * n_sel))
-        ordered = np.sort(spec.magnitudes[..., sel], axis=-1)
+        count = max(1, int(CONTRAST_QUANTILE * n_sel))
+        ordered = np.sort(mags[..., sel], axis=-1)
         valley = np.maximum(ordered[..., :count].mean(axis=-1), SPECTRAL_FLOOR)
         peak = np.maximum(ordered[..., -count:].mean(axis=-1), SPECTRAL_FLOOR)
         out[..., i] = np.log(peak) - np.log(valley)
     return out
-
-
-def frame_scalars(frames: FrameMatrix) -> dict[str, FrameSeries]:
-    """Zero-crossing rate (pre-window samples) and RMS (windowed samples)."""
-    raw = frames.raw
-    zcr = (raw[:, :-1] * raw[:, 1:] < 0).sum(axis=1) / (frames.frame_len - 1)
-    rms = np.sqrt(np.mean(frames.frames ** 2, axis=1))
-    return {
-        "zcr": FrameSeries("zcr", zcr, frames.hop_seconds),
-        "rms": FrameSeries("rms", rms, frames.hop_seconds),
-    }
 
 
 def _log_rises(logs: np.ndarray, before: np.ndarray) -> np.ndarray:
@@ -563,43 +539,32 @@ def _log_rises(logs: np.ndarray, before: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, rises, out=rises).mean(axis=1)
 
 
-def tempogram_tempo(onset: FrameSeries, window: int = 384) -> tuple[float, np.ndarray]:
-    """Tempo estimate and windowed-autocorrelation tempogram.
-
-    Lags are restricted to [30, 300] BPM. An envelope with no positive
-    autocorrelation anywhere in range (e.g. all-zero onsets) reports NaN.
+def _tempo_bpm(onset: np.ndarray, hop_s: float) -> float:
+    """Tempo at the maximum of the mean windowed autocorrelation of the
+    onset-strength series: windows of TEMPO_WINDOW frames (or the whole
+    series, if shorter) every quarter window, lags restricted to [30, 300]
+    BPM. NaN when no lag is in range or no lag's mean is positive (e.g. an
+    all-zero series).
     """
-    env = onset.values
-    hop_s = onset.hop_seconds
-    w = min(window, env.size)
-    if w < 2:
-        return np.nan, np.zeros((0, 0))
+    w = min(TEMPO_WINDOW, onset.size)
     lag_min = max(1, int(np.ceil(60.0 / (300.0 * hop_s))))
     lag_max = min(w - 1, int(np.floor(60.0 / (30.0 * hop_s))))
     if lag_max < lag_min:
-        return np.nan, np.zeros((0, 0))
-    step = max(1, w // 4)
-    segs = np.lib.stride_tricks.sliding_window_view(env, w)[::step]
+        return np.nan
+    segs = np.lib.stride_tricks.sliding_window_view(onset, w)[::max(1, w // 4)]
     lags = np.arange(lag_min, lag_max + 1)
-    gram = np.stack([_rowdot(segs[:, :-lag], segs[:, lag:]) for lag in lags.tolist()], axis=1)
-    agg = gram.mean(axis=0)
+    agg = np.stack([_rowdot(segs[:, :-lag], segs[:, lag:]) for lag in lags.tolist()],
+                   axis=1).mean(axis=0)
     if np.all(agg <= 0):
-        return np.nan, gram
-    best = lags[int(np.argmax(agg))]
-    return 60.0 / (best * hop_s), gram
+        return np.nan
+    return 60.0 / (lags[int(np.argmax(agg))] * hop_s)
 
 
-def poly_features(spec: Spectrum, order: int) -> np.ndarray:
-    """Least-squares polynomial fit of magnitude vs frequency per frame.
-
-    Coefficients are on the last axis, highest degree first (order 1 ->
-    [slope, intercept]).
-    """
-    if order not in (0, 1, 2):
-        raise InvalidOrder(f"order must be 0, 1, or 2, got {order}")
-    if spec.magnitudes.shape[-1] < order + 1:
-        raise InvalidOrder(f"need >= {order + 1} bins for order {order}")
-    return np.polyfit(spec.frequencies, spec.magnitudes.T, order).T
+def _line_fit(mags: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slope and intercept of each frame's least-squares line through
+    magnitude against frequency."""
+    slope, intercept = np.polyfit(freqs, mags.T, 1)
+    return slope, intercept
 
 
 def _band_slope(floored: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
@@ -629,15 +594,13 @@ def _alpha_ratio(power: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     return _db_ratio(low, high, 10.0)
 
 
-def hammarberg(spec: Spectrum) -> np.ndarray:
+def _hammarberg(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     """20*log10 of the peak magnitude in 0-2 kHz over the peak in 2-5 kHz."""
-    freqs = spec.frequencies
     low = (freqs >= 0.0) & (freqs <= 2000.0)
     high = (freqs > 2000.0) & (freqs <= 5000.0)
     if not low.any() or not high.any():
-        return np.full(spec.magnitudes.shape[:-1], np.nan)[()]
-    return _db_ratio(spec.magnitudes[..., low].max(axis=-1),
-                     spec.magnitudes[..., high].max(axis=-1), 20.0)
+        return np.full(mags.shape[:-1], np.nan)[()]
+    return _db_ratio(mags[..., low].max(axis=-1), mags[..., high].max(axis=-1), 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -664,14 +627,15 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     window = window_coefficients(config.window, frame_len)
     n_fft = _next_pow2(frame_len)
     sr = buf.sample_rate_hz
-    bank = mel_filterbank(config.n_mels, n_fft // 2 + 1, sr / n_fft, 0.0, sr / 2)
+    freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
+    bank = mel_filterbank(config.n_mels, freqs.size, sr / n_fft, 0.0, sr / 2)
     basis = dct_basis(config.n_mels, config.n_mels)
     n_frames = raw.shape[0]
     edges = [i * BLOCK_FRAMES for i in range(max(1, n_frames // BLOCK_FRAMES))] + [n_frames]
     out: dict[str, np.ndarray] = {}
     before = None
     for start, stop in zip(edges, edges[1:]):
-        rows, before = _block_rows(raw[start:stop], window, hop, sr, n_fft, bank, basis, before)
+        rows, before = _block_rows(raw[start:stop], window, n_fft, freqs, bank, basis, before)
         for name, value in rows.items():
             if name not in out:
                 out[name] = np.empty((n_frames,) + value.shape[1:])
@@ -681,30 +645,30 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     return out
 
 
-def _block_rows(raw: np.ndarray, window: np.ndarray, hop: int, sr: int, n_fft: int,
+def _block_rows(raw: np.ndarray, window: np.ndarray, n_fft: int, freqs: np.ndarray,
                 bank: np.ndarray, basis: np.ndarray, before: np.ndarray | None
                 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """frame_descriptors' rows of one block of raw frames, and the block's
     last log-magnitude row (flux's `before` for the next block).
 
-    The steps are ordered, and each array is dropped once read, so that at
-    most three (frames, bins) float arrays, or the windowed frames and their
-    transform, are alive at once; the power spectrum is floored in place."""
-    block = FrameMatrix(raw * window, raw, raw.shape[1], hop, sr)
-    rows = {name: series.values for name, series in frame_scalars(block).items()}
-    transform = np.fft.rfft(block.frames, n_fft, axis=-1)
-    del block
-    spec = Spectrum(np.abs(transform), sr / n_fft)
+    zcr counts sign changes of the raw frame, rms is taken over the windowed
+    one. The steps are ordered, and each array is dropped once read, so that
+    at most three (frames, bins) float arrays, or the windowed frames and
+    their transform, are alive at once; the power spectrum is floored in
+    place."""
+    windowed = raw * window
+    rows = {"zcr": (raw[:, :-1] * raw[:, 1:] < 0).sum(axis=1) / (raw.shape[1] - 1),
+            "rms": np.sqrt(np.mean(windowed ** 2, axis=1))}
+    transform = np.fft.rfft(windowed, n_fft, axis=-1)
+    del windowed
+    mags = np.abs(transform)
     del transform
-    mags, freqs = spec.magnitudes, spec.frequencies
     logs = np.log(np.maximum(mags, SPECTRAL_FLOOR))
     rows["flux"] = _log_rises(logs, logs[:1] if before is None else before)
     before = logs[-1:].copy()  # a copy, so the block's logs can be freed
     del logs
-    poly = poly_features(spec, 1)
-    rows.update(poly_slope=poly[:, 0], poly_intercept=poly[:, 1],
-                contrast=spectral_contrast(spec, CONTRAST_BANDS, CONTRAST_FMIN_HZ),
-                hammarberg=hammarberg(spec))
+    rows["poly_slope"], rows["poly_intercept"] = _line_fit(mags, freqs)
+    rows.update(contrast=_contrast(mags, freqs), hammarberg=_hammarberg(mags, freqs))
     power = mags ** 2
     rows.update(mfcc=_cepstra(power, bank, basis), alpha_ratio=_alpha_ratio(power, freqs))
     shape, floored = _spectral_shape(mags, power, freqs)
@@ -750,3 +714,8 @@ class Analysis:
     def cycle_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-cycle jitter and shimmer terms (see cycle_perturbation)."""
         return cycle_perturbation(self.buf.samples, self.buf.sample_rate_hz, self.f0)
+
+    @property
+    def tempo_bpm(self) -> float:
+        """Tempo of the flux series (see _tempo_bpm)."""
+        return _tempo_bpm(self.descriptors["flux"], self.config.hop_seconds)

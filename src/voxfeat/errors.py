@@ -38,10 +38,6 @@ class InvalidBandConfig(VoxfeatError):
     """Mel/band configuration is inconsistent with the spectrum."""
 
 
-class InvalidOrder(VoxfeatError):
-    """Polynomial order outside the supported set."""
-
-
 # -- text and embeddings -----------------------------------------------------
 
 class MalformedConllu(VoxfeatError):

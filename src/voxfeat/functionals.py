@@ -29,7 +29,6 @@ from .acoustic import (
     Analysis,
     FrameSeries,
     nan_mean,
-    tempogram_tempo,
 )
 from .audio_io import AudioBuffer
 
@@ -315,7 +314,7 @@ def _spectral(a: Analysis) -> FeatureVector:
     values = {
         **{name: d[name] for name in (*_DESCRIPTOR_TEXT, "poly_slope", "poly_intercept")},
         **{f"contrast_b{b}": d["contrast"][:, b] for b in range(CONTRAST_BANDS)},
-        "tempo_bpm": tempogram_tempo(FrameSeries("flux", d["flux"], a.config.hop_seconds))[0],
+        "tempo_bpm": a.tempo_bpm,
     }
     return SPECTRAL.vector(values, a.buf.source_id)
 

@@ -34,7 +34,7 @@ from .table import (
     impute_and_standardize,
     impute_only,
 )
-from .transform import SelectionResult, pearson, unit_columns
+from .transform import SelectionResult, pearson, score_ranking, unit_columns
 
 Selector = Callable[[FeatureTable, int], SelectionResult]
 # one table and a list of ks -> each k's selection on that table
@@ -54,16 +54,6 @@ def _class_labels(tbl: FeatureTable, op: str) -> np.ndarray:
     return np.round(y).astype(np.int64)
 
 
-def _rank_by_score_desc(
-    names: tuple[str, ...], scores: np.ndarray, k: int
-) -> SelectionResult:
-    # stable sort keeps column order among exact ties
-    order = np.argsort(-scores, kind="stable")
-    kept = tuple(names[i] for i in order[:k])
-    ranking = {names[i]: r + 1 for r, i in enumerate(order)}
-    return SelectionResult(kept, ranking, {n: float(scores[j]) for j, n in enumerate(names)})
-
-
 # ---------------------------------------------------------------------------
 # ANOVA F
 # ---------------------------------------------------------------------------
@@ -80,7 +70,7 @@ def anova_f_values(tbl: FeatureTable) -> np.ndarray:
         r2 = pearson(unit_columns(impute_only(tbl).rows), unit_columns(y)) ** 2
         return np.divide(r2 * (tbl.n_rows - 2), 1 - r2, out=np.full(tbl.n_cols, np.inf),
                          where=r2 < 1)
-    y = np.round(y).astype(np.int64)
+    y = _class_labels(tbl, "anova_f_select")
     classes, counts = np.unique(y, return_counts=True)
     if classes.size < 2:
         raise DegenerateClasses(f"need >= 2 classes, got {classes.size}")
@@ -109,7 +99,8 @@ def anova_f_values(tbl: FeatureTable) -> np.ndarray:
 def anova_f_select(tbl: FeatureTable, k: int) -> SelectionResult:
     if not 1 <= k <= tbl.n_cols:
         raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
-    return _rank_by_score_desc(tbl.column_names, anova_f_values(tbl), k)
+    order, ranking, scores = score_ranking(tbl.column_names, anova_f_values(tbl))
+    return SelectionResult(tuple(order[:k]), ranking, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +239,14 @@ def importance_select(tbl: FeatureTable, threshold: float = 0.0) -> SelectionRes
     y = _require_target(tbl, "importance_select")
     z, _ = impute_and_standardize(tbl)
     if tbl.classification:
-        imp = fit_logistic(z.rows, np.round(y).astype(np.int64), alpha=0.01).importance()
+        imp = fit_logistic(z.rows, _class_labels(tbl, "importance_select"),
+                           alpha=0.01).importance()
     else:
         imp = fit_lasso(z.rows, y, alpha=0.01).importance()
-    keep_mask = imp >= threshold
     names = tbl.column_names
-    kept = tuple(n for j, n in enumerate(names) if keep_mask[j])
-    # stable sort keeps column order among exact ties
-    order = np.argsort(-imp, kind="stable")
-    ranking = {names[i]: r + 1 for r, i in enumerate(order)}
-    scores = {n: float(imp[j]) for j, n in enumerate(names)}
-    return SelectionResult(kept, ranking, scores)
+    _, ranking, scores = score_ranking(names, imp)
+    return SelectionResult(tuple(n for n, v in zip(names, imp) if v >= threshold),
+                           ranking, scores)
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +314,7 @@ def _fold_indices(tbl: FeatureTable, folds: int, seed: int) -> list[np.ndarray]:
     n = tbl.n_rows
     rng = np.random.default_rng(seed)
     if tbl.classification:
-        y = np.round(tbl.target).astype(np.int64)
+        y = _class_labels(tbl, "cv_score_curve")
         assignment = np.zeros(n, dtype=np.int64)
         for cls in np.unique(y):
             members = rng.permutation(np.flatnonzero(y == cls))

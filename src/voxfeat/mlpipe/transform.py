@@ -32,6 +32,14 @@ class SelectionResult:
             raise ValueError("kept columns must be ranked")
 
 
+def score_ranking(names: tuple[str, ...], scores: np.ndarray
+                  ) -> tuple[list[str], dict[str, int], dict[str, float]]:
+    """The names from highest to lowest score, each name's rank (1 = highest)
+    and each name's score. A stable sort keeps column order among exact ties."""
+    order = [names[i] for i in np.argsort(-scores, kind="stable")]
+    return order, {name: r + 1 for r, name in enumerate(order)}, dict(zip(names, scores.tolist()))
+
+
 def _result_from_partition(
     kept: list[str], dropped: list[str], scores: dict[str, float]
 ) -> SelectionResult:
@@ -62,10 +70,9 @@ def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionR
         spread = np.fmax.reduce(rows, axis=0) > np.fmin.reduce(rows, axis=0)
         variances = np.where(spread, impute_only(tbl).rows.var(axis=0), 0.0)
     names = tbl.column_names
-    kept = tuple(n for j, n in enumerate(names) if variances[j] > threshold)
-    order = np.argsort(-variances, kind="stable")  # ties keep column order
-    ranking = {names[i]: r + 1 for r, i in enumerate(order)}
-    return SelectionResult(kept, ranking, dict(zip(names, variances.tolist())))
+    _, ranking, scores = score_ranking(names, variances)
+    return SelectionResult(tuple(n for n, v in zip(names, variances) if v > threshold),
+                           ranking, scores)
 
 
 def unit_columns(x: np.ndarray) -> np.ndarray:

@@ -38,7 +38,20 @@ class HeatmapExport:
 
 
 def histogram_bins(values: np.ndarray, n_bins: int = 10) -> HistogramBins:
-    counts, edges = np.histogram(values[~np.isnan(values)], bins=n_bins)
+    """n_bins equal bins over [min, max] of the non-NaN values. Where that
+    range cannot hold n_bins distinct edges (a constant column, or one a
+    few ulps wide), the bins span [min - 0.5, max + 0.5], as numpy's own
+    rule for a constant column does, or over n_bins ulps either side where
+    0.5 is fewer (values from 2^48 up, for 10 bins)."""
+    values = values[~np.isnan(values)]
+    span = None
+    if values.size:
+        lo, hi = values.min(), values.max()
+        span = (lo, hi)
+        if np.any(np.diff(np.linspace(lo, hi, n_bins + 1)) <= 0):
+            pad = max(0.5, n_bins * float(np.spacing(max(abs(lo), abs(hi)))))
+            span = (lo - pad, hi + pad)
+    counts, edges = np.histogram(values, bins=n_bins, range=span)
     return HistogramBins(edges, counts)
 
 

@@ -9,6 +9,7 @@ from voxfeat.mlpipe import (
     corr_heatmap_export,
     scatter_export,
 )
+from voxfeat.mlpipe.viz import histogram_bins
 
 
 def make(cols, data, target=None):
@@ -43,6 +44,33 @@ class TestScatter:
         exp = scatter_export(t, "x", "y")
         assert exp.fit_slope == 0.0
         assert exp.fit_intercept == pytest.approx(4.0)
+
+
+class TestHistogramBins:
+    def test_ordinary_and_constant_columns_bin_as_numpy_does(self):
+        rng = np.random.default_rng(3)
+        for values in (rng.normal(size=50), rng.integers(0, 4, 30).astype(float),
+                       np.full(20, 0.1), np.array([2.5])):
+            bins = histogram_bins(values)
+            counts, edges = np.histogram(values, bins=10)
+            np.testing.assert_array_equal(bins.edges, edges)
+            np.testing.assert_array_equal(bins.counts, counts)
+
+    def test_range_a_few_ulps_wide(self):
+        values = np.full(40, 0.1)
+        values[7] = np.nextafter(0.1, 1.0)
+        values[9] = np.nan
+        bins = histogram_bins(values)
+        assert bins.edges[0] == 0.1 - 0.5 and bins.edges[-1] == values[7] + 0.5
+        assert np.all(np.diff(bins.edges) > 0) and bins.counts.sum() == 39
+
+    def test_constant_beyond_half_an_ulp_pad(self):
+        # at 1e15 an ulp is 0.125, so +-0.5 spans only 8 ulps; numpy's own
+        # rule raises there
+        for value in (1e15, -1e17, 1e300):
+            bins = histogram_bins(np.full(12, value))
+            assert np.all(np.diff(bins.edges) > 0) and bins.counts.sum() == 12
+            assert bins.edges[0] < value < bins.edges[-1]
 
 
 class TestHeatmap:

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import multiprocessing
 import os
 import stat
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +21,13 @@ from voxfeat.config import (
     config_hash,
     feature_names_for,
 )
-from voxfeat.errors import NoInputs, NotClassification, SchemaError, UnwritableOutput
+from voxfeat.errors import (
+    NoInputs,
+    NotClassification,
+    SchemaError,
+    UnwritableOutput,
+    VoxfeatError,
+)
 from voxfeat import pipeline
 from voxfeat.mlpipe import FeatureTable, table_to_csv_text
 from voxfeat.pipeline import (
@@ -683,3 +691,91 @@ class TestRunAnalyze:
         assert r1 == r2
         assert ((tmp_path / "o1" / "curve.svg").read_bytes()
                 == (tmp_path / "o2" / "curve.svg").read_bytes())
+
+
+def near_constant_csv(path, column):
+    """40 rows of two-class data: f0 carries the class, f1 is `column`."""
+    rng = np.random.default_rng(0)
+    y = np.arange(40) % 2
+    rows = np.column_stack([rng.normal(size=40) + y, column])
+    path.write_text(table_to_csv_text(FeatureTable(
+        ("f0", "f1"), rows, tuple(f"r{i}" for i in range(40)), y.astype(float))))
+
+
+class TestNearConstantColumns:
+    """A kept column a few ulps wide used to end analyze in a bare ValueError
+    from np.histogram, which cannot cut 10 bins from so narrow a range."""
+
+    def test_one_cell_an_ulp_above_the_rest(self, tmp_path):
+        column = np.full(40, 0.1)
+        column[7] = np.nextafter(0.1, 1.0)
+        near_constant_csv(tmp_path / "ulp.csv", column)
+        report = run_analyze(tmp_path / "ulp.csv", tmp_path / "out", PipelineConfig())
+        assert "scatter.svg" in report["outputs"]
+        assert (tmp_path / "out" / "scatter.svg").is_file()
+
+    def test_constant_column_with_missing_cells_unfiltered(self, tmp_path):
+        # the mean of the 38 observed 0.1 cells, imputed into the other two,
+        # is 0.10000000000000002
+        column = np.full(40, 0.1)
+        column[[3, 20]] = np.nan
+        near_constant_csv(tmp_path / "nan.csv", column)
+        cfg = PipelineConfig(analyze=AnalyzeSpec(low_variance=False))
+        report = run_analyze(tmp_path / "nan.csv", tmp_path / "out", cfg)
+        assert "scatter.svg" in report["outputs"]
+        assert (tmp_path / "out" / "scatter.svg").is_file()
+
+
+def mutated_csv(path, seed):
+    """A seeded table of mixed columns: up to 4 normal ones (the first
+    carries the target) among 2-6 columns that are constant at 0.1 or 3.0,
+    an ulp wide, an exact copy or all NaN, with 5 % of all feature cells
+    NaN; the target is binary, 3-class or float by seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(24, 41))
+    x = rng.normal(size=(n, int(rng.integers(0, 5))))
+    signal = x[:, 0] if x.shape[1] else np.zeros(n)
+    y = {0: np.arange(n) % 2, 1: np.arange(n) % 3,
+         2: signal + rng.normal(size=n)}[seed % 3].astype(float)
+    if seed % 3 < 2 and x.shape[1]:
+        x[:, 0] += y
+    cols = list(x.T)
+    for _ in range(int(rng.integers(2, 7))):
+        kind = int(rng.integers(5))
+        if kind < 2:
+            col = np.full(n, (0.1, 3.0)[kind])
+        elif kind == 2:
+            col = np.full(n, (0.1, 3.0)[int(rng.integers(2))])
+            col[rng.integers(n)] = np.nextafter(col[0], np.inf)
+        elif kind == 3 and cols:
+            col = cols[int(rng.integers(len(cols)))].copy()
+        else:
+            col = np.full(n, np.nan)
+        cols.insert(int(rng.integers(len(cols) + 1)), col)
+    x = np.column_stack(cols)
+    x[rng.random(x.shape) < 0.05] = np.nan
+    path.write_text(table_to_csv_text(FeatureTable(
+        tuple(f"f{j:02d}" for j in range(x.shape[1])), x,
+        tuple(f"r{i}" for i in range(n)), y)))
+
+
+def test_analyze_fails_only_with_named_errors_under_mutation(tmp_path):
+    """Every selector, with no transform, pca and ica, with the variance
+    filter on and off, on each mutated table: a run either writes its
+    artifacts or raises a VoxfeatError."""
+    outcomes = Counter()
+    for seed in range(7):
+        path = tmp_path / f"t{seed}.csv"
+        mutated_csv(path, seed)
+        for selector, transform, low_variance in itertools.product(
+                ("anova_f", "mrmr", "rfe", "importance"), (None, "pca", "ica"), (True, False)):
+            cfg = PipelineConfig(analyze=AnalyzeSpec(
+                selector=selector, transform=transform, low_variance=low_variance,
+                k_values=(1, 2, 5), folds=3))
+            try:
+                run_analyze(path, tmp_path / "out", cfg)
+                outcomes["ok"] += 1
+            except VoxfeatError as exc:
+                outcomes[type(exc).__name__] += 1
+    assert sum(outcomes.values()) == 7 * 24
+    assert outcomes["ok"] > 7 * 24 // 2, outcomes
