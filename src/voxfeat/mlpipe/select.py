@@ -119,12 +119,14 @@ def _rfe_result(names: tuple[str, ...], survivors: np.ndarray, imp: np.ndarray,
     """Survivors by final importance, then each dropped batch from the last
     back to the first, strongest first within a group (ties in column order)."""
     groups = [(survivors, imp)] + batches[::-1]
-    ranked = [(names[cols[i]], float(vals[i]))
-              for cols, vals in groups for i in np.argsort(-vals, kind="stable")]
+    orders = [np.argsort(-vals, kind="stable") for _, vals in groups]
+    cols = np.concatenate([c[o] for (c, _), o in zip(groups, orders)]).tolist()
+    vals = np.concatenate([v[o] for (_, v), o in zip(groups, orders)]).tolist()
+    ranked = [names[c] for c in cols]
     return SelectionResult(
-        tuple(name for name, _ in ranked[:survivors.size]),
-        {name: r for r, (name, _) in enumerate(ranked, start=1)},
-        dict(ranked),
+        tuple(ranked[:survivors.size]),
+        dict(zip(ranked, range(1, len(ranked) + 1))),
+        dict(zip(ranked, vals)),
     )
 
 
@@ -155,7 +157,7 @@ def _ols_importance(rows: np.ndarray, y: np.ndarray, gram: np.ndarray,
     columns than rows or the sub-matrix fails _well_conditioned.
     """
     idx = np.append(cols, gram.shape[0] - 1)
-    sub = gram.take(idx, axis=0).take(idx, axis=1)
+    sub = gram[np.ix_(idx, idx)]
     if idx.size <= rows.shape[0] and _well_conditioned(sub):
         return np.abs(np.linalg.solve(sub, rhs[idx])[:-1])
     return fit_ols(rows[:, cols], y).importance()
@@ -324,13 +326,10 @@ def _fold_indices(tbl: FeatureTable, folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 
 
-def _fold_score(train: FeatureTable, val: FeatureTable, y_train: np.ndarray,
+def _fold_score(train_z: np.ndarray, val_z: np.ndarray, y_train: np.ndarray,
                 y_val: np.ndarray, estimator: str) -> float:
-    """Standardize with the training rows' parameters, fit, score the
-    validation rows."""
-    params = fit_standardize(train)
-    train_z = apply_standardize(train, params).rows
-    val_z = apply_standardize(val, params).rows
+    """Fit on standardized training rows, score the standardized validation
+    rows."""
     if estimator == "logistic":
         model = fit_logistic(train_z, y_train.astype(np.int64))
         return accuracy_score(y_val.astype(np.int64), model.predict(val_z))
@@ -363,6 +362,11 @@ def cv_score_curve(
     rows; the validation rows are transformed with the training parameters.
     Scores are accuracy for "logistic" and R^2 for "ols".
 
+    Each fold is standardized once: fit_standardize on its training rows,
+    applied to both sides. Each k then scores column slices of those arrays.
+    Standardization works column by column, so a slice holds exactly what
+    standardizing only the chosen columns gives.
+
     select_ks, when given, selects for all of a fold's ks in one call (see
     ranked_prefixes and rfe_path) and selector is not used; otherwise
     selector runs once per (k, fold). Either way each k scores the columns
@@ -383,16 +387,19 @@ def cv_score_curve(
     if select_ks is None:
         def select_ks(train: FeatureTable, ks: list[int]) -> dict[int, SelectionResult]:
             return {k: selector(train, k) for k in ks}
+    position = {name: j for j, name in enumerate(tbl.column_names)}
+    ks = [min(k, tbl.n_cols) for k in k_values]
     scores = np.empty((len(k_values), folds))
     for f, val_idx in enumerate(fold_idx):
         train_idx = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
         train = tbl.select_rows(train_idx)
-        val = tbl.select_rows(val_idx)
-        ks = [min(k, train.n_cols) for k in k_values]
+        params = fit_standardize(train)
+        train_z = apply_standardize(train, params).rows
+        val_z = apply_standardize(tbl.select_rows(val_idx), params).rows
         selected = select_ks(train, ks) if ks else {}
         for i, k in enumerate(ks):
-            chosen = selected[k].kept_columns
-            scores[i, f] = _fold_score(train.select_columns(chosen), val.select_columns(chosen),
+            cols = [position[name] for name in selected[k].kept_columns]
+            scores[i, f] = _fold_score(train_z[:, cols], val_z[:, cols],
                                        y_all[train_idx], y_all[val_idx], estimator)
     return [CurvePoint(int(k), float(row.mean()), float(row.std()))
             for k, row in zip(k_values, scores)]

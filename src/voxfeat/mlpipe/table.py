@@ -33,7 +33,7 @@ class FeatureTable:
             rows = rows.reshape(len(self.row_ids), -1)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "column_names", tuple(self.column_names))
-        object.__setattr__(self, "row_ids", tuple(str(r) for r in self.row_ids))
+        object.__setattr__(self, "row_ids", tuple(map(str, self.row_ids)))
         if self.target is not None:
             object.__setattr__(self, "target", np.asarray(self.target, dtype=np.float64))
         if rows.shape != (len(self.row_ids), len(self.column_names)):
@@ -156,35 +156,38 @@ def table_to_csv_text(tbl: FeatureTable) -> str:
 
 
 def read_table_csv(path: str | Path) -> FeatureTable:
+    """The table in a CSV written by table_to_csv_text (or by hand).
+
+    Blank lines are skipped. Every data row fills one row of a single float64
+    array, and numpy converts each cell by float()'s rules, so a cell is
+    accepted exactly when float() accepts it. A non-numeric cell or a ragged
+    row raises SchemaError naming its line as the file numbers it, blank
+    lines included. The target is a copy of the last column.
+    """
     path = Path(path)
-    lines = [ln for ln in read_text(path).splitlines() if ln.strip()]
+    lines = [(i, ln) for i, ln in enumerate(read_text(path).split("\n"), 1) if ln.strip()]
     if not lines:
         raise SchemaError(f"{path}: empty feature CSV")
-    header = lines[0].split(",")
+    header = lines[0][1].split(",")
     if header[0] != "row_id":
         raise SchemaError(f"{path}: first column must be row_id, got {header[0]!r}")
     has_target = len(header) > 1 and header[-1] == "target"
     names = tuple(header[1:-1]) if has_target else tuple(header[1:])
     row_ids: list[str] = []
-    rows: list[list[float]] = []
-    target: list[float] = []
-    for i, line in enumerate(lines[1:], 2):
+    values = np.empty((len(lines) - 1, len(header) - 1))
+    for row, (i, line) in enumerate(lines[1:]):
         cells = line.split(",")
         if len(cells) != len(header):
             raise SchemaError(f"{path}:{i}: {len(cells)} cells, expected {len(header)}")
         row_ids.append(cells[0])
-        body = cells[1:-1] if has_target else cells[1:]
         try:
-            rows.append([float(v) for v in body])
-            if has_target:
-                target.append(float(cells[-1]))
+            values[row] = cells[1:]
         except ValueError as exc:
             raise SchemaError(f"{path}:{i}: non-numeric cell ({exc})") from None
     for what, items in (("column name", names), ("row id", row_ids)):
         repeated = [item for item, count in Counter(items).items() if count > 1]
         if repeated:
             raise SchemaError(f"{path}: {what} {repeated[0]!r} appears more than once")
-    matrix = np.asarray(rows) if rows else np.empty((0, len(names)))
-    return FeatureTable(
-        names, matrix, tuple(row_ids), np.asarray(target) if has_target else None
-    )
+    if not has_target:
+        return FeatureTable(names, values, tuple(row_ids))
+    return FeatureTable(names, values[:, :-1], tuple(row_ids), values[:, -1].copy())

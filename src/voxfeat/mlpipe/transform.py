@@ -119,20 +119,15 @@ def high_correlation_filter(tbl: FeatureTable, threshold: float = 0.95) -> Selec
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
     corr = np.abs(correlation_matrix(tbl))
-    kept_idx: list[int] = []
-    kept: list[str] = []
-    dropped: list[str] = []
-    scores: dict[str, float] = {}
-    for j, name in enumerate(tbl.column_names):
-        against = corr[j, kept_idx] if kept_idx else np.zeros(0)
-        worst = float(against.max()) if against.size else 0.0
-        scores[name] = worst
-        if worst > threshold:
-            dropped.append(name)
-        else:
-            kept_idx.append(j)
-            kept.append(name)
-    return _result_from_partition(kept, dropped, scores)
+    kept = np.zeros(tbl.n_cols, dtype=bool)  # only columns before j are ever set
+    worst = np.zeros(tbl.n_cols)
+    for j in range(tbl.n_cols):
+        worst[j] = corr[j, kept].max(initial=0.0)
+        kept[j] = not worst[j] > threshold  # a NaN correlation keeps the column
+    names = tbl.column_names
+    return _result_from_partition([n for n, k in zip(names, kept) if k],
+                                  [n for n, k in zip(names, kept) if not k],
+                                  dict(zip(names, worst.tolist())))
 
 
 # ---------------------------------------------------------------------------

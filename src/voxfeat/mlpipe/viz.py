@@ -37,20 +37,21 @@ class HeatmapExport:
     matrix: np.ndarray  # pearson r, diagonal exactly 1
 
 
+def padded_span(lo: float, hi: float, n: int) -> tuple[float, float]:
+    """[lo, hi] when it can hold n equal intervals with distinct edges. A
+    narrower range (a constant one, or one a few ulps wide) pads to
+    [lo - 0.5, hi + 0.5], as numpy's own rule for a constant column does, or
+    by n ulps either side where 0.5 is fewer (values from 2^48 up, for 10)."""
+    if np.any(np.diff(np.linspace(lo, hi, n + 1)) <= 0):
+        pad = max(0.5, n * float(np.spacing(max(abs(lo), abs(hi)))))
+        return lo - pad, hi + pad
+    return lo, hi
+
+
 def histogram_bins(values: np.ndarray, n_bins: int = 10) -> HistogramBins:
-    """n_bins equal bins over [min, max] of the non-NaN values. Where that
-    range cannot hold n_bins distinct edges (a constant column, or one a
-    few ulps wide), the bins span [min - 0.5, max + 0.5], as numpy's own
-    rule for a constant column does, or over n_bins ulps either side where
-    0.5 is fewer (values from 2^48 up, for 10 bins)."""
+    """n_bins equal bins over padded_span of the non-NaN values."""
     values = values[~np.isnan(values)]
-    span = None
-    if values.size:
-        lo, hi = values.min(), values.max()
-        span = (lo, hi)
-        if np.any(np.diff(np.linspace(lo, hi, n_bins + 1)) <= 0):
-            pad = max(0.5, n_bins * float(np.spacing(max(abs(lo), abs(hi)))))
-            span = (lo - pad, hi + pad)
+    span = padded_span(values.min(), values.max(), n_bins) if values.size else None
     counts, edges = np.histogram(values, bins=n_bins, range=span)
     return HistogramBins(edges, counts)
 

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from .mlpipe.select import CurvePoint
-from .mlpipe.viz import HeatmapExport, ScatterExport
+from .mlpipe.viz import HeatmapExport, ScatterExport, padded_span
 
 _FONT = "font-family=\"sans-serif\""
 _POINT_FILL = "#4477aa"
@@ -53,16 +53,19 @@ def _escape(text: str) -> str:
 
 
 class _Scale:
-    """Linear data -> pixel mapping with a padded domain."""
+    """Linear data -> pixel mapping with a padded domain.
 
-    def __init__(self, values: np.ndarray, out_lo: float, out_hi: float):
+    The domain is padded_span of the finite values with the given number of
+    intervals (the scatter passes its bin count, so its bars and points share
+    one span rule), then widened by 5 % each side."""
+
+    def __init__(self, values: np.ndarray, out_lo: float, out_hi: float,
+                 intervals: int = 4):
         finite = values[np.isfinite(values)]
         if finite.size == 0:
             lo, hi = 0.0, 1.0
         else:
-            lo, hi = float(finite.min()), float(finite.max())
-            if lo == hi:
-                lo, hi = lo - 0.5, hi + 0.5
+            lo, hi = padded_span(float(finite.min()), float(finite.max()), intervals)
             pad = 0.05 * (hi - lo)
             lo, hi = lo - pad, hi + pad
         self.lo, self.hi = lo, hi
@@ -108,8 +111,8 @@ def scatter_svg(exp: ScatterExport, width: int = 720, height: int = 560) -> str:
     """Scatter cloud with an OLS fit line and marginal histograms."""
     left, right, top, bottom = 60, 30, 110, 50
     strip = 70  # marginal histogram strip height/width
-    xs = _Scale(exp.x, left, width - right - strip)
-    ys = _Scale(exp.y, height - bottom, top)
+    xs = _Scale(exp.x, left, width - right - strip, exp.x_bins.counts.size)
+    ys = _Scale(exp.y, height - bottom, top, exp.y_bins.counts.size)
     parts = _svg_open(width, height, f"{exp.y_name} vs {exp.x_name}")
 
     # marginal histogram of x along the top strip
@@ -157,22 +160,28 @@ def scatter_svg(exp: ScatterExport, width: int = 720, height: int = 560) -> str:
     return "\n".join(parts) + "\n"
 
 
-def _diverging(r: float) -> str:
-    """Blue (-1) -> white (0) -> red (+1)."""
-    r = max(-1.0, min(1.0, r if math.isfinite(r) else 0.0))
-    blue = (33, 102, 172)
-    white = (247, 247, 247)
-    red = (178, 24, 43)
-    if r < 0:
-        a, b, frac = white, blue, -r
-    else:
-        a, b, frac = white, red, r
-    rgb = tuple(round(a[i] + (b[i] - a[i]) * frac) for i in range(3))
-    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+_WHITE = np.array([247.0, 247.0, 247.0])
+_BLUE = np.array([33.0, 102.0, 172.0])
+_RED = np.array([178.0, 24.0, 43.0])
+_HEX = [f"{i:02x}" for i in range(256)]
+
+
+def _diverging(values: np.ndarray) -> list[list[str]]:
+    """Blue (-1) -> white (0) -> red (+1) for each value of a 2-D array.
+
+    A non-finite value is white and others clip to [-1, 1]. Each channel
+    interpolates from white and rounds half to even."""
+    r = np.clip(np.where(np.isfinite(values), values, 0.0), -1.0, 1.0)[..., None]
+    end = np.where(r < 0, _BLUE, _RED)
+    rgb = np.rint(_WHITE + (end - _WHITE) * np.abs(r)).astype(np.int64).tolist()
+    return [["#" + _HEX[c[0]] + _HEX[c[1]] + _HEX[c[2]] for c in row] for row in rgb]
 
 
 def heatmap_svg(exp: HeatmapExport, cell: int = 30) -> str:
-    """Correlation matrix as a colored grid with per-cell value tooltips."""
+    """Correlation matrix as a colored grid with per-cell value tooltips.
+
+    The cell colours come from one array expression over the matrix, and
+    the text that one row's cells share is formatted once per row."""
     n = len(exp.names)
     names = [_escape(name) for name in exp.names]
     label_w = 10 + 7 * max(len(name) for name in exp.names)
@@ -186,21 +195,17 @@ def heatmap_svg(exp: HeatmapExport, cell: int = 30) -> str:
                      f'{_FONT} font-size="10" fill="#111111" '
                      f'transform="rotate(-60 {_fmt(cx)} {_fmt(top - 6)})">'
                      f'{name}</text>')
-    xs = [_fmt(left + j * cell) for j in range(n)]
-    fills: dict[float, str] = {}  # one _diverging per distinct value
+    heads = [f'<rect x="{_fmt(left + j * cell)}" y="' for j in range(n)]
+    fills = _diverging(exp.matrix)
     for i, name in enumerate(names):
         cy = top + i * cell + cell / 2 + 3
         parts.append(f'<text x="{_fmt(left - 6)}" y="{_fmt(cy)}" text-anchor="end" '
                      f'{_FONT} font-size="10" fill="#111111">{name}</text>')
-        y = _fmt(top + i * cell)
-        for x, other, value in zip(xs, names, exp.matrix[i].tolist()):
-            fill = fills.get(value)
-            if fill is None:
-                fill = fills[value] = _diverging(value)
-            parts.append(
-                f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{fill}" '
-                f'stroke="#ffffff" stroke-width="1">'
-                f'<title>{name} / {other}: {value:.3f}</title></rect>')
+        middle = f'{_fmt(top + i * cell)}" width="{cell}" height="{cell}" fill="'
+        title = f'" stroke="#ffffff" stroke-width="1"><title>{name} / '
+        parts.extend(
+            f'{head}{middle}{fill}{title}{other}: {value:.3f}</title></rect>'
+            for head, other, fill, value in zip(heads, names, fills[i], exp.matrix[i].tolist()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

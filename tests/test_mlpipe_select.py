@@ -636,6 +636,41 @@ class TestCurveSelectsOncePerFold:
             cv_score_curve(tbl, None, "logistic", [0, 2], 3, select_ks=_SELECTORS["anova_f"])
 
 
+class TestCurveStandardizesEachFoldOnce:
+    """Scoring each k on column slices of a fold standardized once gives
+    exactly the curve of standardizing each (k, fold)'s chosen columns."""
+
+    @pytest.mark.parametrize("seed, target", enumerate(("binary", "3-class", "float"), start=60))
+    def test_matches_reference_on_messy_tables(self, seed, target, monkeypatch):
+        fits = []
+
+        def counted_fit(tbl):
+            fits.append(tbl.n_rows)
+            return fit_standardize(tbl)
+        # the selectors standardize through the table module, so this counts
+        # only the curve's own fits
+        monkeypatch.setattr(select_module, "fit_standardize", counted_fit)
+        selectors = {"anova_f": anova_f_select, "mrmr": mrmr_rank,
+                     "importance": _importance_topk, "rfe": rfe_select}
+        if target == "float":
+            del selectors["anova_f"]
+        estimator = "ols" if target == "float" else "logistic"
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            # 5 % NaN cells, copies, constant columns and an all-NaN column
+            tbl = messy_table(rng, target)
+            folds = int(rng.integers(2, 5))
+            k_values = [1, tbl.n_cols + 2] + [int(k) for k in rng.integers(1, tbl.n_cols, 3)]
+            for name, fn in selectors.items():
+                want = reference_curve(tbl, fn, estimator, k_values, folds, seed=5)
+                for select_ks, selector in ((_SELECTORS[name], None), (None, fn)):
+                    fits.clear()
+                    got = cv_score_curve(tbl, selector, estimator, k_values, folds, seed=5,
+                                         select_ks=select_ks)
+                    assert got == want, name
+                    assert len(fits) == folds, name
+
+
 def reference_rfe(tbl, k):
     """The former rfe_select: one elimination walk per k."""
     y = tbl.target

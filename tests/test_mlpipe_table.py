@@ -226,6 +226,54 @@ class TestCsv:
             read_table_csv(path)
 
 
+class TestCsvLinesAndCells:
+    """Cells parse by float()'s rules, and errors name the file's own line."""
+
+    @staticmethod
+    def read(tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text, encoding="utf-8")
+        return read_table_csv(path)
+
+    @pytest.mark.parametrize("row", ["r1,abc,1", "r1,1.0"])
+    def test_error_names_the_line_after_blank_lines(self, tmp_path, row):
+        text = f"row_id,a,target\n\nr0,1.0,0\n\n{row}\n"
+        with pytest.raises(SchemaError, match=r"bad\.csv:5: "):
+            self.read(tmp_path, text)
+
+    @pytest.mark.parametrize("cell", [" 1.5", "1_0", "\u0661\u0662", "nan", "-Infinity",
+                                      "1e400", "5e-324"])
+    def test_accepts_what_float_accepts(self, tmp_path, cell):
+        tbl = self.read(tmp_path, f"row_id,a,b,target\nr0,2.0,{cell},{cell}\n")
+        want = float(cell)
+        for got in (tbl.rows[0, 1], tbl.target[0]):
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.signbit(got) == np.signbit(want)
+        assert tbl.rows[0, 0] == 2.0
+
+    @pytest.mark.parametrize("cell", ["", "0x10", "1__0", "abc"])
+    def test_rejects_what_float_rejects(self, tmp_path, cell):
+        with pytest.raises(ValueError):
+            float(cell)
+        for row in (f"r1,{cell},0", f"r1,0.5,{cell}"):
+            with pytest.raises(SchemaError, match=r"bad\.csv:3: non-numeric cell"):
+                self.read(tmp_path, f"row_id,a,target\nr0,1.0,0\n{row}\n")
+
+    def test_header_only_tables_keep_their_shapes(self, tmp_path):
+        tbl = self.read(tmp_path, "row_id,a,b,target\n")
+        assert (tbl.rows.shape, tbl.target.shape) == ((0, 2), (0,))
+        tbl = self.read(tmp_path, "row_id,a,b\n")
+        assert tbl.rows.shape == (0, 2) and tbl.target is None
+
+    def test_target_only_tables_keep_their_shapes(self, tmp_path):
+        tbl = self.read(tmp_path, "row_id,target\nr0,1\nr1,0\n")
+        assert tbl.column_names == () and tbl.rows.shape == (2, 0)
+        assert tbl.target.tolist() == [1.0, 0.0]
+        tbl = self.read(tmp_path, "row_id\nr0\nr1\n")
+        assert tbl.rows.shape == (2, 0) and tbl.target is None
+        assert tbl.row_ids == ("r0", "r1")
+
+
 def test_every_exported_name_resolves():
     import voxfeat.mlpipe as mlpipe
     assert [name for name in mlpipe.__all__ if not hasattr(mlpipe, name)] == []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -14,7 +15,9 @@ from voxfeat.mlpipe import (
     corr_heatmap_export,
     scatter_export,
 )
-from voxfeat.svgplot import curve_svg, heatmap_svg, scatter_svg
+from voxfeat.config import config_from_dict
+from voxfeat.pipeline import run_analyze
+from voxfeat.svgplot import _diverging, curve_svg, heatmap_svg, scatter_svg
 
 
 def table(seed=0, n=40):
@@ -59,6 +62,65 @@ class TestScatter:
         assert_self_contained(svg)
         assert "a&lt;b" in svg
         assert "c&amp;d" in svg
+
+
+def ulp_csv(path):
+    """A 0/1 target, a normal column shifted by it, and a 0.1 column with
+    one cell an ulp above: a kept column only an ulp wide."""
+    rng = np.random.default_rng(0)
+    y = np.arange(40) % 2
+    f0 = rng.normal(size=40) + y
+    ulp = np.full(40, 0.1)
+    ulp[7] = np.nextafter(0.1, 1.0)
+    lines = ["row_id,f0,f1,target"]
+    lines += [f"r{i},{float(f0[i])!r},{float(ulp[i])!r},{y[i]}" for i in range(40)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+class TestScatterOnCanvas:
+    def test_ulp_wide_column_draws_every_bar_and_point_on_the_canvas(self, tmp_path):
+        ulp_csv(tmp_path / "ulp.csv")
+        run_analyze(tmp_path / "ulp.csv", tmp_path / "out", config_from_dict({}))
+        root = ET.fromstring((tmp_path / "out" / "scatter.svg").read_text())
+        width, height = float(root.get("width")), float(root.get("height"))
+        ns = "{http://www.w3.org/2000/svg}"
+        rects = root.findall(f"{ns}rect")
+        circles = root.findall(f"{ns}circle")
+        assert len(rects) > 2 and len(circles) == 40
+        for rect in rects:
+            x, y = float(rect.get("x")), float(rect.get("y"))
+            w, h = float(rect.get("width")), float(rect.get("height"))
+            assert 0 <= x <= x + w <= width and 0 <= y <= y + h <= height, rect.attrib
+        for circle in circles:
+            assert 0 <= float(circle.get("cx")) <= width, circle.attrib
+            assert 0 <= float(circle.get("cy")) <= height, circle.attrib
+
+
+def reference_colour(r):
+    """The scalar blue -> white -> red rule the array colours replaced."""
+    r = max(-1.0, min(1.0, r if math.isfinite(r) else 0.0))
+    white, blue, red = (247, 247, 247), (33, 102, 172), (178, 24, 43)
+    a, b, frac = (white, blue, -r) if r < 0 else (white, red, r)
+    rgb = tuple(round(a[i] + (b[i] - a[i]) * frac) for i in range(3))
+    return f"#{rgb[0]:02x}{rgb[1]:02x}{rgb[2]:02x}"
+
+
+class TestHeatmapColours:
+    def test_match_the_scalar_rule(self):
+        grid = np.linspace(-1.0, 1.0, 200_001)
+        # NaN, +-inf, out of range, and fractions whose odd channel steps land
+        # exactly half-way between integers (rounded half to even)
+        extra = [np.nan, np.inf, -np.inf, -0.0, 1.5, -1.5, 1e300, -1e-300,
+                 np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+                 0.5, -0.5, 0.25, -0.25, 0.75, -0.75, 0.125, -0.125]
+        values = np.concatenate([grid, extra]).reshape(-1, 1)
+        got = [row[0] for row in _diverging(values)]
+        assert got == [reference_colour(v) for v in values[:, 0].tolist()]
+
+    def test_two_dimensional_layout(self):
+        values = np.array([[-1.0, 0.0, 1.0], [np.nan, 0.5, -0.5]])
+        assert _diverging(values) == [[reference_colour(v) for v in row]
+                                      for row in values.tolist()]
 
 
 class TestHeatmap:
