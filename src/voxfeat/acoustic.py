@@ -2,19 +2,24 @@
 
 Pitch (difference-function method), jitter/shimmer/HNR from picked glottal
 cycles, MFCC, spectral shape/contrast/flux/band slopes, energy scalars,
-tempo, and polynomial spectrum fits. The spectral kernels take plain
+tempo, and least-squares spectrum lines. The spectral kernels take plain
 magnitude arrays with the frames on the leading axes and the bins on the
 last, beside the bins' frequencies, so one frame, a block of frames and a
 whole spectrogram run the same code; their settings are module constants.
-An Analysis computes them in one pass over blocks of BLOCK_FRAMES frames
-and keeps only the per-frame series, so its memory follows the block, not
-the recording. Everything here is pure and deterministic: the same
+An Analysis computes them in one pass over blocks of frames and keeps only
+the per-frame series, so its memory follows the block, not the recording.
+
+F0 and the descriptor pass each copy every block's frames into the
+zero-padded rows of one workspace per recording, so each FFT runs on
+contiguous full-length rows, and the same memory then holds the block's
+later intermediates. The F0 track and every descriptor series but
+poly_slope and poly_intercept are bit for bit what a fresh array per step
+gives (tests pin both). Everything here is pure and deterministic: the same
 AudioBuffer always yields bit-identical outputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -26,14 +31,20 @@ from .errors import InvalidBandConfig, InvalidRange
 
 SPECTRAL_FLOOR = 1e-10  # applied before any log so silence stays finite
 
-# Frames per block of F0 and of the descriptor pass: peak memory follows
+# Frames per block of the descriptor pass and of HNR: peak memory follows
 # this, not the recording. The descriptor pass folds a short tail into the
 # block before it, because its BLAS-backed rows (the mel projection and
-# DCT, the band slopes, the polynomial fit) change in their last bits on
-# blocks of under about 70 frames; from 256 up they match the
-# whole-recording batch bit for bit (numpy 2.4.6 with OpenBLAS; tests pin
-# it).
+# DCT, the band slopes, the line fit) change in their last bits on blocks
+# of under about 70 frames; from 256 up they match the whole-recording
+# batch bit for bit (numpy 2.4.6 with OpenBLAS; tests pin it). Its
+# workspace holds the largest block's frames zero-padded to n_fft, plus two
+# more values a frame, and is reused by every block.
 BLOCK_FRAMES = 256
+# Rows per batched FFT call, so at most this many rows' spectra are alive at
+# once: F0 runs blocks of this many frames, and the descriptor pass
+# transforms its block in slabs of this many. The FFT treats rows one by
+# one, so this changes no bit of any output.
+FFT_ROWS = 128
 CONTRAST_BANDS = 4
 CONTRAST_FMIN_HZ = 200.0
 CONTRAST_QUANTILE = 0.02
@@ -144,8 +155,16 @@ def f0_track(
     A frame is unvoiced (NaN) when no normalized-difference dip falls below
     the voicing threshold, or when the interpolated frequency leaves
     [f_min, f_max]. The integration window is one maximum period, so each
-    frame consumes 2*ceil(sr/f_min) samples. Frames are processed in
-    batches of BLOCK_FRAMES; each frame is independent of the others.
+    frame consumes 2*ceil(sr/f_min) samples.
+
+    Frames are processed in blocks of FFT_ROWS in one (block, n_fft)
+    workspace, allocated once per recording. Each block's doubled heads and
+    then its frames are copied into the rows, so every FFT runs on
+    contiguous rows already zero-padded to n_fft; the same rows then hold
+    the prefix-summed energies, the inverse transform and the running sums.
+    The track is bit for bit what the same steps give with a fresh array
+    each, and each frame is independent of the others, so the block size
+    changes no bit of it either.
     """
     if not 0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
@@ -162,66 +181,93 @@ def f0_track(
         return FrameSeries("f0", np.empty(0), hop_seconds)
     # each block is a basic slice of this strided view, not a gathered copy
     frames = np.lib.stride_tricks.sliding_window_view(x, chunk)[::hop]
-    periods = np.empty(frames.shape[0])
-    for start in range(0, frames.shape[0], BLOCK_FRAMES):
-        stop = start + BLOCK_FRAMES
-        periods[start:stop] = _yin_periods(frames[start:stop], tau_min, tau_max, threshold)
+    n_frames = frames.shape[0]
+    # Any n_fft >= 2*tau_max keeps wrapped (negative) lags out of 0..tau_max,
+    # so take the smallest 2^a 3^b, not the next power of two: 576 points, not
+    # 1024, at 16 kHz and f_min 60 Hz
+    work = np.empty((min(FFT_ROWS, n_frames), _next_smooth(chunk)))
+    periods = np.empty(n_frames)
+    for start in range(0, n_frames, FFT_ROWS):
+        segs = frames[start: start + FFT_ROWS]
+        periods[start: start + segs.shape[0]] = _yin_periods(
+            segs, work[: segs.shape[0]], tau_min, tau_max, threshold)
     f0 = sr / periods
     return FrameSeries("f0", np.where((f0 >= f_min) & (f0 <= f_max), f0, np.nan), hop_seconds)
 
 
-def _yin_periods(segs: np.ndarray, tau_min: int, tau_max: int, threshold: float) -> np.ndarray:
+def _yin_periods(segs: np.ndarray, work: np.ndarray, tau_min: int, tau_max: int,
+                 threshold: float) -> np.ndarray:
     """Interpolated period in samples of each (frame, 2*tau_max) segment,
-    NaN where no lag dips below the threshold."""
-    n = segs.shape[0]
+    NaN where no lag dips below the threshold. `work` is a (frames, n_fft)
+    scratch array, n_fft >= 2*tau_max; its contents are overwritten."""
+    n, chunk = segs.shape
     w = tau_max
-    # windowed cross term C(tau) = sum_{n<w} x[n] x[n+tau] via one batched fft.
-    # Any n_fft >= 2*tau_max keeps wrapped (negative) lags out of 0..tau_max,
-    # so take the smallest 2^a 3^b, not the next power of two: 576 points, not
-    # 1024, at 16 kHz and f_min 60 Hz
-    n_fft = _next_smooth(segs.shape[1])
-    spec_head = np.fft.rfft(segs[:, :w], n_fft, axis=1)
-    np.conj(spec_head, out=spec_head)
-    spec_head *= np.fft.rfft(segs, n_fft, axis=1)
-    cross = np.fft.irfft(spec_head, n_fft, axis=1)[:, : tau_max + 1]
-    del spec_head
+    n_fft = work.shape[1]
+    # windowed cross term 2C(tau) = 2 sum_{n<w} x[n] x[n+tau] via one batched
+    # fft of the doubled head against the whole segment. Doubling is exact,
+    # so the inverse transform is 2C bit for bit
+    np.multiply(segs[:, :w], 2.0, out=work[:, :w])
+    work[:, w:] = 0.0
+    spec = np.fft.rfft(work)
+    np.conj(spec, out=spec)
+    work[:, :chunk] = segs
+    spec *= np.fft.rfft(work)
 
-    # csum[:, k] is the energy of the first k + 1 samples. The difference
-    # d(tau) = E(0..w) + E(tau..tau+w) - 2 C(tau) and then its normalized
-    # form d'(tau) are built in place in dp[:, 1:], with d'(0) = 1
-    csum = np.multiply(segs, segs)
+    # work[:, k] becomes the energy of the first k + 1 samples. The difference
+    # d(tau) = E(0..w) + E(tau..tau+w) - 2 C(tau) is built in place in dp[:, 1:]
+    csum = work[:, :chunk]
+    np.multiply(csum, csum, out=csum)
     np.cumsum(csum, axis=1, out=csum)
-    taus = np.arange(tau_max + 1)
     dp = np.empty((n, tau_max + 1))
-    dp[:, 0] = 1.0
     diff = dp[:, 1:]
     np.subtract(csum[:, w: w + tau_max], csum[:, :tau_max], out=diff)
     diff += csum[:, w - 1, None]
-    del csum
-    cross = cross[:, 1:]
-    cross *= 2.0
-    diff -= cross
+    np.fft.irfft(spec, n_fft, out=work)
+    del spec
+    diff -= work[:, 1: tau_max + 1]
     np.maximum(diff, 0.0, out=diff)
+    return _cmnd_periods(dp, tau_min, threshold, work[:, :tau_max])
 
-    # cumulative mean normalization; digital silence keeps dp at 1 (unvoiced)
-    run = np.cumsum(diff, axis=1)
-    diff *= taus[1:]
-    positive = run > 0
-    np.divide(diff, run, out=diff, where=positive)
-    diff[~positive] = 1.0
+
+def _cmnd_periods(dp: np.ndarray, tau_min: int, threshold: float,
+                  run: np.ndarray) -> np.ndarray:
+    """Interpolated period of each row of a difference function, NaN where
+    no lag dips below the threshold. dp[:, 1:] holds d(tau) >= 0 for tau =
+    1..tau_max and becomes its cumulative-mean-normalized form d'(tau) in
+    place, and dp[:, 0] becomes d'(0) = 1; `run` is (rows, tau_max) scratch."""
+    tau_max = dp.shape[1] - 1
+    dp[:, 0] = 1.0
+    diff = dp[:, 1:]
+    # The running sum never decreases along a row, so it is positive
+    # everywhere once its first lag is; only a row whose first lags are
+    # digitally silent needs the mask that keeps d' at 1
+    np.cumsum(diff, axis=1, out=run)
+    diff *= np.arange(1, tau_max + 1)
+    if run[:, 0].all():
+        diff /= run
+    else:
+        positive = run > 0
+        np.divide(diff, run, out=diff, where=positive)
+        diff[~positive] = 1.0
 
     # the first lag below the threshold, walked downhill to its local minimum
-    # (the first lag before tau_max whose successor does not descend); with
-    # no dip, the global minimum, which must itself be below the threshold
+    # (the first lag before tau_max whose successor does not descend), one
+    # lag a step for the rows still descending; with no dip, the global
+    # minimum, which must itself be below the threshold
+    rows = np.arange(dp.shape[0])
     below = dp[:, tau_min:tau_max] < threshold
-    first = tau_min + np.argmax(below, axis=1)
-    settled = np.ones((n, tau_max), dtype=bool)
-    settled[:, :-1] = ~(dp[:, 1:tau_max] < dp[:, : tau_max - 1])
-    walked = np.argmax(settled & (taus[:tau_max] >= first[:, None]), axis=1)
-    tau = np.where(below.any(axis=1), walked,
-                   tau_min + np.argmin(dp[:, tau_min:], axis=1))
+    tau = tau_min + np.argmax(below, axis=1)
+    dipped = below[rows, tau - tau_min]
+    del below
+    dipless = np.flatnonzero(~dipped)
+    if dipless.size:
+        tau[dipless] = tau_min + np.argmin(dp[dipless, tau_min:], axis=1)
+    walking = np.flatnonzero(dipped)
+    while walking.size:
+        t = tau[walking]
+        walking = walking[(t < tau_max - 1) & (dp[walking, t + 1] < dp[walking, t])]
+        tau[walking] += 1
 
-    rows = np.arange(n)
     b = dp[rows, tau]
     delta, _ = _parabola(dp[rows, tau - 1], b, dp[rows, np.minimum(tau + 1, tau_max)],
                          tau < tau_max)
@@ -278,19 +324,22 @@ def _cycle_peaks_by_region(
     for region in regions:
         i0, i1 = int(region[0]), int(region[-1])
         f = f0.values[i0: i1 + 1]  # all voiced, so every period is finite
-        periods = (sample_rate_hz / f).tolist()
+        periods = sample_rate_hz / f
+        # each frame's search window, as offsets from the peak before
+        near = np.floor(0.8 * periods).astype(np.int64).tolist()
+        far = (np.ceil(1.25 * periods).astype(np.int64) + 1).tolist()
         start = i0 * hop
         end = min(x.size, i1 * hop + int(2 * sample_rate_hz / float(f.min())))
-        seed_end = min(x.size, start + int(1.5 * periods[0]))
+        seed_end = min(x.size, start + int(1.5 * float(periods[0])))
         if seed_end - start < 3:
             continue
         p = start + int(x[start:seed_end].argmax())
         peaks = [p]
+        last = x.size - 1
         while True:
-            period = periods[min(max(round(p / hop), i0), i1) - i0]
-            lo = p + math.floor(0.8 * period)
-            hi = p + math.ceil(1.25 * period) + 1
-            if hi > end or lo >= x.size - 1:
+            i = min(max(round(p / hop), i0), i1) - i0
+            lo, hi = p + near[i], p + far[i]
+            if hi > end or lo >= last:
                 break
             p = lo + int(x[lo:hi].argmax())
             peaks.append(p)
@@ -511,7 +560,11 @@ def _contrast(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     Band i spans [fmin*2^i, fmin*2^(i+1)) from fmin = CONTRAST_FMIN_HZ,
     clipped to Nyquist (freqs[-1]); contrast is log(mean of the top
     CONTRAST_QUANTILE of the band's magnitudes) - log(mean of the bottom
-    quantile), at least one bin per side. Empty bands yield NaN.
+    quantile), at least one bin per side. Empty bands yield NaN. With one
+    bin per side (every band at 16 kHz and 25 ms frames) the means are the
+    band's minimum and maximum; with more, the extremes are partitioned out
+    and sorted, so each mean adds the same values in the same order as a
+    sort of the whole band would.
     """
     nyquist = freqs[-1]
     out = np.full(mags.shape[:-1] + (CONTRAST_BANDS,), np.nan)
@@ -519,14 +572,19 @@ def _contrast(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         lo = CONTRAST_FMIN_HZ * 2.0 ** i
         hi = min(CONTRAST_FMIN_HZ * 2.0 ** (i + 1), nyquist)
         sel = (freqs >= lo) & (freqs < hi) if hi < nyquist else (freqs >= lo) & (freqs <= hi)
-        n_sel = int(sel.sum())
+        band = mags[..., sel]
+        n_sel = band.shape[-1]
         if n_sel == 0:
             continue
         count = max(1, int(CONTRAST_QUANTILE * n_sel))
-        ordered = np.sort(mags[..., sel], axis=-1)
-        valley = np.maximum(ordered[..., :count].mean(axis=-1), SPECTRAL_FLOOR)
-        peak = np.maximum(ordered[..., -count:].mean(axis=-1), SPECTRAL_FLOOR)
-        out[..., i] = np.log(peak) - np.log(valley)
+        if count == 1:
+            valley, peak = band.min(axis=-1), band.max(axis=-1)
+        else:
+            ends = np.partition(band, (count - 1, n_sel - count), axis=-1)
+            valley = np.sort(ends[..., :count], axis=-1).mean(axis=-1)
+            peak = np.sort(ends[..., -count:], axis=-1).mean(axis=-1)
+        out[..., i] = (np.log(np.maximum(peak, SPECTRAL_FLOOR))
+                       - np.log(np.maximum(valley, SPECTRAL_FLOOR)))
     return out
 
 
@@ -560,24 +618,36 @@ def _tempo_bpm(onset: np.ndarray, hop_s: float) -> float:
     return 60.0 / (lags[int(np.argmax(agg))] * hop_s)
 
 
+def _centred_fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares slope of y against x over the last axis, and the mean
+    of y: the closed form on centred x and y, sum((y - mean y)(x - mean x))
+    / sum((x - mean x)^2). A constant y has slope exactly 0 whenever x's
+    centred values are exact (bin frequencies are, at sr / 2^k Hz apart)."""
+    mean = y.mean(axis=-1, keepdims=True)
+    centred = x - x.mean()
+    return (y - mean) @ centred / (centred @ centred), mean[..., 0]
+
+
 def _line_fit(mags: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slope and intercept of each frame's least-squares line through
-    magnitude against frequency."""
-    slope, intercept = np.polyfit(freqs, mags.T, 1)
-    return slope, intercept
+    magnitude against frequency, in closed form (see _centred_fit): the
+    intercept is mean(mags) - slope * mean(freqs). One matrix-vector product
+    replaces np.polyfit's SVD solve, whose last bits it does not share: per
+    frame they agree within 2e-11 relative on the benchmark's recordings,
+    and where a slope is near 0 the closed form is the closer of the two to
+    the exact fit."""
+    slope, mean = _centred_fit(mags, freqs)
+    return slope, mean - slope * freqs.mean()
 
 
 def _band_slope(floored: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Least-squares slope (dB/Hz) over [lo, hi] of the log-power spectrum,
-    from the power already floored at SPECTRAL_FLOOR; NaN below two bins."""
+    from the power already floored at SPECTRAL_FLOOR; NaN below two bins.
+    Exactly 0 for a flat (or silent) band (see _centred_fit)."""
     sel = (freqs >= lo) & (freqs <= hi)
     if sel.sum() < 2:
         return np.full(floored.shape[:-1], np.nan)[()]
-    power_db = 10.0 * np.log10(floored[..., sel])
-    # closed form on centred frequencies: exactly 0 for a flat (or silent) band
-    centred = freqs[sel] - freqs[sel].mean()
-    return ((power_db - power_db.mean(axis=-1, keepdims=True)) @ centred
-            / (centred @ centred))[()]
+    return _centred_fit(10.0 * np.log10(floored[..., sel]), freqs[sel])[0][()]
 
 
 def _db_ratio(num: np.ndarray, den: np.ndarray, scale: float) -> np.ndarray:
@@ -612,15 +682,18 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
 
     One pass over blocks of BLOCK_FRAMES to 2*BLOCK_FRAMES-1 frames (the
     last block takes the tail; a recording with fewer frames is one block):
-    each block is windowed, transformed and reduced to its rows, then
-    freed, so the windowed frames and the spectrogram never exist for the
-    whole recording. Returns (n_frames,) series rms, zcr, centroid, bandwidth,
-    rolloff, flatness, poly_slope, poly_intercept, slope_<lo>_<hi> for each
-    SLOPE_BANDS_HZ band, alpha_ratio, hammarberg and flux; and (n_frames, k)
-    series mfcc (every coefficient, k = n_mels) and contrast (k =
-    CONTRAST_BANDS). Flux carries the previous block's last log-magnitude
-    row across each boundary; it is all NaN below two frames, where no
-    frame has a predecessor.
+    each block is windowed into the rows of one zero-padded (block, n_fft)
+    workspace, allocated once per recording, transformed and reduced to its
+    rows, so the windowed frames and the spectrogram never exist for the
+    whole recording. Returns (n_frames,) series rms, zcr, centroid,
+    bandwidth, rolloff, flatness, poly_slope, poly_intercept,
+    slope_<lo>_<hi> for each SLOPE_BANDS_HZ band, alpha_ratio, hammarberg
+    and flux; and (n_frames, k) series mfcc (every coefficient, k = n_mels)
+    and contrast (k = CONTRAST_BANDS). Flux carries the previous block's
+    last log-magnitude row across each boundary; it is all NaN below two
+    frames, where no frame has a predecessor. Every series but poly_slope
+    and poly_intercept (see _line_fit) is bit for bit what the same kernels
+    give on the whole recording's spectrogram.
     """
     frame_len, hop = _frame_geometry(buf, config)
     raw = raw_frames(buf, frame_len, hop)
@@ -632,10 +705,14 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     basis = dct_basis(config.n_mels, config.n_mels)
     n_frames = raw.shape[0]
     edges = [i * BLOCK_FRAMES for i in range(max(1, n_frames // BLOCK_FRAMES))] + [n_frames]
+    # the last block is the largest; n_fft + 2 values a frame also hold its
+    # magnitudes and then its logs or power, n_fft/2 + 1 values each
+    work = np.empty((edges[-1] - edges[-2]) * (n_fft + 2))
     out: dict[str, np.ndarray] = {}
     before = None
     for start, stop in zip(edges, edges[1:]):
-        rows, before = _block_rows(raw[start:stop], window, n_fft, freqs, bank, basis, before)
+        rows, before = _block_rows(raw[start:stop], window, work, freqs, bank, basis, before)
+        rows["zcr"] = _zcr(buf.samples[start * hop: (stop - 1) * hop + frame_len], frame_len, hop)
         for name, value in rows.items():
             if name not in out:
                 out[name] = np.empty((n_frames,) + value.shape[1:])
@@ -645,31 +722,54 @@ def frame_descriptors(buf: AudioBuffer, config: AcousticConfig) -> dict[str, np.
     return out
 
 
-def _block_rows(raw: np.ndarray, window: np.ndarray, n_fft: int, freqs: np.ndarray,
+def _zcr(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
+    """Zero-crossing rate of each frame_len-sample frame of `samples`, one
+    every hop: the share of the frame's neighbouring sample pairs whose
+    product is negative. The crossings are found once over the span, not
+    once per overlapping frame, and each frame counts its own by bisection."""
+    crossings = np.flatnonzero(samples[:-1] * samples[1:] < 0)
+    starts = np.arange(0, samples.size - frame_len + 1, hop)
+    ends = np.searchsorted(crossings, starts + frame_len - 1)
+    return (ends - np.searchsorted(crossings, starts)) / (frame_len - 1)
+
+
+def _block_rows(raw: np.ndarray, window: np.ndarray, work: np.ndarray, freqs: np.ndarray,
                 bank: np.ndarray, basis: np.ndarray, before: np.ndarray | None
                 ) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """frame_descriptors' rows of one block of raw frames, and the block's
-    last log-magnitude row (flux's `before` for the next block).
+    """frame_descriptors' rows of one block of raw frames, but zcr (see
+    _zcr), and the block's last log-magnitude row (flux's `before` for the
+    next block).
 
-    zcr counts sign changes of the raw frame, rms is taken over the windowed
-    one. The steps are ordered, and each array is dropped once read, so that
-    at most three (frames, bins) float arrays, or the windowed frames and
-    their transform, are alive at once; the power spectrum is floored in
-    place."""
-    windowed = raw * window
-    rows = {"zcr": (raw[:, :-1] * raw[:, 1:] < 0).sum(axis=1) / (raw.shape[1] - 1),
-            "rms": np.sqrt(np.mean(windowed ** 2, axis=1))}
-    transform = np.fft.rfft(windowed, n_fft, axis=-1)
-    del windowed
-    mags = np.abs(transform)
+    rms is taken over the windowed frame. `work` is flat scratch of at
+    least frames * (n_fft + 2) values, overwritten: first the windowed
+    frames as (frames, n_fft) rows zero-padded to n_fft, transformed
+    FFT_ROWS rows at a time; each slab's magnitudes then go to a contiguous
+    (frames, n_fft/2 + 1) array at its start, which reaches only rows
+    already transformed, and the log-magnitudes and then the power spectrum
+    to a second one after it. Beside `work`, at most two (frames, bins)
+    float arrays or one slab's transform are alive at once."""
+    n, frame_len = raw.shape
+    n_bins = freqs.size
+    n_fft = 2 * n_bins - 2
+    rows = {"rms": np.empty(n)}
+    frames = work[: n * n_fft].reshape(n, n_fft)
+    np.multiply(raw, window, out=frames[:, :frame_len])
+    frames[:, frame_len:] = 0.0
+    mags = work[: n * n_bins].reshape(n, n_bins)
+    for start in range(0, n, FFT_ROWS):
+        slab = slice(start, start + FFT_ROWS)
+        transform = np.fft.rfft(frames[slab])
+        squares = np.square(frames[slab, :frame_len], out=frames[slab, :frame_len])
+        rows["rms"][slab] = np.sqrt(np.mean(squares, axis=1))
+        np.abs(transform, out=mags[slab])
     del transform
-    logs = np.log(np.maximum(mags, SPECTRAL_FLOOR))
+    spare = work[n * n_bins: 2 * n * n_bins].reshape(n, n_bins)
+    logs = np.log(np.maximum(mags, SPECTRAL_FLOOR, out=spare), out=spare)
     rows["flux"] = _log_rises(logs, logs[:1] if before is None else before)
-    before = logs[-1:].copy()  # a copy, so the block's logs can be freed
-    del logs
+    before = logs[-1:].copy()  # a copy: the power spectrum overwrites the logs
     rows["poly_slope"], rows["poly_intercept"] = _line_fit(mags, freqs)
     rows.update(contrast=_contrast(mags, freqs), hammarberg=_hammarberg(mags, freqs))
-    power = mags ** 2
+    power = np.square(mags, out=spare)
     rows.update(mfcc=_cepstra(power, bank, basis), alpha_ratio=_alpha_ratio(power, freqs))
     shape, floored = _spectral_shape(mags, power, freqs)
     rows.update({name: shape[f"{name}_hz"] for name in ("centroid", "bandwidth", "rolloff")},

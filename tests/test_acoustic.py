@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import struct
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -460,6 +461,51 @@ class TestLineFit:
         slope, intercept = line_fit(Spectrum(0.002 * spec_freqs + 0.5, 100.0))
         assert slope == pytest.approx(0.002, abs=1e-9)
         assert intercept == pytest.approx(0.5, abs=1e-9)
+
+
+class TestLineFitOracle:
+    """_line_fit is the closed-form line on centred frequencies, not
+    np.polyfit's solve: equal to rounding, and exact where the answer is."""
+
+    freqs = np.arange(257) * (SR / 512)
+
+    def test_matches_polyfit(self):
+        # random magnitudes on a falling trend, so that no slope is near 0,
+        # where a relative comparison would measure polyfit's own rounding
+        rng = np.random.default_rng(3)
+        mags = rng.random((200, self.freqs.size)) + np.linspace(2.0, 0.0, self.freqs.size)
+        slope, intercept = acoustic._line_fit(mags, self.freqs)
+        want = np.polyfit(self.freqs, mags.T, 1)
+        np.testing.assert_allclose(slope, want[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(intercept, want[1], rtol=1e-12, atol=0)
+
+    def test_matches_the_exact_fit(self):
+        # on plain random magnitudes, slopes near 0 included, against the
+        # least-squares line in exact rational arithmetic
+        mags = np.random.default_rng(5).random((8, self.freqs.size))
+        slope, intercept = acoustic._line_fit(mags, self.freqs)
+        xs = [Fraction(float(f)) for f in self.freqs]
+        x_mean = sum(xs) / len(xs)
+        for row, got_slope, got_intercept in zip(mags, slope, intercept):
+            ys = [Fraction(float(v)) for v in row]
+            y_mean = sum(ys) / len(ys)
+            exact = (sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+                     / sum((x - x_mean) ** 2 for x in xs))
+            assert abs(Fraction(float(got_slope)) - exact) <= 1e-13 * abs(exact)
+            exact_intercept = y_mean - exact * x_mean
+            assert abs(Fraction(float(got_intercept)) - exact_intercept) <= (
+                1e-13 * abs(exact_intercept))
+
+    @pytest.mark.parametrize("sr, n_fft", [(SR, 512), (SR, 2048), (44100, 2048), (8000, 256)])
+    def test_flat_and_silent_frames_have_slope_exactly_zero(self, sr, n_fft):
+        # levels whose mean over the bins rounds off the level itself as well
+        rng = np.random.default_rng(4)
+        levels = np.concatenate([[0.0], rng.random(300) * 10.0 ** rng.integers(-6, 3, 300)])
+        freqs = np.arange(n_fft // 2 + 1) * (sr / n_fft)
+        mags = np.repeat(levels[:, None], freqs.size, axis=1)
+        slope, intercept = acoustic._line_fit(mags, freqs)
+        assert np.all(slope == 0.0)
+        np.testing.assert_allclose(intercept, levels, rtol=1e-14, atol=0)
 
 
 class TestDeterminismAndFraming:
@@ -936,9 +982,17 @@ def reference_yin_periods(segs, tau_min, tau_max, threshold):
     spec_head = np.fft.rfft(segs[:, :w], n_fft, axis=1)
     cross = np.fft.irfft(np.conj(spec_head) * spec_full, n_fft, axis=1)[:, : tau_max + 1]
     csum = np.concatenate([np.zeros((n, 1)), np.cumsum(segs * segs, axis=1)], axis=1)
-    taus = np.arange(tau_max + 1)
     energy_tau = csum[:, w: w + tau_max + 1] - csum[:, : tau_max + 1]
     diff = np.maximum(csum[:, w][:, None] + energy_tau - 2.0 * cross, 0.0)
+    return reference_cmnd_periods(diff, tau_min, threshold)[0]
+
+
+def reference_cmnd_periods(diff, tau_min, threshold):
+    """The normalization and lag pick as they were: a mask for every row, and
+    two (frames x lags) boolean arrays for the downhill walk. Returns the
+    periods and the normalized rows."""
+    n, tau_max = diff.shape[0], diff.shape[1] - 1
+    taus = np.arange(tau_max + 1)
     run = np.cumsum(diff[:, 1:], axis=1)
     dp = np.ones_like(diff)
     positive = run > 0
@@ -953,7 +1007,7 @@ def reference_yin_periods(segs, tau_min, tau_max, threshold):
     b = dp[rows, tau]
     delta, _ = acoustic._parabola(dp[rows, tau - 1], b, dp[rows, np.minimum(tau + 1, tau_max)],
                                   tau < tau_max)
-    return np.where(b < threshold, tau + delta, np.nan)
+    return np.where(b < threshold, tau + delta, np.nan), dp
 
 
 def reference_block_f0(buf, f_min=60.0, f_max=500.0, hop_seconds=0.010, threshold=0.15):
@@ -1015,7 +1069,11 @@ def reference_descriptors(buf, config):
                                           / (centred @ centred))
         low = (mags ** 2)[..., (freqs >= 50.0) & (freqs <= 1000.0)].sum(axis=-1)
         high = (mags ** 2)[..., (freqs > 1000.0) & (freqs <= 5000.0)].sum(axis=-1)
-        poly = np.polyfit(freqs, mags.T, 1)
+        # the closed-form line on centred frequencies, not np.polyfit's solve
+        centred = freqs - freqs.mean()
+        mean = mags.mean(axis=-1)
+        slope = (mags - mean[:, None]) @ centred / (centred @ centred)
+        poly = (slope, mean - slope * freqs.mean())
         rows = {
             "zcr": (raw[:, :-1] * raw[:, 1:] < 0).sum(axis=1) / (block.frame_len - 1),
             "rms": np.sqrt(np.mean(block.frames ** 2, axis=1)),
@@ -1127,12 +1185,117 @@ class TestBlocksMatchReferences:
                                       reference_block_f0(buf, **kwargs))
 
 
+def crafted_differences(tau_max=40):
+    """Difference-function rows d(tau), tau = 0..tau_max, shaped to reach
+    each branch of the normalization and the lag pick (tau_min 4, threshold
+    0.15)."""
+    rows = {}
+    d = np.ones(tau_max + 1)
+    d[8:10] = (0.1, 0.05)
+    d[10:14] = 0.0  # d' descends into an exact plateau of zeros
+    rows["plateau"] = d
+    d = np.ones(tau_max + 1)
+    d[30:] = 0.1 * (tau_max + 1 - np.arange(30, tau_max + 1)) / 11
+    rows["descends_past_tau_max_minus_1"] = d  # the walk stops at tau_max - 1
+    d = np.ones(tau_max + 1)
+    d[tau_max] = 0.0
+    rows["dip_only_at_tau_max"] = d  # the argmin fallback finds it
+    rows["no_dip"] = np.ones(tau_max + 1)
+    rows["silent"] = np.zeros(tau_max + 1)
+    d = 0.5 + 0.5 * np.cos(2 * np.pi * np.arange(tau_max + 1) / 20)
+    d[1:8] = 0.0  # its running sum starts at 0, and stays 0 past tau_min
+    rows["silent_first_lags"] = d
+    rng = np.random.default_rng(11)
+    for i in range(4):
+        rows[f"random_{i}"] = rng.random(tau_max + 1) * np.linspace(1.0, 0.05, tau_max + 1)
+    return rows
+
+
+class TestLagPick:
+    """_cmnd_periods equals the normalization with a mask for every row and
+    the walk over two (frames x lags) boolean arrays that it replaced."""
+
+    @staticmethod
+    def pick(d):
+        """The periods of rows d, and d normalized as _cmnd_periods leaves it."""
+        d = np.atleast_2d(d).copy()
+        run = np.empty((d.shape[0], d.shape[1] - 1))
+        return acoustic._cmnd_periods(d, 4, 0.15, run), d
+
+    def check(self, d, name=""):
+        got, want = self.pick(d), reference_cmnd_periods(np.atleast_2d(d), 4, 0.15)
+        assert same_bytes(got[0], want[0]), name
+        assert same_bytes(got[1], want[1]), name
+
+    def test_each_crafted_row(self):
+        for name, d in crafted_differences().items():
+            self.check(d, name)
+
+    def test_rows_together(self):
+        rows = crafted_differences()
+        self.check(np.array(list(rows.values())))
+        # without the rows whose running sum starts at 0, no mask is needed
+        self.check(np.array([v for k, v in rows.items() if not k.startswith("silent")]))
+
+    def test_branches_reached(self):
+        periods = dict(zip(crafted_differences(), self.pick(np.array(
+            list(crafted_differences().values())))[0]))
+        assert 10.0 <= periods["plateau"] <= 10.5
+        assert 38.5 <= periods["descends_past_tau_max_minus_1"] <= 39.5
+        assert periods["dip_only_at_tau_max"] == 40.0
+        for name in ("no_dip", "silent"):
+            assert np.isnan(periods[name]), name
+        assert 9.5 <= periods["silent_first_lags"] <= 10.5
+
+
+def reference_contrast(mags, freqs):
+    """_contrast as it was: every band sorted whole."""
+    nyquist = freqs[-1]
+    out = np.full(mags.shape[:-1] + (acoustic.CONTRAST_BANDS,), np.nan)
+    for i in range(acoustic.CONTRAST_BANDS):
+        lo = acoustic.CONTRAST_FMIN_HZ * 2.0 ** i
+        hi = min(acoustic.CONTRAST_FMIN_HZ * 2.0 ** (i + 1), nyquist)
+        sel = (freqs >= lo) & (freqs < hi) if hi < nyquist else (freqs >= lo) & (freqs <= hi)
+        n_sel = int(sel.sum())
+        if n_sel == 0:
+            continue
+        count = max(1, int(acoustic.CONTRAST_QUANTILE * n_sel))
+        ordered = np.sort(mags[..., sel], axis=-1)
+        valley = np.maximum(ordered[..., :count].mean(axis=-1), acoustic.SPECTRAL_FLOOR)
+        peak = np.maximum(ordered[..., -count:].mean(axis=-1), acoustic.SPECTRAL_FLOOR)
+        out[..., i] = np.log(peak) - np.log(valley)
+    return out
+
+
+class TestContrastPartition:
+    """With 100 ms frames (n_fft 2048) the two upper bands average 2 and 4
+    bins a side, which _contrast partitions out instead of sorting the band."""
+
+    def test_partition_path_matches_the_sort_rule(self):
+        cfg = AcousticConfig(frame_seconds=0.1)
+        buf = tone_of(FRAME_LEN * 4 + 599 * F0_HOP)  # 600 frames: two blocks
+        spec = spectra(analysis_frames(buf, cfg))
+        freqs = freqs_of(spec)
+        counts = [int(acoustic.CONTRAST_QUANTILE * np.sum((freqs >= lo) & (freqs < 2 * lo)))
+                  for lo in (200.0, 400.0, 800.0, 1600.0)]
+        assert counts == [0, 1, 2, 4]
+        got = frame_descriptors(buf, cfg)["contrast"]
+        assert got.shape == (600, 4)
+        assert same_bytes(got, reference_contrast(spec.magnitudes, freqs))
+        # and on a white-noise spectrum, where the extremes are scattered
+        noise = AudioBuffer(np.random.default_rng(2).normal(0, 0.2, 2 * SR), SR)
+        spec = spectra(analysis_frames(noise, cfg))
+        assert same_bytes(frame_descriptors(noise, cfg)["contrast"],
+                          reference_contrast(spec.magnitudes, freqs))
+
+
 class TestBlockMemory:
     """Traced peaks of F0 and the descriptor pass on 45 s of mono 16 kHz
     audio. With every step in a fresh array they were 8.75 MB for F0 and
-    6.1 MB for a descriptor block beside its 1.5 MB of series; in place they
-    are about 2.9 MB each, and a bound of 3.5 MB also catches a single
-    gathered copy of an F0 block (1.1 MB)."""
+    6.1 MB for a descriptor block beside its 1.5 MB of series. In their
+    workspaces they are about 1.9 MB for F0 (128-frame blocks) and 2.95 MB
+    for the descriptors (the 402-frame last block), and a bound of 3.5 MB
+    also catches F0 on 256-frame blocks (3.6 MB, with both spectra alive)."""
 
     @staticmethod
     def traced_peak(fn):

@@ -9,6 +9,7 @@ import multiprocessing
 import os
 import stat
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -724,6 +725,48 @@ class TestNearConstantColumns:
         report = run_analyze(tmp_path / "nan.csv", tmp_path / "out", cfg)
         assert "scatter.svg" in report["outputs"]
         assert (tmp_path / "out" / "scatter.svg").is_file()
+
+
+class TestInfiniteCells:
+    """An infinite cell stops analyze at load with an error that names it.
+    It used to pass as a constant column under the variance filter (with a
+    RuntimeWarning), or, with the filter off, to end the logistic fits in a
+    ConvergenceFailure that named no cell."""
+
+    @staticmethod
+    def write(path, cells):
+        """40 rows x 4 features of two-class data, a blank line after the
+        header, and the given {(row, column): text} cells replaced."""
+        rng = np.random.default_rng(0)
+        y = np.arange(40) % 2
+        x = rng.normal(size=(40, 4)) + y[:, None]
+        lines = ["row_id,f0,f1,f2,f3,target", ""]
+        for i in range(40):
+            row = [repr(float(v)) for v in x[i]] + [str(y[i])]
+            for (r, c), text in cells.items():
+                if r == i:
+                    row[c] = text
+            lines.append(",".join([f"r{i}", *row]))
+        path.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize("low_variance", [True, False])
+    @pytest.mark.parametrize("cells, where", [
+        ({(7, 2): "inf", (20, 0): "-inf"}, r"t\.csv:10: infinite cell in row 'r7', column 'f2'"),
+        ({(5, 4): "-Infinity", (9, 1): "inf"},
+         r"t\.csv:8: infinite cell in row 'r5', column 'target'"),
+    ])
+    def test_first_infinite_cell_is_named_at_load(self, tmp_path, low_variance, cells, where):
+        self.write(tmp_path / "t.csv", cells)
+        cfg = PipelineConfig(analyze=AnalyzeSpec(low_variance=low_variance))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SchemaError, match="stage 'load': .*" + where):
+                run_analyze(tmp_path / "t.csv", tmp_path / "out", cfg)
+
+    def test_nan_cells_still_load(self, tmp_path):
+        self.write(tmp_path / "t.csv", {(7, 2): "nan"})
+        report = run_analyze(tmp_path / "t.csv", tmp_path / "out", PipelineConfig())
+        assert "scatter.svg" in report["outputs"]
 
 
 def mutated_csv(path, seed):
