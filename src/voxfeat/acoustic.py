@@ -161,10 +161,10 @@ def f0_track(
     workspace, allocated once per recording. Each block's doubled heads and
     then its frames are copied into the rows, so every FFT runs on
     contiguous rows already zero-padded to n_fft; the same rows then hold
-    the prefix-summed energies, the inverse transform and the running sums.
-    The track is bit for bit what the same steps give with a fresh array
-    each, and each frame is independent of the others, so the block size
-    changes no bit of it either.
+    the prefix-summed energies and, once the inverse transform has been
+    subtracted, the running sums. The track is bit for bit what the same
+    steps give with a fresh array each, and each frame is independent of
+    the others, so the block size changes no bit of it either.
     """
     if not 0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
@@ -222,9 +222,8 @@ def _yin_periods(segs: np.ndarray, work: np.ndarray, tau_min: int, tau_max: int,
     diff = dp[:, 1:]
     np.subtract(csum[:, w: w + tau_max], csum[:, :tau_max], out=diff)
     diff += csum[:, w - 1, None]
-    np.fft.irfft(spec, n_fft, out=work)
+    diff -= np.fft.irfft(spec, n_fft)[:, 1: tau_max + 1]
     del spec
-    diff -= work[:, 1: tau_max + 1]
     np.maximum(diff, 0.0, out=diff)
     return _cmnd_periods(dp, tau_min, threshold, work[:, :tau_max])
 
@@ -238,17 +237,12 @@ def _cmnd_periods(dp: np.ndarray, tau_min: int, threshold: float,
     tau_max = dp.shape[1] - 1
     dp[:, 0] = 1.0
     diff = dp[:, 1:]
-    # The running sum never decreases along a row, so it is positive
-    # everywhere once its first lag is; only a row whose first lags are
-    # digitally silent needs the mask that keeps d' at 1
+    # d' stays 1 where the running sum is 0: lags of a digitally silent start
     np.cumsum(diff, axis=1, out=run)
     diff *= np.arange(1, tau_max + 1)
-    if run[:, 0].all():
-        diff /= run
-    else:
-        positive = run > 0
-        np.divide(diff, run, out=diff, where=positive)
-        diff[~positive] = 1.0
+    positive = run > 0
+    np.divide(diff, run, out=diff, where=positive)
+    diff[~positive] = 1.0
 
     # the first lag below the threshold, walked downhill to its local minimum
     # (the first lag before tau_max whose successor does not descend), one
@@ -562,9 +556,7 @@ def _contrast(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
     CONTRAST_QUANTILE of the band's magnitudes) - log(mean of the bottom
     quantile), at least one bin per side. Empty bands yield NaN. With one
     bin per side (every band at 16 kHz and 25 ms frames) the means are the
-    band's minimum and maximum; with more, the extremes are partitioned out
-    and sorted, so each mean adds the same values in the same order as a
-    sort of the whole band would.
+    band's minimum and maximum, read without sorting it.
     """
     nyquist = freqs[-1]
     out = np.full(mags.shape[:-1] + (CONTRAST_BANDS,), np.nan)
@@ -573,16 +565,14 @@ def _contrast(mags: np.ndarray, freqs: np.ndarray) -> np.ndarray:
         hi = min(CONTRAST_FMIN_HZ * 2.0 ** (i + 1), nyquist)
         sel = (freqs >= lo) & (freqs < hi) if hi < nyquist else (freqs >= lo) & (freqs <= hi)
         band = mags[..., sel]
-        n_sel = band.shape[-1]
-        if n_sel == 0:
+        if band.shape[-1] == 0:
             continue
-        count = max(1, int(CONTRAST_QUANTILE * n_sel))
+        count = max(1, int(CONTRAST_QUANTILE * band.shape[-1]))
         if count == 1:
             valley, peak = band.min(axis=-1), band.max(axis=-1)
         else:
-            ends = np.partition(band, (count - 1, n_sel - count), axis=-1)
-            valley = np.sort(ends[..., :count], axis=-1).mean(axis=-1)
-            peak = np.sort(ends[..., -count:], axis=-1).mean(axis=-1)
+            ordered = np.sort(band, axis=-1)
+            valley, peak = ordered[..., :count].mean(axis=-1), ordered[..., -count:].mean(axis=-1)
         out[..., i] = (np.log(np.maximum(peak, SPECTRAL_FLOOR))
                        - np.log(np.maximum(valley, SPECTRAL_FLOOR)))
     return out

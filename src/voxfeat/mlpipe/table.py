@@ -155,6 +155,12 @@ def table_to_csv_text(tbl: FeatureTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_lines(path: Path) -> list[tuple[int, str]]:
+    """The file's non-blank lines, each with its line number as the file
+    counts it (from 1, blank lines included)."""
+    return [(i, ln) for i, ln in enumerate(read_text(path).split("\n"), 1) if ln.strip()]
+
+
 def read_table_csv(path: str | Path) -> FeatureTable:
     """The table in a CSV written by table_to_csv_text (or by hand).
 
@@ -165,7 +171,7 @@ def read_table_csv(path: str | Path) -> FeatureTable:
     lines included. The target is a copy of the last column.
     """
     path = Path(path)
-    lines = [(i, ln) for i, ln in enumerate(read_text(path).split("\n"), 1) if ln.strip()]
+    lines = _csv_lines(path)
     if not lines:
         raise SchemaError(f"{path}: empty feature CSV")
     header = lines[0][1].split(",")
@@ -191,3 +197,21 @@ def read_table_csv(path: str | Path) -> FeatureTable:
     if not has_target:
         return FeatureTable(names, values, tuple(row_ids))
     return FeatureTable(names, values[:, :-1], tuple(row_ids), values[:, -1].copy())
+
+
+def read_finite_table_csv(path: str | Path) -> FeatureTable:
+    """The table as read_table_csv reads it, but with no infinite feature or
+    target cell: the filters, the standardization and the fits need finite
+    values (NaN cells are imputed). The first infinite cell, row by row in
+    file order, raises SchemaError naming its line, row id and column."""
+    tbl = read_table_csv(path)
+    infinite = np.isinf(tbl.rows)
+    if tbl.target is not None:
+        infinite = np.column_stack([infinite, np.isinf(tbl.target)])
+    if not infinite.any():
+        return tbl
+    row, col = divmod(int(np.argmax(infinite)), infinite.shape[1])
+    line = _csv_lines(Path(path))[row + 1][0]
+    column = tbl.column_names[col] if col < tbl.n_cols else "target"
+    raise SchemaError(f"{path}:{line}: infinite cell in row {tbl.row_ids[row]!r}, "
+                      f"column {column!r}")

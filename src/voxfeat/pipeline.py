@@ -39,7 +39,7 @@ from .mlpipe import (
     mrmr_rank,
     pca,
     ranked_prefixes,
-    read_table_csv,
+    read_finite_table_csv,
     rfe_path,
     scatter_export,
     table_to_csv_text,
@@ -353,26 +353,6 @@ _SELECTORS = {
 }
 
 
-def _load_table(path: str | Path) -> FeatureTable:
-    """The feature CSV as read_table_csv reads it, but with no infinite
-    feature or target cell: the filters, the standardization and the fits
-    need finite values (NaN cells are imputed). The first infinite cell, row
-    by row in file order, raises SchemaError naming its line, row id and
-    column."""
-    tbl = read_table_csv(path)
-    infinite = np.isinf(tbl.rows)
-    if tbl.target is not None:
-        infinite = np.column_stack([infinite, np.isinf(tbl.target)])
-    if not infinite.any():
-        return tbl
-    row, col = divmod(int(np.argmax(infinite)), infinite.shape[1])
-    # the data rows' lines as read_table_csv numbers them: blank lines count
-    lines = [i for i, ln in enumerate(read_text(path).split("\n"), 1) if ln.strip()]
-    column = tbl.column_names[col] if col < tbl.n_cols else "target"
-    raise SchemaError(f"{path}:{lines[row + 1]}: infinite cell in row {tbl.row_ids[row]!r}, "
-                      f"column {column!r}")
-
-
 def _decide_task(tbl: FeatureTable, estimator: str) -> FeatureTable:
     """Settle the task: "logistic" classifies, "ols" regresses, "auto" keeps the rule's."""
     if tbl.target is None:
@@ -405,7 +385,7 @@ def run_analyze(features_csv: str | Path, out_dir: str | Path,
     except OSError as exc:
         raise UnwritableOutput(f"cannot create {out_dir}: {exc}") from None
 
-    tbl = _stage("load", _load_table, features_csv)
+    tbl = _stage("load", read_finite_table_csv, features_csv)
     tbl = _stage("task", _decide_task, tbl, spec.estimator)
     report: dict = {
         "input": str(features_csv),

@@ -1212,8 +1212,8 @@ def crafted_differences(tau_max=40):
 
 
 class TestLagPick:
-    """_cmnd_periods equals the normalization with a mask for every row and
-    the walk over two (frames x lags) boolean arrays that it replaced."""
+    """_cmnd_periods equals the normalization and the settled/argmax pick
+    over two (frames x lags) boolean arrays that its walk replaced."""
 
     @staticmethod
     def pick(d):
@@ -1234,7 +1234,7 @@ class TestLagPick:
     def test_rows_together(self):
         rows = crafted_differences()
         self.check(np.array(list(rows.values())))
-        # without the rows whose running sum starts at 0, no mask is needed
+        # and without the rows whose running sum starts at 0
         self.check(np.array([v for k, v in rows.items() if not k.startswith("silent")]))
 
     def test_branches_reached(self):
@@ -1267,11 +1267,11 @@ def reference_contrast(mags, freqs):
     return out
 
 
-class TestContrastPartition:
+class TestContrastManyBins:
     """With 100 ms frames (n_fft 2048) the two upper bands average 2 and 4
-    bins a side, which _contrast partitions out instead of sorting the band."""
+    bins a side, the sorted path of _contrast; the others read min/max."""
 
-    def test_partition_path_matches_the_sort_rule(self):
+    def test_both_paths_match_the_sort_rule(self):
         cfg = AcousticConfig(frame_seconds=0.1)
         buf = tone_of(FRAME_LEN * 4 + 599 * F0_HOP)  # 600 frames: two blocks
         spec = spectra(analysis_frames(buf, cfg))
@@ -1293,9 +1293,9 @@ class TestBlockMemory:
     """Traced peaks of F0 and the descriptor pass on 45 s of mono 16 kHz
     audio. With every step in a fresh array they were 8.75 MB for F0 and
     6.1 MB for a descriptor block beside its 1.5 MB of series. In their
-    workspaces they are about 1.9 MB for F0 (128-frame blocks) and 2.95 MB
+    workspaces they are about 2.4 MB for F0 (128-frame blocks) and 3.1 MB
     for the descriptors (the 402-frame last block), and a bound of 3.5 MB
-    also catches F0 on 256-frame blocks (3.6 MB, with both spectra alive)."""
+    also catches F0 on 256-frame blocks (4.3 MB)."""
 
     @staticmethod
     def traced_peak(fn):
