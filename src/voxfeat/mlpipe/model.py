@@ -2,13 +2,11 @@
 multinomial logistic regression solved to a gradient tolerance.
 
 The logistic objective is the mean softmax cross-entropy plus
-alpha/2 * ||W||^2, intercepts unpenalized. Two classes reduce to one
-binary system solved by Newton's method (IRLS; Hastie, Tibshirani &
-Friedman, Elements of Statistical Learning, 4.4.1) with step halving;
-more classes are solved by L-BFGS-B from scipy.optimize, voxfeat's only
-scipy import, made on first use so that start-up needs numpy alone. Either
-runs until the largest gradient entry is below `tol`; a fit that does not
-get there within `max_iter` iterations raises ConvergenceFailure.
+alpha/2 * ||W||^2, intercepts unpenalized, minimized by Newton's method with
+step halving (for two classes IRLS; Hastie, Tibshirani & Friedman, Elements
+of Statistical Learning, 4.4.1) until the largest gradient entry is below
+`tol`. A fit not there after `max_iter` steps, or a lasso not settled after
+`max_iter` sweeps, raises ConvergenceFailure.
 
 All fitters expect preprocessed (imputed, standardized) design matrices;
 they add their own intercept and never penalize it.
@@ -61,10 +59,11 @@ def fit_lasso(
     x: np.ndarray,
     y: np.ndarray,
     alpha: float = 0.01,
-    max_iter: int = 1000,
+    max_iter: int = 100_000,
     tol: float = 1e-8,
 ) -> LinearModel:
-    """Coordinate descent for (1/2n)||y - Xw - b||^2 + alpha*||w||_1."""
+    """Coordinate descent for (1/2n)||y - Xw - b||^2 + alpha*||w||_1 until a
+    sweep moves no weight by tol, or ConvergenceFailure after max_iter."""
     n, p = x.shape
     # with centered columns the optimal intercept is mean(y) for every w
     mu = x.mean(axis=0)
@@ -86,8 +85,8 @@ def fit_lasso(
                 w[j] = new
                 max_delta = max(max_delta, abs(delta))
         if max_delta < tol:
-            break
-    return LinearModel(w, base - float(mu @ w))
+            return LinearModel(w, base - float(mu @ w))
+    raise ConvergenceFailure(f"lasso fit: not settled after {max_iter} sweeps")
 
 
 # Step halving accepts a step with the Armijo decrease, give or take this
@@ -104,14 +103,41 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -m))
 
 
+def _newton(value, derivatives, q: int, tol: float, max_iter: int) -> np.ndarray:
+    """Newton's method from zero with Armijo step halving, until the largest
+    gradient entry is below tol. derivatives(theta) returns the gradient and
+    a callable that forms the Hessian, called only for a step."""
+    theta = np.zeros(q)
+    f = value(theta)
+    for steps in range(max_iter + 1):
+        grad, hessian = derivatives(theta)
+        worst = float(np.max(np.abs(grad)))
+        if worst < tol:
+            return theta
+        if steps == max_iter:
+            raise ConvergenceFailure(f"logistic fit: gradient {worst:.3g} is not below "
+                                     f"{tol:g} after {max_iter} Newton steps")
+        try:
+            step = np.linalg.solve(hessian(), -grad)
+        except np.linalg.LinAlgError:
+            raise ConvergenceFailure("logistic fit: singular Newton system") from None
+        slope = float(grad @ step)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            f_new = value(theta + t * step)
+            if f_new <= f + 1e-4 * t * slope + _ROUNDING * abs(f):
+                break
+            t *= 0.5
+        else:
+            raise ConvergenceFailure("logistic fit: step halving found no decrease")
+        theta, f = theta + t * step, f_new
+
+
 def _fit_binary(xt: np.ndarray, y1: np.ndarray, alpha: float,
                 tol: float, max_iter: int) -> np.ndarray:
-    """Class 1 against class 0 with coef[1] = -coef[0] = beta/2 and the
-    intercepts likewise: the two-class objective becomes a binary logistic
-    loss on the margin xt @ beta with penalty alpha/4 * ||beta_w||^2, whose
-    gradient equals the class-1 rows of the full gradient. Newton's method
-    from zero, each step halved until it decreases the loss, until the
-    largest gradient entry is below tol."""
+    """Class 1 against class 0 with coef[1] = -coef[0] = beta/2, intercepts
+    likewise: a binary logistic loss on the margin xt @ beta with penalty
+    alpha/4 * ||beta_w||^2, whose gradient is the full one's class-1 rows."""
     n, q = xt.shape
     ridge = np.full(q, alpha / 2.0)
     ridge[-1] = 0.0
@@ -121,70 +147,51 @@ def _fit_binary(xt: np.ndarray, y1: np.ndarray, alpha: float,
         loss = np.logaddexp(0.0, margin) - y1 * margin
         return float(loss.mean() + 0.5 * (ridge * beta) @ beta)
 
-    beta = np.zeros(q)
-    f = value(beta)
-    for steps in range(max_iter + 1):
+    def derivatives(beta: np.ndarray):
         prob = _sigmoid(xt @ beta)
         grad = xt.T @ (prob - y1) / n + ridge * beta
-        if float(np.max(np.abs(grad))) < tol:
-            return beta
-        if steps == max_iter:
-            break
-        hess = xt.T @ (xt * (prob * (1.0 - prob))[:, None]) / n + np.diag(ridge)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            raise ConvergenceFailure("logistic fit: singular Newton system") from None
-        slope = float(grad @ step)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            f_new = value(beta + t * step)
-            if f_new <= f + 1e-4 * t * slope + _ROUNDING * abs(f):
-                break
-            t *= 0.5
-        else:
-            raise ConvergenceFailure("logistic fit: step halving found no decrease")
-        beta, f = beta + t * step, f_new
-    raise ConvergenceFailure(
-        f"logistic fit: gradient {float(np.max(np.abs(grad))):.3g} is not below "
-        f"{tol:g} after {max_iter} Newton steps")
+        return grad, lambda: xt.T @ (xt * (prob * (1.0 - prob))[:, None]) / n + np.diag(ridge)
+
+    return _newton(value, derivatives, q, tol, max_iter)
 
 
 def _fit_multinomial(xt: np.ndarray, onehot: np.ndarray, alpha: float,
                      tol: float, max_iter: int) -> np.ndarray:
-    """L-BFGS-B on all classes' (weights, intercept) rows stacked, with the
-    analytic gradient. A Newton system here has c(p+1) unknowns: on 200
-    columns and 3 classes one solve costs more than the whole L-BFGS-B run.
-    From zero the intercepts' gradient sums to 0, so they keep summing to 0
-    up to rounding, which the final centring removes."""
-    # voxfeat's only scipy import, made here: loading scipy at start-up
-    # would add about 0.3 s and 27 MB to every CLI process
-    from scipy.optimize import minimize
-
+    """All classes' (weights, intercept) rows stacked. Hessian block (a, b)
+    is xt' diag(p_a (1[a=b] - p_b)) xt / n plus the ridge; an equal shift of
+    all intercepts leaves the loss unchanged, so each intercept pair also
+    gets 1/c, the curvature of (their sum)^2 / 2c, which stays 0: from zero
+    no step moves the sum. A 300x200 3-class fit takes about 0.1 s, against
+    15-20 ms for L-BFGS-B once scipy.optimize (0.53-0.63 s) is imported (2
+    vCPU, one BLAS thread); 22 classes take 11 s, against 0.09 s."""
     n, q = xt.shape
     c = onehot.shape[1]
-    ridge = np.full(q, alpha)
-    ridge[-1] = 0.0
+    ridge = np.tile(np.append(np.full(q - 1, alpha), 0.0), c)
 
-    def value_and_grad(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        w = theta.reshape(c, q)
-        logits = xt @ w.T
+    def log_prob(theta: np.ndarray) -> np.ndarray:
+        logits = xt @ theta.reshape(c, q).T
         logits -= logits.max(axis=1, keepdims=True)
-        log_prob = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        value = -(log_prob * onehot).sum() / n + 0.5 * (ridge * w ** 2).sum()
-        grad = (np.exp(log_prob) - onehot).T @ xt / n + ridge * w
-        return float(value), grad.reshape(-1)
+        return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
-    res = minimize(value_and_grad, np.zeros(c * q), jac=True, method="L-BFGS-B",
-                   options={"gtol": tol, "ftol": 0.0, "maxiter": max_iter})
-    theta = res.x.reshape(c, q).copy()
-    theta[:, -1] -= theta[:, -1].mean()
-    worst = float(np.max(np.abs(value_and_grad(theta.reshape(-1))[1])))
-    if not worst < tol:
-        raise ConvergenceFailure(
-            f"logistic fit: gradient {worst:.3g} is not below {tol:g} after "
-            f"{res.nit} L-BFGS-B iterations ({res.message})")
-    return theta
+    def value(theta: np.ndarray) -> float:
+        return float(-(log_prob(theta) * onehot).sum() / n + 0.5 * (ridge * theta) @ theta)
+
+    def derivatives(theta: np.ndarray):
+        prob = np.exp(log_prob(theta))
+        grad = ((prob - onehot).T @ xt / n).reshape(-1) + ridge * theta
+
+        def hessian() -> np.ndarray:
+            weights = prob[:, :, None] * (np.eye(c) - prob[:, None, :]) / n
+            hess = np.empty((c, q, c, q))
+            for a, b in zip(*np.triu_indices(c)):
+                hess[a, :, b] = hess[b, :, a] = xt.T @ (xt * weights[:, a, b, None])
+            hess[:, -1, :, -1] += 1.0 / c
+            hess.reshape(-1)[::c * q + 1] += ridge
+            return hess.reshape(c * q, c * q)
+
+        return grad, hessian
+
+    return _newton(value, derivatives, c * q, tol, max_iter).reshape(c, q)
 
 
 def fit_logistic(
@@ -198,11 +205,9 @@ def fit_logistic(
     cross-entropy plus alpha/2 * ||coef||^2 (intercepts unpenalized).
 
     Solved from zero until the largest entry of the gradient with respect
-    to (coef, intercept) is below tol; raises ConvergenceFailure when
-    max_iter iterations do not get there. Two classes solve one binary
-    system (coef[1] = -coef[0] at the optimum) by Newton's method with step
-    halving; more classes run L-BFGS-B on the stacked rows, and their
-    intercepts sum to 0.
+    to (coef, intercept) is below tol, or ConvergenceFailure after max_iter
+    Newton steps. Two classes solve one binary system (coef[1] = -coef[0]);
+    more classes solve all rows, with intercepts summing to 0 up to rounding.
     """
     classes = np.unique(y)
     if classes.size < 2:

@@ -73,6 +73,31 @@ class TestLasso:
         model = fit_lasso(x, y, alpha=1e-6)
         assert model.coef[0] == 0.0
 
+    def test_sweep_cap_raises(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(50, 5))
+        y = x @ np.arange(5.0) + rng.normal(size=50)
+        with pytest.raises(ConvergenceFailure):
+            fit_lasso(x, y, max_iter=1)
+        fit_lasso(x, y)
+
+    def test_more_columns_than_rows_meets_optimality(self):
+        # coordinate descent on 40 rows and 80 correlated columns needs more
+        # than 1,000 sweeps; at the returned weights each active column's
+        # residual correlation is alpha with the weight's sign, and no
+        # inactive one exceeds alpha
+        rng = np.random.default_rng(1)
+        x, _ = sweep_columns(rng, 40, 80)
+        y = x[:, :6].sum(axis=1) + rng.normal(size=40)
+        model = fit_lasso(x, y, alpha=0.01)
+        resid = y - model.predict(x)
+        corr = x.T @ (resid - resid.mean()) / 40
+        active = model.coef != 0
+        assert active.sum() > 20
+        np.testing.assert_allclose(corr[active], 0.01 * np.sign(model.coef[active]),
+                                   rtol=0, atol=1e-7)
+        assert np.max(np.abs(corr[~active])) <= 0.01
+
 
 class TestLogistic:
     def test_separable_two_class(self):
@@ -146,6 +171,35 @@ def reference_gd_logistic(x, y, alpha=1e-3, max_iter=20_000, lr=0.5):
     return coef, intercept
 
 
+def reference_lbfgsb_logistic(x, y, alpha=1e-3, tol=1e-8, max_iter=1000):
+    """The former fit for three or more classes: L-BFGS-B from scipy.optimize
+    on the stacked (weights, intercept) rows, intercepts centred after."""
+    from scipy.optimize import minimize
+    classes = np.unique(y)
+    onehot = (y[:, None] == classes[None, :]).astype(np.float64)
+    n, p = x.shape
+    c, q = classes.size, p + 1
+    xt = np.column_stack([x, np.ones(n)])
+    ridge = np.full(q, alpha)
+    ridge[-1] = 0.0
+
+    def value_and_grad(theta):
+        w = theta.reshape(c, q)
+        logits = xt @ w.T
+        logits -= logits.max(axis=1, keepdims=True)
+        log_prob = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        value = -(log_prob * onehot).sum() / n + 0.5 * (ridge * w ** 2).sum()
+        grad = (np.exp(log_prob) - onehot).T @ xt / n + ridge * w
+        return float(value), grad.reshape(-1)
+
+    res = minimize(value_and_grad, np.zeros(c * q), jac=True, method="L-BFGS-B",
+                   options={"gtol": tol, "ftol": 0.0, "maxiter": max_iter})
+    assert res.success, res.message
+    theta = res.x.reshape(c, q).copy()
+    theta[:, -1] -= theta[:, -1].mean()
+    return LogisticModel(theta[:, :p], theta[:, p], classes)
+
+
 def sweep_columns(rng, n_rows, n_cols, n_classes=2):
     """Standardized columns shaped like analyze's sweep tables: a few planted
     informative columns, blocks of 8 sharing a latent factor, and near-copies."""
@@ -167,23 +221,24 @@ class TestLogisticSolver:
     @pytest.mark.parametrize("n_classes", [2, 3, 4])
     def test_gradient_below_tol_at_returned_point(self, n_classes):
         rng = np.random.default_rng(30 + n_classes)
-        settings = [(1e-3, 1e-8), (0.01, 1e-8)]
-        if n_classes == 2:
-            # Newton's method gets below the objective's rounding
-            settings.append((1e-3, 1e-11))
+        # Newton's method gets below the objective's rounding
+        settings = [(1e-3, 1e-8), (0.01, 1e-8), (1e-3, 1e-11)]
         for n_cols in (1, 5, 40, 120):
             x, y = sweep_columns(rng, 90, n_cols, n_classes)
             for alpha, tol in settings:
                 model = fit_logistic(x, y, alpha=alpha, tol=tol)
                 assert np.max(np.abs(logistic_gradient(x, y, model, alpha))) < tol
 
-    def test_unreachable_tol_raises_for_more_classes(self):
-        # L-BFGS-B's line search compares objective values, whose rounding
-        # hides the decrease long before the gradient gets this small
-        rng = np.random.default_rng(36)
-        x, y = sweep_columns(rng, 90, 40, 3)
-        with pytest.raises(ConvergenceFailure):
-            fit_logistic(x, y, tol=1e-14)
+    @pytest.mark.parametrize("n_classes", [3, 4])
+    @pytest.mark.parametrize("n_cols", [10, 40, 120, 200])
+    def test_reaches_the_lbfgsb_optimum(self, n_cols, n_classes):
+        rng = np.random.default_rng(36 + n_cols + n_classes)
+        x, y = sweep_columns(rng, 240, n_cols, n_classes)
+        model = fit_logistic(x, y)
+        ref = reference_lbfgsb_logistic(x, y)
+        assert logistic_objective(x, y, model, 1e-3) <= (
+            logistic_objective(x, y, ref, 1e-3) * (1.0 + 1e-9))
+        np.testing.assert_array_equal(model.predict(x), ref.predict(x))
 
     def test_separable_weights_stay_finite(self):
         # far apart classes: without the penalty the loss has no minimum
