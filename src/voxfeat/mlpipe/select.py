@@ -34,7 +34,13 @@ from .table import (
     impute_and_standardize,
     impute_only,
 )
-from .transform import SelectionResult, pearson, score_ranking, unit_columns
+from .transform import (
+    SelectionResult,
+    distinct_columns,
+    pearson,
+    score_ranking,
+    unit_columns,
+)
 
 Selector = Callable[[FeatureTable, int], SelectionResult]
 # one table and a list of ks -> each k's selection on that table
@@ -67,7 +73,9 @@ def anova_f_values(tbl: FeatureTable) -> np.ndarray:
     """
     y = _require_target(tbl, "anova_f_select")
     if not tbl.classification:
-        r2 = pearson(unit_columns(impute_only(tbl).rows), unit_columns(y)) ** 2
+        u = unit_columns(impute_only(tbl).rows)
+        first, group = distinct_columns(u)
+        r2 = (pearson(u[:, first], unit_columns(y)) ** 2)[group]
         return np.divide(r2 * (tbl.n_rows - 2), 1 - r2, out=np.full(tbl.n_cols, np.inf),
                          where=r2 < 1)
     y = _class_labels(tbl, "anova_f_select")
@@ -256,14 +264,15 @@ def importance_select(tbl: FeatureTable, threshold: float = 0.0) -> SelectionRes
 # ---------------------------------------------------------------------------
 
 def _relevance(u: np.ndarray, tbl: FeatureTable) -> np.ndarray:
-    """|pearson| against the target; >2 classes use one-vs-rest max."""
+    """|pearson| against the target; >2 classes use the largest one-vs-rest
+    |r|, all from one product."""
     y = tbl.target
     classes = np.unique(y)
     if tbl.classification and classes.size > 2:
-        targets = [(y == cls).astype(np.float64) for cls in classes]
+        targets = (y[:, None] == classes).astype(np.float64)
     else:
-        targets = [y]
-    return np.max([np.abs(pearson(u, unit_columns(t))) for t in targets], axis=0)
+        targets = y[:, None]
+    return np.abs(pearson(u, unit_columns(targets))).max(axis=1)
 
 
 def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
@@ -273,28 +282,31 @@ def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
     two classes, the largest one-vs-rest |corr|); each later pick maximizes
     relevance minus mean |corr| to everything already selected. Undefined
     correlations count as 0; ties resolve to the earliest column.
+
+    Both correlations are products over the columns that differ up to sign
+    (transform.distinct_columns), mapped back to every column. So exact,
+    negated and power-of-two-scaled copies of a column get bit-equal scores
+    wherever they sit, and the earliest copy wins the tie.
     """
     _require_target(tbl, "mrmr_rank")
     if not 1 <= k <= tbl.n_cols:
         raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
     u = unit_columns(impute_only(tbl).rows)
-    rel = _relevance(u, tbl)
-    n_cols = tbl.n_cols
+    first, group = distinct_columns(u)
+    distinct = u[:, first]
+    rel = _relevance(distinct, tbl)  # per distinct column, as is redundancy_sum
     selected: list[int] = []
     scores: dict[str, float] = {}
-    redundancy_sum = np.zeros(n_cols)
-    available = np.ones(n_cols, dtype=bool)
+    redundancy_sum = np.zeros(first.size)
+    available = np.ones(tbl.n_cols, dtype=bool)
     for _ in range(k):
-        if selected:
-            criterion = rel - redundancy_sum / len(selected)
-        else:
-            criterion = rel.copy()
-        criterion = np.where(available, criterion, -np.inf)
+        criterion = rel - redundancy_sum / len(selected) if selected else rel
+        criterion = np.where(available, criterion[group], -np.inf)
         pick = int(np.argmax(criterion))  # argmax takes the first among ties
         selected.append(pick)
         available[pick] = False
         scores[tbl.column_names[pick]] = float(criterion[pick])
-        redundancy_sum += np.abs(pearson(u, u[:, pick]))
+        redundancy_sum += np.abs(pearson(distinct, distinct[:, group[pick]]))
     kept = tuple(tbl.column_names[j] for j in selected)
     ranking = {name: i + 1 for i, name in enumerate(kept)}
     return SelectionResult(kept, ranking, scores)

@@ -87,25 +87,49 @@ def unit_columns(x: np.ndarray) -> np.ndarray:
     return np.divide(centred, scale, out=np.zeros_like(centred), where=live)
 
 
-def pearson(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Pearson r of each column of u against the column v, both from
-    unit_columns, clipped to [-1, 1].
+def pearson(u: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Pearson r of each column of u against t, both from unit_columns over
+    the same rows: one product u.T @ t / n, clipped to [-1, 1]. t is one
+    column (r per column of u) or an array of them (a row of r per column
+    of u).
 
-    numpy sums the products of each column by one rule for the whole array
-    (down the rows for C order, pairwise per column for Fortran order), so
-    equal columns of one array get exactly equal r wherever they sit, under
-    either layout; a BLAS product rounds by position and would break exact
-    ties. The same data in the other layout may differ by ulps.
+    A BLAS product rounds each entry by its position in the arrays, so two
+    equal columns of u can get r an ulp apart. Where exact ties matter, take
+    the product over the columns distinct_columns picks and map it back.
     """
-    return np.clip((u * v[:, None]).sum(axis=0) / max(v.size, 1), -1.0, 1.0)
+    return np.clip(u.T @ t / max(u.shape[0], 1), -1.0, 1.0)
+
+
+def distinct_columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first of each group of columns of u that are equal up to sign,
+    and each column's group, so that u[:, first][:, group] equals u up to
+    sign.
+
+    unit_columns maps exact, negated and power-of-two-scaled copies of a
+    column (missing cells included) to bit-equal columns up to sign; other
+    scales round differently and are distinct. So |pearson| over the
+    first columns, indexed by group, gives every copy bit-equal |r|
+    wherever it sits. Each column is keyed by its bytes after flipping it
+    so that its first nonzero entry is positive; adding 0.0 turns the
+    flipped zeros' -0.0 into 0.0.
+    """
+    flip = np.zeros(u.shape[1], dtype=bool)
+    if u.shape[0]:
+        flip = u[np.argmax(u != 0, axis=0), np.arange(u.shape[1])] < 0
+    keys = np.ascontiguousarray(np.where(flip, -u, u).T) + 0.0
+    groups: dict[bytes, int] = {}
+    group = np.array([groups.setdefault(key.tobytes(), len(groups)) for key in keys],
+                     dtype=np.intp)
+    return np.unique(group, return_index=True)[1], group
 
 
 def correlation_matrix(tbl: FeatureTable) -> np.ndarray:
-    """Pearson matrix with exact unit diagonal; constant columns correlate 0."""
+    """Pearson matrix of the imputed columns from one product, with an exact
+    unit diagonal; a column with no spread correlates 0 with every other.
+    numpy forms u.T @ u as one symmetric product (BLAS syrk, one triangle
+    mirrored), so the matrix is exactly symmetric."""
     u = unit_columns(impute_only(tbl).rows)
-    corr = np.empty((tbl.n_cols, tbl.n_cols))
-    for j in range(tbl.n_cols):
-        corr[j:, j] = corr[j, j:] = pearson(u[:, j:], u[:, j])
+    corr = pearson(u, u)
     np.fill_diagonal(corr, 1.0)
     return corr
 

@@ -181,7 +181,8 @@ def heatmap_svg(exp: HeatmapExport, cell: int = 30) -> str:
     """Correlation matrix as a colored grid with per-cell value tooltips.
 
     The cell colours come from one array expression over the matrix, and
-    the text that one row's cells share is formatted once per row."""
+    the text that one row's cells share is formatted once per row. A value
+    that rounds to zero prints as 0.000, whatever its sign."""
     n = len(exp.names)
     names = [_escape(name) for name in exp.names]
     label_w = 10 + 7 * max(len(name) for name in exp.names)
@@ -204,7 +205,7 @@ def heatmap_svg(exp: HeatmapExport, cell: int = 30) -> str:
         middle = f'{_fmt(top + i * cell)}" width="{cell}" height="{cell}" fill="'
         title = f'" stroke="#ffffff" stroke-width="1"><title>{name} / '
         parts.extend(
-            f'{head}{middle}{fill}{title}{other}: {value:.3f}</title></rect>'
+            f'{head}{middle}{fill}{title}{other}: {round(value, 3) + 0.0:.3f}</title></rect>'
             for head, other, fill, value in zip(heads, names, fills[i], exp.matrix[i].tolist()))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -31,6 +31,7 @@ from voxfeat.mlpipe import (
 )
 from voxfeat.mlpipe import select as select_module
 from voxfeat.mlpipe.select import _fold_indices
+from voxfeat.mlpipe.transform import distinct_columns, pearson
 from voxfeat.pipeline import _SELECTORS, _importance_topk
 
 
@@ -473,6 +474,84 @@ class TestMrmrMatchesReference:
         tbl = make([f"c{j}" for j in range(33)], x, x[:, 3] + rng.normal(size=40))
         self.check(tbl, 33)
         assert mrmr_rank(tbl, 1).kept_columns == ("c3",)
+
+
+def copies_table(target, n_cols, seed=0):
+    """300-row normal table whose most relevant column (88, with 5 % NaN
+    cells) has a negated copy at 0, a doubled copy at 131 and an exact copy
+    in the last column, NaN cells included. At this size a BLAS product
+    over all the columns rounds equal columns differently by position;
+    OpenBLAS's Haswell matrix-vector kernel does so when the column count
+    is not a multiple of 4, hence several widths."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(300, n_cols))
+    x[rng.random(x.shape) < 0.01] = np.nan
+    source = x[:, 88]
+    source[rng.random(300) < 0.05] = np.nan
+    x[:, 0], x[:, 131], x[:, -1] = -source, 2.0 * source, source
+    signal = 3.0 * np.where(np.isnan(source), 0.0, source) + rng.normal(size=300)
+    if target == "float":
+        y = signal
+    else:
+        edges = np.quantile(signal, [0.5] if target == "binary" else [1 / 3, 2 / 3])
+        y = np.searchsorted(edges, signal).astype(np.float64)
+    return make([f"c{j}" for j in range(n_cols)], x, y)
+
+
+WIDTHS = [197, 198, 199, 200]
+
+
+class TestCopiesTieAtBlasScale:
+    """Exact, negated and doubled copies tie bit for bit in MRMR and the
+    regression F, and the earliest copy wins."""
+
+    @pytest.mark.parametrize("n_cols", WIDTHS)
+    @pytest.mark.parametrize("target", ["binary", "3-class", "float"])
+    def test_mrmr_scores_copies_equally(self, target, n_cols, monkeypatch):
+        tbl = copies_table(target, n_cols)
+        copies = [0, 88, 131, n_cols - 1]
+        calls = []
+        groups = []
+
+        def pearson_spy(u, t):
+            calls.append(pearson(u, t))
+            return calls[-1]
+
+        def distinct_spy(u):
+            first, group = distinct_columns(u)
+            groups.append(group)
+            return first, group
+
+        monkeypatch.setattr(select_module, "pearson", pearson_spy)
+        monkeypatch.setattr(select_module, "distinct_columns", distinct_spy)
+        res = mrmr_rank(tbl, n_cols)
+        (group,) = groups
+        relevance = np.abs(calls[0]).max(axis=1)[group]
+        assert np.unique(relevance[copies]).size == 1
+        for redundancy in calls[1:]:
+            assert np.unique(np.abs(redundancy)[group][copies]).size == 1
+        # equal at every step, so the copies are picked in column order
+        ranks = [res.ranking[f"c{j}"] for j in copies]
+        assert ranks[0] == 1 and ranks == sorted(ranks)
+
+    @pytest.mark.parametrize("n_cols", WIDTHS)
+    def test_regression_f_equal_across_copies(self, n_cols):
+        tbl = copies_table("float", n_cols)
+        f = anova_f_values(tbl)
+        assert np.unique(f[[0, 88, 131, n_cols - 1]]).size == 1
+        assert anova_f_select(tbl, 1).kept_columns == ("c0",)
+
+    @pytest.mark.parametrize("n_cols", WIDTHS)
+    @pytest.mark.parametrize("target", ["binary", "float"])
+    def test_earliest_copy_ranks_first_in_any_order(self, target, n_cols):
+        # moving the copies changes their positions in every product; the
+        # earliest still ranks first
+        tbl = copies_table(target, n_cols, seed=1)
+        copies = [n_cols - 1, 131, 88, 0]
+        perm = np.r_[copies, np.setdiff1d(np.arange(n_cols), copies)]
+        moved = tbl.select_columns(tuple(tbl.column_names[j] for j in perm))
+        assert mrmr_rank(tbl, 1).kept_columns == ("c0",)
+        assert mrmr_rank(moved, 1).kept_columns == (f"c{n_cols - 1}",)
 
 
 class TestCvCurve:

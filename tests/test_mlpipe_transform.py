@@ -12,7 +12,11 @@ from voxfeat.mlpipe import (
     low_variance_filter,
     pca,
 )
-from voxfeat.mlpipe.transform import _aligned_change
+from voxfeat.mlpipe import transform as transform_module
+from voxfeat.mlpipe.table import impute_only
+from voxfeat.mlpipe.transform import _aligned_change, distinct_columns, unit_columns
+
+from test_mlpipe_select import messy_table
 
 
 def make(cols, data, target=None):
@@ -111,6 +115,53 @@ class TestCorrelationMatrix:
         corr = correlation_matrix(make(["a", "b"], np.column_stack([x, -x])))
         assert corr[0, 1] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_wide_table_matches_corrcoef(self):
+        # more columns than rows: the product still gives each pair's r
+        data = np.random.default_rng(6).normal(size=(20, 60))
+        corr = correlation_matrix(make([f"f{j}" for j in range(60)], data))
+        assert np.abs(corr - np.corrcoef(data.T)).max() < 1e-12
+
+    def test_symmetric_with_unit_diagonal_at_blas_scale(self):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(300, 200)) @ rng.normal(size=(200, 200))
+        data[rng.random(data.shape) < 0.01] = np.nan
+        corr = correlation_matrix(make([f"f{j}" for j in range(200)], data))
+        assert np.array_equal(corr, corr.T)
+        assert np.all(np.diag(corr) == 1.0)
+
+
+def elementwise_correlation_matrix(tbl):
+    """The per-column correlation_matrix the one product replaced: each
+    column's r against the later columns as numpy's elementwise multiply
+    and sum down the rows."""
+    u = unit_columns(impute_only(tbl).rows)
+    corr = np.empty((tbl.n_cols, tbl.n_cols))
+    for j in range(tbl.n_cols):
+        r = (u[:, j:] * u[:, j][:, None]).sum(axis=0) / max(tbl.n_rows, 1)
+        corr[j:, j] = corr[j, j:] = np.clip(r, -1.0, 1.0)
+    np.fill_diagonal(corr, 1.0)
+    return corr
+
+
+class TestDistinctColumns:
+    def test_copies_group_with_the_first(self):
+        # the imputed cells and one more sit exactly at the mean, so flipping
+        # the negated copy's sign makes its zeros -0.0
+        x = np.arange(9.0)
+        x[[2, 6]] = np.nan
+        rng = np.random.default_rng(4)
+        data = np.column_stack([rng.normal(size=9), -x, x, 2.0 * x, np.full(9, 0.1),
+                                x + 1e-9 * rng.normal(size=9), np.full(9, 3.0)])
+        u = unit_columns(impute_only(make(list("abcdefg"), data)).rows)
+        assert np.array_equal(u[:, 1] == 0, np.isin(np.arange(9), [2, 4, 6]))
+        first, group = distinct_columns(u)
+        assert first.tolist() == [0, 1, 4, 5]
+        assert group.tolist() == [0, 1, 1, 1, 2, 3, 2]
+
+    def test_no_rows(self):
+        first, group = distinct_columns(np.zeros((0, 3)))
+        assert first.tolist() == [0] and group.tolist() == [0, 0, 0]
+
 
 class TestHighCorrelation:
     def test_duplicate_dropped_earliest_kept(self):
@@ -139,6 +190,21 @@ class TestHighCorrelation:
             sub = correlation_matrix(t.select_columns(res.kept_columns))
             off = np.abs(sub - np.diag(np.diag(sub)))
             assert off.max() <= 0.8 + 1e-12
+
+    @pytest.mark.parametrize("seed", range(30, 34))
+    def test_keeps_what_the_elementwise_matrix_kept(self, seed, monkeypatch):
+        rng = np.random.default_rng(seed)
+        tables = [messy_table(rng, "float") for _ in range(12)]
+        thresholds = rng.uniform(0.3, 0.99, len(tables))
+        got = [high_correlation_filter(t, th) for t, th in zip(tables, thresholds)]
+        monkeypatch.setattr(transform_module, "correlation_matrix",
+                            elementwise_correlation_matrix)
+        for tbl, th, res in zip(tables, thresholds, got):
+            want = high_correlation_filter(tbl, th)
+            assert res.kept_columns == want.kept_columns
+            assert res.ranking == want.ranking
+            np.testing.assert_allclose(list(res.scores.values()),
+                                       list(want.scores.values()), rtol=0, atol=1e-12)
 
     def test_needs_two_columns(self):
         with pytest.raises(TooFewColumns):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -150,9 +151,21 @@ class TestHeatmap:
             [-0.0004, -np.inf, -0.0, 0.999, 1.0],
         ])
         svg = heatmap_svg(HeatmapExport(names, matrix)).encode()
-        assert len(svg) == 5214
+        assert len(svg) == 5210
         assert hashlib.sha256(svg).hexdigest() == (
-            "5e6cabb1701bd72e62785266f27870829770bcc3cc94c8385d97c6b0a14b4dc4")
+            "e41b8696218675d42ffc593822039ed39145b5eaa82541cc8c44970fcedf68c4")
+
+    def test_values_that_round_to_zero_print_unsigned(self):
+        # -0.0004999 and an r of -1e-17 (a sign an ulp of rounding can flip)
+        # print as 0.000; -0.0005 is stored just past the half-way point, so
+        # it rounds away from zero. Every other value prints as %.3f does.
+        zeros = [-0.0, -1e-17, -0.0004999, 0.0004999, 1e-300]
+        others = [-0.0005, 0.0005, -0.0015, 0.1235, -0.9995, 1.0, np.nan, -np.inf]
+        values = zeros + others
+        exp = HeatmapExport(tuple(f"f{j}" for j in range(len(values))),
+                            np.tile(values, (len(values), 1)))
+        tips = re.findall(r"<title>f0 / f\d+: ([^<]*)</title>", heatmap_svg(exp))
+        assert tips == ["0.000"] * len(zeros) + [f"{v:.3f}" for v in others]
 
 
 class TestCurve:
