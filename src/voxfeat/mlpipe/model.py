@@ -50,8 +50,12 @@ class LogisticModel:
 
 
 def fit_ols(x: np.ndarray, y: np.ndarray) -> LinearModel:
+    """Minimum-norm least squares. A column of zeros (a standardized
+    constant) gets its minimum-norm coefficient, exactly 0, which lstsq can
+    leave a few ulps off."""
     design = np.column_stack([x, np.ones(x.shape[0])])
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    beta[:-1][~x.any(axis=0)] = 0.0
     return LinearModel(beta[:-1], float(beta[-1]))
 
 

@@ -7,9 +7,10 @@ table's classification field; rfe ranks by OLS under both tasks.
 rfe solves each OLS fit's normal equations from one Gram matrix per table
 (or fold), checked by a Cholesky factorization, and takes minimum-norm lstsq
 when the fit has more columns than rows or the Cholesky fails or shows a
-squared pivot ratio below PIVOT_RATIO_MIN. A constant column makes every fit
-that keeps it singular, so run_analyze drops such columns first
-(transform.low_variance_filter counts them as variance 0).
+squared pivot ratio below PIVOT_RATIO_MIN. A constant column standardizes
+to zeros, so every fit that keeps it is singular, takes lstsq and scores it
+0; run_analyze drops such columns first (transform.low_variance_filter
+counts them as variance 0).
 """
 
 from __future__ import annotations
@@ -32,15 +33,9 @@ from .table import (
     apply_standardize,
     fit_standardize,
     impute_and_standardize,
-    impute_only,
+    standardize_columns,
 )
-from .transform import (
-    SelectionResult,
-    distinct_columns,
-    pearson,
-    score_ranking,
-    unit_columns,
-)
+from .transform import SelectionResult, distinct_columns, pearson, score_ranking
 
 Selector = Callable[[FeatureTable, int], SelectionResult]
 # one table and a list of ks -> each k's selection on that table
@@ -73,9 +68,9 @@ def anova_f_values(tbl: FeatureTable) -> np.ndarray:
     """
     y = _require_target(tbl, "anova_f_select")
     if not tbl.classification:
-        u = unit_columns(impute_only(tbl).rows)
+        u = standardize_columns(tbl.rows)
         first, group = distinct_columns(u)
-        r2 = (pearson(u[:, first], unit_columns(y)) ** 2)[group]
+        r2 = (pearson(u[:, first], standardize_columns(y[:, None])[:, 0]) ** 2)[group]
         return np.divide(r2 * (tbl.n_rows - 2), 1 - r2, out=np.full(tbl.n_cols, np.inf),
                          where=r2 < 1)
     y = _class_labels(tbl, "anova_f_select")
@@ -187,8 +182,8 @@ def rfe_path(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResul
     or takes fit_ols's minimum-norm lstsq when the fit has more columns than
     rows or the Cholesky of the sub-matrix fails or has a squared pivot ratio
     below PIVOT_RATIO_MIN (_ols_importance). A constant column is such a
-    case, as it z-scores to zeros or to +-1 in every observed cell, nearly a
-    copy of the intercept; transform.low_variance_filter drops it first.
+    case, as it standardizes to zeros; transform.low_variance_filter drops it
+    first.
     """
     ks = sorted(set(k_values))
     for k in ks:
@@ -272,7 +267,7 @@ def _relevance(u: np.ndarray, tbl: FeatureTable) -> np.ndarray:
         targets = (y[:, None] == classes).astype(np.float64)
     else:
         targets = y[:, None]
-    return np.abs(pearson(u, unit_columns(targets))).max(axis=1)
+    return np.abs(pearson(u, standardize_columns(targets))).max(axis=1)
 
 
 def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
@@ -291,7 +286,7 @@ def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
     _require_target(tbl, "mrmr_rank")
     if not 1 <= k <= tbl.n_cols:
         raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
-    u = unit_columns(impute_only(tbl).rows)
+    u = standardize_columns(tbl.rows)
     first, group = distinct_columns(u)
     distinct = u[:, first]
     rel = _relevance(distinct, tbl)  # per distinct column, as is redundancy_sum

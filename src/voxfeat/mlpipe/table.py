@@ -88,48 +88,69 @@ def is_classification(tbl: FeatureTable) -> bool:
 
 @dataclass(frozen=True)
 class StandardizeParams:
-    means: np.ndarray  # imputation value and centering offset per column
-    stds: np.ndarray  # population std; 0 marks a constant column
+    """Per-column parameters of the one standardization rule (fit_columns)."""
+
+    means: np.ndarray  # mean of the observed cells: imputation value and centre
+    stds: np.ndarray  # population std of the imputed column; 0 for a constant one
 
 
-def fit_standardize(tbl: FeatureTable) -> StandardizeParams:
-    # the scale is the population std of the column AFTER imputation, so a
-    # missing cell sits exactly at z = 0 and the filled column has unit spread.
+def fit_columns(rows: np.ndarray) -> StandardizeParams:
+    """The standardization rule of every analyze stage, fitted to the
+    columns of a 2-D array: a column's NaN cells take the mean of its
+    observed cells (0 when it has none), and its scale is the population std
+    of the imputed column. A column whose observed cells are all equal
+    (all-NaN included) gets std 0 however its mean rounds, so it
+    standardizes to zeros and has variance 0."""
     # In column-major order numpy sums each column on its own, as it sums a
     # 1-D array, so equal columns get equal parameters wherever they sit (MRMR
     # breaks exact ties by column order) and the rounding does not depend on
     # how the caller's array is laid out.
-    rows = np.asfortranarray(tbl.rows)
-    missing = np.isnan(rows)
-    count = tbl.n_rows - missing.sum(axis=0)
-    total = np.where(missing, 0.0, rows).sum(axis=0)
-    means = np.divide(total, count, out=np.zeros(tbl.n_cols), where=count > 0)
-    if not tbl.n_rows:
-        return StandardizeParams(means, np.zeros(tbl.n_cols))
-    filled = np.where(missing, means[None, :], rows)
-    return StandardizeParams(means, filled.std(axis=0))
+    cols = np.asfortranarray(rows)
+    n, p = cols.shape
+    missing = np.isnan(cols)
+    count = n - missing.sum(axis=0)
+    total = np.where(missing, 0.0, cols).sum(axis=0)
+    means = np.divide(total, count, out=np.zeros(p), where=count > 0)
+    if not n:
+        return StandardizeParams(means, np.zeros(p))
+    # fmax and fmin skip NaN and do not round; a row-major array reduces down
+    # its columns about twice as fast as the column-major copy
+    spread = np.fmax.reduce(rows, axis=0) > np.fmin.reduce(rows, axis=0)
+    filled = np.where(missing, means[None, :], cols)
+    return StandardizeParams(means, np.where(spread, filled.std(axis=0), 0.0))
 
 
-def apply_standardize(tbl: FeatureTable, params: StandardizeParams) -> FeatureTable:
-    filled = np.where(np.isnan(tbl.rows), params.means[None, :], tbl.rows)
+def standardize_columns(rows: np.ndarray, params: StandardizeParams | None = None
+                        ) -> np.ndarray:
+    """rows under the rule's params (by default fit_columns(rows)): NaN cells
+    take the column mean, then each column is centred on it and divided by
+    its std, and a column with std 0 becomes zeros."""
+    params = fit_columns(rows) if params is None else params
+    filled = np.where(np.isnan(rows), params.means[None, :], rows)
     scale = np.where(params.stds > 0, params.stds, 1.0)
     z = (filled - params.means[None, :]) / scale[None, :]
     z[:, params.stds == 0] = 0.0  # constant columns carry no signal
-    return replace(tbl, rows=z)
+    return z
+
+
+def fit_standardize(tbl: FeatureTable) -> StandardizeParams:
+    return fit_columns(tbl.rows)
+
+
+def apply_standardize(tbl: FeatureTable, params: StandardizeParams) -> FeatureTable:
+    return replace(tbl, rows=standardize_columns(tbl.rows, params))
 
 
 def impute_and_standardize(tbl: FeatureTable) -> tuple[FeatureTable, StandardizeParams]:
-    """NaN -> column mean (all-NaN -> 0), then per-column z-score with the
-    population stddev; constant columns become all zeros. The returned
-    parameters re-apply the same transform to held-out rows."""
+    """The table under fit_columns' rule, and the parameters that re-apply
+    the same transform to held-out rows."""
     params = fit_standardize(tbl)
     return apply_standardize(tbl, params), params
 
 
 def impute_only(tbl: FeatureTable) -> FeatureTable:
-    params = fit_standardize(tbl)
-    filled = np.where(np.isnan(tbl.rows), params.means[None, :], tbl.rows)
-    return replace(tbl, rows=filled)
+    means = fit_standardize(tbl).means
+    return replace(tbl, rows=np.where(np.isnan(tbl.rows), means[None, :], tbl.rows))
 
 
 # ---------------------------------------------------------------------------

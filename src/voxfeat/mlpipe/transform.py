@@ -1,8 +1,8 @@
 """Filters and linear transformations: the Pearson rule, variance and
 correlation filters, PCA and FastICA-style ICA.
 
-Every routine works on an imputed+standardized copy of the table (variance
-filtering uses raw variances, which standardizing would erase) and reports
+Every routine works on the table standardized by table.fit_columns' rule
+(variance filtering reads that rule's std before scaling) and reports
 original column names.
 """
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConvergenceFailure, InvalidK, TooFewColumns
-from .table import FeatureTable, impute_and_standardize, impute_only
+from .table import FeatureTable, fit_standardize, impute_and_standardize, standardize_columns
 
 
 @dataclass(frozen=True)
@@ -48,50 +48,25 @@ def _result_from_partition(
 
 
 def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionResult:
-    """Drop columns whose raw population variance is <= threshold.
-
-    Variance is measured after imputation but before any scaling. A column
-    whose observed (non-NaN) cells are all equal has variance exactly 0, as
-    has an all-NaN column, so every constant column is dropped. Kept, its
-    z-scores are zeros, or +-1 in every observed cell and so nearly a copy
-    of the intercept; each rfe fit that keeps it is then singular or nearly
-    so and takes lstsq instead of the Cholesky-checked Gram solve (see
-    select.rfe_path).
-    """
+    """Drop columns whose population variance under the standardization rule
+    (table.fit_columns: after imputation, before scaling) is <= threshold.
+    A column whose observed cells are all equal, all-NaN included, has
+    variance 0, so the default threshold drops every constant column."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    variances = np.zeros(tbl.n_cols)
-    if tbl.n_rows:
-        # a constant column's variance can round to a few ulps (30 copies of
-        # 0.1 measure 7.7e-34), and so can its mean imputed into its missing
-        # cells, so a column whose observed cells are all equal (a peak to
-        # peak of 0 over its non-NaN cells) counts as exactly 0
-        rows = tbl.rows
-        spread = np.fmax.reduce(rows, axis=0) > np.fmin.reduce(rows, axis=0)
-        variances = np.where(spread, impute_only(tbl).rows.var(axis=0), 0.0)
+    variances = fit_standardize(tbl).stds ** 2
     names = tbl.column_names
     _, ranking, scores = score_ranking(names, variances)
     return SelectionResult(tuple(n for n, v in zip(names, variances) if v > threshold),
                            ranking, scores)
 
 
-def unit_columns(x: np.ndarray) -> np.ndarray:
-    """Columns of an imputed (NaN-free) array, centred and scaled to unit
-    population variance. A column with no spread becomes zeros, so it
-    correlates 0 with everything; this includes a constant column whose
-    rounded mean differs from its value."""
-    n = max(x.shape[0], 1)
-    centred = x - x.sum(axis=0) / n
-    scale = np.sqrt((centred * centred).sum(axis=0) / n)
-    live = (scale > 0) & np.any(x != x[:1], axis=0)
-    return np.divide(centred, scale, out=np.zeros_like(centred), where=live)
-
-
 def pearson(u: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Pearson r of each column of u against t, both from unit_columns over
-    the same rows: one product u.T @ t / n, clipped to [-1, 1]. t is one
-    column (r per column of u) or an array of them (a row of r per column
-    of u).
+    """Pearson r of each column of u against t, both standardized by
+    table.standardize_columns over the same rows: one product u.T @ t / n,
+    clipped to [-1, 1]. t is one column (r per column of u) or an array of
+    them (a row of r per column of u). A constant column is zeros, so it
+    correlates 0 with everything.
 
     A BLAS product rounds each entry by its position in the arrays, so two
     equal columns of u can get r an ulp apart. Where exact ties matter, take
@@ -105,8 +80,8 @@ def distinct_columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     and each column's group, so that u[:, first][:, group] equals u up to
     sign.
 
-    unit_columns maps exact, negated and power-of-two-scaled copies of a
-    column (missing cells included) to bit-equal columns up to sign; other
+    standardize_columns maps exact, negated and power-of-two-scaled copies
+    of a column (missing cells included) to bit-equal columns up to sign; other
     scales round differently and are distinct. So |pearson| over the
     first columns, indexed by group, gives every copy bit-equal |r|
     wherever it sits. Each column is keyed by its bytes after flipping it
@@ -124,11 +99,11 @@ def distinct_columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def correlation_matrix(tbl: FeatureTable) -> np.ndarray:
-    """Pearson matrix of the imputed columns from one product, with an exact
-    unit diagonal; a column with no spread correlates 0 with every other.
+    """Pearson matrix of the standardized columns from one product, with an
+    exact unit diagonal; a constant column correlates 0 with every other.
     numpy forms u.T @ u as one symmetric product (BLAS syrk, one triangle
     mirrored), so the matrix is exactly symmetric."""
-    u = unit_columns(impute_only(tbl).rows)
+    u = standardize_columns(tbl.rows)
     corr = pearson(u, u)
     np.fill_diagonal(corr, 1.0)
     return corr

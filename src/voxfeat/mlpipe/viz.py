@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import TooFewColumns
 from .model import fit_ols
-from .table import FeatureTable, impute_only
+from .table import FeatureTable, fit_columns
 from .transform import correlation_matrix
 
 
@@ -58,10 +58,12 @@ def histogram_bins(values: np.ndarray, n_bins: int = 10) -> HistogramBins:
 
 def scatter_export(tbl: FeatureTable, x_name: str, y_name: str,
                    n_bins: int = 10) -> ScatterExport:
-    filled = impute_only(tbl)
-    x = filled.column(x_name)
-    y = filled.column(y_name)
-    if x.size >= 2 and x.std() > 0:
+    """The two columns imputed by table.fit_columns' rule, their histograms
+    and the OLS line of y on x, flat at y's mean where the rule finds x constant."""
+    rows = tbl.rows[:, [tbl.column_names.index(x_name), tbl.column_names.index(y_name)]]
+    params = fit_columns(rows)
+    x, y = np.where(np.isnan(rows), params.means, rows).T
+    if params.stds[0] > 0:
         model = fit_ols(x[:, None], y)
         slope, intercept = float(model.coef[0]), model.intercept
     else:

@@ -442,7 +442,12 @@ def test_criterion_11_degenerate_inputs(capsys):
                       for q in (0, 1, 2, 3)))
     checks.append(math.isnan(sentiment(oov, {"happy": 0.9})))
 
-    const = FeatureTable(("a", "b"), np.full((6, 2), 3.0),
+    # six copies of 0.1 sum to 0.6 and average to an ulp below 0.1, and
+    # three of them to 0.30000000000000004 and an ulp above it, the value
+    # imputed into the NaN cells of the last column
+    const_rows = np.column_stack([np.full((6, 2), 3.0), np.full((6, 2), 0.1)])
+    const_rows[[1, 3, 4], 3] = np.nan
+    const = FeatureTable(("a", "b", "c", "d"), const_rows,
                          tuple(f"r{i}" for i in range(6)),
                          target=np.array([0.0, 0, 0, 1, 1, 1]))
     params = fit_standardize(const)
@@ -450,7 +455,7 @@ def test_criterion_11_degenerate_inputs(capsys):
     checks.append(bool(np.all(z.rows == 0.0)))
     checks.append(low_variance_filter(const).kept_columns == ())
     checks.append(bool(np.all(anova_f_values(const) == 0.0)))
-    checks.append(np.array_equal(correlation_matrix(const), np.eye(2)))
+    checks.append(np.array_equal(correlation_matrix(const), np.eye(4)))
 
     ok = all(checks)
     report(capsys, 11, "degenerate-inputs", ok,

@@ -9,12 +9,12 @@ from voxfeat.mlpipe import (
     correlation_matrix,
     high_correlation_filter,
     ica,
+    impute_and_standardize,
     low_variance_filter,
     pca,
 )
 from voxfeat.mlpipe import transform as transform_module
-from voxfeat.mlpipe.table import impute_only
-from voxfeat.mlpipe.transform import _aligned_change, distinct_columns, unit_columns
+from voxfeat.mlpipe.transform import _aligned_change, distinct_columns
 
 from test_mlpipe_select import messy_table
 
@@ -134,7 +134,7 @@ def elementwise_correlation_matrix(tbl):
     """The per-column correlation_matrix the one product replaced: each
     column's r against the later columns as numpy's elementwise multiply
     and sum down the rows."""
-    u = unit_columns(impute_only(tbl).rows)
+    u = impute_and_standardize(tbl)[0].rows
     corr = np.empty((tbl.n_cols, tbl.n_cols))
     for j in range(tbl.n_cols):
         r = (u[:, j:] * u[:, j][:, None]).sum(axis=0) / max(tbl.n_rows, 1)
@@ -152,7 +152,7 @@ class TestDistinctColumns:
         rng = np.random.default_rng(4)
         data = np.column_stack([rng.normal(size=9), -x, x, 2.0 * x, np.full(9, 0.1),
                                 x + 1e-9 * rng.normal(size=9), np.full(9, 3.0)])
-        u = unit_columns(impute_only(make(list("abcdefg"), data)).rows)
+        u = impute_and_standardize(make(list("abcdefg"), data))[0].rows
         assert np.array_equal(u[:, 1] == 0, np.isin(np.arange(9), [2, 4, 6]))
         first, group = distinct_columns(u)
         assert first.tolist() == [0, 1, 4, 5]

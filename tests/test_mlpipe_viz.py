@@ -45,6 +45,17 @@ class TestScatter:
         assert exp.fit_slope == 0.0
         assert exp.fit_intercept == pytest.approx(4.0)
 
+    def test_constant_x_with_missing_cells_gets_flat_fit(self):
+        # the mean of the 28 observed 0.1 cells, imputed into the other two,
+        # is an ulp off 0.1, so the filled column is a few ulps wide
+        x = np.full(30, 0.1)
+        x[[3, 17]] = np.nan
+        y = np.random.default_rng(0).normal(size=30)
+        exp = scatter_export(make(["x", "y"], np.column_stack([x, y])), "x", "y")
+        assert np.ptp(exp.x) > 0
+        assert exp.fit_slope == 0.0
+        assert exp.fit_intercept == y.mean()
+
 
 class TestHistogramBins:
     def test_ordinary_and_constant_columns_bin_as_numpy_does(self):

@@ -668,23 +668,40 @@ class TestRunAnalyze:
         assert set(sel["kept"]) == {"x1", "x2"}
         assert sel["curve"][0]["mean_score"] > 0.9
 
-    def test_rfe_never_ranks_an_all_equal_column(self, tmp_path):
-        # 30 copies of 0.1 measure a variance of ulps; kept, the column
-        # z-scores to +-1 against the intercept, and rfe ranked it first
+    @staticmethod
+    def flat_csv(path):
+        """30 rows of two-class data; column "flat" holds 30 copies of 0.1,
+        which measure a variance of ulps."""
         rng = np.random.default_rng(8)
         n = 30
         y = rng.permutation(np.arange(n) % 2).astype(np.float64)
         x = rng.normal(size=(n, 4)) + 0.5 * y[:, None] * np.array([1.0, 0.5, 0.0, 0.0])
         rows = np.column_stack([x[:, :2], np.full(n, 0.1), x[:, 2:]])
-        path = tmp_path / "flat.csv"
         path.write_text(table_to_csv_text(FeatureTable(
             ("a", "b", "flat", "c", "d"), rows, tuple(f"r{i}" for i in range(n)), y)))
+        return path
+
+    def test_rfe_never_ranks_an_all_equal_column(self, tmp_path):
+        path = self.flat_csv(tmp_path / "flat.csv")
         cfg = PipelineConfig(analyze=AnalyzeSpec(selector="rfe", k_values=(1, 2), folds=4))
         report = run_analyze(path, tmp_path / "out", cfg)
         assert report["stages"][0] == {"stage": "low_variance", "threshold": 0.0,
                                        "dropped": ["flat"]}
         ranking = (tmp_path / "out" / "ranking.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in ranking[1:]] == ["c", "a", "d", "b"]
+
+    @pytest.mark.parametrize("selector", ["anova_f", "mrmr", "rfe", "importance"])
+    def test_unfiltered_all_equal_column_scores_zero(self, tmp_path, selector):
+        # with the variance filter off the column reaches the selectors; it
+        # used to z-score to +-1 against the intercept, and rfe ranked it
+        # first with 0.25
+        path = self.flat_csv(tmp_path / "flat.csv")
+        cfg = PipelineConfig(analyze=AnalyzeSpec(
+            selector=selector, low_variance=False, k_values=(1, 5), folds=4))
+        run_analyze(path, tmp_path / "out", cfg)
+        ranking = (tmp_path / "out" / "ranking.csv").read_text().splitlines()
+        scores = dict(line.split(",")[::2] for line in ranking[1:])
+        assert scores["flat"] == "0.0"
 
     def test_deterministic_report(self, toy, tmp_path, cfg):
         r1 = run_analyze(toy, tmp_path / "o1", cfg)
