@@ -2,70 +2,28 @@
 
 The package splits into feature producers (audio_io, acoustic, functionals,
 textfeat, coherence), a modeling toolkit (mlpipe), and the batch layer that
-ties them together (config, pipeline, featdict, cli). Every text input file
-is read by textio.
+ties them together (config, pipeline, analyze, featdict, cli). Every text
+input file is read by textio. Each exported name is imported from its
+submodule on first use.
 """
 
-from .audio_io import AudioBuffer, load_wav, write_wav
-from .config import (
-    AnalyzeSpec,
-    PipelineConfig,
-    config_from_dict,
-    config_hash,
-    config_to_dict,
-    feature_names_for,
-    load_config,
-    validate_config,
-)
-from .errors import VoxfeatError
-from .featdict import FeatureEntry, feature_dictionary, featdict_text, write_featdict
-from .functionals import FeatureVector, FunctionalBank, gemaps_core, spectral_set
-from .mlpipe import FeatureTable, read_table_csv, table_to_csv_text
-from .pipeline import (
-    RecordingInput,
-    RunManifest,
-    discover_inputs,
-    extract_features,
-    run_analyze,
-    run_extract,
-)
-from .textfeat import Transcript, complexity, load_conllu, tokenize
+from ._lazy import attach
+
+# each exported name -> the submodule that defines it, imported on first
+# access, so an extract run never loads the analyze modules
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "analyze": ("run_analyze",),
+    "audio_io": ("AudioBuffer", "load_wav", "write_wav"),
+    "config": ("AnalyzeSpec", "PipelineConfig", "config_from_dict", "config_hash",
+               "config_to_dict", "feature_names_for", "load_config", "validate_config"),
+    "errors": ("VoxfeatError",),
+    "featdict": ("FeatureEntry", "feature_dictionary", "featdict_text", "write_featdict"),
+    "functionals": ("FeatureVector", "FunctionalBank", "gemaps_core", "spectral_set"),
+    "mlpipe": ("FeatureTable", "read_table_csv", "table_to_csv_text"),
+    "pipeline": ("RecordingInput", "RunManifest", "discover_inputs", "extract_features",
+                 "run_extract"),
+    "textfeat": ("Transcript", "complexity", "load_conllu", "tokenize"),
+})
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalyzeSpec",
-    "AudioBuffer",
-    "FeatureEntry",
-    "FeatureTable",
-    "FeatureVector",
-    "FunctionalBank",
-    "PipelineConfig",
-    "RecordingInput",
-    "RunManifest",
-    "Transcript",
-    "VoxfeatError",
-    "__version__",
-    "complexity",
-    "config_from_dict",
-    "config_hash",
-    "config_to_dict",
-    "discover_inputs",
-    "extract_features",
-    "featdict_text",
-    "feature_dictionary",
-    "feature_names_for",
-    "gemaps_core",
-    "load_config",
-    "load_conllu",
-    "load_wav",
-    "read_table_csv",
-    "run_analyze",
-    "run_extract",
-    "spectral_set",
-    "table_to_csv_text",
-    "tokenize",
-    "validate_config",
-    "write_featdict",
-    "write_wav",
-]
+__all__ = sorted([*__all__, "__version__"])

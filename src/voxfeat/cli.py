@@ -14,7 +14,7 @@ import sys
 from .config import PipelineConfig, load_config
 from .errors import VoxfeatError
 from .featdict import write_featdict
-from .pipeline import run_analyze, run_extract
+from .pipeline import run_extract
 
 _EPILOG = """\
 environment:
@@ -93,6 +93,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{manifest.feature_count} features to {args.out_csv}")
             return 0 if manifest.all_ok else 1
         if args.command == "analyze":
+            # imported here: extract and featdict never load the analyze modules
+            from .analyze import run_analyze
+
             report = run_analyze(args.features_csv, args.out_dir, cfg)
             print(f"wrote {', '.join(report['outputs'])} to {args.out_dir}")
             return 0

@@ -2,92 +2,20 @@
 variance and correlation filters, PCA and ICA, supervised selection,
 baseline models, cross-validated scoring, and scatter and heatmap exports."""
 
-from .model import (
-    LinearModel,
-    LogisticModel,
-    accuracy_score,
-    fit_lasso,
-    fit_logistic,
-    fit_ols,
-    r2_score,
-)
-from .select import (
-    CurvePoint,
-    anova_f_select,
-    anova_f_values,
-    cv_score_curve,
-    importance_select,
-    mrmr_rank,
-    ranked_prefixes,
-    rfe_path,
-    rfe_select,
-)
-from .table import (
-    FeatureTable,
-    StandardizeParams,
-    apply_standardize,
-    fit_standardize,
-    impute_and_standardize,
-    impute_only,
-    is_classification,
-    read_finite_table_csv,
-    read_table_csv,
-    table_to_csv_text,
-)
-from .transform import (
-    IcaResult,
-    PcaResult,
-    SelectionResult,
-    correlation_matrix,
-    high_correlation_filter,
-    ica,
-    low_variance_filter,
-    pca,
-)
-from .viz import (
-    HeatmapExport,
-    ScatterExport,
-    corr_heatmap_export,
-    scatter_export,
-)
+from .._lazy import attach
 
-__all__ = [
-    "CurvePoint",
-    "FeatureTable",
-    "HeatmapExport",
-    "IcaResult",
-    "LinearModel",
-    "LogisticModel",
-    "PcaResult",
-    "ScatterExport",
-    "SelectionResult",
-    "StandardizeParams",
-    "accuracy_score",
-    "anova_f_select",
-    "anova_f_values",
-    "apply_standardize",
-    "corr_heatmap_export",
-    "correlation_matrix",
-    "cv_score_curve",
-    "fit_lasso",
-    "fit_logistic",
-    "fit_ols",
-    "fit_standardize",
-    "high_correlation_filter",
-    "ica",
-    "importance_select",
-    "impute_and_standardize",
-    "impute_only",
-    "is_classification",
-    "low_variance_filter",
-    "mrmr_rank",
-    "pca",
-    "r2_score",
-    "ranked_prefixes",
-    "read_finite_table_csv",
-    "read_table_csv",
-    "rfe_path",
-    "rfe_select",
-    "scatter_export",
-    "table_to_csv_text",
-]
+# each exported name -> the submodule that defines it, imported on first
+# access: an extract run needs only the table module
+__getattr__, __dir__, __all__ = attach(globals(), {
+    "model": ("LinearModel", "LogisticModel", "accuracy_score", "fit_lasso",
+              "fit_logistic", "fit_ols", "r2_score"),
+    "select": ("CurvePoint", "anova_f_select", "anova_f_values", "cv_score_curve",
+               "importance_select", "mrmr_rank", "ranked_prefixes", "rfe_path",
+               "rfe_select"),
+    "table": ("FeatureTable", "StandardizeParams", "apply_standardize", "fit_standardize",
+              "impute_and_standardize", "impute_only", "is_classification",
+              "read_finite_table_csv", "read_table_csv", "table_to_csv_text"),
+    "transform": ("IcaResult", "PcaResult", "SelectionResult", "correlation_matrix",
+                  "high_correlation_filter", "ica", "low_variance_filter", "pca"),
+    "viz": ("HeatmapExport", "ScatterExport", "corr_heatmap_export", "scatter_export"),
+})

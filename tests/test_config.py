@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from voxfeat import analyze, config
 from voxfeat.coherence import COHERENCE_FEATURE_NAMES
 from voxfeat.config import (
     SENTIMENT_FEATURE_NAMES,
@@ -98,6 +99,11 @@ class TestValidation:
             validate_config(PipelineConfig(analyze=AnalyzeSpec(k_values=())))
         with pytest.raises(ConfigError):
             validate_config(PipelineConfig(analyze=AnalyzeSpec(transform="svd")))
+
+    def test_every_accepted_selector_has_a_select_function(self):
+        # a name validation accepts but the analyze table lacks would pass
+        # validation and then fail at 'selection' with a bare KeyError
+        assert tuple(analyze._SELECTORS) == config._SELECTORS
 
     @pytest.mark.parametrize("analyze", [
         {"low_variance_threshold": "0.1"},

@@ -1,5 +1,14 @@
 """voxfeat runs on numpy alone: no path loads scipy, and multiprocessing and
-concurrent.futures load only for an extract with more than one worker."""
+concurrent.futures load only for an extract with more than one worker.
+
+An extract loads none of the analyze modules: `import voxfeat` and
+`import voxfeat.mlpipe` resolve each exported name on first use, and
+voxfeat.pipeline loads voxfeat.analyze only when run_analyze is asked for.
+So after `import voxfeat` and a one-worker run_extract, neither
+voxfeat.analyze nor the modeling, selection, transform and plotting modules
+are loaded; run_analyze still runs after that, and every name in the two
+packages' __all__ resolves and is listed by dir().
+"""
 
 import json
 import os
@@ -82,3 +91,60 @@ def test_no_path_loads_scipy(tmp_path):
         assert seen[f"analyze{n_classes}"] == []
     assert seen["accuracy"] == 1.0
     assert seen["fit"] == []
+
+
+ANALYZE_MODULES = ("voxfeat.analyze", "voxfeat.mlpipe.model", "voxfeat.mlpipe.select",
+                   "voxfeat.mlpipe.transform", "voxfeat.mlpipe.viz", "voxfeat.svgplot")
+
+FOOTPRINT_SCRIPT = r"""
+import json, sys
+import numpy as np
+
+analyze_modules = json.loads(sys.argv[2])
+seen = {}
+import voxfeat
+t = np.arange(16000) / 16000
+voxfeat.write_wav(voxfeat.AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t), 16000),
+                  sys.argv[1] + "/a.wav")
+manifest = voxfeat.run_extract(sys.argv[1], sys.argv[1] + "/f.csv", voxfeat.PipelineConfig(),
+                               jobs=1)
+seen["extract_ok"] = manifest.all_ok
+seen["extract"] = sorted(m for m in analyze_modules if m in sys.modules)
+
+rng = np.random.default_rng(0)
+y = np.arange(40) % 2
+x = np.column_stack([2.0 * y + rng.standard_normal(40), rng.standard_normal((40, 2))])
+with open(sys.argv[1] + "/table.csv", "w") as fh:
+    fh.write("row_id,a,b,c,target\n")
+    for i in range(40):
+        fh.write(f"r{i}," + ",".join(repr(float(v)) for v in x[i]) + f",{y[i]}\n")
+spec = voxfeat.AnalyzeSpec(k_values=(1, 2), folds=3)
+report = voxfeat.run_analyze(sys.argv[1] + "/table.csv", sys.argv[1] + "/out",
+                             voxfeat.PipelineConfig(analyze=spec))
+seen["analyze_outputs"] = report["outputs"]
+
+import voxfeat.mlpipe
+for package in (voxfeat, voxfeat.mlpipe):
+    listed = dir(package)
+    seen[package.__name__] = {
+        "unresolved": [n for n in package.__all__ if getattr(package, n, None) is None],
+        "unlisted": [n for n in package.__all__ if n not in listed],
+    }
+print(json.dumps(seen))
+"""
+
+
+def test_extract_loads_no_analyze_module(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(tmp_path),
+                           json.dumps(ANALYZE_MODULES)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["extract_ok"]
+    assert seen["extract"] == []
+    assert seen["analyze_outputs"] == ["curve.csv", "curve.svg", "heatmap.svg",
+                                       "kept_features.txt", "ranking.csv", "report.json",
+                                       "scatter.svg"]
+    for package in ("voxfeat", "voxfeat.mlpipe"):
+        assert seen[package] == {"unresolved": [], "unlisted": []}

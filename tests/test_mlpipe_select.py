@@ -32,7 +32,7 @@ from voxfeat.mlpipe import (
 from voxfeat.mlpipe import select as select_module
 from voxfeat.mlpipe.select import _fold_indices
 from voxfeat.mlpipe.transform import distinct_columns, pearson
-from voxfeat.pipeline import _SELECTORS, _importance_topk
+from voxfeat.analyze import _SELECTORS, _importance_topk
 
 
 def make(cols, data, target=None):

@@ -29,7 +29,7 @@ from voxfeat.errors import (
     UnwritableOutput,
     VoxfeatError,
 )
-from voxfeat import pipeline
+from voxfeat import analyze, pipeline
 from voxfeat.mlpipe import FeatureTable, table_to_csv_text
 from voxfeat.pipeline import (
     _load_transcript,
@@ -533,7 +533,7 @@ class TestTaskDecision:
             raise AssertionError("a filter or transform ran before the task stage")
 
         for name in ("low_variance_filter", "high_correlation_filter", "pca", "ica"):
-            monkeypatch.setattr(pipeline, name, must_not_run)
+            monkeypatch.setattr(analyze, name, must_not_run)
         path = tmp_path / "float.csv"
         score_csv(path, "float")
         cfg = PipelineConfig(analyze=AnalyzeSpec(estimator="logistic", transform="ica"))
