@@ -8,6 +8,11 @@ one binary system solved exactly (IRLS; Hastie, Tibshirani & Friedman,
 Elements of Statistical Learning, 4.4.1), for more by conjugate gradients.
 A fit not there after `max_iter` steps raises ConvergenceFailure.
 
+The binary Hessian X'WX/n is one symmetric product a'a with
+a = X sqrt(W), which numpy runs as a BLAS syrk (one triangle, mirrored), so
+it is exactly symmetric; the ridge is added to its diagonal in place, and
+each step reuses the margin that the accepted step-halving trial formed.
+
 All fitters expect preprocessed (imputed, standardized) design matrices;
 they add their own intercept and never penalize it.
 """
@@ -109,7 +114,8 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
 def _newton(value, derivatives, q: int, tol: float, max_iter: int) -> np.ndarray:
     """Newton's method from zero with Armijo step halving, until the largest
     gradient entry is below tol. derivatives(theta) returns the gradient and
-    a callable that maps it to the Newton step, called only for a step."""
+    a callable that maps it to the Newton step, called only for a step. Each
+    theta after the first is the array last passed to value."""
     theta = np.zeros(q)
     f = value(theta)
     for steps in range(max_iter + 1):
@@ -127,34 +133,53 @@ def _newton(value, derivatives, q: int, tol: float, max_iter: int) -> np.ndarray
         slope = float(grad @ step)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            f_new = value(theta + t * step)
+            trial = theta + t * step
+            f_new = value(trial)
             if f_new <= f + 1e-4 * t * slope + _ROUNDING * abs(f):
                 break
             t *= 0.5
         else:
             raise ConvergenceFailure("logistic fit: step halving found no decrease")
-        theta, f = theta + t * step, f_new
+        theta, f = trial, f_new
 
 
 def _fit_binary(xt: np.ndarray, y1: np.ndarray, alpha: float,
                 tol: float, max_iter: int) -> np.ndarray:
     """Class 1 against class 0 with coef[1] = -coef[0] = beta/2, intercepts
     likewise: a binary logistic loss on the margin xt @ beta with penalty
-    alpha/4 * ||beta_w||^2, whose gradient is the full one's class-1 rows."""
+    alpha/4 * ||beta_w||^2, whose gradient is the full one's class-1 rows.
+
+    The Hessian is a'a/n with a = xt * sqrt(p(1 - p)), one symmetric product
+    (BLAS syrk, half the multiplies of a general one), plus the ridge on its
+    diagonal. The gradient reads the margin of the point value saw last,
+    which is the accepted trial."""
     n, q = xt.shape
     ridge = np.full(q, alpha / 2.0)
     ridge[-1] = 0.0
+    last: list = [None, None]  # the point whose margin was formed last, and that margin
+
+    def margin(beta: np.ndarray) -> np.ndarray:
+        if beta is not last[0]:
+            last[:] = beta, xt @ beta
+        return last[1]
 
     def value(beta: np.ndarray) -> float:
-        margin = xt @ beta
-        loss = np.logaddexp(0.0, margin) - y1 * margin
+        m = margin(beta)
+        loss = np.logaddexp(0.0, m) - y1 * m
         return float(loss.mean() + 0.5 * (ridge * beta) @ beta)
 
     def derivatives(beta: np.ndarray):
-        prob = _sigmoid(xt @ beta)
+        prob = _sigmoid(margin(beta))
         grad = xt.T @ (prob - y1) / n + ridge * beta
-        return grad, lambda g: np.linalg.solve(
-            xt.T @ (xt * (prob * (1.0 - prob))[:, None]) / n + np.diag(ridge), -g)
+
+        def solve(g: np.ndarray) -> np.ndarray:
+            a = xt * np.sqrt(prob * (1.0 - prob))[:, None]
+            hessian = a.T @ a
+            hessian /= n
+            hessian.flat[::q + 1] += ridge
+            return np.linalg.solve(hessian, -g)
+
+        return grad, solve
 
     return _newton(value, derivatives, q, tol, max_iter)
 

@@ -1,7 +1,8 @@
 """Supervised feature selection and the cross-validated score curve.
 
-All selectors fit on imputed+standardized copies, report original column
-names, and break score ties by column order. Each reads the task from the
+All selectors read the table's one standardization
+(table.impute_and_standardize, fitted once per table), report original
+column names, and break score ties by column order. Each reads the task from the
 table's classification field; rfe ranks by OLS under both tasks.
 
 rfe solves each OLS fit's normal equations from one Gram matrix per table
@@ -31,7 +32,6 @@ from .model import (
 from .table import (
     FeatureTable,
     apply_standardize,
-    fit_standardize,
     impute_and_standardize,
     standardize_columns,
 )
@@ -68,7 +68,7 @@ def anova_f_values(tbl: FeatureTable) -> np.ndarray:
     """
     y = _require_target(tbl, "anova_f_select")
     if not tbl.classification:
-        u = standardize_columns(tbl.rows)
+        u = impute_and_standardize(tbl)[0].rows
         first, group = distinct_columns(u)
         r2 = (pearson(u[:, first], standardize_columns(y[:, None])[:, 0]) ** 2)[group]
         return np.divide(r2 * (tbl.n_rows - 2), 1 - r2, out=np.full(tbl.n_cols, np.inf),
@@ -160,7 +160,7 @@ def _ols_importance(rows: np.ndarray, y: np.ndarray, gram: np.ndarray,
     columns than rows or the sub-matrix fails _well_conditioned.
     """
     idx = np.append(cols, gram.shape[0] - 1)
-    sub = gram[np.ix_(idx, idx)]
+    sub = gram[idx][:, idx]  # the bytes of np.ix_, in a quarter of its time
     if idx.size <= rows.shape[0] and _well_conditioned(sub):
         return np.abs(np.linalg.solve(sub, rhs[idx])[:-1])
     return fit_ols(rows[:, cols], y).importance()
@@ -286,7 +286,7 @@ def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
     _require_target(tbl, "mrmr_rank")
     if not 1 <= k <= tbl.n_cols:
         raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
-    u = standardize_columns(tbl.rows)
+    u = impute_and_standardize(tbl)[0].rows
     first, group = distinct_columns(u)
     distinct = u[:, first]
     rel = _relevance(distinct, tbl)  # per distinct column, as is redundancy_sum
@@ -369,10 +369,12 @@ def cv_score_curve(
     rows; the validation rows are transformed with the training parameters.
     Scores are accuracy for "logistic" and R^2 for "ols".
 
-    Each fold is standardized once: fit_standardize on its training rows,
-    applied to both sides. Each k then scores column slices of those arrays.
-    Standardization works column by column, so a slice holds exactly what
-    standardizing only the chosen columns gives.
+    Each fold is standardized once: impute_and_standardize of its training
+    table, whose parameters are applied to the validation rows. The table
+    caches that result, so the selector reads the same rows and fits no
+    standardization of its own. Each k then scores column slices of those
+    arrays. Standardization works column by column, so a slice holds exactly
+    what standardizing only the chosen columns gives.
 
     select_ks, when given, selects for all of a fold's ks in one call (see
     ranked_prefixes and rfe_path) and selector is not used; otherwise
@@ -400,8 +402,8 @@ def cv_score_curve(
     for f, val_idx in enumerate(fold_idx):
         train_idx = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
         train = tbl.select_rows(train_idx)
-        params = fit_standardize(train)
-        train_z = apply_standardize(train, params).rows
+        train_std, params = impute_and_standardize(train)
+        train_z = train_std.rows  # the rows the selector reads too
         val_z = apply_standardize(tbl.select_rows(val_idx), params).rows
         selected = select_ks(train, ks) if ks else {}
         for i, k in enumerate(ks):

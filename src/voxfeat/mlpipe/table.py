@@ -1,5 +1,11 @@
 """Feature table container, preprocessing, and CSV persistence.
 
+A table's rows are read-only. Its standardization under fit_columns' rule
+(impute_and_standardize) is computed once per FeatureTable, on first use,
+and every later call returns the same read-only rows and parameters. So a
+cross-validation fold's training table is standardized once, and the
+curve's scorer and the selector read the same arrays.
+
 CSV layout: header "row_id,<feature names...>[,target]", one row per
 recording. Floats are written with repr() so a read-back is exact.
 """
@@ -8,6 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +27,10 @@ RESERVED = ("row_id", "target")
 
 @dataclass(frozen=True)
 class FeatureTable:
+    """Rows of named feature columns, with an optional target. A table caches
+    its standardization (impute_and_standardize) and its column positions,
+    so its rows are a read-only view of the array it was given."""
+
     column_names: tuple[str, ...]
     rows: np.ndarray
     row_ids: tuple[str, ...]
@@ -31,6 +42,8 @@ class FeatureTable:
         rows = np.asarray(self.rows, dtype=np.float64)
         if rows.ndim != 2:
             rows = rows.reshape(len(self.row_ids), -1)
+        rows = rows.view()
+        rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "column_names", tuple(self.column_names))
         object.__setattr__(self, "row_ids", tuple(map(str, self.row_ids)))
@@ -61,11 +74,21 @@ class FeatureTable:
     def n_cols(self) -> int:
         return self.rows.shape[1]
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {name: j for j, name in enumerate(self.column_names)}
+
+    @cached_property
+    def _standardized(self) -> tuple["FeatureTable", "StandardizeParams"]:
+        params = fit_standardize(self)
+        params.means.flags.writeable = params.stds.flags.writeable = False
+        return apply_standardize(self, params), params
+
     def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self.column_names.index(name)]
+        return self.rows[:, self._position[name]]
 
     def select_columns(self, names: list[str] | tuple[str, ...]) -> "FeatureTable":
-        idx = [self.column_names.index(n) for n in names]
+        idx = [self._position[n] for n in names]
         return replace(self, column_names=tuple(names), rows=self.rows[:, idx])
 
     def select_rows(self, indices: np.ndarray) -> "FeatureTable":
@@ -143,9 +166,9 @@ def apply_standardize(tbl: FeatureTable, params: StandardizeParams) -> FeatureTa
 
 def impute_and_standardize(tbl: FeatureTable) -> tuple[FeatureTable, StandardizeParams]:
     """The table under fit_columns' rule, and the parameters that re-apply
-    the same transform to held-out rows."""
-    params = fit_standardize(tbl)
-    return apply_standardize(tbl, params), params
+    the same transform to held-out rows. Fitted once per table, on the first
+    call; every call returns the same objects, whose arrays are read-only."""
+    return tbl._standardized
 
 
 def impute_only(tbl: FeatureTable) -> FeatureTable:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConvergenceFailure, InvalidK, TooFewColumns
-from .table import FeatureTable, fit_standardize, impute_and_standardize, standardize_columns
+from .table import FeatureTable, fit_standardize, impute_and_standardize
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ def correlation_matrix(tbl: FeatureTable) -> np.ndarray:
     exact unit diagonal; a constant column correlates 0 with every other.
     numpy forms u.T @ u as one symmetric product (BLAS syrk, one triangle
     mirrored), so the matrix is exactly symmetric."""
-    u = standardize_columns(tbl.rows)
+    u = impute_and_standardize(tbl)[0].rows
     corr = pearson(u, u)
     np.fill_diagonal(corr, 1.0)
     return corr

@@ -15,6 +15,7 @@ from voxfeat.mlpipe import (
     fit_ols,
     r2_score,
 )
+from voxfeat.mlpipe import model as model_module
 from voxfeat.mlpipe.model import _sigmoid
 
 
@@ -278,6 +279,73 @@ class TestLogisticSolver:
             with pytest.raises(ConvergenceFailure):
                 fit_logistic(x, y, max_iter=1)
             fit_logistic(x, y)
+
+
+def general_product_fit_binary(xt, y1, alpha, tol, max_iter):
+    """The former binary fit: each Newton step forms the Hessian with a
+    general product and adds the ridge as np.diag(ridge)."""
+    n, q = xt.shape
+    ridge = np.full(q, alpha / 2.0)
+    ridge[-1] = 0.0
+
+    def value(beta):
+        margin = xt @ beta
+        loss = np.logaddexp(0.0, margin) - y1 * margin
+        return float(loss.mean() + 0.5 * (ridge * beta) @ beta)
+
+    def derivatives(beta):
+        prob = _sigmoid(xt @ beta)
+        grad = xt.T @ (prob - y1) / n + ridge * beta
+        return grad, lambda g: np.linalg.solve(
+            xt.T @ (xt * (prob * (1.0 - prob))[:, None]) / n + np.diag(ridge), -g)
+
+    return model_module._newton(value, derivatives, q, tol, max_iter)
+
+
+def binary_objective_and_gradient(xt, y1, alpha, beta):
+    """The binary fit's objective and gradient at beta, formed directly."""
+    ridge = np.full(xt.shape[1], alpha / 2.0)
+    ridge[-1] = 0.0
+    margin = xt @ beta
+    value = float((np.logaddexp(0.0, margin) - y1 * margin).mean()
+                  + 0.5 * (ridge * beta) @ beta)
+    return value, xt.T @ (_sigmoid(margin) - y1) / xt.shape[0] + ridge * beta
+
+
+class TestBinaryNewtonStep:
+    """The symmetric-product Newton step reaches the former fit's optimum."""
+
+    @pytest.mark.parametrize("n_rows, n_cols", [(240, 10), (240, 120), (240, 200), (80, 220)])
+    @pytest.mark.parametrize("alpha", [1e-3, 0.01])
+    def test_matches_the_general_product_fit(self, n_rows, n_cols, alpha):
+        rng = np.random.default_rng(70 + n_cols)
+        # held-out rows beyond n_rows; 80 x 220 has more columns than rows
+        x, y = sweep_columns(rng, n_rows + 60, n_cols)
+        xt = np.column_stack([x, np.ones(x.shape[0])])
+        fit, held = xt[:n_rows], xt[n_rows:]
+        y1 = y[:n_rows].astype(np.float64)
+        tol = 1e-8
+        beta = model_module._fit_binary(fit, y1, alpha, tol, 1000)
+        ref = general_product_fit_binary(fit, y1, alpha, tol, 1000)
+        value, grad = binary_objective_and_gradient(fit, y1, alpha, beta)
+        ref_value, _ = binary_objective_and_gradient(fit, y1, alpha, ref)
+        assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+        assert np.max(np.abs(grad)) < tol
+        np.testing.assert_array_equal(held @ beta > 0, held @ ref > 0)
+
+    def test_hessian_is_exactly_symmetric(self, monkeypatch):
+        x, y = sweep_columns(np.random.default_rng(75), 240, 200)
+        solved = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append(a.copy())
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        fit_logistic(x, y, alpha=0.01)
+        assert solved
+        for hessian in solved:
+            assert np.array_equal(hessian, hessian.T)
 
 
 def test_sigmoid_matches_scipy_expit():

@@ -30,6 +30,7 @@ from voxfeat.mlpipe import (
     rfe_select,
 )
 from voxfeat.mlpipe import select as select_module
+from voxfeat.mlpipe import table as table_module
 from voxfeat.mlpipe.select import _fold_indices
 from voxfeat.mlpipe.transform import distinct_columns, pearson
 from voxfeat.analyze import _SELECTORS, _importance_topk
@@ -717,18 +718,22 @@ class TestCurveSelectsOncePerFold:
 
 class TestCurveStandardizesEachFoldOnce:
     """Scoring each k on column slices of a fold standardized once gives
-    exactly the curve of standardizing each (k, fold)'s chosen columns."""
+    exactly the curve of standardizing each (k, fold)'s chosen columns, and
+    the curve and the selector share that one standardization."""
 
     @pytest.mark.parametrize("seed, target", enumerate(("binary", "3-class", "float"), start=60))
     def test_matches_reference_on_messy_tables(self, seed, target, monkeypatch):
         fits = []
+        fit_columns = table_module.fit_columns
+        width = []
 
-        def counted_fit(tbl):
-            fits.append(tbl.n_rows)
-            return fit_standardize(tbl)
-        # the selectors standardize through the table module, so this counts
-        # only the curve's own fits
-        monkeypatch.setattr(select_module, "fit_standardize", counted_fit)
+        def counted_fit(rows):
+            if rows.shape[1] == width[0]:  # a feature table's fit, not a target's
+                fits.append(rows.shape[0])
+            return fit_columns(rows)
+        # every standardization, the curve's and each selector's, fits its
+        # parameters through the table module's fit_columns
+        monkeypatch.setattr(table_module, "fit_columns", counted_fit)
         selectors = {"anova_f": anova_f_select, "mrmr": mrmr_rank,
                      "importance": _importance_topk, "rfe": rfe_select}
         if target == "float":
@@ -738,8 +743,10 @@ class TestCurveStandardizesEachFoldOnce:
         for _ in range(2):
             # 5 % NaN cells, copies, constant columns and an all-NaN column
             tbl = messy_table(rng, target)
+            width[:] = [tbl.n_cols]
             folds = int(rng.integers(2, 5))
             k_values = [1, tbl.n_cols + 2] + [int(k) for k in rng.integers(1, tbl.n_cols, 3)]
+            train_rows = sorted(tbl.n_rows - idx.size for idx in _fold_indices(tbl, folds, 5))
             for name, fn in selectors.items():
                 want = reference_curve(tbl, fn, estimator, k_values, folds, seed=5)
                 for select_ks, selector in ((_SELECTORS[name], None), (None, fn)):
@@ -747,7 +754,8 @@ class TestCurveStandardizesEachFoldOnce:
                     got = cv_score_curve(tbl, selector, estimator, k_values, folds, seed=5,
                                          select_ks=select_ks)
                     assert got == want, name
-                    assert len(fits) == folds, name
+                    # one fit per fold's training rows, selector included
+                    assert sorted(fits) == train_rows, name
 
 
 def lstsq_importance(z, y, cols):

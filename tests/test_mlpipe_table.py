@@ -120,6 +120,20 @@ class TestStandardize:
         z2, _ = impute_and_standardize(t)
         assert np.array_equal(z1.rows, z2.rows)
 
+    def test_fitted_once_per_table_and_read_only(self):
+        data = np.array([[1.0, 5.0], [np.nan, 6.0], [3.0, 9.0]])
+        t = make(["a", "b"], data)
+        first = impute_and_standardize(t)
+        assert impute_and_standardize(t) is first
+        z, params = first
+        for array in (t.rows, z.rows, params.means, params.stds):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # the table is a read-only view: the caller's array stays writable
+        data[0, 0] = 2.0
+        # a derived table is a new table with its own standardization
+        assert impute_and_standardize(t.select_rows(np.arange(2)))[0].rows.shape == (2, 2)
+
 
 class TestClassification:
     def test_integral_targets_are_classes(self):
