@@ -144,10 +144,10 @@ def spectra(frames: FrameMatrix, n_fft: int | None = None) -> Spectrum:
 
 def f0_track(
     buf: AudioBuffer,
-    f_min: float = 60.0,
-    f_max: float = 500.0,
-    hop_seconds: float = 0.010,
-    threshold: float = 0.15,
+    f_min: float = AcousticConfig.f_min_hz,
+    f_max: float = AcousticConfig.f_max_hz,
+    hop_seconds: float = AcousticConfig.hop_seconds,
+    threshold: float = AcousticConfig.yin_threshold,
 ) -> FrameSeries:
     """Fundamental frequency per frame via the cumulative-mean-normalized
     difference function with parabolic lag interpolation.
@@ -467,7 +467,7 @@ def mel_filterbank(n_mels: int, n_bins: int, bin_hz: float, fmin: float, fmax: f
 
 def mfcc(
     spec: Spectrum,
-    n_mels: int = 26,
+    n_mels: int = AcousticConfig.n_mels,
     n_coeffs: int = 13,
     fmin: float = 0.0,
     fmax: float | None = None,

@@ -3,7 +3,9 @@
 Each sentence maps to the mean of its word embeddings; order-q coherence is
 the cosine between phrase vectors q+1 sentences apart (order 0 = adjacent).
 Normalized statistics subtract a document-internal baseline: the mean cosine
-over every defined phrase pair in the same transcript.
+over every defined phrase pair in the same transcript. COHERENCE declares
+both series per order; the normalized one has no stddev, which the shift
+leaves unchanged, so it would copy the raw series' stddev.
 
 A transcript's phrase vectors are computed once, as the rows of one
 (phrases, dim) array v; sentences with no in-vocabulary word have no row.
@@ -54,14 +56,6 @@ class EmbeddingTable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[1]
-
-
-@dataclass(frozen=True)
-class CoherenceFeatures:
-    per_order: dict[int, dict[str, float]]
-    max_phrase_length: int
-    determiner_rate: float
-    skipped_phrases: int
 
 
 def load_embeddings(path: str | Path) -> EmbeddingTable:
@@ -144,9 +138,9 @@ def phrase_vector(sentence: tuple[str, ...], emb: EmbeddingTable) -> np.ndarray 
     return np.mean(rows, axis=0)
 
 
-def _phrase_matrix(t: Transcript, emb: EmbeddingTable) -> tuple[np.ndarray, int]:
+def _phrase_matrix(t: Transcript, emb: EmbeddingTable) -> np.ndarray:
     """Phrase vectors of the sentences that have one, as rows of a
-    (phrases, dim) array, and how many sentences had none.
+    (phrases, dim) array.
 
     Each is phrase_vector's mean, bit for bit: the sentences with k
     in-vocabulary words are stacked as (m, k, dim), summed over axis 1 in
@@ -164,7 +158,7 @@ def _phrase_matrix(t: Transcript, emb: EmbeddingTable) -> tuple[np.ndarray, int]
         group = np.flatnonzero(hits == k)
         words = emb.matrix[rows[first[group, None] + np.arange(k)]]
         out[group] = words.sum(axis=1) / k
-    return out, len(t.lengths) - defined.size
+    return out
 
 
 def _unit_rows(v: np.ndarray) -> np.ndarray:
@@ -203,41 +197,29 @@ def _baseline(unit: np.ndarray) -> float:
     return (same + cross) / (m * (m - 1) / 2.0)
 
 
-def coherence_features(t: Transcript, emb: EmbeddingTable) -> CoherenceFeatures:
-    """Raw and baseline-normalized coherence statistics for orders 0-3.
-
-    The baseline is the mean cosine over all defined phrase pairs of this
-    transcript; normalized stats run on (c - baseline). Also reports the
-    longest sentence, the determiner rate (NaN without POS tags), and how
-    many sentences had no in-vocabulary word.
-    """
-    v, skipped = _phrase_matrix(t, emb)
+def coherence_features(t: Transcript, emb: EmbeddingTable) -> dict[str, np.ndarray | float]:
+    """COHERENCE's values keyed by entry: the order-q cosine series, the
+    same series minus the baseline (the mean cosine over all defined phrase
+    pairs of this transcript), the longest sentence, and the determiner rate
+    (NaN without POS tags)."""
+    v = _phrase_matrix(t, emb)
     unit = _unit_rows(v)
     baseline = _baseline(unit)
-
-    per_order: dict[int, dict[str, float]] = {}
+    values: dict[str, np.ndarray | float] = {}
     for q in ORDERS:
         series = _series(v, unit, q)
-        raw = DEFAULT_BANK.summarize(series)
-        norm = DEFAULT_BANK.summarize(series - baseline)
-        per_order[q] = {**dict(zip(DEFAULT_BANK.stats, raw)),
-                        **{f"n_{s}": value for s, value in zip(DEFAULT_BANK.stats, norm)}}
-
-    max_phrase_length = max(t.lengths, default=0)
+        values[f"coherence_q{q}"] = series
+        values[f"coherence_q{q}_n"] = series - baseline
+    values["max_phrase_length"] = float(max(t.lengths, default=0))
     tags = Counter(t.pos)
     if len(tags) > (None in tags):  # some token is tagged
-        determiner_rate = (tags["DET"] + tags["DT"]) / t.n_tokens
+        values["determiner_rate"] = (tags["DET"] + tags["DT"]) / t.n_tokens
     else:
-        determiner_rate = float("nan")
+        values["determiner_rate"] = float("nan")
+    return values
 
-    return CoherenceFeatures(per_order, max_phrase_length, determiner_rate, skipped)
 
-
-def coherence_feature_vector(cf: CoherenceFeatures, source_id: str = "") -> FeatureVector:
-    values = {f"coherence_q{q}_{key}": value
-              for q in ORDERS for key, value in cf.per_order[q].items()}
-    values["max_phrase_length"] = float(cf.max_phrase_length)
-    values["determiner_rate"] = cf.determiner_rate
+def coherence_feature_vector(values: dict, source_id: str = "") -> FeatureVector:
     return COHERENCE.vector(values, source_id)
 
 
@@ -245,13 +227,13 @@ def _cosine_text(q: int) -> str:
     return f"cosine(phrase_i, phrase_i+{q + 1}) over sentence mean-vectors"
 
 
+_NORMALIZED_STATS = tuple(s for s in DEFAULT_BANK.stats if s != "stddev")
+
 COHERENCE = Family("text.coherence", (
-    *((f"coherence_q{q}_{prefix}{stat}", f"{text}; {st.describe(over='')}")
-      for q in ORDERS
-      for prefix, text in (
-          ("", _cosine_text(q)),
-          ("n_", _cosine_text(q) + ", minus the all-pairs cosine baseline"))
-      for stat, st in zip(DEFAULT_BANK.stats, DEFAULT_BANK.statistics)),
+    *(entry for q in ORDERS for entry in (
+        (f"coherence_q{q}", _cosine_text(q), DEFAULT_BANK.stats, ""),
+        (f"coherence_q{q}_n", _cosine_text(q) + ", minus the all-pairs cosine baseline",
+         _NORMALIZED_STATS, ""))),
     ("max_phrase_length", "token count of the longest sentence"),
     ("determiner_rate", "determiner-tagged tokens / N"),
 ), lambda t, res: coherence_feature_vector(coherence_features(t, res.embeddings)))

@@ -7,7 +7,7 @@ declaration. The acoustic families read one shared acoustic.Analysis per
 recording, so each intermediate is computed once, and they read only its
 per-frame and per-cycle series: no family sees a frame or a spectrum, so
 their memory follows the recording's frame count. Feature counts and orders
-of gemaps_core (27) and spectral_set (30) are frozen; tests pin the exact
+of gemaps_core (25) and spectral_set (30) are frozen; tests pin the exact
 name lists. Their name sets are disjoint.
 """
 
@@ -256,7 +256,6 @@ def _gemaps(a: Analysis) -> FeatureVector:
     d = a.descriptors
     values = {
         "f0_semitone": np.where(voiced, 12.0 * np.log2(np.where(voiced, f0, 1.0) / 27.5), np.nan),
-        "loudness": d["rms"],
         "jitter": jitter,
         "shimmer": shimmer,
         "hnr": a.hnr.values,
@@ -271,11 +270,12 @@ def _gemaps(a: Analysis) -> FeatureVector:
 
 
 def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> FeatureVector:
-    """The 27-feature voice-quality set (a core subset of the eGeMAPS idea).
+    """The 25-feature voice-quality set (a core subset of the eGeMAPS idea).
 
-    Ten series with {mean, stddev} each: F0 in semitones relative to 27.5 Hz
-    (voiced frames), loudness (frame RMS), two band-restricted spectral
-    slopes, alpha ratio, Hammarberg index, MFCC 1-4. Per-cycle jitter and
+    Nine series with {mean, stddev} each: F0 in semitones relative to 27.5 Hz
+    (voiced frames), two band-restricted spectral slopes, alpha ratio,
+    Hammarberg index, MFCC 1-4. There is no loudness: eGeMAPS loudness is
+    perceptual, and frame RMS is the spectral set's rms. Per-cycle jitter and
     shimmer and per-frame HNR give their stddev only, since their means are
     the scalars jitter_local, shimmer_local and hnr_db; voiced_fraction is
     the fourth scalar.
@@ -293,7 +293,6 @@ def _slope_text(lo: int, hi: int) -> str:
 
 GEMAPS = Family("acoustic.gemaps", (
     ("f0_semitone", "12*log2(f0_hz / 27.5) on voiced frames", _MEAN_STD),
-    ("loudness", "frame RMS amplitude", _MEAN_STD),
     ("jitter", "|T[i+1] - T[i]| / mean(T) per adjacent cycle pair", _STD, _PAIRS),
     ("shimmer", "|A[i+1] - A[i]| / |mean(A)| per adjacent cycle pair", _STD, _PAIRS),
     ("hnr", "10*log10(r / (1 - r)), r = periodic autocorrelation share", _STD),

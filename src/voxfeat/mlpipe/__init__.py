@@ -13,7 +13,7 @@ __getattr__, __dir__, __all__ = attach(globals(), {
                "importance_select", "mrmr_rank", "ranked_prefixes", "rfe_path",
                "rfe_select"),
     "table": ("FeatureTable", "StandardizeParams", "apply_standardize", "fit_standardize",
-              "impute_and_standardize", "impute_only", "is_classification",
+              "impute_and_standardize", "is_classification",
               "read_finite_table_csv", "read_table_csv", "table_to_csv_text"),
     "transform": ("IcaResult", "PcaResult", "SelectionResult", "correlation_matrix",
                   "high_correlation_filter", "ica", "low_variance_filter", "pca"),

@@ -171,11 +171,6 @@ def impute_and_standardize(tbl: FeatureTable) -> tuple[FeatureTable, Standardize
     return tbl._standardized
 
 
-def impute_only(tbl: FeatureTable) -> FeatureTable:
-    means = fit_standardize(tbl).means
-    return replace(tbl, rows=np.where(np.isnan(tbl.rows), means[None, :], tbl.rows))
-
-
 # ---------------------------------------------------------------------------
 # CSV
 # ---------------------------------------------------------------------------

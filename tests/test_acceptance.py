@@ -17,7 +17,7 @@ import scipy.stats
 
 from voxfeat.acoustic import f0_track, spectra
 from voxfeat.audio_io import AudioBuffer, frame_signal, write_wav
-from voxfeat.coherence import EmbeddingTable, coherence_features
+from voxfeat.coherence import EmbeddingTable, coherence_feature_vector, coherence_features
 from voxfeat.config import PipelineConfig
 from voxfeat.functionals import gemaps_core, spectral_set
 from voxfeat.mlpipe import (
@@ -180,8 +180,8 @@ def test_criterion_04_coherence(capsys):
     emb = EmbeddingTable(words, rng.standard_normal((len(words), 6)))
     t = tokenize(" ".join(["the cat sat on mat."] * 6))
     # an empty series would give NaN statistics
-    feats = coherence_features(t, emb)
-    exact = all(feats.per_order[q][stat] == 1.0
+    feats = coherence_feature_vector(coherence_features(t, emb))
+    exact = all(feats[f"coherence_q{q}_{stat}"] == 1.0
                 for q in (0, 1, 2, 3) for stat in ("mean", "min", "max"))
 
     vocab = [f"w{i}" for i in range(6)]
@@ -196,12 +196,13 @@ def test_criterion_04_coherence(capsys):
             " ".join(rng.choice(pool, size=rng.integers(2, 5)))
             for _ in range(int(rng.integers(3, 6)))
         ]
-        draw_feats = coherence_features(tokenize(". ".join(sents) + "."), table)
+        draw_feats = coherence_feature_vector(
+            coherence_features(tokenize(". ".join(sents) + "."), table))
         for q in (0, 1, 2, 3):
-            stats = draw_feats.per_order[q]
-            if not math.isnan(stats["min"]):  # NaN: no defined cosine at this order
-                lo = min(lo, stats["min"])
-                hi = max(hi, stats["max"])
+            q_min, q_max = draw_feats[f"coherence_q{q}_min"], draw_feats[f"coherence_q{q}_max"]
+            if not math.isnan(q_min):  # NaN: no defined cosine at this order
+                lo = min(lo, q_min)
+                hi = max(hi, q_max)
     ok = exact and lo >= -1.0 and hi <= 1.0
     report(capsys, 4, "coherence-bounds", ok,
            f"repeated-sentence exact 1.0: {exact}, range [{lo:.4f}, {hi:.4f}]")
@@ -423,7 +424,7 @@ def test_criterion_11_degenerate_inputs(capsys):
     g = gemaps_core(silence)
     s = spectral_set(silence)
     d = g.as_dict()
-    checks.append(len(g.names) == 27 and len(s.names) == 30)
+    checks.append(len(g.names) == 25 and len(s.names) == 30)
     checks.append(math.isnan(d["f0_semitone_mean"]))
     checks.append(math.isnan(d["jitter_local"]))
 
@@ -433,12 +434,12 @@ def test_criterion_11_degenerate_inputs(capsys):
     checks.append(math.isnan(cf.standardized_word_entropy))
     checks.append(math.isnan(cf.honore_statistic))
     emb = EmbeddingTable(("hello",), np.array([[1.0, 0.0]]))
-    feats = coherence_features(one, emb)
-    checks.append(math.isnan(feats.per_order[0]["mean"]))
+    feats = coherence_feature_vector(coherence_features(one, emb))
+    checks.append(math.isnan(feats["coherence_q0_mean"]))
 
     oov = tokenize("zzz yyy www. qqq ppp rrr.")
-    oov_feats = coherence_features(oov, emb)
-    checks.append(all(math.isnan(oov_feats.per_order[q]["mean"])
+    oov_feats = coherence_feature_vector(coherence_features(oov, emb))
+    checks.append(all(math.isnan(oov_feats[f"coherence_q{q}_mean"])
                       for q in (0, 1, 2, 3)))
     checks.append(math.isnan(sentiment(oov, {"happy": 0.9})))
 

@@ -30,8 +30,13 @@ from transcripts import transcript_of
 def coherence_series(t, emb, q):
     """The series coherence_features summarizes at order q: cosines at phrase
     distance q+1 over the defined phrase vectors, zero-norm pairs left out."""
-    v, _ = _phrase_matrix(t, emb)
+    v = _phrase_matrix(t, emb)
     return _series(v, _unit_rows(v), q)
+
+
+def features(t, emb):
+    """The summarized COHERENCE row of t, by feature name."""
+    return coherence_feature_vector(coherence_features(t, emb))
 
 
 def table(**vectors):
@@ -117,18 +122,22 @@ class TestCoherenceSeries:
 
     def test_summarized_at_each_order(self):
         # coherence_features reports orders 0-3 and no other, each the
-        # summary of the same series this module's helper builds
+        # same series this module's helper builds, raw and normalized
         rng = np.random.default_rng(3)
         emb = table(**{w: rng.normal(size=4) for w in "abcdef"})
         t = transcript_of(*(rng.choice(list("abcdefz"), size=3) for _ in range(12)))
-        cf = coherence_features(t, emb)
-        assert sorted(cf.per_order) == list(ORDERS) == [0, 1, 2, 3]
+        values = coherence_features(t, emb)
+        assert list(values) == [*(f"coherence_q{q}{kind}" for q in ORDERS for kind in ("", "_n")),
+                                "max_phrase_length", "determiner_rate"]
+        assert ORDERS == (0, 1, 2, 3)
         assert not any(name.startswith("coherence_q4") for name in COHERENCE_FEATURE_NAMES)
+        fv = coherence_feature_vector(values)
         for q in ORDERS:
             series = coherence_series(t, emb, q)
             assert series.size > 0
+            np.testing.assert_array_equal(values[f"coherence_q{q}"], series)
             np.testing.assert_allclose(
-                [cf.per_order[q][s] for s in ("mean", "min", "max")],
+                [fv[f"coherence_q{q}_{s}"] for s in ("mean", "min", "max")],
                 [series.mean(), series.min(), series.max()], rtol=1e-12)
 
     def test_cosine_bounds_random_sweep(self):
@@ -180,60 +189,58 @@ class TestCoherenceFeatures:
     def test_repeated_sentence_raw_one_normalized_zero(self):
         emb = table(the=[0.3, 0.7], cat=[0.9, 0.1])
         t = transcript_of(*[("the", "cat")] * 6)
-        cf = coherence_features(t, emb)
+        fv = features(t, emb)
         for q in (0, 1, 2, 3):
-            assert cf.per_order[q]["mean"] == 1.0
-            assert cf.per_order[q]["n_mean"] == 0.0
+            assert fv[f"coherence_q{q}_mean"] == 1.0
+            assert fv[f"coherence_q{q}_n_mean"] == 0.0
 
     def test_markers_and_phrase_length(self):
         emb = table(the=[1.0, 0.0], cat=[0.0, 1.0])
         t = transcript_of(("the", "big", "cat", "sat"), pos=["DET", "ADJ", "NOUN", "VERB"])
-        cf = coherence_features(t, emb)
-        assert cf.max_phrase_length == 4
-        assert cf.determiner_rate == 0.25
+        fv = features(t, emb)
+        assert fv["max_phrase_length"] == 4
+        assert fv["determiner_rate"] == 0.25
 
     def test_single_sentence_stats_nan(self):
         emb = table(cat=[1.0, 1.0])
         t = transcript_of(["cat"])
-        cf = coherence_features(t, emb)
+        fv = features(t, emb)
         for q in (0, 1, 2, 3):
-            assert np.isnan(cf.per_order[q]["mean"])
-        assert cf.max_phrase_length == 1
+            assert np.isnan(fv[f"coherence_q{q}_mean"])
+        assert fv["max_phrase_length"] == 1
 
     def test_untagged_determiner_rate_nan(self):
         emb = table(cat=[1.0, 0.0])
-        cf = coherence_features(transcript_of(["cat"]), emb)
-        assert np.isnan(cf.determiner_rate)
+        assert np.isnan(features(transcript_of(["cat"]), emb)["determiner_rate"])
 
-    def test_skipped_count(self):
+    def test_oov_sentence_has_no_phrase_row(self):
         emb = table(cat=[1.0, 0.0])
         t = transcript_of(["cat"], ["qqq"], ["cat"])
-        cf = coherence_features(t, emb)
-        assert cf.skipped_phrases == 1
+        assert _phrase_matrix(t, emb).shape == (2, 2)
 
     def test_feature_vector_names(self):
         emb = table(cat=[1.0, 0.0])
-        cf = coherence_features(transcript_of(["cat"]), emb)
-        fv = coherence_feature_vector(cf, "s")
-        assert fv.names == COHERENCE_FEATURE_NAMES
-        assert len(COHERENCE_FEATURE_NAMES) == 4 * 10 + 2
+        fv = coherence_feature_vector(coherence_features(transcript_of(["cat"]), emb), "s")
+        assert fv.names == COHERENCE_FEATURE_NAMES and fv.source_id == "s"
+        # five raw statistics and four normalized ones (no stddev) per order
+        assert len(COHERENCE_FEATURE_NAMES) == 4 * 9 + 2
+        assert not any(name.endswith("_n_stddev") for name in COHERENCE_FEATURE_NAMES)
 
     def test_max_stat_ordering(self):
         rng = np.random.default_rng(33)
         words = [f"w{i}" for i in range(10)]
         emb = EmbeddingTable(tuple(words), rng.standard_normal((len(words), 5)))
         t = transcript_of(*([words[j] for j in rng.integers(0, 10, 3)] for _ in range(12)))
-        cf = coherence_features(t, emb)
+        fv = features(t, emb)
         for q in (0, 1, 2, 3):
-            stats = cf.per_order[q]
-            if not np.isnan(stats["mean"]):
-                assert stats["min"] <= stats["mean"] <= stats["max"]
+            lo, mean, hi = (fv[f"coherence_q{q}_{s}"] for s in ("min", "mean", "max"))
+            if not np.isnan(mean):
+                assert lo <= mean <= hi
 
     def test_tokenize_integration_with_bundled_table(self, embeddings_path):
         emb = load_embeddings(embeddings_path)
         t = tokenize("The cat sat on the mat. The dog ran. The cat sat on the mat.")
-        cf = coherence_features(t, emb)
-        assert cf.per_order[0]["mean"] is not None
+        assert np.isfinite(features(t, emb)["coherence_q0_mean"])
         series = coherence_series(t, emb, 1)
         assert series.size == 1
         assert series[0] == 1.0  # identical first and third sentence
@@ -332,17 +339,22 @@ class TestMatchesReference:
 
     def check(self, t, emb):
         per_order, by_order, skipped, longest, rate = reference_coherence(t, emb)
-        cf = coherence_features(t, emb)
+        fv = features(t, emb)
         for q in ORDERS:
-            assert list(cf.per_order[q]) == list(per_order[q])
-            np.testing.assert_allclose(
-                list(cf.per_order[q].values()), list(per_order[q].values()),
-                rtol=0, atol=1e-12)
+            # every reference statistic but the normalized stddev, which
+            # is the raw stddev
+            keys = [key for key in per_order[q] if key != "n_stddev"]
+            names = [name for name in fv.names if name.startswith(f"coherence_q{q}_")]
+            assert names == [f"coherence_q{q}_{key}" for key in keys]
+            np.testing.assert_allclose([fv[name] for name in names],
+                                       [per_order[q][key] for key in keys], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(per_order[q]["n_stddev"], per_order[q]["stddev"],
+                                       rtol=0, atol=1e-12)
             np.testing.assert_allclose(coherence_series(t, emb, q), by_order[q],
                                        rtol=0, atol=1e-12)
-        assert cf.skipped_phrases == skipped
-        assert cf.max_phrase_length == longest
-        np.testing.assert_array_equal(cf.determiner_rate, rate)
+        assert _phrase_matrix(t, emb).shape[0] == len(t.sentences) - skipped
+        assert fv["max_phrase_length"] == longest
+        np.testing.assert_array_equal(fv["determiner_rate"], rate)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_transcripts(self, seed):
@@ -377,12 +389,12 @@ def test_memory_stays_linear_in_phrases():
         for _ in range(2000)))
     tracemalloc.start()
     try:
-        cf = coherence_features(t, emb)
+        fv = features(t, emb)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
-    assert np.isfinite(cf.per_order[3]["n_mean"])
+    assert np.isfinite(fv["coherence_q3_n_mean"])
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +409,7 @@ def reference_phrase_matrix(t, emb):
         rows = [emb.matrix[emb.index[w]] for w in sentence if w in emb.index]
         if rows:
             vectors.append(np.mean(rows, axis=0))
-    return (np.array(vectors, dtype=float).reshape(len(vectors), emb.dim),
-            len(t.sentences) - len(vectors))
+    return np.array(vectors, dtype=float).reshape(len(vectors), emb.dim)
 
 
 def reference_load_embeddings(path):
@@ -474,20 +485,16 @@ class TestPhraseMatrixMatchesReference:
             rng.shuffle(mixed)
             sentences.append(mixed)
         t = transcript_of(*sentences)
-        got, skipped = _phrase_matrix(t, emb)
-        want, want_skipped = reference_phrase_matrix(t, emb)
-        np.testing.assert_array_equal(got, want)
-        assert skipped == want_skipped == 3
+        got = _phrase_matrix(t, emb)
+        np.testing.assert_array_equal(got, reference_phrase_matrix(t, emb))
+        assert got.shape[0] == len(t.sentences) - 3
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_transcripts(self, seed):
         rng = np.random.default_rng(95 + seed)
         for _ in range(40):
             t, emb = random_case(rng)
-            got, skipped = _phrase_matrix(t, emb)
-            want, want_skipped = reference_phrase_matrix(t, emb)
-            np.testing.assert_array_equal(got, want)
-            assert skipped == want_skipped
+            np.testing.assert_array_equal(_phrase_matrix(t, emb), reference_phrase_matrix(t, emb))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_phrase_vector_over_sentences_is_the_matrix(self, seed):
@@ -496,17 +503,16 @@ class TestPhraseMatrixMatchesReference:
         rng = np.random.default_rng(120 + seed)
         for _ in range(40):
             t, emb = random_case(rng)
-            got, skipped = _phrase_matrix(t, emb)
+            got = _phrase_matrix(t, emb)
             vectors = [phrase_vector(s, emb) for s in t.sentences]
             defined = [v for v in vectors if v is not None]
-            assert len(defined) == got.shape[0] and skipped == len(vectors) - len(defined)
+            assert len(defined) == got.shape[0]
             assert all(v.tobytes() == row.tobytes() for v, row in zip(defined, got))
 
     def test_all_oov_and_empty(self):
         emb = table(a=[1.0, 2.0])
         for t in (transcript_of(), transcript_of(["x", "y"], ["z"])):
-            got, skipped = _phrase_matrix(t, emb)
-            assert got.shape == (0, 2) and skipped == len(t.sentences)
+            assert _phrase_matrix(t, emb).shape == (0, 2)
 
 
 class TestLoadEmbeddingsMatchesReference:

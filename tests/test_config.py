@@ -191,11 +191,11 @@ class TestFeatureNames:
     def test_default_family_sizes(self):
         cfg = PipelineConfig()
         names = feature_names_for(cfg)
-        assert len(GEMAPS.names) == 27
+        assert len(GEMAPS.names) == 25
         assert len(SPECTRAL.names) == 30
         assert len(COMPLEXITY_FEATURE_NAMES) == 7
         assert len(SYNTAX_FEATURE_NAMES) == 112
-        assert len(names) == 27 + 30 + 7 + 112
+        assert len(names) == 25 + 30 + 7 + 112
 
     def test_all_families_enabled(self, embeddings_path):
         cfg = PipelineConfig(
@@ -206,9 +206,9 @@ class TestFeatureNames:
         )
         names = feature_names_for(cfg)
         assert len(SENTIMENT_FEATURE_NAMES) == 1
-        assert len(COHERENCE_FEATURE_NAMES) == 42
+        assert len(COHERENCE_FEATURE_NAMES) == 38
         # 22 frame series x 2 statistics
-        assert len(names) == 176 + 44 + 42
+        assert len(names) == 174 + 44 + 38
 
     def test_names_are_unique(self):
         cfg = PipelineConfig(lld_functionals=("mean", "stddev", "p10", "p90"))

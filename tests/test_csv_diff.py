@@ -51,6 +51,27 @@ def test_relative_difference(tmp_path, capsys):
     assert capsys.readouterr().out == "f0_mean: 2 of 3 rows differ, max rel 0.25\n"
 
 
+def test_reordered_shared_columns(tmp_path, capsys):
+    # the same cells under a header that swaps two shared columns and drops one
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("source_id,f0_mean,hnr_db,gone,jitter\na,1.0,2.0,3.0,4.0\n")
+    change.write_text("source_id,hnr_db,f0_mean,jitter\na,2.0,1.0,4.0\n")
+    assert csv_diff.main([str(parent), str(change)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"gone: only in {parent}",
+        f"column order differs: 2 of 4 shared columns change place, first where {parent} "
+        f"has f0_mean and {change} has hnr_db",
+    ]
+
+
+def test_dropped_column_alone_keeps_the_order(tmp_path, capsys):
+    parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
+    parent.write_text("source_id,f0_mean,gone,hnr_db\na,1.0,3.0,2.0\n")
+    change.write_text("source_id,f0_mean,hnr_db\na,1.0,2.0\n")
+    assert csv_diff.main([str(parent), str(change)]) == 1
+    assert capsys.readouterr().out == f"gone: only in {parent}\n"
+
+
 def test_identical_bytes_exit_zero(tmp_path, capsys):
     parent, change = tmp_path / "parent.csv", tmp_path / "change.csv"
     parent.write_text(PARENT)

@@ -10,7 +10,6 @@ from voxfeat.mlpipe import (
     fit_standardize,
     impute_and_standardize,
     ica,
-    impute_only,
     is_classification,
     pca,
     read_table_csv,
@@ -107,11 +106,6 @@ class TestStandardize:
         z = apply_standardize(make(["a"], [[np.nan]]), params)
         assert z.rows[0, 0] == 0.0
 
-    def test_impute_only_fills_but_does_not_scale(self):
-        t = make(["a"], [[1.0], [np.nan], [3.0]])
-        filled = impute_only(t)
-        assert np.array_equal(filled.rows.ravel(), [1.0, 2.0, 3.0])
-
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         data = rng.normal(size=(20, 3))
@@ -172,7 +166,7 @@ class TestClassification:
             t = FeatureTable(("a", "b", "c", "d"), data, tuple(f"r{i}" for i in range(12)),
                              y, classification=flag)
             derived = [t.select_rows(np.arange(0, 12, 2)), t.select_columns(["b", "a"]),
-                       impute_only(t), impute_and_standardize(t)[0],
+                       impute_and_standardize(t)[0],
                        pca(t, 2).transformed, ica(t, 2).transformed]
             assert [is_classification(d) for d in derived] == [flag] * len(derived)
 

@@ -265,7 +265,7 @@ class TestRunExtract:
         manifest = run_extract(corpus, out, PipelineConfig())
         assert manifest.all_ok
         assert manifest.row_count == 3
-        assert manifest.feature_count == 176
+        assert manifest.feature_count == 174
         lines = out.read_text().splitlines()
         assert len(lines) == 4
         assert [ln.split(",")[0] for ln in lines[1:]] == [

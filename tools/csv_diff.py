@@ -9,7 +9,8 @@ the number of rows that differ, the largest relative difference
 |change - parent| / |parent| over the differing rows where both cells are
 finite numbers (inf where the parent cell is 0), and the number of rows
 where one side is NaN and the other is not. Columns present in only one
-file and a differing row count are reported too.
+file, columns present in both but in a different order, and a differing
+row count are reported too.
 
 Given two directories, it walks both and prints one or more lines per file,
 each prefixed with the file's path relative to its directory: a CSV present
@@ -75,6 +76,13 @@ def compare(parent_path: str, change_path: str) -> list[str]:
                      f"{min(len(p_rows), len(c_rows))})")
     lines += [f"{name}: only in {parent_path}" for name in p_head if name not in c_head]
     lines += [f"{name}: only in {change_path}" for name in c_head if name not in p_head]
+    p_shared = [name for name in p_head if name in c_head]
+    c_shared = [name for name in c_head if name in p_head]
+    moved = [(a, b) for a, b in zip(p_shared, c_shared) if a != b]
+    if moved:
+        lines.append(f"column order differs: {len(moved)} of {len(p_shared)} shared columns "
+                     f"change place, first where {parent_path} has {moved[0][0]} and "
+                     f"{change_path} has {moved[0][1]}")
     for name in p_head:
         if name in c_head:
             i, j = p_head.index(name), c_head.index(name)
