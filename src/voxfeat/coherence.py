@@ -5,7 +5,9 @@ the cosine between phrase vectors q+1 sentences apart (order 0 = adjacent).
 Normalized statistics subtract a document-internal baseline: the mean cosine
 over every defined phrase pair in the same transcript. COHERENCE declares
 both series per order; the normalized one has no stddev, which the shift
-leaves unchanged, so it would copy the raw series' stddev.
+leaves unchanged, so it would copy the raw series' stddev. The one scalar
+is the longest sentence's token count; the determiner rate is the syntax
+family's pos_rate_DET.
 
 A transcript's phrase vectors are computed once, as the rows of one
 (phrases, dim) array v; sentences with no in-vocabulary word have no row.
@@ -19,7 +21,6 @@ phrases x phrases matrix; it is NaN with fewer than two nonzero rows.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, EmptyFile
-from .functionals import DEFAULT_BANK, Family, FeatureVector
+from .functionals import DEFAULT_BANK, Family
 from .textfeat import Transcript
 from .textio import read_text
 
@@ -200,8 +201,7 @@ def _baseline(unit: np.ndarray) -> float:
 def coherence_features(t: Transcript, emb: EmbeddingTable) -> dict[str, np.ndarray | float]:
     """COHERENCE's values keyed by entry: the order-q cosine series, the
     same series minus the baseline (the mean cosine over all defined phrase
-    pairs of this transcript), the longest sentence, and the determiner rate
-    (NaN without POS tags)."""
+    pairs of this transcript), and the longest sentence."""
     v = _phrase_matrix(t, emb)
     unit = _unit_rows(v)
     baseline = _baseline(unit)
@@ -211,16 +211,7 @@ def coherence_features(t: Transcript, emb: EmbeddingTable) -> dict[str, np.ndarr
         values[f"coherence_q{q}"] = series
         values[f"coherence_q{q}_n"] = series - baseline
     values["max_phrase_length"] = float(max(t.lengths, default=0))
-    tags = Counter(t.pos)
-    if len(tags) > (None in tags):  # some token is tagged
-        values["determiner_rate"] = (tags["DET"] + tags["DT"]) / t.n_tokens
-    else:
-        values["determiner_rate"] = float("nan")
     return values
-
-
-def coherence_feature_vector(values: dict, source_id: str = "") -> FeatureVector:
-    return COHERENCE.vector(values, source_id)
 
 
 def _cosine_text(q: int) -> str:
@@ -235,6 +226,6 @@ COHERENCE = Family("text.coherence", (
         (f"coherence_q{q}_n", _cosine_text(q) + ", minus the all-pairs cosine baseline",
          _NORMALIZED_STATS, ""))),
     ("max_phrase_length", "token count of the longest sentence"),
-    ("determiner_rate", "determiner-tagged tokens / N"),
-), lambda t, res: coherence_feature_vector(coherence_features(t, res.embeddings)))
+), lambda t, res: coherence_features(t, res.embeddings))
 COHERENCE_FEATURE_NAMES = COHERENCE.names
+coherence_feature_vector = COHERENCE.vector

@@ -185,15 +185,15 @@ class Family:
     Each entry is (name, formula), or (series, formula, stats[, over]),
     which stands for one feature "<series>_<stat>" per statistic, its formula
     followed by the statistic's text; `over` names what the series runs over
-    (" over frames" unless given). `compute` returns the family's
-    FeatureVector from the recording's shared acoustic.Analysis for an
-    "acoustic.*" category, or from (Transcript, TextResources) for a
-    "text.*" one.
+    (" over frames" unless given). `compute` returns the family's values
+    keyed by entry name, from the recording's shared acoustic.Analysis for
+    an "acoustic.*" category, or from (Transcript, TextResources) for a
+    "text.*" one; `vector` turns them into the family's row.
     """
 
     category: str
     entries: tuple[tuple, ...]
-    compute: Callable[..., FeatureVector]
+    compute: Callable[..., dict]
     features: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     banks: dict[str, FunctionalBank] = field(init=False, repr=False, compare=False)
@@ -249,12 +249,12 @@ def _mfcc_text(k: int) -> str:
     return f"mel cepstrum coefficient {k} ({AcousticConfig.n_mels} HTK mel bands, DCT-II ortho)"
 
 
-def _gemaps(a: Analysis) -> FeatureVector:
+def _gemaps(a: Analysis) -> dict:
     f0 = a.f0.values
     voiced = ~np.isnan(f0)
     jitter, shimmer = a.cycle_terms
     d = a.descriptors
-    values = {
+    return {
         "f0_semitone": np.where(voiced, 12.0 * np.log2(np.where(voiced, f0, 1.0) / 27.5), np.nan),
         "jitter": jitter,
         "shimmer": shimmer,
@@ -266,7 +266,6 @@ def _gemaps(a: Analysis) -> FeatureVector:
         "shimmer_local": nan_mean(shimmer),
         "hnr_db": nan_mean(a.hnr.values),
     }
-    return GEMAPS.vector(values, a.buf.source_id)
 
 
 def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> FeatureVector:
@@ -280,7 +279,7 @@ def gemaps_core(buf: AudioBuffer, config: AcousticConfig | None = None) -> Featu
     the scalars jitter_local, shimmer_local and hnr_db; voiced_fraction is
     the fourth scalar.
     """
-    return _gemaps(Analysis(buf, config or AcousticConfig()))
+    return GEMAPS.vector(_gemaps(Analysis(buf, config or AcousticConfig())), buf.source_id)
 
 
 _SLOPE_NAMES = tuple(f"slope_{lo}_{hi}" for lo, hi in SLOPE_BANDS_HZ)
@@ -308,20 +307,19 @@ GEMAPS = Family("acoustic.gemaps", (
 ), _gemaps)
 
 
-def _spectral(a: Analysis) -> FeatureVector:
+def _spectral(a: Analysis) -> dict:
     d = a.descriptors
-    values = {
+    return {
         **{name: d[name] for name in (*_DESCRIPTOR_TEXT, "poly_slope", "poly_intercept")},
         **{f"contrast_b{b}": d["contrast"][:, b] for b in range(CONTRAST_BANDS)},
         "tempo_bpm": a.tempo_bpm,
     }
-    return SPECTRAL.vector(values, a.buf.source_id)
 
 
 def spectral_set(buf: AudioBuffer, config: AcousticConfig | None = None) -> FeatureVector:
     """The 30-feature spectrogram set: shape, contrast, flux, energy,
     polynomial fit, and tempo."""
-    return _spectral(Analysis(buf, config or AcousticConfig()))
+    return SPECTRAL.vector(_spectral(Analysis(buf, config or AcousticConfig())), buf.source_id)
 
 
 SPECTRAL = Family("acoustic.spectral", (
@@ -370,11 +368,5 @@ def lld_series(buf: AudioBuffer, config: AcousticConfig | None = None) -> list[F
 
 def lld_family(stats: tuple[str, ...]) -> Family:
     """The LLD family: every LLD series summarized by the user's statistics."""
-    def compute(a: Analysis) -> FeatureVector:
-        values = _lld_values(a)
-        return family.vector({f"lld_{name}": values[name] for name in LLD_SERIES_NAMES},
-                             a.buf.source_id)
-
-    family = Family("acoustic.lld",
-                    tuple((f"lld_{name}", text, stats) for name, text in LLD_SERIES), compute)
-    return family
+    return Family("acoustic.lld", tuple((f"lld_{name}", text, stats) for name, text in LLD_SERIES),
+                  lambda a: {f"lld_{name}": v for name, v in _lld_values(a).items()})

@@ -84,9 +84,6 @@ class FeatureTable:
         params.means.flags.writeable = params.stds.flags.writeable = False
         return apply_standardize(self, params), params
 
-    def column(self, name: str) -> np.ndarray:
-        return self.rows[:, self._position[name]]
-
     def select_columns(self, names: list[str] | tuple[str, ...]) -> "FeatureTable":
         idx = [self._position[n] for n in names]
         return replace(self, column_names=tuple(names), rows=self.rows[:, idx])

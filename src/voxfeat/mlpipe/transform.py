@@ -138,7 +138,6 @@ class PcaResult:
     transformed: FeatureTable
     components: np.ndarray  # (k, n_cols) rows are orthonormal
     explained_variance_ratio: np.ndarray
-    component_variances: np.ndarray  # population variance of each score column
 
 
 def pca(tbl: FeatureTable, k: int) -> PcaResult:
@@ -153,10 +152,9 @@ def pca(tbl: FeatureTable, k: int) -> PcaResult:
     components = vt[:k] * np.where(lead < 0, -1.0, 1.0)[:, None]
     scores = z.rows @ components.T
     ratio = (s[:k] ** 2) / total if total > 0 else np.zeros(k)
-    variances = (s[:k] ** 2) / max(tbl.n_rows, 1)
     names = tuple(f"pc{i + 1}" for i in range(k))
     transformed = replace(tbl, column_names=names, rows=scores)
-    return PcaResult(transformed, components, ratio, variances)
+    return PcaResult(transformed, components, ratio)
 
 
 # ---------------------------------------------------------------------------

@@ -163,11 +163,11 @@ def extract_features(item: RecordingInput, cfg: PipelineConfig,
         if not on:
             continue
         if not family.is_text:
-            parts.append(family.compute(analysis))
+            parts.append(family.vector(family.compute(analysis)))
         elif transcript is None:
             parts.append(FeatureVector(family.names, np.full(len(family.names), np.nan)))
         else:
-            parts.append(family.compute(transcript, res))
+            parts.append(family.vector(family.compute(transcript, res)))
     return concat_vectors(parts, item.source_id)
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, EmptyLexicon, MalformedConllu
-from .functionals import Family, FeatureVector
+from .functionals import Family
 from .textio import read_text
 
 DEFAULT_MARKERS = frozenset({"xxx", "[unintelligible]", "[inaudible]"})
@@ -91,27 +91,6 @@ class Transcript:
                      for length, end in zip(self.lengths, accumulate(self.lengths)))
 
 
-@dataclass(frozen=True)
-class ComplexityFeatures:
-    unintelligible_word_ratio: float
-    standardized_word_entropy: float
-    suffix_ratio: float
-    number_ratio: float
-    brunet_index: float
-    honore_statistic: float
-    type_token_ratio: float
-
-
-@dataclass(frozen=True)
-class SyntaxCounts:
-    pos_counts: dict[str, int]
-    dep_counts: dict[str, int]
-    total_tokens: int
-
-    def rate(self, count: int) -> float:
-        return count / self.total_tokens if self.total_tokens else np.nan
-
-
 def tokenize(text: str, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript:
     """Split text into sentences on .!? and tokens on whitespace.
 
@@ -147,8 +126,8 @@ def complexity(
     lexicon: frozenset[str] | set[str] | None = None,
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES,
     number_words: frozenset[str] = NUMBER_WORDS,
-) -> ComplexityFeatures:
-    """Seven lexical-richness metrics.
+) -> dict[str, float]:
+    """COMPLEXITY's seven lexical-richness metrics, keyed by entry.
 
     With N tokens, V distinct lower forms, V1 forms occurring once:
     entropy is base-2 Shannon over token frequencies standardized by
@@ -161,8 +140,7 @@ def complexity(
     """
     n = t.n_tokens
     if n == 0:
-        nan = float("nan")
-        return ComplexityFeatures(nan, nan, nan, nan, nan, nan, nan)
+        return dict.fromkeys(COMPLEXITY.names, float("nan"))
 
     counts = Counter(t.lowers)  # forms in first-occurrence order
     v = len(counts)
@@ -186,15 +164,15 @@ def complexity(
     brunet = n ** (v ** -0.165)
     honore = 100.0 * np.log(n) / (1.0 - v1 / v) if v1 != v else float("nan")
 
-    return ComplexityFeatures(
-        unintelligible_word_ratio=unintelligible / n,
-        standardized_word_entropy=standardized,
-        suffix_ratio=suffix_hits / n,
-        number_ratio=number_hits / n,
-        brunet_index=float(brunet),
-        honore_statistic=float(honore),
-        type_token_ratio=v / n,
-    )
+    return {
+        "unintelligible_word_ratio": unintelligible / n,
+        "standardized_word_entropy": standardized,
+        "suffix_ratio": suffix_hits / n,
+        "number_ratio": number_hits / n,
+        "brunet_index": float(brunet),
+        "honore_statistic": float(honore),
+        "type_token_ratio": v / n,
+    }
 
 
 def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript:
@@ -241,43 +219,39 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
     return Transcript(tuple(lowers), tuple(pos), tuple(deprel), tuple(flagged), tuple(lengths))
 
 
-def syntax_counts(t: Transcript) -> SyntaxCounts:
-    """Token counts over the fixed tag and relation inventories.
+def syntax_counts(t: Transcript) -> dict[str, float]:
+    """SYNTAX's token counts over the fixed tag and relation inventories,
+    each with its rate over N (NaN when N = 0), keyed by entry.
 
     Unknown or missing tags land in UNTAGGED so the output width never
     varies. Relation subtypes fold into their base (nsubj:pass -> nsubj).
     """
-    pos_counts = {tag: 0 for tag in _POS}
-    dep_counts = {rel: 0 for rel in _DEP}
-    for pos, count in Counter(t.pos).items():
-        pos_counts[pos if pos in pos_counts else UNTAGGED] += count
-    for deprel, count in Counter(t.deprel).items():
-        base = deprel.split(":")[0] if deprel else None
-        dep_counts[base if base in dep_counts else UNTAGGED] += count
-    return SyntaxCounts(pos_counts, dep_counts, t.n_tokens)
+    n = t.n_tokens
+    bases: Counter[str | None] = Counter()
+    for rel, count in Counter(t.deprel).items():
+        bases[rel.split(":")[0] if rel else None] += count
+    values: dict[str, float] = {}
+    for (kind, _, inventory), tags in zip(_INVENTORIES, (Counter(t.pos), bases)):
+        counts = dict.fromkeys(inventory, 0)
+        for tag, count in tags.items():
+            counts[tag if tag in counts else UNTAGGED] += count
+        for tag, count in counts.items():
+            values[f"{kind}_count_{tag}"] = count
+            values[f"{kind}_rate_{tag}"] = count / n if n else float("nan")
+    return values
 
 
-def syntax_feature_vector(sc: SyntaxCounts, source_id: str = "") -> FeatureVector:
-    values = {}
-    for kind, counts in (("pos", sc.pos_counts), ("dep", sc.dep_counts)):
-        for key, count in counts.items():
-            values[f"{kind}_count_{key}"] = count
-            values[f"{kind}_rate_{key}"] = sc.rate(count)
-    return SYNTAX.vector(values, source_id)
+# (name prefix, what is counted, inventory) for the tags and the relations
+_INVENTORIES = (("pos", "part-of-speech", _POS), ("dep", "dependency relation", _DEP))
 
-
-SYNTAX = Family("text.syntax", (
-    *((f"pos_count_{tag}", f"occurrences of part-of-speech {tag}") for tag in _POS),
-    *((f"pos_rate_{tag}", f"occurrences of part-of-speech {tag} / N") for tag in _POS),
-    *((f"dep_count_{rel}", f"occurrences of dependency relation {rel}") for rel in _DEP),
-    *((f"dep_rate_{rel}", f"occurrences of dependency relation {rel} / N") for rel in _DEP),
-), lambda t, res: syntax_feature_vector(syntax_counts(t)))
+SYNTAX = Family("text.syntax", tuple(
+    (f"{kind}_{stat}_{tag}", f"occurrences of {what} {tag}{over}")
+    for kind, what, inventory in _INVENTORIES
+    for stat, over in (("count", ""), ("rate", " / N"))
+    for tag in inventory
+), lambda t, res: syntax_counts(t))
 SYNTAX_FEATURE_NAMES = SYNTAX.names
-
-
-def complexity_feature_vector(cf: ComplexityFeatures, source_id: str = "") -> FeatureVector:
-    return COMPLEXITY.vector(vars(cf), source_id)
-
+syntax_feature_vector = SYNTAX.vector
 
 COMPLEXITY = Family("text.complexity", (
     ("unintelligible_word_ratio", "flagged-or-out-of-lexicon words / N"),
@@ -287,8 +261,9 @@ COMPLEXITY = Family("text.complexity", (
     ("brunet_index", "N^(V^-0.165)"),
     ("honore_statistic", "100 * ln(N) / (1 - V1/V), V1 = once-only forms"),
     ("type_token_ratio", "V / N (distinct lower-cased forms over tokens)"),
-), lambda t, res: complexity_feature_vector(complexity(t, res.lexicon, res.suffixes)))
+), lambda t, res: complexity(t, res.lexicon, res.suffixes))
 COMPLEXITY_FEATURE_NAMES = COMPLEXITY.names
+complexity_feature_vector = COMPLEXITY.vector
 
 
 def sentiment(t: Transcript, lexicon: dict[str, float]) -> float:
@@ -301,7 +276,7 @@ def sentiment(t: Transcript, lexicon: dict[str, float]) -> float:
 
 SENTIMENT = Family("text.sentiment", (
     ("sentiment_valence", "mean lexicon valence over matched token occurrences"),
-), lambda t, res: SENTIMENT.vector({"sentiment_valence": sentiment(t, res.valence)}))
+), lambda t, res: {"sentiment_valence": sentiment(t, res.valence)})
 
 
 # ---------------------------------------------------------------------------

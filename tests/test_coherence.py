@@ -128,7 +128,7 @@ class TestCoherenceSeries:
         t = transcript_of(*(rng.choice(list("abcdefz"), size=3) for _ in range(12)))
         values = coherence_features(t, emb)
         assert list(values) == [*(f"coherence_q{q}{kind}" for q in ORDERS for kind in ("", "_n")),
-                                "max_phrase_length", "determiner_rate"]
+                                "max_phrase_length"]
         assert ORDERS == (0, 1, 2, 3)
         assert not any(name.startswith("coherence_q4") for name in COHERENCE_FEATURE_NAMES)
         fv = coherence_feature_vector(values)
@@ -196,10 +196,8 @@ class TestCoherenceFeatures:
 
     def test_markers_and_phrase_length(self):
         emb = table(the=[1.0, 0.0], cat=[0.0, 1.0])
-        t = transcript_of(("the", "big", "cat", "sat"), pos=["DET", "ADJ", "NOUN", "VERB"])
-        fv = features(t, emb)
-        assert fv["max_phrase_length"] == 4
-        assert fv["determiner_rate"] == 0.25
+        t = transcript_of(("the", "big", "cat", "sat"))
+        assert features(t, emb)["max_phrase_length"] == 4
 
     def test_single_sentence_stats_nan(self):
         emb = table(cat=[1.0, 1.0])
@@ -208,10 +206,6 @@ class TestCoherenceFeatures:
         for q in (0, 1, 2, 3):
             assert np.isnan(fv[f"coherence_q{q}_mean"])
         assert fv["max_phrase_length"] == 1
-
-    def test_untagged_determiner_rate_nan(self):
-        emb = table(cat=[1.0, 0.0])
-        assert np.isnan(features(transcript_of(["cat"]), emb)["determiner_rate"])
 
     def test_oov_sentence_has_no_phrase_row(self):
         emb = table(cat=[1.0, 0.0])
@@ -223,7 +217,7 @@ class TestCoherenceFeatures:
         fv = coherence_feature_vector(coherence_features(transcript_of(["cat"]), emb), "s")
         assert fv.names == COHERENCE_FEATURE_NAMES and fv.source_id == "s"
         # five raw statistics and four normalized ones (no stddev) per order
-        assert len(COHERENCE_FEATURE_NAMES) == 4 * 9 + 2
+        assert len(COHERENCE_FEATURE_NAMES) == 4 * 9 + 1
         assert not any(name.endswith("_n_stddev") for name in COHERENCE_FEATURE_NAMES)
 
     def test_max_stat_ordering(self):
@@ -253,8 +247,7 @@ BANK = FunctionalBank(STATS)
 def reference_coherence(t, emb):
     """The per-pair coherence_features the phrase matrix replaced: one Python
     cosine call per phrase pair, phrase vectors rebuilt for every order.
-    Returns (per_order, series by order, skipped, max_phrase_length,
-    determiner_rate)."""
+    Returns (per_order, series by order, skipped, max_phrase_length)."""
 
     def cosine(u, v):
         if u.shape == v.shape and np.array_equal(u, v):
@@ -297,13 +290,7 @@ def reference_coherence(t, emb):
 
     lengths = [len(s) for s in t.sentences]
     max_phrase_length = max(lengths) if lengths else 0
-    tagged = [pos for pos in t.pos if pos is not None]
-    if tagged:
-        dets = sum(1 for pos in t.pos if pos in ("DET", "DT"))
-        determiner_rate = dets / len(t.pos)
-    else:
-        determiner_rate = float("nan")
-    return per_order, by_order, skipped, max_phrase_length, determiner_rate
+    return per_order, by_order, skipped, max_phrase_length
 
 
 def random_table(rng):
@@ -317,28 +304,23 @@ def random_table(rng):
 
 
 def random_case(rng):
-    """A random table and transcript: OOV words, repeated sentences, POS
-    tags on some transcripts."""
+    """A random table and transcript: OOV words, repeated sentences."""
     emb = random_table(rng)
     vocab = [*emb.words, "oov1", "oov2", "oov3"]
-    tagged = rng.random() < 0.5
-    sentences = []  # (words, tags) pairs
+    sentences = []
     for _ in range(int(rng.integers(0, 14))):
         if sentences and rng.random() < 0.25:
             sentences.append(sentences[int(rng.integers(0, len(sentences)))])
             continue
-        words = [vocab[j] for j in rng.integers(0, len(vocab), rng.integers(1, 5))]
-        tags = [("DET", "NOUN", "VERB")[j] for j in rng.integers(0, 3, len(words))]
-        sentences.append((words, tags))
-    pos = [tag for _, tags in sentences for tag in tags] if tagged else None
-    return transcript_of(*(words for words, _ in sentences), pos=pos), emb
+        sentences.append([vocab[j] for j in rng.integers(0, len(vocab), rng.integers(1, 5))])
+    return transcript_of(*sentences), emb
 
 
 class TestMatchesReference:
     """The phrase-matrix coherence equals the per-pair loop it replaced."""
 
     def check(self, t, emb):
-        per_order, by_order, skipped, longest, rate = reference_coherence(t, emb)
+        per_order, by_order, skipped, longest = reference_coherence(t, emb)
         fv = features(t, emb)
         for q in ORDERS:
             # every reference statistic but the normalized stddev, which
@@ -354,7 +336,6 @@ class TestMatchesReference:
                                        rtol=0, atol=1e-12)
         assert _phrase_matrix(t, emb).shape[0] == len(t.sentences) - skipped
         assert fv["max_phrase_length"] == longest
-        np.testing.assert_array_equal(fv["determiner_rate"], rate)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_transcripts(self, seed):

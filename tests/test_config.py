@@ -206,9 +206,9 @@ class TestFeatureNames:
         )
         names = feature_names_for(cfg)
         assert len(SENTIMENT_FEATURE_NAMES) == 1
-        assert len(COHERENCE_FEATURE_NAMES) == 38
+        assert len(COHERENCE_FEATURE_NAMES) == 37
         # 22 frame series x 2 statistics
-        assert len(names) == 174 + 44 + 38
+        assert len(names) == 174 + 44 + 37
 
     def test_names_are_unique(self):
         cfg = PipelineConfig(lld_functionals=("mean", "stddev", "p10", "p90"))

@@ -10,7 +10,7 @@ import pytest
 from voxfeat import coherence
 from voxfeat.acoustic import AcousticConfig, Analysis, FrameSeries
 from voxfeat.audio_io import AudioBuffer
-from voxfeat.config import PipelineConfig, feature_names_for
+from voxfeat.config import PipelineConfig, feature_families, feature_names_for
 from voxfeat.featdict import feature_dictionary
 from voxfeat.functionals import (
     DEFAULT_BANK,
@@ -26,6 +26,7 @@ from voxfeat.functionals import (
     lld_family,
     spectral_set,
 )
+from voxfeat.pipeline import TextResources, _load_transcript
 
 from transcripts import transcript_of
 
@@ -260,40 +261,24 @@ def per_entry_vector(family, values):
 
 
 class TestFamilyVectorMatchesPerEntryPath:
-    @pytest.fixture()
-    def captured(self, monkeypatch):
-        """Each Family.vector call's family, values and result."""
-        calls = []
-        vector = Family.vector
-
-        def spy(family, values, source_id=""):
-            calls.append((family, values, vector(family, values, source_id)))
-            return calls[-1][2]
-
-        monkeypatch.setattr(Family, "vector", spy)
-        return calls
-
     @pytest.mark.parametrize("seconds", [0.025, 0.3, 2.0])
-    def test_acoustic_families(self, captured, seconds):
+    def test_acoustic_families(self, seconds):
         rng = np.random.default_rng(31)
         t = np.arange(int(seconds * SR)) / SR
         x = 0.5 * np.sin(2 * np.pi * 150.0 * t) * (t % 0.5 < 0.3) + 0.01 * rng.normal(size=t.size)
         a = Analysis(AudioBuffer(x, SR), AcousticConfig())
         for family in (GEMAPS, SPECTRAL, lld_family(ALL_STATS)):
-            family.compute(a)
-        assert len(captured) == 3
-        for family, values, got in captured:
-            np.testing.assert_array_equal(got.values.view(np.int64),
+            values = family.compute(a)
+            np.testing.assert_array_equal(family.vector(values).values.view(np.int64),
                                           per_entry_vector(family, values).view(np.int64))
 
-    def test_coherence(self, captured):
+    def test_coherence(self):
         rng = np.random.default_rng(33)
         emb = coherence.EmbeddingTable(tuple(f"w{i}" for i in range(6)), rng.standard_normal((6, 3)))
         words = [f"w{j}" for j in rng.integers(0, 8, 40)]  # w6, w7 are out of vocabulary
         t = transcript_of(*zip(words, words[1:]))
         values = coherence.coherence_features(t, emb)
         got = coherence.coherence_feature_vector(values)
-        assert [family for family, _, _ in captured] == [coherence.COHERENCE]
         np.testing.assert_array_equal(
             got.values.view(np.int64),
             per_entry_vector(coherence.COHERENCE, values).view(np.int64))
@@ -314,6 +299,57 @@ class TestFamilyVectorMatchesPerEntryPath:
             want = np.concatenate([raw, norm])
             np.testing.assert_array_equal(np.array([got[n] for n in names]).view(np.int64),
                                           want.view(np.int64))
+
+
+class TestComputeKeysAreTheEntries:
+    """Every family's compute returns exactly one value per declared entry:
+    Family.vector reads the entries and would ignore an extra key, so a
+    computation that no column reads would go unseen."""
+
+    CONLLU = ("1\tThe\tthe\tDET\t_\t_\t2\tdet\t_\t_\n"
+              "2\tcat\tcat\tNOUN\t_\t_\t3\tnsubj\t_\t_\n"
+              "3\tsat\tsit\tVERB\t_\t_\t0\troot\t_\t_\n\n"
+              "1\tIt\tit\tPRON\t_\t_\t2\tnsubj:pass\t_\t_\n"
+              "2\tran\trun\tVERB\t_\t_\t0\troot\t_\t_\n")
+
+    @pytest.fixture(scope="class")
+    def families(self):
+        cfg = PipelineConfig(sentiment=True, coherence=True,
+                             lld_functionals=("mean", "stddev", "p10", "slope"))
+        families = [family for _, family in feature_families(cfg)]
+        assert len(families) == 7
+        return families
+
+    @staticmethod
+    def entry_names(family):
+        return {entry[0] for entry in family.entries}
+
+    @pytest.mark.parametrize("samples", [SR, 400])
+    def test_acoustic(self, families, samples):
+        t = np.arange(samples) / SR
+        noise = np.random.default_rng(5).normal(size=samples)
+        x = 0.5 * np.sin(2 * np.pi * 150.0 * t) + 0.01 * noise
+        a = Analysis(AudioBuffer(x, SR), AcousticConfig())
+        assert a.descriptors["rms"].size == (98 if samples == SR else 1)
+        for family in families:
+            if not family.is_text:
+                assert set(family.compute(a)) == self.entry_names(family), family.category
+
+    @pytest.mark.parametrize("name,text", [("t.conllu", CONLLU),
+                                           ("t.txt", "The cat sat on the mat. It ran."),
+                                           ("t.txt", "")],
+                             ids=["conllu", "txt", "empty"])
+    def test_text(self, families, embeddings_path, tmp_path, name, text):
+        (tmp_path / name).write_text(text)
+        transcript = _load_transcript(tmp_path / name)
+        assert transcript.n_tokens == (5 if name == "t.conllu" else 8 if text else 0)
+        assert ("DET" in transcript.pos) == (name == "t.conllu")
+        res = TextResources(lexicon=frozenset({"the", "cat"}), valence={"cat": 0.5},
+                            embeddings=coherence.load_embeddings(embeddings_path))
+        for family in families:
+            if family.is_text:
+                assert set(family.compute(transcript, res)) == self.entry_names(family), (
+                    family.category)
 
 
 class TestFeatureVector:

@@ -47,7 +47,7 @@ class TestConstruction:
 
     def test_column_lookup(self):
         t = make(["a", "b"], [[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(t.column("b"), [2.0, 4.0])
+        assert np.array_equal(t.select_columns(["b"]).rows, [[2.0], [4.0]])
 
     def test_select_columns_reorders(self):
         t = make(["a", "b", "c"], np.arange(6.0).reshape(2, 3))

@@ -250,12 +250,6 @@ class TestPca:
         assert np.all(np.diff(res.explained_variance_ratio) <= 1e-12)
         assert res.explained_variance_ratio.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_component_variances_match_scores(self):
-        rng = np.random.default_rng(8)
-        res = pca(make(["a", "b", "c", "d"], rng.normal(size=(50, 4))), 3)
-        got = res.transformed.rows.var(axis=0)
-        assert np.abs(got - res.component_variances).max() < 1e-9
-
     def test_sign_convention_largest_loading_positive(self):
         rng = np.random.default_rng(10)
         res = pca(make([f"f{i}" for i in range(6)], rng.normal(size=(30, 6))), 4)

@@ -6,6 +6,13 @@ duration, noise and channel count, and pairs recordings with plain-text
 transcripts, CoNLL-U with UPOS and DEPREL, CoNLL-U with UPOS only and no
 transcript, so that columns which differ in general differ here too.
 
+Two columns count as copies when they vary, share a NaN pattern and agree
+within RTOL elsewhere; or, whatever their NaN cells, when they agree within
+RTOL on every row where both are defined, with at least 3 such rows, and
+vary across those rows. The second rule catches a column that repeats
+another except where one of them is NaN (a rate that is NaN without tags
+beside a count-based rate that is 0 there).
+
 The one exemption is stated as a rule: an LLD summary `lld_<x>` beside an
 active column `<x>` summarizes the same series with the same statistic, and
 `lld_hnr_mean` is the mean that `hnr_db` takes. Those pairs must still be
@@ -145,6 +152,21 @@ def copies(x):
     return list(zip(i.tolist(), j.tolist()))
 
 
+def agree_where_defined(x):
+    """Each pair (i, j), i < j, of columns of x that are both defined on at
+    least 3 rows, vary across those rows and agree within RTOL on each."""
+    defined = ~np.isnan(x)
+    filled = np.where(defined, x, 0.0)
+    a, b = filled[:, :, None], filled[:, None, :]
+    both = defined[:, :, None] & defined[:, None, :]
+    close = np.abs(a - b) <= RTOL * np.maximum(np.abs(a), np.abs(b))
+    agree = np.all(close | ~both, axis=0) & (both.sum(axis=0) >= 3)
+    spread = (np.where(both, a, -np.inf).max(axis=0)
+              - np.where(both, a, np.inf).min(axis=0))
+    i, j = np.nonzero(np.triu(agree & (spread > 0), 1))
+    return list(zip(i.tolist(), j.tolist()))
+
+
 def exempt(a, b):
     """Whether the pair is an LLD summary and the active column it repeats."""
     pair = {a, b}
@@ -167,8 +189,10 @@ def test_corpus_covers_every_family(table):
 
 def test_no_column_copies_another(table):
     names, x = table
-    copied = [f"{names[i]} == {names[j]}" for i, j in copies(x)
-              if varies(x[:, i]) and not exempt(names[i], names[j])]
+    pairs = {(i, j) for i, j in copies(x) if varies(x[:, i])}
+    pairs.update(agree_where_defined(x))
+    copied = [f"{names[i]} == {names[j]}" for i, j in sorted(pairs)
+              if not exempt(names[i], names[j])]
     assert not copied, "copied columns: " + ", ".join(copied)
 
 

@@ -15,7 +15,6 @@ from voxfeat.textfeat import (
     SYNTAX_FEATURE_NAMES,
     UNTAGGED,
     UPOS_TAGS,
-    ComplexityFeatures,
     Transcript,
     complexity,
     complexity_feature_vector,
@@ -87,7 +86,7 @@ class TestTokenize:
     def test_decimal_point_does_not_end_a_sentence(self):
         t = tokenize("He paid 3.50 dollars. Then 1,000.5 more.")
         assert t.sentences == (("he", "paid", "3.50", "dollars"), ("then", "1,000.5", "more"))
-        assert complexity(t).number_ratio == 2 / 7
+        assert complexity(t)["number_ratio"] == 2 / 7
 
     @pytest.mark.parametrize("text,sentences", [
         ("I have 3. Next", (("i", "have", "3"), ("next",))),
@@ -103,45 +102,45 @@ class TestTokenize:
 class TestComplexity:
     def test_all_unique_uniform(self):
         cf = complexity(transcript_of(["a", "b", "c", "d"]))
-        assert cf.type_token_ratio == 1.0
-        assert cf.standardized_word_entropy == 1.0  # H=2 bits over log2(4)
-        assert np.isnan(cf.honore_statistic)  # V1 == V
+        assert cf["type_token_ratio"] == 1.0
+        assert cf["standardized_word_entropy"] == 1.0  # H=2 bits over log2(4)
+        assert np.isnan(cf["honore_statistic"])  # V1 == V
 
     def test_brunet_oracle_n100_v50(self):
         # 100^(50^-0.165) = 11.19 within 0.01
         words = [f"w{i}" for i in range(50)] * 2
         cf = complexity(transcript_of(words))
-        assert cf.brunet_index == pytest.approx(11.19, abs=0.01)
+        assert cf["brunet_index"] == pytest.approx(11.19, abs=0.01)
 
     def test_number_ratio(self):
         cf = complexity(transcript_of(["one", "2", "three", "cats"]))
-        assert cf.number_ratio == 0.75
+        assert cf["number_ratio"] == 0.75
 
     def test_suffix_ratio(self):
         cf = complexity(transcript_of(["happiness", "quickly", "cat", "ly"]))
         # "ly" itself is not longer than the suffix, so 2 of 4 match
-        assert cf.suffix_ratio == 0.5
+        assert cf["suffix_ratio"] == 0.5
 
     def test_unintelligible_union_no_double_count(self):
         t = transcript_of(["xxx", "qzqz", "cat"], flagged=[True, False, False])
         cf = complexity(t, lexicon=frozenset({"cat"}))
         # xxx flagged AND out-of-lexicon counts once; qzqz out-of-lexicon
-        assert cf.unintelligible_word_ratio == pytest.approx(2 / 3)
+        assert cf["unintelligible_word_ratio"] == pytest.approx(2 / 3)
 
     def test_no_lexicon_only_markers_count(self):
         t = tokenize("uh xxx okay")
         cf = complexity(t)
-        assert cf.unintelligible_word_ratio == pytest.approx(1 / 3)
+        assert cf["unintelligible_word_ratio"] == pytest.approx(1 / 3)
 
     def test_empty_transcript_all_nan(self):
         cf = complexity(transcript_of())
         for name in COMPLEXITY_FEATURE_NAMES:
-            assert np.isnan(getattr(cf, name))
+            assert np.isnan(cf[name])
 
     def test_single_repeated_word(self):
         cf = complexity(transcript_of(["go", "go", "go"]))
-        assert np.isnan(cf.standardized_word_entropy)  # V=1
-        assert cf.type_token_ratio == pytest.approx(1 / 3)
+        assert np.isnan(cf["standardized_word_entropy"])  # V=1
+        assert cf["type_token_ratio"] == pytest.approx(1 / 3)
 
     def test_ratio_bounds_random_sweep(self):
         rng = np.random.default_rng(23)
@@ -151,17 +150,17 @@ class TestComplexity:
             words = [vocab[i] for i in rng.integers(0, len(vocab), n)]
             t = tokenize(" ".join(words))
             cf = complexity(t)
-            for ratio in (cf.unintelligible_word_ratio, cf.suffix_ratio,
-                          cf.number_ratio, cf.type_token_ratio):
+            for ratio in (cf["unintelligible_word_ratio"], cf["suffix_ratio"],
+                          cf["number_ratio"], cf["type_token_ratio"]):
                 assert 0.0 <= ratio <= 1.0
-            if not np.isnan(cf.standardized_word_entropy):
-                assert 0.0 <= cf.standardized_word_entropy <= 1.0 + 1e-12
+            if not np.isnan(cf["standardized_word_entropy"]):
+                assert 0.0 <= cf["standardized_word_entropy"] <= 1.0 + 1e-12
 
     def test_entropy_one_iff_equiprobable(self):
         balanced = complexity(transcript_of(["a", "b", "a", "b"]))
         skewed = complexity(transcript_of(["a", "a", "a", "b"]))
-        assert balanced.standardized_word_entropy == pytest.approx(1.0)
-        assert skewed.standardized_word_entropy < 1.0
+        assert balanced["standardized_word_entropy"] == pytest.approx(1.0)
+        assert skewed["standardized_word_entropy"] < 1.0
 
     def test_brunet_monotone_in_vocabulary(self):
         # richer vocabulary at fixed N gives a lower index
@@ -170,14 +169,14 @@ class TestComplexity:
         for v in (1, 2, 5, 10, 30, 60):
             words = [f"w{i % v}" for i in range(n)]
             cf = complexity(transcript_of(words))
-            assert cf.brunet_index <= prev + 1e-12
-            prev = cf.brunet_index
+            assert cf["brunet_index"] <= prev + 1e-12
+            prev = cf["brunet_index"]
 
     def test_duplicated_transcript_ttr_halves(self):
         words = ["the", "cat", "sat", "down"]
         once = complexity(transcript_of(words))
         twice = complexity(transcript_of(words, words))
-        assert twice.type_token_ratio <= once.type_token_ratio / 2 + 1e-12
+        assert twice["type_token_ratio"] <= once["type_token_ratio"] / 2 + 1e-12
 
 
 class TestConllu:
@@ -236,31 +235,28 @@ class TestSyntaxCounts:
     def test_all_noun(self):
         t = transcript_of(["cats", "dogs", "mats"], pos=["NOUN", "NOUN", "NOUN"])
         sc = syntax_counts(t)
-        assert sc.pos_counts["NOUN"] == 3
-        assert sc.rate(sc.pos_counts["NOUN"]) == 1.0
-        assert all(v == 0 for k, v in sc.pos_counts.items() if k != "NOUN")
+        assert sc["pos_count_NOUN"] == 3
+        assert sc["pos_rate_NOUN"] == 1.0
+        assert all(v == 0 for k, v in sc.items()
+                   if k.startswith("pos_") and not k.endswith("_NOUN"))
 
     def test_empty_transcript(self):
         sc = syntax_counts(transcript_of())
-        fv = syntax_feature_vector(sc)
-        counts = [v for n, v in fv.as_dict().items() if "_count_" in n]
-        rates = [v for n, v in fv.as_dict().items() if "_rate_" in n]
-        assert all(v == 0 for v in counts)
-        assert all(np.isnan(v) for v in rates)
+        assert all(v == 0 for n, v in sc.items() if "_count_" in n)
+        assert all(np.isnan(v) for n, v in sc.items() if "_rate_" in n)
 
     def test_rates(self):
         t = transcript_of(["cat", "ran", "home"], pos=["NOUN", "VERB", "NOUN"])
-        sc = syntax_counts(t)
-        assert sc.rate(sc.pos_counts["NOUN"]) == pytest.approx(2 / 3)
+        assert syntax_counts(t)["pos_rate_NOUN"] == pytest.approx(2 / 3)
 
     def test_subtype_folds_to_base(self):
         sc = syntax_counts(transcript_of(["was"], pos=["AUX"], deprel=["aux:pass"]))
-        assert sc.dep_counts["aux"] == 1
+        assert sc["dep_count_aux"] == 1
 
     def test_unknown_tag_goes_untagged(self):
         sc = syntax_counts(transcript_of(["um"], pos=["WEIRD"], deprel=["madeup"]))
-        assert sc.pos_counts["UNTAGGED"] == 1
-        assert sc.dep_counts["UNTAGGED"] == 1
+        assert sc["pos_count_UNTAGGED"] == 1
+        assert sc["dep_count_UNTAGGED"] == 1
 
     def test_fixed_width(self):
         fv1 = syntax_feature_vector(syntax_counts(transcript_of()))
@@ -270,8 +266,7 @@ class TestSyntaxCounts:
 
     def test_pos_rates_sum_to_one(self):
         t = transcript_of(["a", "cat", "sat"], pos=["DET", "NOUN", "VERB"])
-        sc = syntax_counts(t)
-        total = sum(sc.rate(v) for v in sc.pos_counts.values())
+        total = sum(v for n, v in syntax_counts(t).items() if n.startswith("pos_rate_"))
         assert total == pytest.approx(1.0)
 
     def test_duplication_leaves_rates_unchanged(self):
@@ -342,8 +337,7 @@ def reference_complexity(t, lexicon=None, suffixes=DEFAULT_SUFFIXES, number_word
     lowers = list(t.lowers)
     n = len(lowers)
     if n == 0:
-        nan = float("nan")
-        return ComplexityFeatures(nan, nan, nan, nan, nan, nan, nan)
+        return dict.fromkeys(COMPLEXITY_FEATURE_NAMES, float("nan"))
     counts = {}
     for w in lowers:
         counts[w] = counts.get(w, 0) + 1
@@ -360,11 +354,14 @@ def reference_complexity(t, lexicon=None, suffixes=DEFAULT_SUFFIXES, number_word
     number_hits = sum(1 for w in lowers if _NUMERIC_RE.match(w) or w in number_words)
     brunet = n ** (v ** -0.165)
     honore = 100.0 * np.log(n) / (1.0 - v1 / v) if v1 != v else float("nan")
-    return ComplexityFeatures(unintelligible / n, standardized, suffix_hits / n,
-                              number_hits / n, float(brunet), float(honore), v / n)
+    return dict(zip(COMPLEXITY_FEATURE_NAMES, (
+        unintelligible / n, standardized, suffix_hits / n, number_hits / n,
+        float(brunet), float(honore), v / n)))
 
 
 def reference_syntax_counts(t):
+    """syntax_counts as a loop over tokens, with its counts and rates named
+    the way the SYNTAX declaration names them."""
     pos_counts = {tag: 0 for tag in UPOS_TAGS + (UNTAGGED,)}
     dep_counts = {rel: 0 for rel in DEPRELS + (UNTAGGED,)}
     n = 0
@@ -373,7 +370,12 @@ def reference_syntax_counts(t):
         base = deprel.split(":")[0] if deprel else None
         dep_counts[base if base in dep_counts else UNTAGGED] += 1
         n += 1
-    return pos_counts, dep_counts, n
+    out = {}
+    for kind, counts in (("pos", pos_counts), ("dep", dep_counts)):
+        out.update((f"{kind}_count_{key}", c) for key, c in counts.items())
+        out.update((f"{kind}_rate_{key}", c / n if n else float("nan"))
+                   for key, c in counts.items())
+    return out
 
 
 def reference_sentiment(t, lexicon):
@@ -405,8 +407,10 @@ def random_text(rng, n_sentences):
 
 
 def same_fields(a, b):
-    np.testing.assert_array_equal(np.array(list(vars(a).values()), dtype=float),
-                                  np.array(list(vars(b).values()), dtype=float))
+    """Two value dicts with the same keys and the same values, NaN equal to NaN."""
+    assert a.keys() == b.keys()
+    np.testing.assert_array_equal(np.array([a[k] for k in a], dtype=float),
+                                  np.array([b[k] for k in a], dtype=float))
 
 
 class TestTextMatchesReferenceLoops:
@@ -423,9 +427,7 @@ class TestTextMatchesReferenceLoops:
                 for lexicon in self.LEXICONS:
                     same_fields(complexity(t, lexicon, suffixes),
                                 reference_complexity(t, lexicon, suffixes))
-            sc = syntax_counts(t)
-            assert (sc.pos_counts, sc.dep_counts, sc.total_tokens) == reference_syntax_counts(t)
-            assert list(sc.pos_counts) == list(reference_syntax_counts(t)[0])
+            same_fields(syntax_counts(t), reference_syntax_counts(t))
             np.testing.assert_array_equal(sentiment(t, valence), reference_sentiment(t, valence))
 
     def test_tokenized_text(self):
@@ -438,8 +440,8 @@ class TestTextMatchesReferenceLoops:
 
     def test_a_word_equal_to_a_suffix_is_not_suffixed(self):
         t = transcript_of(["ness", "ly", "kindness", "fly"])
-        assert complexity(t).suffix_ratio == 0.5
-        assert complexity(t, suffixes=()).suffix_ratio == 0.0
+        assert complexity(t)["suffix_ratio"] == 0.5
+        assert complexity(t, suffixes=())["suffix_ratio"] == 0.0
 
     def test_a_nan_valence_is_a_match(self):
         t = transcript_of(["cat", "dog"])
@@ -450,8 +452,7 @@ class TestTextMatchesReferenceLoops:
         t = transcript_of()
         same_fields(complexity(t), reference_complexity(t))
         assert t.lowers == () and t.sentences == () and t.n_tokens == 0
-        sc = syntax_counts(t)
-        assert (sc.pos_counts, sc.dep_counts, sc.total_tokens) == reference_syntax_counts(t)
+        same_fields(syntax_counts(t), reference_syntax_counts(t))
         assert np.isnan(sentiment(t, {"cat": 1.0}))
 
 
