@@ -12,9 +12,12 @@ the per-frame series, so its memory follows the block, not the recording.
 F0 and the descriptor pass each copy every block's frames into the
 zero-padded rows of one workspace per recording, so each FFT runs on
 contiguous full-length rows, and the same memory then holds the block's
-later intermediates. The F0 track and every descriptor series but
-poly_slope and poly_intercept are bit for bit what a fresh array per step
-gives (tests pin both). Everything here is pure and deterministic: the same
+later intermediates. F0 reads its window energies from one prefix sum of
+the squared samples per block, not one per frame; on PCM16 samples, all
+that load_wav decodes, those sums are exact. The F0 track on such samples,
+and every descriptor series but poly_slope and poly_intercept on any, are
+bit for bit what a fresh array per step and a prefix sum per frame give
+(tests pin both). Everything here is pure and deterministic: the same
 AudioBuffer always yields bit-identical outputs.
 """
 
@@ -155,16 +158,21 @@ def f0_track(
     A frame is unvoiced (NaN) when no normalized-difference dip falls below
     the voicing threshold, or when the interpolated frequency leaves
     [f_min, f_max]. The integration window is one maximum period, so each
-    frame consumes 2*ceil(sr/f_min) samples.
+    frame consumes 2*ceil(sr/f_min) samples (534 at 16 kHz and f_min 60
+    Hz), hop_seconds apart: a recording shorter than that has no F0 frame,
+    and an empty track, whereas the descriptor pass's first frame needs
+    only frame_seconds of audio.
 
     Frames are processed in blocks of FFT_ROWS in one (block, n_fft)
     workspace, allocated once per recording. Each block's doubled heads and
     then its frames are copied into the rows, so every FFT runs on
     contiguous rows already zero-padded to n_fft; the same rows then hold
-    the prefix-summed energies and, once the inverse transform has been
-    subtracted, the running sums. The track is bit for bit what the same
-    steps give with a fresh array each, and each frame is independent of
-    the others, so the block size changes no bit of it either.
+    the running sums. The window energies come from one prefix sum over
+    each block's span of samples, in two more arrays allocated once per
+    recording. On the PCM16 samples that load_wav decodes these sums are
+    exact, so the track is bit for bit what a prefix sum per frame with a
+    fresh array per step gives; on other float samples the energies, and
+    so the track, may differ from that in their last bits.
     """
     if not 0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
@@ -179,27 +187,40 @@ def f0_track(
     hop = int(round(hop_seconds * sr))
     if x.size < chunk:
         return FrameSeries("f0", np.empty(0), hop_seconds)
-    # each block is a basic slice of this strided view, not a gathered copy
-    frames = np.lib.stride_tricks.sliding_window_view(x, chunk)[::hop]
-    n_frames = frames.shape[0]
+    n_frames = 1 + (x.size - chunk) // hop
+    rows = min(FFT_ROWS, n_frames)
     # Any n_fft >= 2*tau_max keeps wrapped (negative) lags out of 0..tau_max,
     # so take the smallest 2^a 3^b, not the next power of two: 576 points, not
     # 1024, at 16 kHz and f_min 60 Hz
-    work = np.empty((min(FFT_ROWS, n_frames), _next_smooth(chunk)))
+    work = np.empty((rows, _next_smooth(chunk)))
+    span = (rows - 1) * hop + chunk  # the samples a full block's frames cover
+    prefix, energy = np.empty(span + 1), np.empty(span + 1 - tau_max)
     periods = np.empty(n_frames)
     for start in range(0, n_frames, FFT_ROWS):
-        segs = frames[start: start + FFT_ROWS]
-        periods[start: start + segs.shape[0]] = _yin_periods(
-            segs, work[: segs.shape[0]], tau_min, tau_max, threshold)
+        n = min(FFT_ROWS, n_frames - start)
+        block = x[start * hop: start * hop + (n - 1) * hop + chunk]
+        periods[start: start + n] = _yin_periods(block, hop, work[:n], prefix, energy,
+                                                 tau_min, tau_max, threshold)
     f0 = sr / periods
     return FrameSeries("f0", np.where((f0 >= f_min) & (f0 <= f_max), f0, np.nan), hop_seconds)
 
 
-def _yin_periods(segs: np.ndarray, work: np.ndarray, tau_min: int, tau_max: int,
+def _yin_periods(block: np.ndarray, hop: int, work: np.ndarray, prefix: np.ndarray,
+                 energy: np.ndarray, tau_min: int, tau_max: int,
                  threshold: float) -> np.ndarray:
-    """Interpolated period in samples of each (frame, 2*tau_max) segment,
-    NaN where no lag dips below the threshold. `work` is a (frames, n_fft)
-    scratch array, n_fft >= 2*tau_max; its contents are overwritten."""
+    """Interpolated period in samples of each 2*tau_max-sample frame of
+    `block`, the frames hop apart, NaN where no lag dips below the
+    threshold. `work` is a (frames, n_fft) scratch array, n_fft >=
+    2*tau_max, and `prefix` and `energy` are _window_energies' scratch;
+    their contents are overwritten.
+
+    The energy terms come from one prefix sum over the block, not one per
+    frame. On PCM16 samples (k / 2^15, or a stereo mix (a + b) / 2^16)
+    every square is a multiple of 2^-32, so every partial sum over fewer
+    than 2^21 samples is exact and the energies equal those of a prefix
+    sum per frame bit for bit; on other floats they may differ in the last
+    bits."""
+    segs = np.lib.stride_tricks.sliding_window_view(block, 2 * tau_max)[::hop]
     n, chunk = segs.shape
     w = tau_max
     n_fft = work.shape[1]
@@ -213,19 +234,33 @@ def _yin_periods(segs: np.ndarray, work: np.ndarray, tau_min: int, tau_max: int,
     work[:, :chunk] = segs
     spec *= np.fft.rfft(work)
 
-    # work[:, k] becomes the energy of the first k + 1 samples. The difference
-    # d(tau) = E(0..w) + E(tau..tau+w) - 2 C(tau) is built in place in dp[:, 1:]
-    csum = work[:, :chunk]
-    np.multiply(csum, csum, out=csum)
-    np.cumsum(csum, axis=1, out=csum)
+    # the difference d(tau) = E(s..s+w) + E(s+tau..s+tau+w) - 2C(tau) of the
+    # frame at s, built in dp[:, 1:]
+    e = _window_energies(block, w, prefix, energy)
     dp = np.empty((n, tau_max + 1))
     diff = dp[:, 1:]
-    np.subtract(csum[:, w: w + tau_max], csum[:, :tau_max], out=diff)
-    diff += csum[:, w - 1, None]
+    lagged = np.lib.stride_tricks.sliding_window_view(e[1:], tau_max)[::hop]
+    np.add(lagged, e[: (n - 1) * hop + 1: hop, None], out=diff)
     diff -= np.fft.irfft(spec, n_fft)[:, 1: tau_max + 1]
     del spec
     np.maximum(diff, 0.0, out=diff)
     return _cmnd_periods(dp, tau_min, threshold, work[:, :tau_max])
+
+
+def _window_energies(block: np.ndarray, w: int, prefix: np.ndarray,
+                     energy: np.ndarray) -> np.ndarray:
+    """The energy of each w-sample window of `block`, e[j] = sum of
+    block[j:j+w]**2, as differences of one prefix sum: a view of `energy`
+    (at least block.size + 1 - w long), written through `prefix` (at least
+    block.size + 1 long). Exact, and so independent of where the block
+    starts, when every partial sum is (see _yin_periods)."""
+    g = prefix[: block.size + 1]
+    g[0] = 0.0
+    np.multiply(block, block, out=g[1:])
+    np.cumsum(g[1:], out=g[1:])
+    e = energy[: block.size + 1 - w]
+    np.subtract(g[w:], g[:-w], out=e)
+    return e
 
 
 def _cmnd_periods(dp: np.ndarray, tau_min: int, threshold: float,
@@ -233,16 +268,22 @@ def _cmnd_periods(dp: np.ndarray, tau_min: int, threshold: float,
     """Interpolated period of each row of a difference function, NaN where
     no lag dips below the threshold. dp[:, 1:] holds d(tau) >= 0 for tau =
     1..tau_max and becomes its cumulative-mean-normalized form d'(tau) in
-    place, and dp[:, 0] becomes d'(0) = 1; `run` is (rows, tau_max) scratch."""
+    place, and dp[:, 0] becomes d'(0) = 1; `run` is (rows, tau_max) scratch.
+
+    d' is 1 where the running sum of d is 0. Since d >= 0 that sum never
+    decreases, so it is 0 only on a leading run of lags, and only in a row
+    whose d(1) is 0 (a digitally silent start): every row is divided, and
+    only those rows are then mended."""
     tau_max = dp.shape[1] - 1
     dp[:, 0] = 1.0
     diff = dp[:, 1:]
-    # d' stays 1 where the running sum is 0: lags of a digitally silent start
     np.cumsum(diff, axis=1, out=run)
     diff *= np.arange(1, tau_max + 1)
-    positive = run > 0
-    np.divide(diff, run, out=diff, where=positive)
-    diff[~positive] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(diff, run, out=diff)
+    silent = run[:, 0] == 0
+    if silent.any():
+        diff[silent] = np.where(run[silent] == 0, 1.0, diff[silent])
 
     # the first lag below the threshold, walked downhill to its local minimum
     # (the first lag before tau_max whose successor does not descend), one

@@ -300,7 +300,7 @@ GEMAPS = Family("acoustic.gemaps", (
     ("alpha_ratio", "10*log10(power 50-1000 Hz / power 1000-5000 Hz)", _MEAN_STD),
     ("hammarberg", "20*log10(peak magnitude 0-2 kHz / peak magnitude 2-5 kHz)", _MEAN_STD),
     *((f"mfcc{k}", _mfcc_text(k), _MEAN_STD) for k in range(1, 5)),
-    ("voiced_fraction", "voiced frames / total frames"),
+    ("voiced_fraction", "voiced F0 frames / F0 frames"),
     ("jitter_local", "mean |T[i+1] - T[i]| / mean(T) over all glottal cycles"),
     ("shimmer_local", "mean |A[i+1] - A[i]| / |mean(A)| over all cycle peaks"),
     ("hnr_db", "10*log10(r / (1 - r)) averaged over voiced frames"),

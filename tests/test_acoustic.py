@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import struct
 import tracemalloc
 from fractions import Fraction
@@ -1112,18 +1113,30 @@ def tone_of(n_samples, sr=SR, seed=41):
     return AudioBuffer(x, sr)
 
 
-def stereo_downmix(tmp_path, n_samples):
-    """A stereo PCM16 file decoded to its mono mix."""
-    rng = np.random.default_rng(43)
-    left = tone_of(n_samples).samples
-    right = 0.5 * np.roll(left, 37) + rng.normal(0.0, 0.02, n_samples)
-    ints = np.clip(np.round(np.stack([left, right], axis=1) * 32768.0), -32768, 32767)
-    body = ints.astype("<i2").tobytes()
-    fmt = struct.pack("<IHHIIHH", 16, 1, 2, SR, SR * 4, 4, 16)
-    path = tmp_path / "stereo.wav"
+def decoded_pcm16(tmp_path, x, sr=SR):
+    """Float samples, (n,) mono or (n, 2) stereo, written as a PCM16 file
+    and decoded again by load_wav (stereo to its mono mix)."""
+    x = x.reshape(x.shape[0], -1)
+    channels = x.shape[1]
+    body = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2").tobytes()
+    fmt = struct.pack("<IHHIIHH", 16, 1, channels, sr, sr * 2 * channels, 2 * channels, 16)
+    path = tmp_path / f"pcm16_{channels}ch_{sr}.wav"
     path.write_bytes(b"RIFF" + struct.pack("<I", 36 + len(body)) + b"WAVE" + b"fmt " + fmt
                      + b"data" + struct.pack("<I", len(body)) + body)
     return load_wav(path)
+
+
+def stereo_tone(n_samples, sr=SR):
+    """tone_of as the left channel of an (n, 2) pair."""
+    rng = np.random.default_rng(43)
+    left = tone_of(n_samples, sr).samples
+    right = 0.5 * np.roll(left, 37) + rng.normal(0.0, 0.02, n_samples)
+    return np.stack([left, right], axis=1)
+
+
+def stereo_downmix(tmp_path, n_samples, sr=SR):
+    """A stereo PCM16 file decoded to its mono mix."""
+    return decoded_pcm16(tmp_path, stereo_tone(n_samples, sr), sr)
 
 
 F0_CHUNK = 2 * int(np.ceil(SR / 60.0))  # f0_track's window at the default f_min
@@ -1131,16 +1144,32 @@ F0_HOP = 160
 FRAME_LEN = 400
 
 
+def assert_close_track(got, want):
+    """The same NaN pattern, and the voiced frames within 1e-12 relative:
+    how F0 on float samples that are not PCM16 may differ from the
+    reference, whose energies come from a prefix sum per frame."""
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    np.testing.assert_allclose(got[~np.isnan(got)], want[~np.isnan(want)], rtol=1e-12, atol=0)
+
+
+F0_FRAME_COUNTS = [1, 255, 256, 257, 513]
+F0_SETTINGS = [dict(f_min=75.0, f_max=400.0, threshold=0.3), dict(hop_seconds=0.005)]
+
+
 class TestBlocksMatchReferences:
     """F0 and the descriptor pass, in place and over strided views, equal the
-    gather-based blocks with fresh temporaries bit for bit, NaNs included."""
+    gather-based blocks with fresh temporaries bit for bit, NaNs included.
+    On tone_of's unquantized floats F0's block energies round differently
+    from a prefix sum per frame, so those F0 cases are held to
+    assert_close_track; TestBlockEnergiesExact pins them bit for bit on
+    PCM16 samples."""
 
-    @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 513])
+    @pytest.mark.parametrize("n_frames", F0_FRAME_COUNTS)
     def test_f0_frame_counts(self, n_frames):
         buf = tone_of(F0_CHUNK + (n_frames - 1) * F0_HOP + 7)
         got = f0_track(buf).values
         assert got.size == n_frames
-        np.testing.assert_array_equal(got, reference_block_f0(buf))
+        assert_close_track(got, reference_block_f0(buf))
 
     @pytest.mark.parametrize("n_frames", [1, 255, 256, 257, 513])
     def test_descriptor_frame_counts(self, n_frames):
@@ -1177,10 +1206,87 @@ class TestBlocksMatchReferences:
         for name, values in want.items():
             np.testing.assert_array_equal(got[name], values, err_msg=name)
 
-    @pytest.mark.parametrize("kwargs", [dict(f_min=75.0, f_max=400.0, threshold=0.3),
-                                        dict(hop_seconds=0.005)])
+    @pytest.mark.parametrize("kwargs", F0_SETTINGS)
     def test_other_settings(self, kwargs):
         buf = tone_of(2 * SR + 77, seed=45)
+        assert_close_track(f0_track(buf, **kwargs).values, reference_block_f0(buf, **kwargs))
+
+
+def full_scale(rng, n):
+    """Every sample at full scale, -1 or 32767/32768, in random order."""
+    return np.where(rng.random(n) < 0.5, -1.0, 32767 / 32768)
+
+
+def loud_then_quiet(rng, n):
+    """Full scale for the first third, then noise of a few LSB."""
+    x = rng.integers(-3, 4, n) / 32768.0
+    x[: n // 3] = full_scale(rng, n // 3)
+    return x
+
+
+class TestBlockEnergiesExact:
+    """On PCM16-decoded samples every square is a multiple of 2^-32, so the
+    block's prefix sum, and each window energy read from it, is exact: it
+    equals math.fsum of the window and the windows of a prefix sum per
+    frame bit for bit, wherever the block starts. So F0 equals the
+    per-frame reference bit for bit."""
+
+    @pytest.mark.parametrize("sr", [SR, 44100])
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("kind", ["tone", "full_scale", "loud_then_quiet"])
+    def test_window_energies(self, tmp_path, sr, channels, kind):
+        rng = np.random.default_rng(17)
+        n_samples = 2 * acoustic.FFT_ROWS * int(round(0.010 * sr))
+        if kind == "tone":
+            x = tone_of(n_samples, sr).samples if channels == 1 else stereo_tone(n_samples, sr)
+        else:
+            make = full_scale if kind == "full_scale" else loud_then_quiet
+            x = np.stack([make(rng, n_samples) for _ in range(channels)], axis=1)
+            if channels == 2:  # the loud part mixes to within 1/2 LSB of full scale
+                loud = n_samples if kind == "full_scale" else n_samples // 3
+                step = rng.integers(0, 2, loud) / 32768.0
+                x[:loud, 1] = x[:loud, 0] - np.sign(x[:loud, 0]) * step
+        x = decoded_pcm16(tmp_path, x, sr).samples
+        # a stereo mix reaches the finer grid of (a + b) / 2^16
+        assert np.any(x * 32768 % 1) == (channels == 2)
+        # the span of f0_track's first block, a full one
+        w, hop, n = int(np.ceil(sr / 60.0)), int(round(0.010 * sr)), acoustic.FFT_ROWS
+        block = x[: (n - 1) * hop + 2 * w]
+        e = acoustic._window_energies(block, w, np.empty(block.size + 1),
+                                      np.empty(block.size + 1 - w))
+        squares = (block * block).tolist()
+        want = np.array([math.fsum(squares[j: j + w]) for j in range(e.size)])
+        assert same_bytes(e, want)
+        for i in range(n):
+            seg = block[i * hop: i * hop + 2 * w]
+            csum = np.concatenate([[0.0], np.cumsum(seg * seg)])
+            assert same_bytes(e[i * hop: i * hop + w + 1], csum[w:] - csum[: w + 1]), i
+        if kind != "tone":
+            assert e.max() > 0.99 * w  # full-scale windows
+        if kind == "loud_then_quiet":
+            assert 0 < e[-1] < 1e-6 * w  # after them, windows of a few LSB
+
+    @pytest.mark.parametrize("sr", [SR, 44100])
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_f0_equals_reference(self, tmp_path, sr, channels):
+        n_samples = 3 * sr + 123
+        buf = (stereo_downmix(tmp_path, n_samples, sr) if channels == 2
+               else decoded_pcm16(tmp_path, tone_of(n_samples, sr).samples, sr))
+        got = f0_track(buf).values
+        assert got.size > acoustic.FFT_ROWS
+        np.testing.assert_array_equal(got, reference_block_f0(buf))
+
+    @pytest.mark.parametrize("n_frames", F0_FRAME_COUNTS)
+    def test_frame_counts(self, tmp_path, n_frames):
+        tone = tone_of(F0_CHUNK + (n_frames - 1) * F0_HOP + 7)
+        buf = decoded_pcm16(tmp_path, tone.samples)
+        got = f0_track(buf).values
+        assert got.size == n_frames
+        np.testing.assert_array_equal(got, reference_block_f0(buf))
+
+    @pytest.mark.parametrize("kwargs", F0_SETTINGS)
+    def test_other_settings(self, tmp_path, kwargs):
+        buf = decoded_pcm16(tmp_path, tone_of(2 * SR + 77, seed=45).samples)
         np.testing.assert_array_equal(f0_track(buf, **kwargs).values,
                                       reference_block_f0(buf, **kwargs))
 
@@ -1293,9 +1399,10 @@ class TestBlockMemory:
     """Traced peaks of F0 and the descriptor pass on 45 s of mono 16 kHz
     audio. With every step in a fresh array they were 8.75 MB for F0 and
     6.1 MB for a descriptor block beside its 1.5 MB of series. In their
-    workspaces they are about 2.4 MB for F0 (128-frame blocks) and 3.1 MB
-    for the descriptors (the 402-frame last block), and a bound of 3.5 MB
-    also catches F0 on 256-frame blocks (4.3 MB)."""
+    workspaces they are about 2.7 MB for F0 (128-frame blocks, with their
+    prefix and window energies) and 3.1 MB for the descriptors (the
+    402-frame last block), and a bound of 3.5 MB also catches F0 on
+    256-frame blocks (4.3 MB before the block energies)."""
 
     @staticmethod
     def traced_peak(fn):

@@ -393,6 +393,22 @@ class TestGemapsCore:
         assert np.isnan(fv["jitter_local"])
         assert np.isnan(fv["hnr_db"])
 
+    def test_shorter_than_one_f0_frame(self):
+        # 400 samples fill one 25 ms analysis frame but not one F0 frame of
+        # 2*ceil(16000/60) = 534 samples: the F0 track is empty, so every
+        # column read from it is NaN, while the spectral columns are not
+        buf = sine(150, seconds=0.025)
+        a = Analysis(buf, AcousticConfig())
+        assert a.f0.values.size == 0 and a.descriptors["rms"].size == 1
+        fv = gemaps_core(buf)
+        voice = ("f0_semitone_", "jitter", "shimmer", "hnr", "voiced_fraction")
+        assert [n for n in fv.names if np.isnan(fv[n])] == [
+            n for n in fv.names if n.startswith(voice)]
+        sv = spectral_set(buf)
+        # only flux and tempo, which need a second frame
+        assert [n for n in sv.names if np.isnan(sv[n])] == ["flux_mean", "flux_stddev",
+                                                            "tempo_bpm"]
+
     def test_determinism_bit_identical(self):
         buf = sine(220)
         a = gemaps_core(buf)

@@ -5,7 +5,9 @@ when that process's peak resident set exceeds 300 MB.
 
 The recording is a gated two-harmonic tone with a gliding F0, mono 16 kHz,
 written to a temporary directory. The child runs `run_extract` at --jobs 1
-under the default config and reports its own `ru_maxrss` (Linux: KiB).
+under the default config and reports its own `ru_maxrss` (Linux: KiB), and
+the CPU and wall seconds of the `run_extract` call, which are printed too
+(the real-time factor is wall seconds per second of audio) but not gated.
 voxfeat is imported from ./src of this checkout.
 """
 
@@ -26,11 +28,13 @@ LIMIT_MB = 300.0
 SR = 16000
 
 CHILD = """
-import resource, sys
+import resource, sys, time
 from voxfeat.config import PipelineConfig
 from voxfeat.pipeline import run_extract
+cpu, wall = time.process_time(), time.perf_counter()
 manifest = run_extract(sys.argv[1], sys.argv[2], PipelineConfig(), jobs=1)
-print(int(manifest.all_ok), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+print(int(manifest.all_ok), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, cpu, wall)
 """
 
 
@@ -70,10 +74,12 @@ def main() -> int:
     if proc.returncode != 0:
         print(proc.stderr[-4000:], file=sys.stderr)
         return 1
-    ok, maxrss_kib = proc.stdout.split()
+    ok, maxrss_kib, cpu_s, wall_s = proc.stdout.split()
     peak_mb = int(maxrss_kib) / 1024.0
     print(f"peak RSS {peak_mb:.1f} MB extracting {args.minutes:g} min of {SR} Hz audio "
           f"(limit {LIMIT_MB:g} MB)")
+    print(f"run_extract: {float(cpu_s):.2f} s CPU, {float(wall_s):.2f} s wall, "
+          f"real-time factor {float(wall_s) / (args.minutes * 60):.4f}")
     if ok != "1":
         print("extraction failed", file=sys.stderr)
         return 1
