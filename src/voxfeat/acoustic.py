@@ -14,7 +14,8 @@ zero-padded rows of one workspace per recording, so each FFT runs on
 contiguous full-length rows, and the same memory then holds the block's
 later intermediates. F0 reads its window energies from one prefix sum of
 the squared samples per block, not one per frame; on PCM16 samples, all
-that load_wav decodes, those sums are exact. The F0 track on such samples,
+that load_wav decodes, those sums are exact while a block spans fewer than
+2^21 samples (see f0_track). The F0 track on such samples,
 and every descriptor series but poly_slope and poly_intercept on any, are
 bit for bit what a fresh array per step and a prefix sum per frame give
 (tests pin both). Everything here is pure and deterministic: the same
@@ -170,9 +171,12 @@ def f0_track(
     the running sums. The window energies come from one prefix sum over
     each block's span of samples, in two more arrays allocated once per
     recording. On the PCM16 samples that load_wav decodes these sums are
-    exact, so the track is bit for bit what a prefix sum per frame with a
-    fresh array per step gives; on other float samples the energies, and
-    so the track, may differ from that in their last bits.
+    exact while a block's span, (FFT_ROWS - 1)*hop + 2*ceil(sr/f_min)
+    samples, stays below 2^21 (62k samples at 48 kHz and the default hop;
+    a hop above about 16k samples breaks it), so the track is then bit for
+    bit what a prefix sum per frame with a fresh array per step gives; on
+    other float samples, or longer spans, the energies, and so the track,
+    may differ from that in their last bits.
     """
     if not 0 < f_min < f_max:
         raise InvalidRange(f"need 0 < f_min < f_max, got {f_min}, {f_max}")
@@ -217,9 +221,9 @@ def _yin_periods(block: np.ndarray, hop: int, work: np.ndarray, prefix: np.ndarr
     The energy terms come from one prefix sum over the block, not one per
     frame. On PCM16 samples (k / 2^15, or a stereo mix (a + b) / 2^16)
     every square is a multiple of 2^-32, so every partial sum over fewer
-    than 2^21 samples is exact and the energies equal those of a prefix
-    sum per frame bit for bit; on other floats they may differ in the last
-    bits."""
+    than 2^21 samples is exact: when `block` is shorter than that, the
+    energies equal those of a prefix sum per frame bit for bit. On other
+    floats, or a longer block, they may differ in the last bits."""
     segs = np.lib.stride_tricks.sliding_window_view(block, 2 * tau_max)[::hop]
     n, chunk = segs.shape
     w = tau_max
