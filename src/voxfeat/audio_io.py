@@ -152,7 +152,9 @@ def load_wav(path: str | Path) -> AudioBuffer:
     if ints.size == 0:
         raise EmptyAudio(f"{path.name}: zero samples")
     if channels == 2:
-        ints = ints.reshape(-1, 2).mean(axis=1)
+        # the sum and halving reshape(-1, 2).mean(axis=1) computes, bit for bit
+        ints = ints[0::2] + ints[1::2]
+        ints /= 2.0
     ints /= _INT16_SCALE  # in place: the buffer is the only float copy
     return AudioBuffer(ints, int(sample_rate), source_id=path.stem)
 

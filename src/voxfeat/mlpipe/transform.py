@@ -8,6 +8,7 @@ original column names.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -169,20 +170,6 @@ class IcaResult:
     n_iter: int
 
 
-def _sym_decorrelate(w: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(w @ w.T)
-    vals = np.maximum(vals, 1e-12)
-    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
-
-
-def _aligned_change(w_new: np.ndarray, w: np.ndarray) -> float:
-    """Largest entry change between two unmixing matrices, after flipping
-    each row of w to the sign of w_new's (rows may flip between iterations)."""
-    signs = np.sign(np.sum(w_new * w, axis=1))
-    signs[signs == 0] = 1.0
-    return float(np.max(np.abs(w_new - signs[:, None] * w)))
-
-
 def ica(
     tbl: FeatureTable,
     k: int,
@@ -209,27 +196,36 @@ def ica(
     scale = np.where(s[:k] > 0, s[:k], 1.0)
     white = (z.rows @ vt[:k].T / scale[None, :] * np.sqrt(n)).T
 
+    # One step: g = tanh(w @ white), w+ = g @ white.T / n - mean(1 - g^2) * w
+    # row by row, then symmetric decorrelation w+ <- (w+ w+^T)^(-1/2) w+, its
+    # eigenvalues floored at 1e-12. g and 1 - g^2 live in two buffers that
+    # every step reuses.
+    g = np.empty((k, n))
+    g_prime = np.empty((k, n))
     w = np.eye(k)
     w_before = None  # the iterate before w
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        y = w @ white
-        g = np.tanh(y)
-        g_prime = 1.0 - g ** 2
-        w_new = (g @ white.T) / n - np.diag(g_prime.mean(axis=1)) @ w
-        w_new = _sym_decorrelate(w_new)
-        if not np.all(np.isfinite(w_new)):
+        np.tanh(np.matmul(w, white, out=g), out=g)
+        np.subtract(1.0, np.multiply(g, g, out=g_prime), out=g_prime)
+        w_new = (g @ white.T) / n - (np.add.reduce(g_prime, axis=1) / n)[:, None] * w
+        vals, vecs = np.linalg.eigh(w_new @ w_new.T)
+        w_new = (vecs * (1.0 / np.sqrt(np.maximum(vals, 1e-12)))) @ vecs.T @ w_new
+        # the largest entry change, after flipping each row of w to the sign
+        # of w_new's (rows may flip between iterations)
+        signs = np.where(np.add.reduce(w_new * w, axis=1) < 0, -1.0, 1.0)
+        step = float(np.abs(w_new - signs[:, None] * w).max())
+        if not math.isfinite(step):  # a non-finite w_new gives a non-finite step
             raise ConvergenceFailure(f"ICA diverged at iteration {iterations}")
-        step = _aligned_change(w_new, w)
         converged = step < tol
         # a period-2 cycle: back within tol of the iterate before w while a
         # step still moves it by over sqrt(tol). An oscillation that converges
         # at ratio -r per step moves that far only when 1 - r < sqrt(tol),
         # thousands of steps from converging. Two steps undo a row's sign
         # flip at each step, so this comparison needs no alignment.
-        cycling = (w_before is not None and step > np.sqrt(tol)
-                   and float(np.max(np.abs(w_new - w_before))) < tol)
+        cycling = (w_before is not None and step > math.sqrt(tol)
+                   and float(np.abs(w_new - w_before).max()) < tol)
         w_before, w = w, w_new
         if converged or cycling:
             break

@@ -204,8 +204,9 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
     res = load_resources(cfg)
     names = feature_names_for(cfg)
     workers = worker_count(jobs, len(inputs))
+    text_on = any(on and family.is_text for on, family in feature_families(cfg))
     for item in sorted(inputs, key=lambda it: it.source_id):
-        if item.transcript_path is None:
+        if text_on and item.transcript_path is None:
             log.warning("%s: no transcript found, text features set to NaN",
                         item.source_id)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from voxfeat.errors import InvalidK, TooFewColumns
+from voxfeat.errors import ConvergenceFailure, InvalidK, TooFewColumns
 from voxfeat.mlpipe import (
     FeatureTable,
     correlation_matrix,
@@ -14,7 +14,7 @@ from voxfeat.mlpipe import (
     pca,
 )
 from voxfeat.mlpipe import transform as transform_module
-from voxfeat.mlpipe.transform import _aligned_change, distinct_columns
+from voxfeat.mlpipe.transform import distinct_columns
 
 from test_mlpipe_select import messy_table
 
@@ -276,12 +276,134 @@ class TestPca:
         assert np.array_equal(res.transformed.target, t.target)
 
 
+def _aligned_change(w_new, w):
+    """Largest entry change between two unmixing matrices, after flipping
+    each row of w to the sign of w_new's (rows may flip between iterations)."""
+    signs = np.sign(np.sum(w_new * w, axis=1))
+    signs[signs == 0] = 1.0
+    return float(np.max(np.abs(w_new - signs[:, None] * w)))
+
+
+def _sym_decorrelate(w):
+    vals, vecs = np.linalg.eigh(w @ w.T)
+    vals = np.maximum(vals, 1e-12)
+    return (vecs * (1.0 / np.sqrt(vals))) @ vecs.T @ w
+
+
+def reference_ica(tbl, k, max_iter=500, tol=1e-6):
+    """The FastICA loop as first written, one helper call per step: the
+    whitening, stopping rules and divergence check ica keeps, returned as
+    (unmixing, sources, n_iter, converged)."""
+    z, _ = impute_and_standardize(tbl)
+    u, s, vt = np.linalg.svd(z.rows, full_matrices=False)
+    n = tbl.n_rows
+    scale = np.where(s[:k] > 0, s[:k], 1.0)
+    white = (z.rows @ vt[:k].T / scale[None, :] * np.sqrt(n)).T
+    w = np.eye(k)
+    w_before = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        y = w @ white
+        g = np.tanh(y)
+        g_prime = 1.0 - g ** 2
+        w_new = (g @ white.T) / n - np.diag(g_prime.mean(axis=1)) @ w
+        w_new = _sym_decorrelate(w_new)
+        if not np.all(np.isfinite(w_new)):
+            raise ConvergenceFailure(f"ICA diverged at iteration {iterations}")
+        step = _aligned_change(w_new, w)
+        converged = step < tol
+        cycling = (w_before is not None and step > np.sqrt(tol)
+                   and float(np.max(np.abs(w_new - w_before))) < tol)
+        w_before, w = w, w_new
+        if converged or cycling:
+            break
+    return w, (w @ white).T, iterations, converged
+
+
+def gaussian_blocks(seed, n_rows=120, n_cols=24):
+    """Blocks of 8 scaled columns sharing a Gaussian latent factor: no
+    independent directions to find, so from k = 2 on ICA runs to its cap."""
+    rng = np.random.default_rng(seed)
+    latent = rng.normal(size=(n_rows, n_cols // 8))
+    x = 0.75 * np.repeat(latent, 8, axis=1) + 0.66 * rng.normal(size=(n_rows, n_cols))
+    return make([f"f{j}" for j in range(n_cols)], x * rng.uniform(0.5, 20.0, n_cols))
+
+
+def uniform_mixture():
+    rng = np.random.default_rng(0)
+    src = rng.uniform(-np.sqrt(3), np.sqrt(3), size=(5000, 2))
+    return src, make(["m1", "m2"], src @ np.array([[1.0, 0.4], [0.5, 1.0]]))
+
+
+def gaussian_draw(seed):
+    rng = np.random.default_rng(seed)
+    return make([f"c{j}" for j in range(6)], rng.normal(size=(100, 6)))
+
+
+def nan_table():
+    """NaN cells, exact and negated copies, constants and an all-NaN column."""
+    tbl = messy_table(np.random.default_rng(15), "float")
+    assert np.isnan(tbl.rows).all(axis=0).sum() == 1
+    return tbl
+
+
+class TestIcaMatchesReference:
+    """ica returns the reference loop's bits: unmixing, sources, n_iter and
+    whether it converged."""
+
+    def check(self, tbl, k):
+        res = ica(tbl, k)
+        unmixing, sources, n_iter, converged = reference_ica(tbl, k)
+        assert res.unmixing.tobytes() == unmixing.tobytes()
+        assert res.transformed.rows.tobytes() == sources.tobytes()
+        assert (res.n_iter, res.converged) == (n_iter, converged)
+        return res
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_gaussian_blocks_at_the_cap(self, k):
+        res = self.check(gaussian_blocks(0), k)
+        assert k == 1 or (res.n_iter, res.converged) == (500, False)
+
+    def test_uniform_sources(self):
+        assert self.check(uniform_mixture()[1], 2).converged
+
+    def test_period_two_draw(self):
+        assert self.check(gaussian_draw(14), 4).n_iter == 72
+
+    def test_damped_draw(self):
+        assert self.check(gaussian_draw(1), 4).n_iter == 38
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 8])
+    def test_nan_cells_and_all_nan_column(self, k):
+        self.check(nan_table(), k)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_divergence_raises_the_same_failure(self, bad, monkeypatch):
+        # from its third call on, eigh returns non-finite eigenvectors
+        eigh = np.linalg.eigh
+        calls = []
+
+        def failing_eigh(a):
+            calls.append(1)
+            vals, vecs = eigh(a)
+            return vals, vecs * (bad if len(calls) >= 3 else 1.0)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        tbl = gaussian_blocks(0)
+        messages = []
+        for run in (ica, reference_ica):
+            calls.clear()
+            with pytest.raises(ConvergenceFailure) as err, np.errstate(invalid="ignore"):
+                run(tbl, 5)
+            messages.append(str(err.value))
+        assert messages == ["ICA diverged at iteration 3"] * 2
+
+
 class TestIca:
     def test_recovers_independent_uniform_sources(self):
-        rng = np.random.default_rng(0)
-        src = rng.uniform(-np.sqrt(3), np.sqrt(3), size=(5000, 2))
-        mixed = src @ np.array([[1.0, 0.4], [0.5, 1.0]])
-        res = ica(make(["m1", "m2"], mixed), 2)
+        src, tbl = uniform_mixture()
+        res = ica(tbl, 2)
         assert res.converged
         rec = res.transformed.rows
         cc = np.abs(np.corrcoef(np.column_stack([src, rec]).T)[:2, 2:])
@@ -312,8 +434,7 @@ class TestIca:
     def test_period_two_cycle_stops_unconverged(self):
         # Gaussian data has no independent directions to find; from the
         # identity this draw settles into two alternating unmixing matrices
-        rng = np.random.default_rng(14)
-        t = make([f"c{j}" for j in range(6)], rng.normal(size=(100, 6)))
+        t = gaussian_draw(14)
         res = ica(t, 4)
         assert not res.converged
         assert res.n_iter == 72
@@ -324,8 +445,7 @@ class TestIca:
 
     def test_damped_oscillation_still_converges(self):
         # steps alternate in sign here too, but shrink: not a cycle
-        rng = np.random.default_rng(1)
-        t = make([f"c{j}" for j in range(6)], rng.normal(size=(100, 6)))
+        t = gaussian_draw(1)
         res = ica(t, 4)
         assert res.converged
         assert res.n_iter == 38

@@ -452,6 +452,12 @@ class TestWorkerProcesses:
             f"{sid}: no transcript found, text features set to NaN"
             for sid in ("e", "e-1", "h")]
 
+    def test_missing_transcripts_not_logged_with_text_off(self, batch, tmp_path, caplog):
+        cfg = PipelineConfig(complexity=False, syntax=False)
+        with caplog.at_level(logging.WARNING, logger="voxfeat"):
+            run_extract(batch, tmp_path / "f.csv", cfg, jobs=1)
+        assert caplog.records == []
+
     def test_worker_count(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 8)

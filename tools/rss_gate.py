@@ -7,8 +7,10 @@ The recording is a gated two-harmonic tone with a gliding F0, mono 16 kHz,
 written to a temporary directory. The child runs `run_extract` at --jobs 1
 under the default config and reports its own `ru_maxrss` (Linux: KiB), and
 the CPU and wall seconds of the `run_extract` call, which are printed too
-(the real-time factor is wall seconds per second of audio) but not gated.
-voxfeat is imported from ./src of this checkout.
+(the real-time factor is wall seconds per second of audio) but not gated,
+with the OpenBLAS thread count it ran with, read as perfbench/child.py reads
+it: CPU seconds compare across runs only at the same count. voxfeat is
+imported from ./src of this checkout.
 """
 
 from __future__ import annotations
@@ -23,18 +25,22 @@ from pathlib import Path
 
 import numpy as np
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 LIMIT_MB = 300.0
 SR = 16000
 
 CHILD = """
 import resource, sys, time
+sys.path.insert(0, sys.argv[3])
+from child import blas_threads
 from voxfeat.config import PipelineConfig
 from voxfeat.pipeline import run_extract
 cpu, wall = time.process_time(), time.perf_counter()
 manifest = run_extract(sys.argv[1], sys.argv[2], PipelineConfig(), jobs=1)
 cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
-print(int(manifest.all_ok), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, cpu, wall)
+print(int(manifest.all_ok), resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, cpu, wall,
+      blas_threads())
 """
 
 
@@ -69,17 +75,19 @@ def main() -> int:
         write_tone(audio / "tone.wav", args.minutes)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", CHILD, str(audio), str(Path(tmp) / "f.csv")],
+        proc = subprocess.run([sys.executable, "-c", CHILD, str(audio), str(Path(tmp) / "f.csv"),
+                               str(ROOT / "perfbench")],
                               env=env, capture_output=True, text=True)
     if proc.returncode != 0:
         print(proc.stderr[-4000:], file=sys.stderr)
         return 1
-    ok, maxrss_kib, cpu_s, wall_s = proc.stdout.split()
+    ok, maxrss_kib, cpu_s, wall_s, threads = proc.stdout.split()
     peak_mb = int(maxrss_kib) / 1024.0
     print(f"peak RSS {peak_mb:.1f} MB extracting {args.minutes:g} min of {SR} Hz audio "
           f"(limit {LIMIT_MB:g} MB)")
     print(f"run_extract: {float(cpu_s):.2f} s CPU, {float(wall_s):.2f} s wall, "
-          f"real-time factor {float(wall_s) / (args.minutes * 60):.4f}")
+          f"real-time factor {float(wall_s) / (args.minutes * 60):.4f}, "
+          f"OpenBLAS threads {'unknown' if threads == 'None' else threads}")
     if ok != "1":
         print("extraction failed", file=sys.stderr)
         return 1
