@@ -514,27 +514,21 @@ def mfcc(
     spec: Spectrum,
     n_mels: int = AcousticConfig.n_mels,
     n_coeffs: int = 13,
-    fmin: float = 0.0,
-    fmax: float | None = None,
 ) -> np.ndarray:
     """Mel-frequency cepstral coefficients of each spectrum frame.
 
-    Power spectrum -> triangular mel filterbank -> floored natural log ->
-    orthonormal type-II DCT, first n_coeffs kept on the last axis.
+    Power spectrum -> triangular mel filterbank from 0 Hz to Nyquist ->
+    floored natural log -> orthonormal type-II DCT, first n_coeffs kept on
+    the last axis.
     """
     n_bins = spec.magnitudes.shape[-1]
-    nyquist = (n_bins - 1) * spec.bin_hz
-    if fmax is None:
-        fmax = nyquist
     if n_mels < 1:
         raise InvalidBandConfig(f"need n_mels >= 1, got {n_mels}")
     if n_coeffs < 1:
         raise InvalidBandConfig(f"need n_coeffs >= 1, got {n_coeffs}")
     if n_coeffs > n_mels:
         raise InvalidBandConfig(f"need n_coeffs <= n_mels, got {n_coeffs} > {n_mels}")
-    if not 0 <= fmin < fmax or fmax > nyquist + 1e-9:
-        raise InvalidBandConfig(f"need 0 <= fmin < fmax <= {nyquist}, got [{fmin}, {fmax}]")
-    bank = mel_filterbank(n_mels, n_bins, spec.bin_hz, fmin, fmax)
+    bank = mel_filterbank(n_mels, n_bins, spec.bin_hz, 0.0, (n_bins - 1) * spec.bin_hz)
     return _cepstra(spec.magnitudes ** 2, bank, dct_basis(n_mels, n_coeffs))
 
 

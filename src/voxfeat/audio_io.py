@@ -76,10 +76,6 @@ class FrameMatrix:
     def n_frames(self) -> int:
         return int(self.frames.shape[0])
 
-    @property
-    def hop_seconds(self) -> float:
-        return self.hop / self.sample_rate_hz
-
 
 def window_coefficients(kind: str, length: int) -> np.ndarray:
     """Analysis window of the given kind (periodic forms for hann/hamming).

@@ -12,9 +12,9 @@ __getattr__, __dir__, __all__ = attach(globals(), {
     "select": ("CurvePoint", "anova_f_select", "anova_f_values", "cv_score_curve",
                "importance_select", "mrmr_rank", "ranked_prefixes", "rfe_path",
                "rfe_select"),
-    "table": ("FeatureTable", "StandardizeParams", "apply_standardize", "fit_standardize",
-              "impute_and_standardize", "is_classification",
-              "read_finite_table_csv", "read_table_csv", "table_to_csv_text"),
+    "table": ("FeatureTable", "StandardizeParams", "impute_and_standardize",
+              "is_classification", "read_finite_table_csv", "read_table_csv",
+              "table_to_csv_text"),
     "transform": ("IcaResult", "PcaResult", "SelectionResult", "correlation_matrix",
                   "high_correlation_filter", "ica", "low_variance_filter", "pca"),
     "viz": ("HeatmapExport", "ScatterExport", "corr_heatmap_export", "scatter_export"),

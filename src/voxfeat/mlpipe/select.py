@@ -31,7 +31,6 @@ from .model import (
 )
 from .table import (
     FeatureTable,
-    apply_standardize,
     impute_and_standardize,
     standardize_columns,
 )
@@ -404,7 +403,7 @@ def cv_score_curve(
         train = tbl.select_rows(train_idx)
         train_std, params = impute_and_standardize(train)
         train_z = train_std.rows  # the rows the selector reads too
-        val_z = apply_standardize(tbl.select_rows(val_idx), params).rows
+        val_z = standardize_columns(tbl.rows[val_idx], params)
         selected = select_ks(train, ks) if ks else {}
         for i, k in enumerate(ks):
             cols = [position[name] for name in selected[k].kept_columns]

@@ -39,10 +39,7 @@ class FeatureTable:
     classification: bool | None = None
 
     def __post_init__(self) -> None:
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2:
-            rows = rows.reshape(len(self.row_ids), -1)
-        rows = rows.view()
+        rows = np.asarray(self.rows, dtype=np.float64).view()
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "column_names", tuple(self.column_names))
@@ -80,9 +77,9 @@ class FeatureTable:
 
     @cached_property
     def _standardized(self) -> tuple["FeatureTable", "StandardizeParams"]:
-        params = fit_standardize(self)
+        params = fit_columns(self.rows)
         params.means.flags.writeable = params.stds.flags.writeable = False
-        return apply_standardize(self, params), params
+        return replace(self, rows=standardize_columns(self.rows, params)), params
 
     def select_columns(self, names: list[str] | tuple[str, ...]) -> "FeatureTable":
         idx = [self._position[n] for n in names]
@@ -151,14 +148,6 @@ def standardize_columns(rows: np.ndarray, params: StandardizeParams | None = Non
     z = (filled - params.means[None, :]) / scale[None, :]
     z[:, params.stds == 0] = 0.0  # constant columns carry no signal
     return z
-
-
-def fit_standardize(tbl: FeatureTable) -> StandardizeParams:
-    return fit_columns(tbl.rows)
-
-
-def apply_standardize(tbl: FeatureTable, params: StandardizeParams) -> FeatureTable:
-    return replace(tbl, rows=standardize_columns(tbl.rows, params))
 
 
 def impute_and_standardize(tbl: FeatureTable) -> tuple[FeatureTable, StandardizeParams]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import ConvergenceFailure, InvalidK, TooFewColumns
-from .table import FeatureTable, fit_standardize, impute_and_standardize
+from .table import FeatureTable, fit_columns, impute_and_standardize
 
 
 @dataclass(frozen=True)
@@ -41,13 +41,6 @@ def score_ranking(names: tuple[str, ...], scores: np.ndarray
     return order, {name: r + 1 for r, name in enumerate(order)}, dict(zip(names, scores.tolist()))
 
 
-def _result_from_partition(
-    kept: list[str], dropped: list[str], scores: dict[str, float]
-) -> SelectionResult:
-    ranking = {name: i + 1 for i, name in enumerate(kept + dropped)}
-    return SelectionResult(tuple(kept), ranking, scores)
-
-
 def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionResult:
     """Drop columns whose population variance under the standardization rule
     (table.fit_columns: after imputation, before scaling) is <= threshold.
@@ -55,7 +48,7 @@ def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionR
     variance 0, so the default threshold drops every constant column."""
     if threshold < 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
-    variances = fit_standardize(tbl).stds ** 2
+    variances = fit_columns(tbl.rows).stds ** 2
     names = tbl.column_names
     _, ranking, scores = score_ranking(names, variances)
     return SelectionResult(tuple(n for n, v in zip(names, variances) if v > threshold),
@@ -125,9 +118,10 @@ def high_correlation_filter(tbl: FeatureTable, threshold: float = 0.95) -> Selec
         worst[j] = corr[j, kept].max(initial=0.0)
         kept[j] = not worst[j] > threshold  # a NaN correlation keeps the column
     names = tbl.column_names
-    return _result_from_partition([n for n, k in zip(names, kept) if k],
-                                  [n for n, k in zip(names, kept) if not k],
-                                  dict(zip(names, worst.tolist())))
+    kept_names = [n for n, k in zip(names, kept) if k]
+    order = kept_names + [n for n, k in zip(names, kept) if not k]
+    return SelectionResult(tuple(kept_names), {name: i + 1 for i, name in enumerate(order)},
+                           dict(zip(names, worst.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -12,11 +12,13 @@ from .model import fit_ols
 from .table import FeatureTable, fit_columns
 from .transform import correlation_matrix
 
+HISTOGRAM_BINS = 10  # bins of each marginal histogram
+
 
 @dataclass(frozen=True)
 class HistogramBins:
-    edges: np.ndarray  # length n_bins + 1
-    counts: np.ndarray  # length n_bins
+    edges: np.ndarray  # length HISTOGRAM_BINS + 1
+    counts: np.ndarray  # length HISTOGRAM_BINS
 
 
 @dataclass(frozen=True)
@@ -48,16 +50,15 @@ def padded_span(lo: float, hi: float, n: int) -> tuple[float, float]:
     return lo, hi
 
 
-def histogram_bins(values: np.ndarray, n_bins: int = 10) -> HistogramBins:
-    """n_bins equal bins over padded_span of the non-NaN values."""
+def histogram_bins(values: np.ndarray) -> HistogramBins:
+    """HISTOGRAM_BINS equal bins over padded_span of the non-NaN values."""
     values = values[~np.isnan(values)]
-    span = padded_span(values.min(), values.max(), n_bins) if values.size else None
-    counts, edges = np.histogram(values, bins=n_bins, range=span)
+    span = padded_span(values.min(), values.max(), HISTOGRAM_BINS) if values.size else None
+    counts, edges = np.histogram(values, bins=HISTOGRAM_BINS, range=span)
     return HistogramBins(edges, counts)
 
 
-def scatter_export(tbl: FeatureTable, x_name: str, y_name: str,
-                   n_bins: int = 10) -> ScatterExport:
+def scatter_export(tbl: FeatureTable, x_name: str, y_name: str) -> ScatterExport:
     """The two columns imputed by table.fit_columns' rule, their histograms
     and the OLS line of y on x, flat at y's mean where the rule finds x constant."""
     rows = tbl.rows[:, [tbl.column_names.index(x_name), tbl.column_names.index(y_name)]]
@@ -68,10 +69,8 @@ def scatter_export(tbl: FeatureTable, x_name: str, y_name: str,
         slope, intercept = float(model.coef[0]), model.intercept
     else:
         slope, intercept = 0.0, float(y.mean()) if y.size else 0.0
-    return ScatterExport(
-        x_name, y_name, x, y, slope, intercept,
-        histogram_bins(x, n_bins), histogram_bins(y, n_bins),
-    )
+    return ScatterExport(x_name, y_name, x, y, slope, intercept,
+                         histogram_bins(x), histogram_bins(y))
 
 
 def corr_heatmap_export(tbl: FeatureTable) -> HeatmapExport:

@@ -104,11 +104,16 @@ class TextResources:
 
 
 def load_resources(cfg: PipelineConfig) -> TextResources:
+    """The resources of the text families cfg turns on: the lexicon and
+    suffix list for complexity, valence for sentiment, embeddings for
+    coherence. A resource that no family turned on reads is not parsed."""
     return TextResources(
-        lexicon=load_word_list(cfg.lexicon_path) if cfg.lexicon_path else None,
-        suffixes=load_suffix_list(cfg.suffix_path) if cfg.suffix_path else DEFAULT_SUFFIXES,
-        valence=load_valence_csv(cfg.valence_path) if cfg.valence_path else None,
-        embeddings=load_embeddings(cfg.embeddings_path) if cfg.embeddings_path else None,
+        lexicon=load_word_list(cfg.lexicon_path) if cfg.complexity and cfg.lexicon_path else None,
+        suffixes=(load_suffix_list(cfg.suffix_path) if cfg.complexity and cfg.suffix_path
+                  else DEFAULT_SUFFIXES),
+        valence=load_valence_csv(cfg.valence_path) if cfg.sentiment and cfg.valence_path else None,
+        embeddings=(load_embeddings(cfg.embeddings_path) if cfg.coherence and cfg.embeddings_path
+                    else None),
     )
 
 
@@ -149,19 +154,19 @@ def _load_transcript(path: Path) -> Transcript:
 
 def extract_features(item: RecordingInput, cfg: PipelineConfig,
                      res: TextResources) -> FeatureVector:
-    """One feature row; text features are NaN when the transcript is absent."""
+    """One feature row; text features are NaN when the transcript is absent.
+    The transcript is parsed only when a text family is on."""
     acfg = AcousticConfig(frame_seconds=cfg.frame_seconds,
                           hop_seconds=cfg.hop_seconds, window=cfg.window)
     buf = load_wav(item.wav_path)
+    families = [family for on, family in feature_families(cfg) if on]
     transcript: Transcript | None = None
-    if item.transcript_path is not None:
+    if item.transcript_path is not None and any(family.is_text for family in families):
         transcript = _load_transcript(item.transcript_path)
 
     analysis = Analysis(buf, acfg)  # shared by every acoustic family
     parts: list[FeatureVector] = []
-    for on, family in feature_families(cfg):
-        if not on:
-            continue
+    for family in families:
         if not family.is_text:
             parts.append(family.vector(family.compute(analysis)))
         elif transcript is None:

@@ -107,8 +107,9 @@ def _axes(parts: list[str], xs: _Scale, ys: _Scale, x_label: str, y_label: str) 
                  f'{_escape(y_label)}</text>')
 
 
-def scatter_svg(exp: ScatterExport, width: int = 720, height: int = 560) -> str:
+def scatter_svg(exp: ScatterExport) -> str:
     """Scatter cloud with an OLS fit line and marginal histograms."""
+    width, height = 720, 560
     left, right, top, bottom = 60, 30, 110, 50
     strip = 70  # marginal histogram strip height/width
     xs = _Scale(exp.x, left, width - right - strip, exp.x_bins.counts.size)
@@ -177,13 +178,13 @@ def _diverging(values: np.ndarray) -> list[list[str]]:
     return [["#" + _HEX[c[0]] + _HEX[c[1]] + _HEX[c[2]] for c in row] for row in rgb]
 
 
-def heatmap_svg(exp: HeatmapExport, cell: int = 30) -> str:
+def heatmap_svg(exp: HeatmapExport) -> str:
     """Correlation matrix as a colored grid with per-cell value tooltips.
 
     The cell colours come from one array expression over the matrix, and
     the text that one row's cells share is formatted once per row. A value
     that rounds to zero prints as 0.000, whatever its sign."""
-    n = len(exp.names)
+    n, cell = len(exp.names), 30
     names = [_escape(name) for name in exp.names]
     label_w = 10 + 7 * max(len(name) for name in exp.names)
     left, top = label_w, 40 + label_w
@@ -211,9 +212,9 @@ def heatmap_svg(exp: HeatmapExport, cell: int = 30) -> str:
     return "\n".join(parts) + "\n"
 
 
-def curve_svg(points: list[CurvePoint], score_label: str = "score",
-              width: int = 640, height: int = 420) -> str:
+def curve_svg(points: list[CurvePoint], score_label: str = "score") -> str:
     """Mean validation score against feature count, with std whiskers."""
+    width, height = 640, 420
     left, right, top, bottom = 60, 30, 40, 50
     ks = np.asarray([p.k for p in points], dtype=np.float64)
     means = np.asarray([p.mean_score for p in points])

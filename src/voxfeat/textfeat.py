@@ -20,7 +20,8 @@ from .errors import ConfigError, EmptyLexicon, MalformedConllu
 from .functionals import Family
 from .textio import read_text
 
-DEFAULT_MARKERS = frozenset({"xxx", "[unintelligible]", "[inaudible]"})
+# transcribers' tokens for unintelligible speech
+MARKERS = frozenset({"xxx", "[unintelligible]", "[inaudible]"})
 # what tokenize strips from a token before matching a bracketed marker
 _PUNCT_OUTSIDE_MARKERS = string.punctuation.replace("[", "").replace("]", "")
 
@@ -91,7 +92,7 @@ class Transcript:
                      for length, end in zip(self.lengths, accumulate(self.lengths)))
 
 
-def tokenize(text: str, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript:
+def tokenize(text: str) -> Transcript:
     """Split text into sentences on .!? and tokens on whitespace.
 
     A "." with a digit on each side ("3.50") does not end a sentence. A
@@ -99,7 +100,7 @@ def tokenize(text: str, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript
     that are pure punctuation vanish. It is flagged as a marker when its
     lowercased raw form, that form with the punctuation around it stripped
     except square brackets (so "[inaudible]," matches "[inaudible]"), or
-    its lower form (so "xxx," and "(xxx)" match "xxx") is in markers.
+    its lower form (so "xxx," and "(xxx)" match "xxx") is in MARKERS.
     """
     lowers: list[str] = []
     flagged: list[bool] = []
@@ -113,8 +114,8 @@ def tokenize(text: str, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript
             lower = surface.lower()
             raw_lower = raw.lower()
             lowers.append(lower)
-            flagged.append(lower in markers or raw_lower in markers
-                           or raw_lower.strip(_PUNCT_OUTSIDE_MARKERS) in markers)
+            flagged.append(lower in MARKERS or raw_lower in MARKERS
+                           or raw_lower.strip(_PUNCT_OUTSIDE_MARKERS) in MARKERS)
         if len(lowers) > start:
             lengths.append(len(lowers) - start)
     untagged = (None,) * len(lowers)
@@ -125,7 +126,6 @@ def complexity(
     t: Transcript,
     lexicon: frozenset[str] | set[str] | None = None,
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES,
-    number_words: frozenset[str] = NUMBER_WORDS,
 ) -> dict[str, float]:
     """COMPLEXITY's seven lexical-richness metrics, keyed by entry.
 
@@ -160,7 +160,7 @@ def complexity(
         suffixed = re.compile("(?s).+(?:" + "|".join(map(re.escape, suffixes)) + ")")
         suffix_hits = sum(c for w, c in counts.items() if suffixed.fullmatch(w))
     number_hits = sum(c for w, c in counts.items()
-                      if _NUMERIC_RE.match(w) or w in number_words)
+                      if _NUMERIC_RE.match(w) or w in NUMBER_WORDS)
     brunet = n ** (v ** -0.165)
     honore = 100.0 * np.log(n) / (1.0 - v1 / v) if v1 != v else float("nan")
 
@@ -175,7 +175,7 @@ def complexity(
     }
 
 
-def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> Transcript:
+def load_conllu(path: str | Path) -> Transcript:
     """Parse a CoNLL-U file into a tagged Transcript.
 
     Token lines carry 10 tab-separated columns; UPOS is column 4 and DEPREL
@@ -213,7 +213,7 @@ def load_conllu(path: str | Path, markers: frozenset[str] = DEFAULT_MARKERS) -> 
         lowers.append(lower)
         pos.append(None if upos == "_" else upos)
         deprel.append(None if rel == "_" else rel)
-        flagged.append(lower in markers)
+        flagged.append(lower in MARKERS)
     if len(lowers) > start:
         lengths.append(len(lowers) - start)
     return Transcript(tuple(lowers), tuple(pos), tuple(deprel), tuple(flagged), tuple(lengths))

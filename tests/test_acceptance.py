@@ -24,10 +24,8 @@ from voxfeat.mlpipe import (
     FeatureTable,
     anova_f_select,
     anova_f_values,
-    apply_standardize,
     correlation_matrix,
     cv_score_curve,
-    fit_standardize,
     ica,
     low_variance_filter,
     mrmr_rank,
@@ -35,6 +33,7 @@ from voxfeat.mlpipe import (
     rfe_select,
 )
 from voxfeat.mlpipe.select import _fold_indices
+from voxfeat.mlpipe.table import fit_columns, standardize_columns
 from voxfeat.pipeline import run_extract
 from voxfeat.textfeat import (
     DEFAULT_SUFFIXES,
@@ -451,9 +450,8 @@ def test_criterion_11_degenerate_inputs(capsys):
     const = FeatureTable(("a", "b", "c", "d"), const_rows,
                          tuple(f"r{i}" for i in range(6)),
                          target=np.array([0.0, 0, 0, 1, 1, 1]))
-    params = fit_standardize(const)
-    z = apply_standardize(const, params)
-    checks.append(bool(np.all(z.rows == 0.0)))
+    z = standardize_columns(const.rows, fit_columns(const.rows))
+    checks.append(bool(np.all(z == 0.0)))
     checks.append(low_variance_filter(const).kept_columns == ())
     checks.append(bool(np.all(anova_f_values(const) == 0.0)))
     checks.append(np.array_equal(correlation_matrix(const), np.eye(4)))

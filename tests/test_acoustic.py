@@ -274,8 +274,6 @@ class TestMfcc:
 
     def test_band_validation(self):
         spec = Spectrum(np.ones(257), SR / 512)
-        with pytest.raises(InvalidBandConfig):
-            mfcc(spec, fmax=SR)  # beyond Nyquist
         with pytest.raises(InvalidBandConfig, match="n_mels >= 1"):
             mfcc(spec, n_mels=0, n_coeffs=0)
 

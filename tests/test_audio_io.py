@@ -189,11 +189,6 @@ class TestFrameSignal:
         with pytest.raises(ValueError):
             frame_signal(buf, 50, 51)
 
-    def test_hop_seconds(self):
-        buf = AudioBuffer(np.ones(1000), 16000)
-        fm = frame_signal(buf, 400, 160)
-        assert fm.hop_seconds == pytest.approx(0.010)
-
 
 class TestWindows:
     def test_hann_periodic_endpoints(self):

@@ -12,12 +12,10 @@ from voxfeat.mlpipe import (
     accuracy_score,
     anova_f_select,
     anova_f_values,
-    apply_standardize,
     cv_score_curve,
     fit_lasso,
     fit_logistic,
     fit_ols,
-    fit_standardize,
     high_correlation_filter,
     impute_and_standardize,
     importance_select,
@@ -649,16 +647,17 @@ def reference_curve(tbl, selector, estimator, k_values, folds, seed=0):
             train = tbl.select_rows(train_idx)
             val = tbl.select_rows(val_idx)
             chosen = selector(train, min(k, train.n_cols)).kept_columns
-            params = fit_standardize(train.select_columns(chosen))
-            train_z = apply_standardize(train.select_columns(chosen), params)
-            val_z = apply_standardize(val.select_columns(chosen), params)
+            train_rows = train.select_columns(chosen).rows
+            params = table_module.fit_columns(train_rows)
+            train_z = table_module.standardize_columns(train_rows, params)
+            val_z = table_module.standardize_columns(val.select_columns(chosen).rows, params)
             y_train, y_val = y_all[train_idx], y_all[val_idx]
             if estimator == "logistic":
-                model = fit_logistic(train_z.rows, y_train.astype(np.int64))
-                score = accuracy_score(y_val.astype(np.int64), model.predict(val_z.rows))
+                model = fit_logistic(train_z, y_train.astype(np.int64))
+                score = accuracy_score(y_val.astype(np.int64), model.predict(val_z))
             else:
-                model = fit_ols(train_z.rows, y_train)
-                score = r2_score(y_val, model.predict(val_z.rows))
+                model = fit_ols(train_z, y_train)
+                score = r2_score(y_val, model.predict(val_z))
             fold_scores.append(score)
         arr = np.asarray(fold_scores)
         curve.append(CurvePoint(int(k), float(arr.mean()), float(arr.std())))

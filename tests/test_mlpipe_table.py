@@ -6,8 +6,6 @@ import pytest
 from voxfeat.errors import SchemaError
 from voxfeat.mlpipe import (
     FeatureTable,
-    apply_standardize,
-    fit_standardize,
     impute_and_standardize,
     ica,
     is_classification,
@@ -15,6 +13,7 @@ from voxfeat.mlpipe import (
     read_table_csv,
     table_to_csv_text,
 )
+from voxfeat.mlpipe.table import fit_columns, standardize_columns
 
 
 def make(cols, data, target=None):
@@ -32,6 +31,11 @@ class TestConstruction:
     def test_duplicate_column_names_rejected(self):
         with pytest.raises(ValueError):
             make(["a", "a"], np.zeros((2, 2)))
+
+    def test_one_dimensional_rows_rejected(self):
+        # four values would fill 2 ids x 2 columns, but rows must be 2-D
+        with pytest.raises(ValueError, match=r"rows shape \(4,\) does not match 2 ids x 2"):
+            FeatureTable(("a", "b"), np.zeros(4), ("x", "y"))
 
     def test_duplicate_row_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -93,18 +97,15 @@ class TestStandardize:
             assert np.abs(z.rows.std(axis=0) - 1.0).max() < 1e-12
 
     def test_heldout_rows_use_training_parameters(self):
-        train = make(["a"], [[0.0], [2.0]])
-        params = fit_standardize(train)
-        val = make(["a"], [[4.0]])
-        z = apply_standardize(val, params)
+        params = fit_columns(np.array([[0.0], [2.0]]))
+        z = standardize_columns(np.array([[4.0]]), params)
         # train mean 1, train std 1 -> (4 - 1) / 1
-        assert z.rows[0, 0] == pytest.approx(3.0, abs=1e-12)
+        assert z[0, 0] == pytest.approx(3.0, abs=1e-12)
 
     def test_heldout_nan_lands_at_zero(self):
-        train = make(["a"], [[0.0], [2.0]])
-        params = fit_standardize(train)
-        z = apply_standardize(make(["a"], [[np.nan]]), params)
-        assert z.rows[0, 0] == 0.0
+        params = fit_columns(np.array([[0.0], [2.0]]))
+        z = standardize_columns(np.array([[np.nan]]), params)
+        assert z[0, 0] == 0.0
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)

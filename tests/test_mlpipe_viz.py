@@ -29,8 +29,8 @@ class TestScatter:
     def test_histogram_bins_cover_all_points(self):
         rng = np.random.default_rng(0)
         t = make(["x", "y"], rng.normal(size=(50, 2)))
-        exp = scatter_export(t, "x", "y", n_bins=8)
-        assert exp.x_bins.edges.size == 9
+        exp = scatter_export(t, "x", "y")
+        assert exp.x_bins.edges.size == exp.y_bins.edges.size == 11
         assert exp.x_bins.counts.sum() == 50
         assert exp.y_bins.counts.sum() == 50
 

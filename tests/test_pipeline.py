@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import logging
@@ -351,6 +352,36 @@ class TestRunExtract:
         assert bad.message
         lines = out.read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == ["good"]
+
+    def test_transcript_is_read_only_for_text_features(self, tmp_path):
+        # a malformed transcript fails the row only when a text family is on
+        make_wav(tmp_path / "x.wav")
+        (tmp_path / "x.conllu").write_text("1\tword\n")
+        for cfg, message in ((PipelineConfig(complexity=False, syntax=False), ""),
+                             (PipelineConfig(),
+                              "MalformedConllu: x.conllu:1: 2 columns, expected 10")):
+            manifest = run_extract(tmp_path, tmp_path / "f.csv", cfg, jobs=1)
+            assert [(r.ok, r.message) for r in manifest.results] == [(not message, message)]
+            assert manifest.row_count == (0 if message else 1)
+
+    @pytest.mark.parametrize("field, content, family, error", [
+        ("embeddings_path", b"w 1.0 2.0\nv 1.0\n", "coherence",
+         r"res\.txt:2: 1 values, expected 2"),
+        ("valence_path", b"good,1.0\nbad\n", "sentiment", r"res\.txt:2: expected 'word,valence'"),
+        ("lexicon_path", b"\xff\n", "complexity", r"res\.txt: byte 0 is not UTF-8"),
+        ("suffix_path", b"\xff\n", "complexity", r"res\.txt: byte 0 is not UTF-8"),
+    ], ids=["embeddings", "valence", "lexicon", "suffixes"])
+    def test_resource_is_parsed_only_for_its_family(self, tmp_path, field, content,
+                                                    family, error):
+        # a faulty resource that no family turned on reads cannot fail the run
+        (tmp_path / "audio").mkdir()
+        make_wav(tmp_path / "audio" / "x.wav")
+        (tmp_path / "res.txt").write_bytes(content)
+        off = PipelineConfig(complexity=False, syntax=False, **{field: str(tmp_path / "res.txt")})
+        assert run_extract(tmp_path / "audio", tmp_path / "f.csv", off).all_ok
+        with pytest.raises(VoxfeatError, match=error):
+            run_extract(tmp_path / "audio", tmp_path / "f.csv",
+                        dataclasses.replace(off, **{family: True}))
 
     def test_inputs_are_not_mutated(self, corpus, tmp_path):
         before = {p.name: p.read_bytes() for p in sorted(corpus.iterdir())}

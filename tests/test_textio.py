@@ -107,7 +107,8 @@ def test_cli_exits_2_on_a_latin1_resource(tmp_path, capsys):
     audio.mkdir()
     make_wav(audio / "a.wav")
     (tmp_path / "v.csv").write_bytes("good,1.0\ncafé,0.5\n".encode("latin-1"))
-    (tmp_path / "c.json").write_text(json.dumps({"valence_path": "v.csv"}))
+    # only a family that is on parses its resource
+    (tmp_path / "c.json").write_text(json.dumps({"sentiment": True, "valence_path": "v.csv"}))
     rc = main(["--config", str(tmp_path / "c.json"), "extract", str(audio),
                str(tmp_path / "f.csv")])
     assert rc == 2
