@@ -522,6 +522,8 @@ def mfcc(
     the last axis.
     """
     n_bins = spec.magnitudes.shape[-1]
+    if n_bins < 2:
+        raise InvalidBandConfig(f"need a spectrum of >= 2 bins, got {n_bins}")
     if n_mels < 1:
         raise InvalidBandConfig(f"need n_mels >= 1, got {n_mels}")
     if n_coeffs < 1:
@@ -647,7 +649,7 @@ def _tempo_bpm(onset: np.ndarray, hop_s: float) -> float:
     return 60.0 / (lags[int(np.argmax(agg))] * hop_s)
 
 
-def _centred_fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def centred_fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares slope of y against x over the last axis, and the mean
     of y: the closed form on centred x and y, sum((y - mean y)(x - mean x))
     / sum((x - mean x)^2). A constant y has slope exactly 0 whenever x's
@@ -659,24 +661,24 @@ def _centred_fit(y: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _line_fit(mags: np.ndarray, freqs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Slope and intercept of each frame's least-squares line through
-    magnitude against frequency, in closed form (see _centred_fit): the
+    magnitude against frequency, in closed form (see centred_fit): the
     intercept is mean(mags) - slope * mean(freqs). One matrix-vector product
     replaces np.polyfit's SVD solve, whose last bits it does not share: per
     frame they agree within 2e-11 relative on the benchmark's recordings,
     and where a slope is near 0 the closed form is the closer of the two to
     the exact fit."""
-    slope, mean = _centred_fit(mags, freqs)
+    slope, mean = centred_fit(mags, freqs)
     return slope, mean - slope * freqs.mean()
 
 
 def _band_slope(floored: np.ndarray, freqs: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Least-squares slope (dB/Hz) over [lo, hi] of the log-power spectrum,
     from the power already floored at SPECTRAL_FLOOR; NaN below two bins.
-    Exactly 0 for a flat (or silent) band (see _centred_fit)."""
+    Exactly 0 for a flat (or silent) band (see centred_fit)."""
     sel = (freqs >= lo) & (freqs <= hi)
     if sel.sum() < 2:
         return np.full(floored.shape[:-1], np.nan)[()]
-    return _centred_fit(10.0 * np.log10(floored[..., sel]), freqs[sel])[0][()]
+    return centred_fit(10.0 * np.log10(floored[..., sel]), freqs[sel])[0][()]
 
 
 def _db_ratio(num: np.ndarray, den: np.ndarray, scale: float) -> np.ndarray:

@@ -23,24 +23,10 @@ from .mlpipe.select import (
     rfe_path,
 )
 from .mlpipe.table import FeatureTable, read_finite_table_csv
-from .mlpipe.transform import (
-    SelectionResult,
-    high_correlation_filter,
-    ica,
-    low_variance_filter,
-    pca,
-)
+from .mlpipe.transform import high_correlation_filter, ica, low_variance_filter, pca
 from .mlpipe.viz import corr_heatmap_export, scatter_export
 from .svgplot import curve_svg, heatmap_svg, scatter_svg
 from .textio import write_text
-
-
-def _importance_topk(tbl: FeatureTable, k: int) -> SelectionResult:
-    """Adapter: rank every column by model importance, keep the top k."""
-    full = importance_select(tbl, threshold=0.0)
-    order = sorted(full.ranking, key=full.ranking.get)
-    kept = tuple(order[:k])
-    return SelectionResult(kept, full.ranking, full.scores)
 
 
 # selector -> its SelectKs: anova_f, mrmr and importance each rank once and
@@ -50,7 +36,7 @@ _SELECTORS = {
     "anova_f": ranked_prefixes(anova_f_select),
     "rfe": rfe_path,
     "mrmr": ranked_prefixes(mrmr_rank),
-    "importance": ranked_prefixes(_importance_topk),
+    "importance": ranked_prefixes(lambda tbl, k: importance_select(tbl)),
 }
 
 

@@ -28,6 +28,7 @@ from .acoustic import (
     AcousticConfig,
     Analysis,
     FrameSeries,
+    centred_fit,
     nan_mean,
 )
 from .audio_io import AudioBuffer
@@ -51,9 +52,7 @@ class Statistic(NamedTuple):
 def _slope(values: np.ndarray, indices: np.ndarray) -> float:
     if values.size < 2 or np.ptp(indices) == 0:
         return np.nan
-    x = indices.astype(np.float64)
-    xc = x - x.mean()
-    return (xc @ (values - values.mean())) / (xc @ xc)
+    return centred_fit(values, indices.astype(np.float64))[0]
 
 
 def _delta_mean_abs(values: np.ndarray, indices: np.ndarray) -> float:

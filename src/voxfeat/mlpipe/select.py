@@ -34,7 +34,7 @@ from .table import (
     impute_and_standardize,
     standardize_columns,
 )
-from .transform import SelectionResult, distinct_columns, pearson, score_ranking
+from .transform import SelectionResult, check_k, distinct_columns, pearson, score_ranking
 
 Selector = Callable[[FeatureTable, int], SelectionResult]
 # one table and a list of ks -> each k's selection on that table
@@ -99,8 +99,7 @@ def anova_f_values(tbl: FeatureTable) -> np.ndarray:
 
 
 def anova_f_select(tbl: FeatureTable, k: int) -> SelectionResult:
-    if not 1 <= k <= tbl.n_cols:
-        raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
+    check_k(k, tbl.n_cols)
     order, ranking, scores = score_ranking(tbl.column_names, anova_f_values(tbl))
     return SelectionResult(tuple(order[:k]), ranking, scores)
 
@@ -186,8 +185,7 @@ def rfe_path(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResul
     """
     ks = sorted(set(k_values))
     for k in ks:
-        if not 1 <= k <= tbl.n_cols:
-            raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
+        check_k(k, tbl.n_cols)
     y = _require_target(tbl, "rfe_select")
     rows = impute_and_standardize(tbl)[0].rows
     design = np.column_stack([rows, np.ones(tbl.n_rows)])
@@ -283,8 +281,7 @@ def mrmr_rank(tbl: FeatureTable, k: int) -> SelectionResult:
     wherever they sit, and the earliest copy wins the tie.
     """
     _require_target(tbl, "mrmr_rank")
-    if not 1 <= k <= tbl.n_cols:
-        raise InvalidK(f"k must be in [1, {tbl.n_cols}], got {k}")
+    check_k(k, tbl.n_cols)
     u = impute_and_standardize(tbl)[0].rows
     first, group = distinct_columns(u)
     distinct = u[:, first]
@@ -345,11 +342,12 @@ def _fold_score(train_z: np.ndarray, val_z: np.ndarray, y_train: np.ndarray,
 def ranked_prefixes(selector: Selector) -> SelectKs:
     """SelectKs for a selector whose top k is the first k of one ranking
     (anova_f, mrmr, importance): one run at the largest k, and each k keeps
-    a prefix of its columns with that run's ranking and scores."""
+    the first k columns in that run's ranking order, with its ranking and
+    scores."""
     def select_ks(tbl: FeatureTable, k_values: list[int]) -> dict[int, SelectionResult]:
         full = selector(tbl, max(k_values))
-        return {k: SelectionResult(full.kept_columns[:k], full.ranking, full.scores)
-                for k in k_values}
+        order = tuple(sorted(full.ranking, key=full.ranking.get))
+        return {k: SelectionResult(order[:k], full.ranking, full.scores) for k in k_values}
     return select_ks
 
 
@@ -364,9 +362,13 @@ def cv_score_curve(
 ) -> list[CurvePoint]:
     """Mean/std validation score per requested feature count.
 
-    Inside each fold the preprocessing and the selector see only training
-    rows; the validation rows are transformed with the training parameters.
-    Scores are accuracy for "logistic" and R^2 for "ols".
+    Inside each fold the standardization and the selector see only training
+    rows; the validation rows are standardized with the training parameters.
+    Scores are accuracy for "logistic" and R^2 for "ols". run_analyze fits
+    its label-free stages (low_variance, high_correlation, PCA, ICA) on
+    every row before calling this: screening that never reads the target,
+    which Hastie, Tibshirani & Friedman allow before the split (The Elements
+    of Statistical Learning, 2nd ed., 7.10.2).
 
     Each fold is standardized once: impute_and_standardize of its training
     table, whose parameters are applied to the validation rows. The table
@@ -395,7 +397,6 @@ def cv_score_curve(
     if select_ks is None:
         def select_ks(train: FeatureTable, ks: list[int]) -> dict[int, SelectionResult]:
             return {k: selector(train, k) for k in ks}
-    position = {name: j for j, name in enumerate(tbl.column_names)}
     ks = [min(k, tbl.n_cols) for k in k_values]
     scores = np.empty((len(k_values), folds))
     for f, val_idx in enumerate(fold_idx):
@@ -406,7 +407,7 @@ def cv_score_curve(
         val_z = standardize_columns(tbl.rows[val_idx], params)
         selected = select_ks(train, ks) if ks else {}
         for i, k in enumerate(ks):
-            cols = [position[name] for name in selected[k].kept_columns]
+            cols = [tbl.position[name] for name in selected[k].kept_columns]
             scores[i, f] = _fold_score(train_z[:, cols], val_z[:, cols],
                                        y_all[train_idx], y_all[val_idx], estimator)
     return [CurvePoint(int(k), float(row.mean()), float(row.std()))

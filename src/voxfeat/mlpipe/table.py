@@ -72,7 +72,7 @@ class FeatureTable:
         return self.rows.shape[1]
 
     @cached_property
-    def _position(self) -> dict[str, int]:
+    def position(self) -> dict[str, int]:
         return {name: j for j, name in enumerate(self.column_names)}
 
     @cached_property
@@ -82,7 +82,7 @@ class FeatureTable:
         return replace(self, rows=standardize_columns(self.rows, params)), params
 
     def select_columns(self, names: list[str] | tuple[str, ...]) -> "FeatureTable":
-        idx = [self._position[n] for n in names]
+        idx = [self.position[n] for n in names]
         return replace(self, column_names=tuple(names), rows=self.rows[:, idx])
 
     def select_rows(self, indices: np.ndarray) -> "FeatureTable":

@@ -41,6 +41,12 @@ def score_ranking(names: tuple[str, ...], scores: np.ndarray
     return order, {name: r + 1 for r, name in enumerate(order)}, dict(zip(names, scores.tolist()))
 
 
+def check_k(k: int, limit: int) -> None:
+    """The one k-range check of the selectors and transforms."""
+    if not 1 <= k <= limit:
+        raise InvalidK(f"k must be in [1, {limit}], got {k}")
+
+
 def low_variance_filter(tbl: FeatureTable, threshold: float = 0.0) -> SelectionResult:
     """Drop columns whose population variance under the standardization rule
     (table.fit_columns: after imputation, before scaling) is <= threshold.
@@ -137,8 +143,7 @@ class PcaResult:
 
 def pca(tbl: FeatureTable, k: int) -> PcaResult:
     """Top-k principal components of the standardized table."""
-    if not 1 <= k <= min(tbl.n_rows, tbl.n_cols):
-        raise InvalidK(f"k must be in [1, {min(tbl.n_rows, tbl.n_cols)}], got {k}")
+    check_k(k, min(tbl.n_rows, tbl.n_cols))
     z, _ = impute_and_standardize(tbl)
     u, s, vt = np.linalg.svd(z.rows, full_matrices=False)
     total = float((s ** 2).sum())
@@ -181,8 +186,7 @@ def ica(
     iterations would only repeat. A numerically exploding iteration raises
     ConvergenceFailure.
     """
-    if not 1 <= k <= min(tbl.n_rows, tbl.n_cols):
-        raise InvalidK(f"k must be in [1, {min(tbl.n_rows, tbl.n_cols)}], got {k}")
+    check_k(k, min(tbl.n_rows, tbl.n_cols))
     z, _ = impute_and_standardize(tbl)
     u, s, vt = np.linalg.svd(z.rows, full_matrices=False)
     n = tbl.n_rows

@@ -61,7 +61,7 @@ def histogram_bins(values: np.ndarray) -> HistogramBins:
 def scatter_export(tbl: FeatureTable, x_name: str, y_name: str) -> ScatterExport:
     """The two columns imputed by table.fit_columns' rule, their histograms
     and the OLS line of y on x, flat at y's mean where the rule finds x constant."""
-    rows = tbl.rows[:, [tbl.column_names.index(x_name), tbl.column_names.index(y_name)]]
+    rows = tbl.rows[:, [tbl.position[x_name], tbl.position[y_name]]]
     params = fit_columns(rows)
     x, y = np.where(np.isnan(rows), params.means, rows).T
     if params.stds[0] > 0:

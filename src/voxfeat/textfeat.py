@@ -306,17 +306,9 @@ def load_valence_csv(path: str | Path) -> dict[str, float]:
 
 
 def load_word_list(path: str | Path) -> frozenset[str]:
-    words = {
-        line.strip().lower()
-        for line in read_text(path).splitlines()
-        if line.strip()
-    }
-    return frozenset(words)
+    return frozenset(load_suffix_list(path))
 
 
 def load_suffix_list(path: str | Path) -> tuple[str, ...]:
-    return tuple(
-        line.strip().lower()
-        for line in read_text(path).splitlines()
-        if line.strip()
-    )
+    """The stripped, lowered, non-blank lines of path, in file order."""
+    return tuple(word for line in read_text(path).splitlines() if (word := line.strip().lower()))

@@ -20,20 +20,16 @@ from voxfeat.audio_io import AudioBuffer, frame_signal, write_wav
 from voxfeat.coherence import EmbeddingTable, coherence_feature_vector, coherence_features
 from voxfeat.config import PipelineConfig
 from voxfeat.functionals import gemaps_core, spectral_set
-from voxfeat.mlpipe import (
-    FeatureTable,
+from voxfeat.mlpipe.select import (
+    _fold_indices,
     anova_f_select,
     anova_f_values,
-    correlation_matrix,
     cv_score_curve,
-    ica,
-    low_variance_filter,
     mrmr_rank,
-    pca,
     rfe_select,
 )
-from voxfeat.mlpipe.select import _fold_indices
-from voxfeat.mlpipe.table import fit_columns, standardize_columns
+from voxfeat.mlpipe.table import FeatureTable, fit_columns, standardize_columns
+from voxfeat.mlpipe.transform import correlation_matrix, ica, low_variance_filter, pca
 from voxfeat.pipeline import run_extract
 from voxfeat.textfeat import (
     DEFAULT_SUFFIXES,

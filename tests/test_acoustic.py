@@ -284,6 +284,12 @@ class TestMfcc:
         with pytest.raises(InvalidBandConfig, match=bound):
             mfcc(spec, n_mels=10, n_coeffs=n_coeffs)
 
+    @pytest.mark.parametrize("mags", [np.ones(1), np.ones((3, 1))])
+    def test_one_bin_spectrum_rejected(self, mags):
+        # a one-sample frame's spectrum: no band has width, so no coefficient exists
+        with pytest.raises(InvalidBandConfig, match=">= 2 bins, got 1"):
+            mfcc(Spectrum(mags, 16000.0), 4, 2)
+
     @pytest.mark.parametrize("rows", [1, 69, 600])
     def test_basis_matches_scipy_dct(self, rows):
         from scipy.fft import dct

@@ -64,7 +64,7 @@ for n_classes in (2, 3):
         seen[f"estimator{n_classes}-{selector}"] = stage["estimator"]
     seen[f"analyze{n_classes}"] = scipy_modules()
 
-from voxfeat.mlpipe import accuracy_score, fit_logistic
+from voxfeat.mlpipe.model import accuracy_score, fit_logistic
 centers = np.array([[0.0, 0.0], [8.0, 0.0], [0.0, 8.0]])
 x3 = np.vstack([rng.standard_normal((20, 2)) + c for c in centers])
 y3 = np.repeat([0, 1, 2], 20)
@@ -103,9 +103,10 @@ import numpy as np
 analyze_modules = json.loads(sys.argv[2])
 seen = {}
 import voxfeat
+from voxfeat.audio_io import AudioBuffer, write_wav
+from voxfeat.config import AnalyzeSpec
 t = np.arange(16000) / 16000
-voxfeat.write_wav(voxfeat.AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t), 16000),
-                  sys.argv[1] + "/a.wav")
+write_wav(AudioBuffer(0.4 * np.sin(2 * np.pi * 220 * t), 16000), sys.argv[1] + "/a.wav")
 manifest = voxfeat.run_extract(sys.argv[1], sys.argv[1] + "/f.csv", voxfeat.PipelineConfig(),
                                jobs=1)
 seen["extract_ok"] = manifest.all_ok
@@ -118,7 +119,7 @@ with open(sys.argv[1] + "/table.csv", "w") as fh:
     fh.write("row_id,a,b,c,target\n")
     for i in range(40):
         fh.write(f"r{i}," + ",".join(repr(float(v)) for v in x[i]) + f",{y[i]}\n")
-spec = voxfeat.AnalyzeSpec(k_values=(1, 2), folds=3)
+spec = AnalyzeSpec(k_values=(1, 2), folds=3)
 report = voxfeat.run_analyze(sys.argv[1] + "/table.csv", sys.argv[1] + "/out",
                              voxfeat.PipelineConfig(analyze=spec))
 seen["analyze_outputs"] = report["outputs"]
@@ -148,3 +149,21 @@ def test_extract_loads_no_analyze_module(tmp_path):
                                        "scatter.svg"]
     for package in ("voxfeat", "voxfeat.mlpipe"):
         assert seen[package] == {"unresolved": [], "unlisted": []}
+
+
+# the names README's example, the benchmark and CI import from the packages;
+# every other name is imported from the submodule that defines it
+VOXFEAT_EXPORTS = ["PipelineConfig", "__version__", "config_from_dict", "run_analyze",
+                   "run_extract", "validate_config"]
+MLPIPE_EXPORTS = ["FeatureTable", "SelectionResult", "anova_f_select", "corr_heatmap_export",
+                  "cv_score_curve", "fit_logistic", "fit_ols", "high_correlation_filter", "ica",
+                  "importance_select", "impute_and_standardize", "is_classification",
+                  "low_variance_filter", "mrmr_rank", "read_table_csv", "rfe_select",
+                  "scatter_export", "table_to_csv_text"]
+
+
+def test_export_maps_hold_only_the_used_names():
+    import voxfeat
+    import voxfeat.mlpipe
+    assert voxfeat.__all__ == VOXFEAT_EXPORTS
+    assert voxfeat.mlpipe.__all__ == MLPIPE_EXPORTS

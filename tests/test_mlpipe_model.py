@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from voxfeat.errors import ConvergenceFailure, DegenerateClasses
-from voxfeat.mlpipe import (
+from voxfeat.mlpipe.model import (
     LogisticModel,
+    _sigmoid,
     accuracy_score,
     fit_lasso,
     fit_logistic,
@@ -16,7 +17,6 @@ from voxfeat.mlpipe import (
     r2_score,
 )
 from voxfeat.mlpipe import model as model_module
-from voxfeat.mlpipe.model import _sigmoid
 
 
 class TestOls:

@@ -5,33 +5,38 @@ import pytest
 import scipy.stats
 
 from voxfeat.errors import DegenerateClasses, EmptyFold, InvalidK, NotClassification
-from voxfeat.mlpipe import (
+from voxfeat.mlpipe.model import accuracy_score, fit_lasso, fit_logistic, fit_ols, r2_score
+from voxfeat.mlpipe.select import (
     CurvePoint,
-    FeatureTable,
-    SelectionResult,
-    accuracy_score,
+    _fold_indices,
     anova_f_select,
     anova_f_values,
     cv_score_curve,
-    fit_lasso,
-    fit_logistic,
-    fit_ols,
-    high_correlation_filter,
-    impute_and_standardize,
     importance_select,
-    is_classification,
-    low_variance_filter,
     mrmr_rank,
-    r2_score,
     ranked_prefixes,
     rfe_path,
     rfe_select,
 )
+from voxfeat.mlpipe.table import FeatureTable, impute_and_standardize, is_classification
+from voxfeat.mlpipe.transform import (
+    SelectionResult,
+    distinct_columns,
+    high_correlation_filter,
+    low_variance_filter,
+    pearson,
+)
 from voxfeat.mlpipe import select as select_module
 from voxfeat.mlpipe import table as table_module
-from voxfeat.mlpipe.select import _fold_indices
-from voxfeat.mlpipe.transform import distinct_columns, pearson
-from voxfeat.analyze import _SELECTORS, _importance_topk
+from voxfeat.analyze import _SELECTORS
+
+
+def importance_topk(tbl, k):
+    """The per-k reference for importance: rank every column by model
+    importance and keep the k best."""
+    full = importance_select(tbl)
+    order = sorted(full.ranking, key=full.ranking.get)
+    return SelectionResult(tuple(order[:k]), full.ranking, full.scores)
 
 
 def make(cols, data, target=None):
@@ -679,7 +684,7 @@ class TestCurveSelectsOncePerFold:
 
     @pytest.mark.parametrize("seed, target", enumerate(("binary", "3-class", "float"), start=40))
     def test_nested_selectors_match_reference(self, seed, target):
-        rankings = {"anova_f": anova_f_select, "mrmr": mrmr_rank, "importance": _importance_topk}
+        rankings = {"anova_f": anova_f_select, "mrmr": mrmr_rank, "importance": importance_topk}
         assert sorted(_SELECTORS) == sorted(rankings) + ["rfe"]
         estimator = "ols" if target == "float" else "logistic"
         rng = np.random.default_rng(seed)
@@ -734,7 +739,7 @@ class TestCurveStandardizesEachFoldOnce:
         # parameters through the table module's fit_columns
         monkeypatch.setattr(table_module, "fit_columns", counted_fit)
         selectors = {"anova_f": anova_f_select, "mrmr": mrmr_rank,
-                     "importance": _importance_topk, "rfe": rfe_select}
+                     "importance": importance_topk, "rfe": rfe_select}
         if target == "float":
             del selectors["anova_f"]
         estimator = "ols" if target == "float" else "logistic"

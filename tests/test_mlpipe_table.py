@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from voxfeat.errors import SchemaError
-from voxfeat.mlpipe import (
+from voxfeat.mlpipe.table import (
     FeatureTable,
+    fit_columns,
     impute_and_standardize,
-    ica,
     is_classification,
-    pca,
     read_table_csv,
+    standardize_columns,
     table_to_csv_text,
 )
-from voxfeat.mlpipe.table import fit_columns, standardize_columns
+from voxfeat.mlpipe.transform import ica, pca
 
 
 def make(cols, data, target=None):

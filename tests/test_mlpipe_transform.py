@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from voxfeat.errors import ConvergenceFailure, InvalidK, TooFewColumns
-from voxfeat.mlpipe import (
-    FeatureTable,
+from voxfeat.mlpipe.table import FeatureTable, impute_and_standardize
+from voxfeat.mlpipe.transform import (
     correlation_matrix,
+    distinct_columns,
     high_correlation_filter,
     ica,
-    impute_and_standardize,
     low_variance_filter,
     pca,
 )
 from voxfeat.mlpipe import transform as transform_module
-from voxfeat.mlpipe.transform import distinct_columns
 
 from test_mlpipe_select import messy_table
 
@@ -261,7 +260,7 @@ class TestPca:
         data = rng.normal(size=(20, 4))
         t = make(["a", "b", "c", "d"], data)
         res = pca(t, 4)
-        from voxfeat.mlpipe import impute_and_standardize
+        from voxfeat.mlpipe.table import impute_and_standardize
 
         z, _ = impute_and_standardize(t)
         recon = res.transformed.rows @ res.components

@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 
 from voxfeat.errors import TooFewColumns
-from voxfeat.mlpipe import (
-    FeatureTable,
-    corr_heatmap_export,
-    scatter_export,
-)
-from voxfeat.mlpipe.viz import histogram_bins
+from voxfeat.mlpipe.table import FeatureTable
+from voxfeat.mlpipe.viz import corr_heatmap_export, histogram_bins, scatter_export
 
 
 def make(cols, data, target=None):

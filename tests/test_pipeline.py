@@ -31,7 +31,7 @@ from voxfeat.errors import (
     VoxfeatError,
 )
 from voxfeat import analyze, pipeline
-from voxfeat.mlpipe import FeatureTable, table_to_csv_text
+from voxfeat.mlpipe.table import FeatureTable, table_to_csv_text
 from voxfeat.pipeline import (
     _load_transcript,
     discover_inputs,
@@ -746,6 +746,28 @@ class TestRunAnalyze:
         assert r1 == r2
         assert ((tmp_path / "o1" / "curve.svg").read_bytes()
                 == (tmp_path / "o2" / "curve.svg").read_bytes())
+
+
+def test_null_table_scores_at_chance_under_pca(tmp_path):
+    """The variance and correlation filters and PCA are fit on every row
+    before the folds, but never read the labels. So with labels drawn apart
+    from a Gaussian table, the curve stays at chance: 100 balanced rows give
+    one seed's score a spread of about 0.06, the mean over 50 seeds a spread
+    of about 0.009, and the band 0.5 +- 0.04 is over four of those wide."""
+    scores = []
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((100, 30))
+        y = rng.permutation(np.arange(100) % 2)
+        tbl = FeatureTable([f"f{j}" for j in range(30)], x, [f"r{i}" for i in range(100)], y)
+        (tmp_path / "null.csv").write_text(table_to_csv_text(tbl))
+        cfg = PipelineConfig(seed=seed, analyze=AnalyzeSpec(
+            transform="pca", transform_k=5, k_values=(1, 2, 5)))
+        report = run_analyze(tmp_path / "null.csv", tmp_path / f"out{seed}", cfg)
+        curve = next(s for s in report["stages"] if s["stage"] == "selection")["curve"]
+        assert [point["k"] for point in curve] == [1, 2, 5]
+        scores.append([point["mean_score"] for point in curve])
+    assert np.all(np.abs(np.mean(scores, axis=0) - 0.5) < 0.04)
 
 
 def near_constant_csv(path, column):

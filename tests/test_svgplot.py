@@ -9,13 +9,9 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 
-from voxfeat.mlpipe import (
-    CurvePoint,
-    FeatureTable,
-    HeatmapExport,
-    corr_heatmap_export,
-    scatter_export,
-)
+from voxfeat.mlpipe.select import CurvePoint
+from voxfeat.mlpipe.table import FeatureTable
+from voxfeat.mlpipe.viz import HeatmapExport, corr_heatmap_export, scatter_export
 from voxfeat.config import config_from_dict
 from voxfeat.pipeline import run_analyze
 from voxfeat.svgplot import _diverging, curve_svg, heatmap_svg, scatter_svg

@@ -14,7 +14,7 @@ from voxfeat.cli import main
 from voxfeat.coherence import load_embeddings
 from voxfeat.config import load_config
 from voxfeat.errors import EncodingError, VoxfeatError
-from voxfeat.mlpipe import read_table_csv
+from voxfeat.mlpipe.table import read_table_csv
 from voxfeat.pipeline import _load_transcript, manifest_path_for
 from voxfeat.textfeat import (
     load_conllu,
