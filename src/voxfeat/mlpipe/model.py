@@ -8,6 +8,14 @@ one binary system solved exactly (IRLS; Hastie, Tibshirani & Friedman,
 Elements of Statistical Learning, 4.4.1), for more by conjugate gradients.
 A fit not there after `max_iter` steps raises ConvergenceFailure.
 
+One Newton loop iterates a stack of same-shape problems at once: each keeps
+its own gradient test, step, halving and ConvergenceFailure, and leaves the
+stack once its gradient passes. numpy's stacked products and solves make
+the same BLAS or LAPACK call for each problem as for that problem alone, so
+each problem's result is bit for bit its own fit. fit_logistic is a stack
+of one; fit_logistic_stack fits several two-class problems, as the score
+curve does with its folds.
+
 The binary Hessian X'WX/n is one symmetric product a'a with
 a = X sqrt(W), which numpy runs as a BLAS syrk (one triangle, mirrored), so
 it is exactly symmetric; the ridge is added to its diagonal in place, and
@@ -111,77 +119,107 @@ def _sigmoid(m: np.ndarray) -> np.ndarray:
     return np.exp(-np.logaddexp(0.0, -m))
 
 
-def _newton(value, derivatives, q: int, tol: float, max_iter: int) -> np.ndarray:
-    """Newton's method from zero with Armijo step halving, until the largest
-    gradient entry is below tol. derivatives(theta) returns the gradient and
-    a callable that maps it to the Newton step, called only for a step. Each
-    theta after the first is the array last passed to value."""
-    theta = np.zeros(q)
-    f = value(theta)
+def _newton(value, derivatives, shape: tuple[int, int], tol: float,
+            max_iter: int) -> np.ndarray:
+    """Newton's method from zero with Armijo step halving on a stack of
+    problems, one row of theta each, until each row's largest gradient entry
+    is below tol. Every row takes its own steps and halvings, as alone; a
+    row that passes leaves the active set, so the products and solves of
+    later steps run on the rows still moving. The first row to fail raises
+    the ConvergenceFailure that its own fit raises.
+
+    rows is an ascending index array into the stack. value(points, rows)
+    returns those rows' objectives (one per row) and a state array along the
+    same axis; derivatives(points, states, rows) gets each row's state from
+    the value call that accepted its point, and returns the gradients and a
+    callable that maps (gradients, keep) to the Newton steps of rows[keep],
+    called only for a step."""
+    theta = np.zeros(shape)
+    rows, point = np.arange(shape[0]), theta.copy()  # the rows still moving, at these points
+    f, state = value(point, rows)
     for steps in range(max_iter + 1):
-        grad, solve = derivatives(theta)
-        worst = float(np.max(np.abs(grad)))
-        if worst < tol:
-            return theta
+        grad, solve = derivatives(point, state, rows)
+        worst = np.max(np.abs(grad), axis=1)
+        moving = ~(worst < tol)
+        if not moving.all():
+            theta[rows[~moving]] = point[~moving]
+            if not moving.any():
+                return theta
+            rows, point, grad, f, state = (rows[moving], point[moving], grad[moving],
+                                           f[moving], state[moving])
         if steps == max_iter:
-            raise ConvergenceFailure(f"logistic fit: gradient {worst:.3g} is not below "
-                                     f"{tol:g} after {max_iter} Newton steps")
+            raise ConvergenceFailure(f"logistic fit: gradient {float(worst[moving][0]):.3g} is "
+                                     f"not below {tol:g} after {max_iter} Newton steps")
         try:
-            step = solve(grad)
+            step = solve(grad, moving)
         except np.linalg.LinAlgError:
             raise ConvergenceFailure("logistic fit: singular Newton system") from None
-        slope = float(grad @ step)
+        slope = (grad[:, None, :] @ step[:, :, None])[:, 0, 0]
         t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            trial = theta + t * step
-            f_new = value(trial)
-            if f_new <= f + 1e-4 * t * slope + _ROUNDING * abs(f):
+        trial = point + t * step
+        f_new, state_new = value(trial, rows)
+        todo = np.flatnonzero(~(f_new <= f + 1e-4 * t * slope + _ROUNDING * np.abs(f)))
+        for _ in range(_MAX_HALVINGS - 1):
+            if not todo.size:
                 break
             t *= 0.5
-        else:
+            trial[todo] = point[todo] + t * step[todo]
+            f_try, state_try = value(trial[todo], rows[todo])
+            ok = f_try <= f[todo] + 1e-4 * t * slope[todo] + _ROUNDING * np.abs(f[todo])
+            f_new[todo[ok]], state_new[todo[ok]] = f_try[ok], state_try[ok]
+            todo = todo[~ok]
+        if todo.size:
             raise ConvergenceFailure("logistic fit: step halving found no decrease")
-        theta, f = trial, f_new
+        point, f, state = trial, f_new, state_new
 
 
 def _fit_binary(xt: np.ndarray, y1: np.ndarray, alpha: float,
                 tol: float, max_iter: int) -> np.ndarray:
-    """Class 1 against class 0 with coef[1] = -coef[0] = beta/2, intercepts
+    """Class 1 against class 0 for a stack of problems xt (F, n, q) with 0/1
+    targets y1 (F, n), each with coef[1] = -coef[0] = beta/2, intercepts
     likewise: a binary logistic loss on the margin xt @ beta with penalty
     alpha/4 * ||beta_w||^2, whose gradient is the full one's class-1 rows.
+    Returns beta (F, q).
 
     The Hessian is a'a/n with a = xt * sqrt(p(1 - p)), one symmetric product
     (BLAS syrk, half the multiplies of a general one), plus the ridge on its
-    diagonal. The gradient reads the margin of the point value saw last,
-    which is the accepted trial."""
-    n, q = xt.shape
+    diagonal. The gradient reads the margin that value formed at the
+    accepted trial. Every product and solve is numpy's stacked one, which
+    makes the same BLAS or LAPACK call for each problem as for that problem
+    alone, so each beta is bit for bit that problem's own fit."""
+    count, n, q = xt.shape
     ridge = np.full(q, alpha / 2.0)
     ridge[-1] = 0.0
-    last: list = [None, None]  # the point whose margin was formed last, and that margin
 
-    def margin(beta: np.ndarray) -> np.ndarray:
-        if beta is not last[0]:
-            last[:] = beta, xt @ beta
-        return last[1]
+    def take(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return (xt, y1) if rows.size == count else (xt[rows], y1[rows])
 
-    def value(beta: np.ndarray) -> float:
-        m = margin(beta)
-        loss = np.logaddexp(0.0, m) - y1 * m
-        return float(loss.mean() + 0.5 * (ridge * beta) @ beta)
+    def value(beta: np.ndarray, rows: np.ndarray):
+        x, y = take(rows)
+        margin = (x @ beta[:, :, None])[:, :, 0]
+        loss = np.logaddexp(0.0, margin) - y * margin
+        penalty = (0.5 * (ridge * beta))[:, None, :] @ beta[:, :, None]
+        return loss.sum(axis=1) / n + penalty[:, 0, 0], margin
 
-    def derivatives(beta: np.ndarray):
-        prob = _sigmoid(margin(beta))
-        grad = xt.T @ (prob - y1) / n + ridge * beta
+    def derivatives(beta: np.ndarray, margin: np.ndarray, rows: np.ndarray):
+        x, y = take(rows)
+        prob = _sigmoid(margin)
+        grad = (x.transpose(0, 2, 1) @ (prob - y)[:, :, None])[:, :, 0] / n + ridge * beta
 
-        def solve(g: np.ndarray) -> np.ndarray:
-            a = xt * np.sqrt(prob * (1.0 - prob))[:, None]
-            hessian = a.T @ a
+        def solve(g: np.ndarray, keep: np.ndarray) -> np.ndarray:
+            if keep.all():
+                a = x * np.sqrt(prob * (1.0 - prob))[:, :, None]
+            else:
+                a, pk = x[keep], prob[keep]
+                a *= np.sqrt(pk * (1.0 - pk))[:, :, None]
+            hessian = a.transpose(0, 2, 1) @ a
             hessian /= n
-            hessian.flat[::q + 1] += ridge
-            return np.linalg.solve(hessian, -g)
+            hessian.reshape(len(a), q * q)[:, ::q + 1] += ridge
+            return np.linalg.solve(hessian, -g[:, :, None])[:, :, 0]
 
         return grad, solve
 
-    return _newton(value, derivatives, q, tol, max_iter)
+    return _newton(value, derivatives, (count, q), tol, max_iter)
 
 
 def _fit_multinomial(xt: np.ndarray, onehot: np.ndarray, alpha: float,
@@ -199,18 +237,19 @@ def _fit_multinomial(xt: np.ndarray, onehot: np.ndarray, alpha: float,
     # on rows that sum to 0 the bound is xt'xt/2n plus the ridge on each row
     bound_inv = np.linalg.inv(xt.T @ xt / (2.0 * n) + np.diag(ridge))
 
-    def log_prob(theta: np.ndarray) -> np.ndarray:
-        logits = xt @ theta.reshape(c, q).T
+    def log_prob(w: np.ndarray) -> np.ndarray:
+        logits = xt @ w.T
         logits -= logits.max(axis=1, keepdims=True)
         return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
-    def value(theta: np.ndarray) -> float:
-        w = theta.reshape(c, q)
-        return float(-(log_prob(theta) * onehot).sum() / n + 0.5 * (ridge * w * w).sum())
+    def value(theta: np.ndarray, rows: np.ndarray):
+        w = theta[0].reshape(c, q)
+        lp = log_prob(w)
+        return np.array([-(lp * onehot).sum() / n + 0.5 * (ridge * w * w).sum()]), lp[None]
 
-    def derivatives(theta: np.ndarray):
-        prob = np.exp(log_prob(theta))
-        grad = (prob - onehot).T @ xt / n + ridge * theta.reshape(c, q)
+    def derivatives(theta: np.ndarray, lp: np.ndarray, rows: np.ndarray):
+        prob = np.exp(lp[0])
+        grad = (prob - onehot).T @ xt / n + ridge * theta[0].reshape(c, q)
 
         def times(v: np.ndarray) -> np.ndarray:
             u = xt @ v.T
@@ -221,7 +260,7 @@ def _fit_multinomial(xt: np.ndarray, onehot: np.ndarray, alpha: float,
             # centring the rows drops the rounding that would leave the subspace
             return (r - r.mean(axis=0)) @ bound_inv
 
-        def solve(g: np.ndarray) -> np.ndarray:
+        def solve(g: np.ndarray, keep: np.ndarray) -> np.ndarray:
             # stopped once the residual is below min(1/2, sqrt|g|) |g|, which
             # keeps Newton's method superlinear (Nocedal & Wright, Numerical
             # Optimization, 2nd ed., 7.1)
@@ -241,11 +280,11 @@ def _fit_multinomial(xt: np.ndarray, onehot: np.ndarray, alpha: float,
                 z = precondition(resid)
                 rz, rz_old = float((resid * z).sum()), rz
                 direction = z + rz / rz_old * direction
-            return step.reshape(-1)
+            return step.reshape(1, -1)
 
-        return grad.reshape(-1), solve
+        return grad.reshape(1, -1), solve
 
-    return _newton(value, derivatives, c * q, tol, max_iter).reshape(c, q)
+    return _newton(value, derivatives, (1, c * q), tol, max_iter).reshape(c, q)
 
 
 def fit_logistic(
@@ -267,16 +306,38 @@ def fit_logistic(
     classes = np.unique(y)
     if classes.size < 2:
         raise DegenerateClasses(f"need >= 2 classes, got {classes.size}")
+    if classes.size == 2:
+        return fit_logistic_stack(x[None], y[None], alpha, tol, max_iter)[0]
     n, p = x.shape
     xt = np.column_stack([x, np.ones(n)])
-    if classes.size == 2:
-        half = _fit_binary(xt, (y == classes[1]).astype(np.float64),
-                           alpha, tol, max_iter) / 2.0
-        theta = np.stack([-half, half])
-    else:
-        onehot = (y[:, None] == classes[None, :]).astype(np.float64)
-        theta = _fit_multinomial(xt, onehot, alpha, tol, max_iter)
+    onehot = (y[:, None] == classes[None, :]).astype(np.float64)
+    theta = _fit_multinomial(xt, onehot, alpha, tol, max_iter)
     return LogisticModel(theta[:, :p], theta[:, p], classes)
+
+
+def fit_logistic_stack(
+    x: np.ndarray,
+    y: np.ndarray,
+    alpha: float = 1e-3,
+    tol: float = 1e-8,
+    max_iter: int = 1000,
+) -> list[LogisticModel]:
+    """fit_logistic(x[i], y[i]) for every i of a stack of same-shape
+    two-class problems, x (F, n, p) and y (F, n), solved as one: each model
+    is bit for bit that problem's own fit. Every y[i] must hold the same two
+    classes. The first problem to fail raises its own ConvergenceFailure.
+    """
+    classes = np.unique(y)
+    y1 = y == classes[-1]
+    if classes.size != 2 or not (y1.any(axis=1) & ~y1.all(axis=1)).all():
+        raise ValueError("every problem of a stack needs the same two classes")
+    count, n, p = x.shape
+    # each problem's design keeps the memory order that np.column_stack
+    # gives its x alone, which its BLAS calls round by
+    xt = np.concatenate([x, np.ones((count, n, 1))], axis=2)
+    half = _fit_binary(xt, y1.astype(np.float64), alpha, tol, max_iter) / 2.0
+    return [LogisticModel(theta[:, :p], theta[:, p], classes)
+            for theta in np.stack([-half, half], axis=1)]
 
 
 def accuracy_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:

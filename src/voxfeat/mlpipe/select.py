@@ -26,6 +26,7 @@ from .model import (
     accuracy_score,
     fit_lasso,
     fit_logistic,
+    fit_logistic_stack,
     fit_ols,
     r2_score,
 )
@@ -334,9 +335,39 @@ def _fold_score(train_z: np.ndarray, val_z: np.ndarray, y_train: np.ndarray,
     """Fit on standardized training rows, score the standardized validation
     rows."""
     if estimator == "logistic":
-        model = fit_logistic(train_z, y_train.astype(np.int64))
-        return accuracy_score(y_val.astype(np.int64), model.predict(val_z))
+        return accuracy_score(y_val, fit_logistic(train_z, y_train).predict(val_z))
     return r2_score(y_val, fit_ols(train_z, y_train).predict(val_z))
+
+
+def _fold_slices(tbl: FeatureTable, fold_idx: list[np.ndarray], f: int, y_all: np.ndarray,
+                 select_ks: SelectKs, ks: list[int]) -> tuple:
+    """Fold f split and standardized once, with every k selected: the
+    standardized training and validation slices of the columns some k chose,
+    each k's positions in those slices, and the training and validation
+    labels."""
+    val_idx = fold_idx[f]
+    train_idx = np.concatenate([idx for g, idx in enumerate(fold_idx) if g != f])
+    train = tbl.select_rows(train_idx)
+    train_std, params = impute_and_standardize(train)
+    selected = select_ks(train, ks)
+    cols = [[tbl.position[name] for name in selected[k].kept_columns] for k in ks]
+    kept, where = np.unique(np.concatenate(cols).astype(np.intp), return_inverse=True)
+    return (train_std.rows[:, kept], standardize_columns(tbl.rows[val_idx], params)[:, kept],
+            np.split(where, np.cumsum([len(c) for c in cols])[:-1]),
+            y_all[train_idx], y_all[val_idx])
+
+
+def _stacks(y_train: tuple[np.ndarray, ...], estimator: str) -> list[list[int]]:
+    """The folds that one logistic fit can stack: those whose training
+    labels hold the same two classes in the same number of rows, in fold
+    order. Every other fold, and every fold under OLS, stands alone."""
+    if estimator != "logistic":
+        return [[f] for f in range(len(y_train))]
+    groups: dict = {}
+    for f, y in enumerate(y_train):
+        classes = tuple(np.unique(y).tolist())
+        groups.setdefault((y.size, classes) if len(classes) == 2 else f, []).append(f)
+    return list(groups.values())
 
 
 def ranked_prefixes(selector: Selector) -> SelectKs:
@@ -370,12 +401,17 @@ def cv_score_curve(
     which Hastie, Tibshirani & Friedman allow before the split (The Elements
     of Statistical Learning, 2nd ed., 7.10.2).
 
-    Each fold is standardized once: impute_and_standardize of its training
-    table, whose parameters are applied to the validation rows. The table
-    caches that result, so the selector reads the same rows and fits no
-    standardization of its own. Each k then scores column slices of those
-    arrays. Standardization works column by column, so a slice holds exactly
-    what standardizing only the chosen columns gives.
+    The curve runs in two phases. First each fold is standardized once:
+    impute_and_standardize of its training table, whose parameters are
+    applied to the validation rows. The table caches that result, so the
+    selector reads the same rows and fits no standardization of its own.
+    The fold selects for every k and keeps the training and validation
+    slices of the columns some k chose. Standardization works column by
+    column, so a slice holds exactly what standardizing only the chosen
+    columns gives. Then each k is scored: the folds whose training rows hold
+    the same two classes and the same row count fit as one stack
+    (model.fit_logistic_stack, bit for bit each fold's own fit); OLS and
+    every other fold fit alone.
 
     select_ks, when given, selects for all of a fold's ks in one call (see
     ranked_prefixes and rfe_path) and selector is not used; otherwise
@@ -388,27 +424,34 @@ def cv_score_curve(
         raise ValueError(f"unknown estimator {estimator!r}")
     y_all = _require_target(tbl, "cv_score_curve")
     if estimator == "logistic":
-        y_all = _class_labels(tbl, "cv_score_curve").astype(np.float64)
+        y_all = _class_labels(tbl, "cv_score_curve")
     fold_idx = _fold_indices(tbl, folds, seed)
     if any(idx.size == 0 for idx in fold_idx):
         raise EmptyFold(f"{folds} folds leave an empty fold for {tbl.n_rows} rows")
     if k_values and min(k_values) < 1:
         raise InvalidK(f"k must be >= 1, got {min(k_values)}")
+    if not k_values:
+        return []
     if select_ks is None:
         def select_ks(train: FeatureTable, ks: list[int]) -> dict[int, SelectionResult]:
             return {k: selector(train, k) for k in ks}
     ks = [min(k, tbl.n_cols) for k in k_values]
-    scores = np.empty((len(k_values), folds))
-    for f, val_idx in enumerate(fold_idx):
-        train_idx = np.concatenate([fold_idx[g] for g in range(folds) if g != f])
-        train = tbl.select_rows(train_idx)
-        train_std, params = impute_and_standardize(train)
-        train_z = train_std.rows  # the rows the selector reads too
-        val_z = standardize_columns(tbl.rows[val_idx], params)
-        selected = select_ks(train, ks) if ks else {}
-        for i, k in enumerate(ks):
-            cols = [tbl.position[name] for name in selected[k].kept_columns]
-            scores[i, f] = _fold_score(train_z[:, cols], val_z[:, cols],
-                                       y_all[train_idx], y_all[val_idx], estimator)
+    train_z, val_z, chosen, y_train, y_val = zip(
+        *(_fold_slices(tbl, fold_idx, f, y_all, select_ks, ks) for f in range(folds)))
+    scores = np.empty((len(ks), folds))
+    stacks = _stacks(y_train, estimator)
+    for i in range(len(ks)):
+        for group in stacks:
+            if len(group) == 1:
+                (f,) = group
+                c = chosen[f][i]
+                scores[i, f] = _fold_score(train_z[f][:, c], val_z[f][:, c],
+                                           y_train[f], y_val[f], estimator)
+                continue
+            models = fit_logistic_stack(
+                np.stack([train_z[f][:, chosen[f][i]] for f in group]),
+                np.stack([y_train[f] for f in group]))
+            for f, model in zip(group, models):
+                scores[i, f] = accuracy_score(y_val[f], model.predict(val_z[f][:, chosen[f][i]]))
     return [CurvePoint(int(k), float(row.mean()), float(row.std()))
             for k, row in zip(k_values, scores)]

@@ -29,7 +29,6 @@ from .config import (
 )
 from .errors import NoInputs, SchemaError, WorkerDied
 from .functionals import FeatureVector, concat_vectors
-from .mlpipe.table import FeatureTable, table_to_csv_text
 from .textfeat import (
     DEFAULT_SUFFIXES,
     Transcript,
@@ -226,6 +225,10 @@ def run_extract(audio_dir: str | Path, out_csv: str | Path, cfg: PipelineConfig,
             failures[item.source_id] = outcome
         else:
             rows[item.source_id] = outcome
+
+    # imported here: the CSV writer is the only part of the table module an
+    # extract runs, so importing this module compiles none of mlpipe
+    from .mlpipe.table import FeatureTable, table_to_csv_text
 
     ordered = sorted(rows)
     matrix = (np.stack([rows[sid] for sid in ordered])

@@ -4,6 +4,8 @@ concurrent.futures load only for an extract with more than one worker.
 An extract loads none of the analyze modules: `import voxfeat` and
 `import voxfeat.mlpipe` resolve each exported name on first use, and
 voxfeat.pipeline loads voxfeat.analyze only when run_analyze is asked for.
+`import voxfeat.pipeline` loads no mlpipe module at all: run_extract
+imports the table module's CSV writer when it writes the CSV.
 So after `import voxfeat` and a one-worker run_extract, neither
 voxfeat.analyze nor the modeling, selection, transform and plotting modules
 are loaded; run_analyze still runs after that, and every name in the two
@@ -103,6 +105,8 @@ import numpy as np
 analyze_modules = json.loads(sys.argv[2])
 seen = {}
 import voxfeat
+import voxfeat.pipeline
+seen["pipeline"] = sorted(m for m in sys.modules if m.startswith("voxfeat.mlpipe"))
 from voxfeat.audio_io import AudioBuffer, write_wav
 from voxfeat.config import AnalyzeSpec
 t = np.arange(16000) / 16000
@@ -142,6 +146,9 @@ def test_extract_loads_no_analyze_module(tmp_path):
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
+    # voxfeat.pipeline imports the table module only to write the CSV
+    assert "voxfeat.mlpipe.table" not in seen["pipeline"]
+    assert seen["pipeline"] == []
     assert seen["extract_ok"]
     assert seen["extract"] == []
     assert seen["analyze_outputs"] == ["curve.csv", "curve.svg", "heatmap.svg",

@@ -13,6 +13,7 @@ from voxfeat.mlpipe.model import (
     accuracy_score,
     fit_lasso,
     fit_logistic,
+    fit_logistic_stack,
     fit_ols,
     r2_score,
 )
@@ -282,24 +283,24 @@ class TestLogisticSolver:
 
 
 def general_product_fit_binary(xt, y1, alpha, tol, max_iter):
-    """The former binary fit: each Newton step forms the Hessian with a
-    general product and adds the ridge as np.diag(ridge)."""
+    """The former binary fit, as a stack of one: each Newton step forms the
+    Hessian with a general product and adds the ridge as np.diag(ridge)."""
     n, q = xt.shape
     ridge = np.full(q, alpha / 2.0)
     ridge[-1] = 0.0
 
-    def value(beta):
-        margin = xt @ beta
+    def value(beta, rows):
+        margin = xt @ beta[0]
         loss = np.logaddexp(0.0, margin) - y1 * margin
-        return float(loss.mean() + 0.5 * (ridge * beta) @ beta)
+        return np.array([loss.mean() + 0.5 * (ridge * beta[0]) @ beta[0]]), margin[None]
 
-    def derivatives(beta):
-        prob = _sigmoid(xt @ beta)
-        grad = xt.T @ (prob - y1) / n + ridge * beta
-        return grad, lambda g: np.linalg.solve(
-            xt.T @ (xt * (prob * (1.0 - prob))[:, None]) / n + np.diag(ridge), -g)
+    def derivatives(beta, margin, rows):
+        prob = _sigmoid(margin[0])
+        grad = xt.T @ (prob - y1) / n + ridge * beta[0]
+        return grad[None], lambda g, keep: np.linalg.solve(
+            xt.T @ (xt * (prob * (1.0 - prob))[:, None]) / n + np.diag(ridge), -g[0])[None]
 
-    return model_module._newton(value, derivatives, q, tol, max_iter)
+    return model_module._newton(value, derivatives, (1, q), tol, max_iter)[0]
 
 
 def binary_objective_and_gradient(xt, y1, alpha, beta):
@@ -325,7 +326,7 @@ class TestBinaryNewtonStep:
         fit, held = xt[:n_rows], xt[n_rows:]
         y1 = y[:n_rows].astype(np.float64)
         tol = 1e-8
-        beta = model_module._fit_binary(fit, y1, alpha, tol, 1000)
+        beta = model_module._fit_binary(fit[None], y1[None], alpha, tol, 1000)[0]
         ref = general_product_fit_binary(fit, y1, alpha, tol, 1000)
         value, grad = binary_objective_and_gradient(fit, y1, alpha, beta)
         ref_value, _ = binary_objective_and_gradient(fit, y1, alpha, ref)
@@ -345,7 +346,136 @@ class TestBinaryNewtonStep:
         fit_logistic(x, y, alpha=0.01)
         assert solved
         for hessian in solved:
-            assert np.array_equal(hessian, hessian.T)
+            assert np.array_equal(hessian, hessian.swapaxes(-1, -2))
+
+
+def newton_counts(monkeypatch, fit):
+    """Run fit() and return, per problem of the stack it fits, the number of
+    Newton steps and of halved trials, read off the calls that _newton makes
+    to value and derivatives."""
+    counted = {}
+    newton = model_module._newton
+
+    def spy(value, derivatives, shape, tol, max_iter):
+        steps, trials = np.zeros(shape[0], int), np.zeros(shape[0], int)
+
+        def counted_value(points, rows):
+            trials[rows] += 1
+            return value(points, rows)
+
+        def counted_derivatives(points, states, rows):
+            steps[rows] += 1
+            return derivatives(points, states, rows)
+
+        theta = newton(counted_value, counted_derivatives, shape, tol, max_iter)
+        counted["steps"], counted["halved"] = steps - 1, trials - steps
+        return theta
+
+    monkeypatch.setattr(model_module, "_newton", spy)
+    fit()
+    return counted["steps"], counted["halved"]
+
+
+def five_problems(order="C"):
+    """One stack of five 80 x 100 two-class problems, the shape of a fold of
+    the 100-row wide table at k = 100: a planted signal, random labels, an
+    all-zero (standardized constant) column, heavy-tailed columns whose
+    Newton steps need halving, and well-separated classes."""
+    rng = np.random.default_rng(90)
+    problems = []
+    x, y = sweep_columns(rng, 80, 100)
+    problems.append((x, y))
+    problems.append((sweep_columns(rng, 80, 100)[0], rng.permutation(np.arange(80) % 2)))
+    x, y = sweep_columns(rng, 80, 100)
+    x[:, 17] = 0.0
+    problems.append((x, y))
+    heavy = np.random.default_rng(26)
+    x = heavy.standard_t(1, size=(80, 100))
+    problems.append((x, (x[:, 0] + heavy.normal(size=80) > 0).astype(np.int64)))
+    x, y = sweep_columns(rng, 80, 100)
+    x[:, :3] += 6.0 * (y[:, None] - 0.5)
+    problems.append((x, y))
+    xs = np.stack([np.asarray(x, order=order) for x, _ in problems])
+    return xs, np.stack([y for _, y in problems])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestStackedNewton:
+    """Fitting a stack of binary problems as one gives each problem its own
+    fit, bit for bit, and its own failure."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_each_problem_is_its_own_fit(self, order, monkeypatch):
+        x, y = five_problems(order)
+        stacked = fit_logistic_stack(x, y)
+        steps, halved = [], []
+        for i in range(len(x)):
+            alone = {}
+            s, h = newton_counts(monkeypatch, lambda: alone.setdefault(
+                "model", fit_logistic(x[i], y[i])))
+            steps.append(int(s[0]))
+            halved.append(int(h[0]))
+            for name in ("coef", "intercept", "classes"):
+                got, want = getattr(stacked[i], name), getattr(alone["model"], name)
+                assert np.array_equal(bits(got), bits(want)), (i, name)
+        # the stack covers problems that stop after different step counts,
+        # and one whose steps need halving
+        assert len(set(steps)) >= 3, steps
+        assert halved[3] > 0 and sum(halved) == halved[3], halved
+        counts = newton_counts(monkeypatch, lambda: fit_logistic_stack(x, y))
+        assert counts[0].tolist() == steps
+        assert counts[1].tolist() == halved
+
+    def test_problems_leave_the_stack_once_converged(self, monkeypatch):
+        x, y = five_problems()
+        steps = np.array([newton_counts(monkeypatch, lambda: fit_logistic(x[i], y[i]))[0][0]
+                          for i in range(len(x))])
+        solved = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append(a.shape[0])
+            return solve(a, b)
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        fit_logistic_stack(x, y)
+        # step s solves the problems that take more than s steps
+        assert solved == [int((steps > s).sum()) for s in range(steps.max())]
+
+    def test_iteration_cap_raises_the_problems_own_failure(self):
+        x, y = five_problems()
+        # the heavy-tailed problem takes the most steps
+        with pytest.raises(ConvergenceFailure) as alone:
+            fit_logistic(x[3], y[3], max_iter=12)
+        for i in (0, 1, 2, 4):
+            fit_logistic(x[i], y[i], max_iter=12)
+        with pytest.raises(ConvergenceFailure) as stacked:
+            fit_logistic_stack(x, y, max_iter=12)
+        assert str(stacked.value) == str(alone.value)
+        assert "after 12 Newton steps" in str(alone.value)
+
+    def test_singular_system_raises_the_problems_own_failure(self):
+        # without a ridge, the zero column leaves its Hessian singular
+        rng = np.random.default_rng(91)
+        problems = [sweep_columns(rng, 80, 12) for _ in range(4)]
+        problems[1][0][:, 5] = 0.0
+        x, y = np.stack([p[0] for p in problems]), np.stack([p[1] for p in problems])
+        with pytest.raises(ConvergenceFailure) as alone:
+            fit_logistic(x[1], y[1], alpha=0.0)
+        for i in (0, 2, 3):
+            fit_logistic(x[i], y[i], alpha=0.0)
+        with pytest.raises(ConvergenceFailure) as stacked:
+            fit_logistic_stack(x, y, alpha=0.0)
+        assert str(stacked.value) == str(alone.value) == "logistic fit: singular Newton system"
+
+    def test_every_problem_needs_the_same_two_classes(self):
+        x, y = five_problems()
+        for labels in (np.where(np.arange(5)[:, None] == 2, 0, y), y + np.arange(5)[:, None] % 2,
+                       y * (np.arange(80) % 3)):
+            with pytest.raises(ValueError, match="same two classes"):
+                fit_logistic_stack(x, labels)
 
 
 def test_sigmoid_matches_scipy_expit():

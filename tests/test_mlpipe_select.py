@@ -762,6 +762,60 @@ class TestCurveStandardizesEachFoldOnce:
                     assert sorted(fits) == train_rows, name
 
 
+def uneven_table(rng, n_rows, n_classes):
+    """n_rows rows of 14 scaled columns, four of them informative, with 3 %
+    NaN cells, a constant, an exact copy and a near-copy; the classes differ
+    in size by at most one row."""
+    y = rng.permutation(np.arange(n_rows) % n_classes).astype(np.float64)
+    x = rng.normal(size=(n_rows, 11))
+    x[:, :4] += 0.9 * y[:, None] * np.linspace(1.0, 0.3, 4)
+    x *= rng.uniform(0.5, 20.0, 11)
+    x[rng.random(x.shape) < 0.03] = np.nan
+    x = np.column_stack([x, np.full(n_rows, 0.1), x[:, 2],
+                         x[:, 0] * (1.0 + 1e-9 * rng.normal(size=n_rows))])
+    return make([f"c{j}" for j in range(x.shape[1])], x[:, rng.permutation(x.shape[1])], y)
+
+
+class TestCurveStacksFoldFits:
+    """Each k fits the folds whose training rows hold the same two classes
+    and the same row count as one stack; the curve is the one that fitting
+    and scoring every (k, fold) alone gives, float for float."""
+
+    SELECTORS = {"anova_f": anova_f_select, "mrmr": mrmr_rank,
+                 "importance": importance_topk, "rfe": rfe_select}
+
+    @pytest.mark.parametrize("n_rows, n_classes, train_rows", [
+        # 52 and 51 rows per class: the three 83-row folds fit as one stack
+        (103, 2, [81, 82, 83, 83, 83]),
+        (100, 2, [80] * 5),
+        # more than two classes score fold by fold
+        (103, 3, [82, 82, 82, 82, 84]),
+    ])
+    def test_matches_fitting_every_fold_alone(self, n_rows, n_classes, train_rows,
+                                              monkeypatch):
+        stacked = []
+        fit_stack = select_module.fit_logistic_stack
+
+        def spy(x, y):
+            stacked.append(x.shape[:2])
+            return fit_stack(x, y)
+        monkeypatch.setattr(select_module, "fit_logistic_stack", spy)
+        tbl = uneven_table(np.random.default_rng(80 + n_rows + n_classes), n_rows, n_classes)
+        assert sorted(n_rows - idx.size for idx in _fold_indices(tbl, 5, 4)) == train_rows
+        k_values = [1, 3, 5, 10, 20]
+        # per k, one stack per training row count that two or more folds share
+        stacks = sorted((train_rows.count(r), r) for r in set(train_rows)
+                        if train_rows.count(r) > 1 and n_classes == 2)
+        for name, fn in self.SELECTORS.items():
+            want = reference_curve(tbl, fn, "logistic", k_values, 5, seed=4)
+            for select_ks, selector in ((_SELECTORS[name], None), (None, fn)):
+                stacked.clear()
+                got = cv_score_curve(tbl, selector, "logistic", k_values, 5, seed=4,
+                                     select_ks=select_ks)
+                assert got == want, name
+                assert sorted(stacked) == sorted(stacks * len(k_values)), name
+
+
 def lstsq_importance(z, y, cols):
     """|OLS coefficients| of y on z[:, cols] by minimum-norm lstsq."""
     return fit_ols(z[:, cols], y).importance()
