@@ -428,10 +428,10 @@ def cv_score_curve(
     fold_idx = _fold_indices(tbl, folds, seed)
     if any(idx.size == 0 for idx in fold_idx):
         raise EmptyFold(f"{folds} folds leave an empty fold for {tbl.n_rows} rows")
-    if k_values and min(k_values) < 1:
-        raise InvalidK(f"k must be >= 1, got {min(k_values)}")
     if not k_values:
         return []
+    if min(k_values) < 1:
+        raise InvalidK(f"k must be >= 1, got {min(k_values)}")
     if select_ks is None:
         def select_ks(train: FeatureTable, ks: list[int]) -> dict[int, SelectionResult]:
             return {k: selector(train, k) for k in ks}

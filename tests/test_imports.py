@@ -147,7 +147,6 @@ def test_extract_loads_no_analyze_module(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     # voxfeat.pipeline imports the table module only to write the CSV
-    assert "voxfeat.mlpipe.table" not in seen["pipeline"]
     assert seen["pipeline"] == []
     assert seen["extract_ok"]
     assert seen["extract"] == []
