@@ -116,9 +116,22 @@ def _next_pow2(n: int) -> int:
 
 
 def _frame_geometry(buf: AudioBuffer, config: AcousticConfig) -> tuple[int, int]:
-    """Frame length and hop in samples."""
-    return (int(round(config.frame_seconds * buf.sample_rate_hz)),
-            int(round(config.hop_seconds * buf.sample_rate_hz)))
+    """Frame length and hop in samples; InvalidRange when the frame rounds
+    to fewer than 2 samples at the recording's rate."""
+    sr = buf.sample_rate_hz
+    frame_len = int(round(config.frame_seconds * sr))
+    if frame_len < 2:
+        raise InvalidRange(f"frame_seconds {config.frame_seconds!r} is under 2 samples "
+                           f"at {sr} Hz")
+    return frame_len, _hop_samples(config.hop_seconds, sr)
+
+
+def _hop_samples(hop_seconds: float, sr: int) -> int:
+    """The hop in samples; InvalidRange when it rounds to none at rate sr."""
+    hop = int(round(hop_seconds * sr))
+    if hop < 1:
+        raise InvalidRange(f"hop_seconds {hop_seconds!r} is under 1 sample at {sr} Hz")
+    return hop
 
 
 def analysis_frames(buf: AudioBuffer, config: AcousticConfig) -> FrameMatrix:
@@ -183,12 +196,12 @@ def f0_track(
     sr = buf.sample_rate_hz
     if f_max >= sr / 2:
         raise InvalidRange(f"f_max {f_max} must be below Nyquist {sr / 2}")
+    hop = _hop_samples(hop_seconds, sr)
 
     x = buf.samples
     tau_min = max(2, int(sr / f_max))
     tau_max = int(np.ceil(sr / f_min))
     chunk = 2 * tau_max  # integration window w = tau_max, plus the largest lag
-    hop = int(round(hop_seconds * sr))
     if x.size < chunk:
         return FrameSeries("f0", np.empty(0), hop_seconds)
     n_frames = 1 + (x.size - chunk) // hop

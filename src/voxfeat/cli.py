@@ -11,7 +11,7 @@ import dataclasses
 import os
 import sys
 
-from .config import PipelineConfig, load_config
+from .config import PipelineConfig, load_config, validate_config
 from .errors import VoxfeatError
 from .featdict import write_featdict
 from .pipeline import run_extract
@@ -75,6 +75,7 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     seed = args.seed if args.seed is not None else _env_int("VOXFEAT_SEED")
     if seed is not None:
         cfg = dataclasses.replace(cfg, seed=seed)
+    validate_config(cfg)  # the run's config, with its seed override
     return cfg
 
 

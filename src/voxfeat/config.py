@@ -18,13 +18,11 @@ from pathlib import Path
 from .audio_io import WINDOW_KINDS
 from .coherence import COHERENCE
 from .errors import ConfigError
-from .functionals import GEMAPS, SPECTRAL, Family, FunctionalBank, lld_family
+from .functionals import GEMAPS, SPECTRAL, STATISTICS, Family, FunctionalBank, lld_family
 from .textfeat import COMPLEXITY, SENTIMENT, SYNTAX
 from .textio import read_text
 
 _SELECTORS = ("anova_f", "rfe", "mrmr", "importance")
-_ESTIMATORS = ("auto", "logistic", "ols")
-_TRANSFORMS = (None, "pca", "ica")
 
 SENTIMENT_FEATURE_NAMES = SENTIMENT.names
 
@@ -65,103 +63,104 @@ class PipelineConfig:
     analyze: AnalyzeSpec = field(default_factory=AnalyzeSpec)
 
 
+def _real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _integer(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _statistics(v) -> bool:
+    try:
+        FunctionalBank(v)
+    except (TypeError, ValueError):
+        return v == ()  # an empty list turns the LLD family off
+    return isinstance(v, (tuple, list)) and len(set(v)) == len(v)
+
+
+def _one_of(options: tuple) -> tuple:
+    return f"one of {options}", lambda v: v in options
+
+
+_TOGGLE = ("true or false", lambda v: isinstance(v, bool))
+_SECONDS = ("a finite number > 0", lambda v: _real(v) and v > 0)
+_FILE = ("null or an existing file",
+         lambda v: v is None or isinstance(v, str) and Path(v).is_file())
+
+# The one rule of every PipelineConfig and AnalyzeSpec key but "analyze":
+# the phrase that completes "<key> must be", and the test its value passes.
+RULES = {
+    "frame_seconds": _SECONDS,
+    "hop_seconds": _SECONDS,
+    "window": _one_of(WINDOW_KINDS),
+    "gemaps_core": _TOGGLE,
+    "spectral": _TOGGLE,
+    "complexity": _TOGGLE,
+    "syntax": _TOGGLE,
+    "sentiment": _TOGGLE,
+    "coherence": _TOGGLE,
+    "lld_functionals": (f"a list of distinct names from {tuple(STATISTICS)} or "
+                        f"p<value> with 0 < value < 100", _statistics),
+    "embeddings_path": _FILE,
+    "valence_path": _FILE,
+    "lexicon_path": _FILE,
+    "suffix_path": _FILE,
+    "seed": ("a non-negative integer", lambda v: _integer(v) and v >= 0),
+    "low_variance": _TOGGLE,
+    "low_variance_threshold": ("a finite number >= 0", lambda v: _real(v) and v >= 0),
+    "high_correlation": _TOGGLE,
+    "high_correlation_threshold": ("a number in (0, 1)", lambda v: _real(v) and 0 < v < 1),
+    "transform": _one_of((None, "pca", "ica")),
+    "transform_k": ("a positive integer", lambda v: _integer(v) and v >= 1),
+    "selector": _one_of(_SELECTORS),
+    "estimator": _one_of(("auto", "logistic", "ols")),
+    "k_values": ("a non-empty list of positive integers", lambda v: isinstance(v, (tuple, list))
+                 and len(v) > 0 and all(_integer(k) and k >= 1 for k in v)),
+    "folds": ("an integer >= 2", lambda v: _integer(v) and v >= 2),
+}
+
+
 def validate_config(cfg: PipelineConfig) -> None:
-    """Raise ConfigError on the first violated invariant."""
-    for name in ("frame_seconds", "hop_seconds"):
-        value = getattr(cfg, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0 < value < math.inf):
-            raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    """Raise ConfigError on the first value outside its key's rule, then on
+    the first violated rule that spans keys."""
+    for obj in (cfg, cfg.analyze):
+        for name, value in vars(obj).items():
+            if name in RULES:  # every key but "analyze"
+                phrase, test = RULES[name]
+                if not test(value):
+                    raise ConfigError(f"{name} must be {phrase}, got {value!r}")
     if cfg.hop_seconds > cfg.frame_seconds:
         raise ConfigError(f"hop_seconds must not exceed frame_seconds, got "
                           f"{cfg.hop_seconds!r} > {cfg.frame_seconds!r}")
-    if cfg.window not in WINDOW_KINDS:
-        raise ConfigError(f"window must be one of {WINDOW_KINDS}, got {cfg.window!r}")
-    for toggle in ("gemaps_core", "spectral", "complexity", "syntax",
-                   "sentiment", "coherence"):
-        if not isinstance(getattr(cfg, toggle), bool):
-            raise ConfigError(f"{toggle} must be true or false")
-    if cfg.lld_functionals:  # empty tuple means the family is off
-        try:
-            FunctionalBank(cfg.lld_functionals)
-        except Exception as exc:
-            raise ConfigError(f"lld_functionals: {exc}") from None
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     if cfg.coherence and not cfg.embeddings_path:
         raise ConfigError("coherence is enabled but embeddings_path is not set")
     if cfg.sentiment and not cfg.valence_path:
         raise ConfigError("sentiment is enabled but valence_path is not set")
-    for name in ("embeddings_path", "valence_path", "lexicon_path", "suffix_path"):
-        value = getattr(cfg, name)
-        if value is not None and not Path(value).is_file():
-            raise ConfigError(f"{name} does not exist: {value}")
-
-    spec = cfg.analyze
-    for toggle in ("low_variance", "high_correlation"):
-        if not isinstance(getattr(spec, toggle), bool):
-            raise ConfigError(f"{toggle} must be true or false")
-    for name in ("low_variance_threshold", "high_correlation_threshold"):
-        value = getattr(spec, name)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ConfigError(f"{name} must be a number, got {value!r}")
-    if spec.low_variance_threshold < 0:
-        raise ConfigError("low_variance_threshold must be >= 0")
-    if not 0.0 < spec.high_correlation_threshold < 1.0:
-        raise ConfigError("high_correlation_threshold must be in (0, 1)")
-    if spec.transform not in _TRANSFORMS:
-        raise ConfigError(f"transform must be one of {_TRANSFORMS}, got {spec.transform!r}")
-    if (not isinstance(spec.transform_k, int) or isinstance(spec.transform_k, bool)
-            or spec.transform_k < 1):
-        raise ConfigError(f"transform_k must be a positive integer, got {spec.transform_k!r}")
-    if spec.selector not in _SELECTORS:
-        raise ConfigError(f"selector must be one of {_SELECTORS}, got {spec.selector!r}")
-    if spec.estimator not in _ESTIMATORS:
-        raise ConfigError(f"estimator must be one of {_ESTIMATORS}, got {spec.estimator!r}")
-    if not spec.k_values:
-        raise ConfigError("k_values must be non-empty")
-    for k in spec.k_values:
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-            raise ConfigError(f"k_values entries must be positive integers, got {k!r}")
-    if not isinstance(spec.folds, int) or spec.folds < 2:
-        raise ConfigError(f"folds must be an integer >= 2, got {spec.folds!r}")
 
 
 def _build(cls, data: dict, context: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(fields)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {context} keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if isinstance(value, list):
-            value = tuple(value)
-        kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad {context}: {exc}") from None
+    return cls(**{key: tuple(value) if isinstance(value, list) else value
+                  for key, value in data.items()})
 
 
 def config_from_dict(data: dict, base_dir: str | Path | None = None) -> PipelineConfig:
     """Build and validate a config; relative paths resolve against base_dir."""
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    data = dict(data)
-    analyze_data = data.pop("analyze", None)
-    cfg = _build(PipelineConfig, data, "config")
-    if analyze_data is not None:
-        if not isinstance(analyze_data, dict):
-            raise ConfigError("analyze must be a JSON object")
-        cfg = dataclasses.replace(cfg, analyze=_build(AnalyzeSpec, analyze_data, "analyze"))
+    analyze = data.get("analyze")  # null means the defaults
+    if analyze is not None and not isinstance(analyze, dict):
+        raise ConfigError(f"analyze must be a JSON object, got {analyze!r}")
+    spec = _build(AnalyzeSpec, analyze or {}, "analyze")
+    cfg = _build(PipelineConfig, {**data, "analyze": spec}, "config")
     if base_dir is not None:
-        updates = {}
-        for name in ("embeddings_path", "valence_path", "lexicon_path", "suffix_path"):
+        for name in [key for key, rule in RULES.items() if rule is _FILE]:
             value = getattr(cfg, name)
-            if value is not None and not Path(value).is_absolute():
-                updates[name] = str(Path(base_dir) / value)
-        if updates:
-            cfg = dataclasses.replace(cfg, **updates)
+            if isinstance(value, str) and not Path(value).is_absolute():
+                cfg = dataclasses.replace(cfg, **{name: str(Path(base_dir) / value)})
     validate_config(cfg)
     return cfg
 
@@ -180,10 +179,9 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def config_to_dict(cfg: PipelineConfig) -> dict:
-    data = dataclasses.asdict(cfg)
-    data["lld_functionals"] = list(cfg.lld_functionals)
-    data["analyze"]["k_values"] = list(cfg.analyze.k_values)
-    return data
+    """The config as JSON values: every tuple becomes a list."""
+    return dataclasses.asdict(cfg, dict_factory=lambda items: {
+        key: list(value) if isinstance(value, tuple) else value for key, value in items})
 
 
 def config_hash(cfg: PipelineConfig) -> str:

@@ -227,6 +227,15 @@ class TestConfigPlumbing:
         report = json.loads((out / "report.json").read_text())
         assert report["seed"] == 9
 
+    @pytest.mark.parametrize("flag, env", [(["--seed", "-1"], None), ([], "-1")])
+    def test_seed_override_is_validated(self, tmp_path, monkeypatch, capsys, flag, env):
+        if env is not None:
+            monkeypatch.setenv("VOXFEAT_SEED", env)
+        out = tmp_path / "fd.tsv"
+        assert main([*flag, "featdict", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("voxfeat: error: seed must be ")
+        assert not out.exists()
+
     def test_env_config_fallback(self, tmp_path, monkeypatch):
         cfgp = tmp_path / "cfg.json"
         cfgp.write_text(json.dumps({"complexity": False}))

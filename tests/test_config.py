@@ -8,6 +8,7 @@ import json
 import pytest
 
 from voxfeat import analyze, config
+from voxfeat.cli import main
 from voxfeat.coherence import COHERENCE_FEATURE_NAMES
 from voxfeat.config import (
     SENTIMENT_FEATURE_NAMES,
@@ -119,6 +120,49 @@ class TestValidation:
             config_from_dict({"analyze": analyze}, tmp_path)
 
 
+class TestRuleTable:
+    def test_every_key_but_analyze_has_exactly_one_rule(self):
+        keys = [f.name for cls in (PipelineConfig, AnalyzeSpec)
+                for f in dataclasses.fields(cls) if f.name != "analyze"]
+        assert len(keys) == len(set(keys))
+        assert sorted(keys) == sorted(config.RULES)
+
+    @pytest.mark.parametrize("key", sorted(config.RULES))
+    def test_every_rule_rejects_an_object(self, key, tmp_path):
+        data = {key: {}} if key in vars(PipelineConfig()) else {"analyze": {key: {}}}
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            config_from_dict(data, tmp_path)
+
+
+# malformed values, each of which must fail with a ConfigError naming its key
+MALFORMED = [
+    ({"analyze": {"k_values": 5}}, "k_values"),
+    ({"analyze": {"k_values": [0]}}, "k_values"),
+    ({"embeddings_path": 5}, "embeddings_path"),
+    ({"analyze": {"low_variance_threshold": float("nan")}}, "low_variance_threshold"),
+    ({"analyze": {"high_correlation_threshold": float("inf")}}, "high_correlation_threshold"),
+    ({"analyze": []}, "analyze"),
+    ({"lld_functionals": ["mean", "mean"]}, "lld_functionals"),
+]
+
+
+class TestMalformed:
+    @pytest.mark.parametrize("data, key", MALFORMED)
+    def test_config_from_dict_names_the_key(self, data, key, tmp_path):
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            config_from_dict(data, tmp_path)
+
+    @pytest.mark.parametrize("data, key", MALFORMED)
+    def test_cli_exits_two_naming_the_key(self, data, key, tmp_path, capsys):
+        # json.dumps writes NaN and Infinity, which json.loads reads back
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "fd.tsv"
+        assert main(["--config", str(path), "featdict", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"voxfeat: error: {key} must be ")
+        assert not out.exists()
+
+
 class TestRoundTrip:
     def test_dict_round_trip_preserves_config(self, tmp_path):
         cfg = PipelineConfig(
@@ -180,6 +224,26 @@ class TestHash:
         assert config_hash(PipelineConfig(window="hamming")) != base
         assert config_hash(PipelineConfig(
             analyze=AnalyzeSpec(folds=4))) != base
+
+    # sha256 digests of the canonical JSON, pinned so that no refactor moves
+    # the bytes that every manifest and report records
+    @pytest.mark.parametrize("cfg, digest", [
+        (PipelineConfig(),
+         "f1dd0280ef8c9b5b03995ee46bac2997ad762250d4ee9b23a14d27537cb49daa"),
+        (PipelineConfig(lld_functionals=("mean", "stddev", "p10")),
+         "cb223d2943b483dbccdab930dd4f2b4ba2092f7a5260c776298d083caaf16fb8"),
+        (PipelineConfig(coherence=True, sentiment=True, embeddings_path="res/emb.txt",
+                        valence_path="res/valence.csv", lexicon_path="res/lexicon.txt",
+                        suffix_path="res/suffixes.txt"),
+         "33e2cce4fdff1b1123aee7e2acc4536f2fba5a0f91482075340f7bcfa52a9e75"),
+        (PipelineConfig(analyze=AnalyzeSpec(
+            low_variance_threshold=0.01, high_correlation_threshold=0.9, transform="ica",
+            transform_k=3, selector="mrmr", estimator="logistic", k_values=(2, 4, 8),
+            folds=3)),
+         "15b9f25a7eccdff4dd67b9eacbc7ac5fce6c11fe690777bc9df80b6359bdf0ee"),
+    ])
+    def test_hash_bytes_are_pinned(self, cfg, digest):
+        assert config_hash(cfg) == digest
 
     def test_hash_is_hex_sha256(self):
         h = config_hash(PipelineConfig())

@@ -353,6 +353,22 @@ class TestRunExtract:
         lines = out.read_text().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == ["good"]
 
+    @pytest.mark.parametrize("families", [{}, {"gemaps_core": False}])
+    @pytest.mark.parametrize("framing, message", [
+        ({"hop_seconds": 1e-6}, "hop_seconds 1e-06 is under 1 sample at 16000 Hz"),
+        ({"frame_seconds": 5e-5, "hop_seconds": 5e-5},
+         "frame_seconds 5e-05 is under 2 samples at 16000 Hz"),
+    ])
+    def test_sub_sample_framing_fails_the_file_with_invalid_range(self, tmp_path, families,
+                                                                  framing, message):
+        # the config is valid in seconds; only a file's rate makes the frame
+        # or hop too small. gemaps_core tracks F0 before the descriptor pass
+        # frames the signal; with it off only the descriptor pass runs
+        make_wav(tmp_path / "x.wav")
+        cfg = PipelineConfig(**framing, **families)
+        manifest = run_extract(tmp_path, tmp_path / "f.csv", cfg, jobs=1)
+        assert [r.message for r in manifest.results] == [f"InvalidRange: {message}"]
+
     def test_transcript_is_read_only_for_text_features(self, tmp_path):
         # a malformed transcript fails the row only when a text family is on
         make_wav(tmp_path / "x.wav")
